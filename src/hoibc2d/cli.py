@@ -475,7 +475,7 @@ def cmd_solve(cfg, out_dir):
     log.info("%s sweep finished in %.2f s", cfg.sweep_kind,
              time.perf_counter() - t0)
     # run diagnostics live in the log; result files must be byte-stable
-    for key in ("assembly_seconds", "solve_seconds", "rcond", "solved_form",
+    for key in ("compose_seconds", "solve_seconds", "rcond", "solved_form",
                 "coefficients_scaled", "lump_mass"):
         pattern.meta.pop(key, None)
     pattern.meta.update({"fit_method": cfg.fit_method,

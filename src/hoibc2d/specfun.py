@@ -20,6 +20,9 @@ Evaluation strategy
   re-anchored through the cross-product identity
   ``J_n Y_{n-1} - J_{n-1} Y_n = 2/(pi z)`` instead; J_n has no zeros off the
   real axis, so the division is safe.
+* Kernel path (:func:`hankel2_01_real`, real x > 0 only): the Cephes
+  ``j0/j1/y0/y1`` of scipy.special.  The scalar routes above serve complex
+  z, higher orders and the modal series.
 
 Working range: orders 0..200 and |z| < 1e4.  Within it, accuracy is at the
 1e-12 level wherever the results are representable in double precision;
@@ -31,9 +34,10 @@ All functions are pure; nothing here mutates shared state.
 """
 
 from dataclasses import dataclass
-from math import factorial, lgamma
+from math import lgamma
 
 import numpy as np
+from scipy.special import j0, j1, y0, y1
 
 from .errors import DomainError, RangeError, UsageError
 
@@ -267,141 +271,20 @@ def green2d_grad(k, r):
 # Vectorized J0/J1/Y0/Y1 for real positive arguments (kernel assembly path)
 # ----------------------------------------------------------------------
 
-_KMAX = 36
-
-
-def _build_series_tables():
-    j0c = np.empty(_KMAX)
-    j1c = np.empty(_KMAX)
-    y0c = np.empty(_KMAX)
-    y1c = np.empty(_KMAX)
-    H = 0.0
-    for k in range(_KMAX):
-        fk = float(factorial(k))
-        fk1 = float(factorial(k + 1))
-        sgn = -1.0 if k % 2 else 1.0
-        j0c[k] = sgn / (fk * fk)
-        j1c[k] = sgn / (fk * fk1)
-        y0c[k] = -sgn * H / (fk * fk)          # coefficient of q^k, k>=1
-        y1c[k] = sgn * (H + H + 1.0 / (k + 1)) / (fk * fk1)
-        H += 1.0 / (k + 1)
-    y0c[0] = 0.0
-    return j0c, j1c, y0c, y1c
-
-
-_J0C, _J1C, _Y0C, _Y1C = _build_series_tables()
-
-
-def _polyval_tab(coef, q):
-    p = np.full_like(q, coef[-1])
-    for c in coef[-2::-1]:
-        p = p * q + c
-    return p
-
-
-def _h01_small(x):
-    q = 0.25 * x * x
-    j0 = _polyval_tab(_J0C, q)
-    j1 = 0.5 * x * _polyval_tab(_J1C, q)
-    lg = np.log(0.5 * x) + EULER_GAMMA
-    y0 = (2.0 / np.pi) * (lg * j0 + _polyval_tab(_Y0C, q))
-    y1 = (2.0 / np.pi) * lg * j1 - 2.0 / (np.pi * x) - (0.5 * x / np.pi) * _polyval_tab(_Y1C, q)
-    return j0 - 1j * y0, j1 - 1j * y1
-
-
-def _h01_large(x):
-    """Downward recurrence over a whole array at once.
-
-    One pass accumulates everything the four functions need: the cos/sin
-    projections of the exponential normalization (A, B) and the two
-    Neumann-type sums feeding Y0 and Y1.  Memory stays O(len(x)); only the
-    current and previous recurrence rows are held.
-    """
-    xmax = float(np.max(x))
-    M = int(xmax + 2.0 * np.sqrt(xmax)) + 52
-    if M % 2:
-        M += 1
-    inv = 1.0 / x
-    jp = np.zeros_like(x)
-    jc = np.ones_like(x)
-    A = np.zeros_like(x)       # v0 - 2 v2 + 2 v4 - ...        -> cos(x)/nf
-    B = np.zeros_like(x)       # 2 v1 - 2 v3 + 2 v5 - ...      -> sin(x)/nf
-    s0 = np.zeros_like(x)      # sum (-1)^m v_{2m}/m, m >= 1
-    s1 = np.zeros_like(x)      # sum coefficients of the Y1 Neumann series
-    v0 = None
-    v1 = None
-
-    def accumulate(o, v):
-        nonlocal A, B, s0, s1, v1
-        if o == 0:
-            A += v
-        elif o % 2 == 0:
-            m = o // 2
-            sg = -1.0 if m % 2 else 1.0
-            A += (2.0 * sg) * v
-            s0 += (sg / m) * v
-        elif o == 1:
-            B += 2.0 * v
-            s1 -= v
-            v1 = v.copy()
-        else:
-            m = (o - 1) // 2
-            sg = -1.0 if m % 2 else 1.0
-            B += (2.0 * sg) * v
-            s1 += (-sg) * (1.0 / m + 1.0 / (m + 1)) * v
-
-    for k in range(M, 0, -1):
-        accumulate(k, jc)
-        jm = (2.0 * k) * inv * jc - jp
-        jp = jc
-        jc = jm
-        if k % 8 == 0 and np.max(np.abs(jc)) > 1e250:
-            for arr in (jp, jc, A, B, s0, s1):
-                arr *= 1e-250
-            if v1 is not None:
-                v1 *= 1e-250
-    accumulate(0, jc)
-    v0 = jc
-
-    # nf restores the true scale: A = cos(x)/nf and B = sin(x)/nf up to
-    # truncation, so project instead of dividing by either alone (each has
-    # zeros).  The max-rescale keeps the squares representable.
-    R = np.maximum(np.abs(A), np.abs(B))
-    a = A / R
-    b = B / R
-    nf = (a * np.cos(x) + b * np.sin(x)) / ((a * a + b * b) * R)
-    j0 = v0 * nf
-    j1 = v1 * nf
-    lg = np.log(0.5 * x) + EULER_GAMMA
-    y0 = (2.0 / np.pi) * lg * j0 - (4.0 / np.pi) * (s0 * nf)
-    y1 = (2.0 / np.pi) * lg * j1 - (2.0 / np.pi) * j0 * inv + (2.0 / np.pi) * (s1 * nf)
-    return j0 - 1j * y0, j1 - 1j * y1
-
-
 def hankel2_01_real(x):
     """H0^(2)(x), H1^(2)(x) for an array of real positive x, vectorized.
 
-    This is the kernel-assembly fast path; results match the scalar
-    route to ~1e-13.  Raises DomainError if any entry is <= 0.
+    This is the kernel-assembly path, built on the Cephes j0/j1/y0/y1 of
+    scipy.special.  Against the scalar route the results agree to ~1e-14
+    below x = 40 and to <= 1e-12 up to 1e4.  Raises DomainError if any
+    entry is <= 0 and RangeError if any entry is >= 1e4.
     """
     x = np.asarray(x, dtype=float)
     if x.size and not np.all(x > 0.0):
         raise DomainError("hankel2_01_real needs strictly positive arguments")
     if x.size and float(np.max(x)) >= _MAX_ABS_Z:
         raise RangeError(f"arguments exceed working range < {_MAX_ABS_Z:g}")
-    h0 = np.empty(x.shape, dtype=complex)
-    h1 = np.empty(x.shape, dtype=complex)
-    small = x <= _SERIES_CUT
-    if small.any():
-        h0s, h1s = _h01_small(x[small])
-        h0[small] = h0s
-        h1[small] = h1s
-    large = ~small
-    if large.any():
-        h0l, h1l = _h01_large(x[large])
-        h0[large] = h0l
-        h1[large] = h1l
-    return h0, h1
+    return j0(x) - 1j * y0(x), j1(x) - 1j * y1(x)
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,17 @@ def test_bs_and_b_complex_symmetric(circle32_blocks):
         assert np.max(np.abs(m - m.T)) <= 1e-10 * np.max(np.abs(m))
 
 
+def test_blocks_finite_and_symmetric_at_large_k0d():
+    """k0*D ~ 308: one kernel call spans Hankel arguments up to ~300,
+    still under the resolution guard (k0*h = 1.94)."""
+    blocks = assemble_blocks(mesh_circle(1.1, 500), 140.0)
+    for key in ("BS_p1", "B_p0", "Q"):
+        assert np.all(np.isfinite(blocks[key])), key
+    for key in ("BS_p1", "B_p0"):
+        m = blocks[key]
+        assert np.max(np.abs(m - m.T)) <= 1e-13 * np.max(np.abs(m)), key
+
+
 def test_circulant_on_uniform_circle(circle32_blocks):
     """Uniform circle: entries depend only on the index difference."""
     for key in ("BS_p1", "B_p0", "Q"):

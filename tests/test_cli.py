@@ -163,7 +163,8 @@ def test_solve_writes_curve_and_currents(tmp_path):
     assert pat.angles.size == 72
     assert pat.meta["pol"] == "TE" and pat.meta["ibc"] == "IBC1"
     assert "geometry" in pat.meta
-    for volatile in ("rcond", "assembly_seconds", "solve_seconds"):
+    for volatile in ("rcond", "assembly_seconds", "compose_seconds",
+                     "solve_seconds"):
         assert volatile not in pat.meta
     body = [ln for ln in (tmp_path / "currents_te_ibc1.csv").read_text()
             .splitlines() if not ln.startswith("#")]

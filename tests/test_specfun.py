@@ -199,6 +199,14 @@ def test_hankel2_01_real_matches_scalar():
     for xi, a, b in zip(x, h0, h1):
         assert abs(a - sf.hankel2(0, xi)) <= 5e-13 * abs(a)
         assert abs(b - sf.hankel2(1, xi)) <= 5e-13 * abs(b)
+    # one call spanning the whole working range, up to its upper edge
+    x = np.geomspace(0.02, 9999.0, 400)
+    h0, h1 = sf.hankel2_01_real(x)
+    assert np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))
+    for xi, a, b in zip(x, h0, h1):
+        ref0, ref1 = sf.hankel2(0, xi), sf.hankel2(1, xi)
+        assert abs(a - ref0) <= 1e-12 * abs(ref0)
+        assert abs(b - ref1) <= 1e-12 * abs(ref1)
 
 
 def test_hankel2_01_real_rejects_nonpositive():
@@ -206,6 +214,8 @@ def test_hankel2_01_real_rejects_nonpositive():
         sf.hankel2_01_real(np.array([1.0, 0.0, 2.0]))
     with pytest.raises(DomainError):
         sf.hankel2_01_real(np.array([-1.0]))
+    with pytest.raises(RangeError):
+        sf.hankel2_01_real(np.array([1.0, 1.0e4]))
 
 
 def test_hankel2_01_real_empty_ok():
