@@ -19,19 +19,13 @@ from .errors import TruncationError, UsageError, ValidationError
 from .geometry import Contour, contour_hash
 from .impedance import IbcCoefficients
 from .linsolve import lu_factor, solve
-from .specfun import C0, Z0, bessel_jy
+from .specfun import C0, Z0, bessel_jy, gauss_legendre_unit
 
 log = logging.getLogger("hoibc2d.analysis")
 
 TAIL_TOL = 1e-10
 SWEEP_CHUNK = 256  # angles per block solve in angle sweeps; bounds the rhs memory
 DB_FLOOR = 1e-300  # linear echo widths are floored here before log10
-
-def _gl_unit(n):
-    """Gauss-Legendre nodes/weights mapped onto (0, 1)."""
-    from .specfun import quad_rule
-    rule = quad_rule("gauss_legendre", n)
-    return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
 
 
 # --------------------------------------------------------------------------
@@ -124,40 +118,44 @@ def _n_max_default(k0b):
 # far field from surface currents
 # --------------------------------------------------------------------------
 
-def _current_traces(contour, currents, n_gl=8):
+def _current_traces(contour, currents, n_gl=8, n_angles=None):
     """Quadrature points plus J and M sampled on them.
 
     J always lives on the nodal space.  M is nodal in the default mode
     and elementwise when the solve ran with the mixed space; the solver
-    records which in ``currents.meta``.
+    records which in ``currents.meta``.  Given ``n_angles``, the traces
+    carry a last axis of columns: one per observation angle when J and M
+    hold one column per angle, else the single current's one column.
     """
-    qp, qw = _gl_unit(n_gl)
+    qp, qw = gauss_legendre_unit(n_gl)
     first = contour.nodes[contour.elements[:, 0]]
     second = contour.nodes[contour.elements[:, 1]]
     pts = first[:, None, :] + qp[None, :, None] * (second - first)[:, None, :]
     wts = contour.lengths[:, None] * qw[None, :]
 
-    j_nodal = np.asarray(currents.J)
-    if j_nodal.shape != (contour.n_nodes,):
-        raise UsageError(
-            f"J has {j_nodal.size} entries; expected {contour.n_nodes}")
-    jv = (j_nodal[contour.elements[:, 0], None] * (1.0 - qp)[None, :]
-          + j_nodal[contour.elements[:, 1], None] * qp[None, :])
+    def checked(name, vals, n, what=""):
+        vals = np.asarray(vals)
+        if vals.shape[:1] != (n,) or vals.ndim > (1 if n_angles is None else 2):
+            raise UsageError(f"{name} has shape {vals.shape}; expected ({n},)"
+                             f"{what}")
+        if vals.shape[1:] not in ((), (n_angles,)):
+            raise UsageError(f"{name} has {vals.shape[1]} columns; expected "
+                             f"one per observation angle ({n_angles})")
+        return vals if n_angles is None else vals.reshape(n, -1)
 
-    m = np.asarray(currents.M)
+    def nodal_trace(vals):
+        t = qp.reshape((-1,) + (1,) * (vals.ndim - 1))
+        return (vals[contour.elements[:, 0], None] * (1.0 - t)
+                + vals[contour.elements[:, 1], None] * t)
+
+    jv = nodal_trace(checked("J", currents.J, contour.n_nodes))
     mode = currents.meta.get("mode", "p1")
     if mode == "p1":
-        if m.shape != (contour.n_nodes,):
-            raise UsageError(
-                f"M has {m.size} entries; expected {contour.n_nodes} nodal values")
-        mv = (m[contour.elements[:, 0], None] * (1.0 - qp)[None, :]
-              + m[contour.elements[:, 1], None] * qp[None, :])
+        mv = nodal_trace(checked("M", currents.M, contour.n_nodes,
+                                 " nodal values"))
     elif mode == "p0":
-        if m.shape != (contour.n_elements,):
-            raise UsageError(
-                f"M has {m.size} entries; expected {contour.n_elements} "
-                "elementwise values")
-        mv = np.broadcast_to(m[:, None], pts.shape[:2])
+        m = checked("M", currents.M, contour.n_elements, " elementwise values")
+        mv = np.broadcast_to(m[:, None], pts.shape[:2] + m.shape[1:])
     else:
         raise UsageError(f"unknown current space tag {mode!r}")
     return pts, jv, mv, wts
@@ -168,26 +166,28 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
 
     Normalized so that the scattered scalar (H_z for TE, E_z for TM)
     behaves as F(phi) e^{-i k r} / sqrt(r); the echo width then is
-    2 pi |F|^2 / |amplitude|^2.
+    2 pi |F|^2 / |amplitude|^2.  J and M of shape (n,) radiate at every
+    angle; of shape (n, K), K angles, column k radiates at angle k only.
     """
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    pts, jv, mv, wts = _current_traces(contour, currents, n_gl)
+    pts, jv, mv, wts = _current_traces(contour, currents, n_gl, angles.size)
     xhat = np.column_stack([np.cos(np.deg2rad(angles)),
                             np.sin(np.deg2rad(angles))])
     phase = np.exp(1j * wave.k0 * np.einsum("eqd,ad->eqa", pts, xhat))
     ndot = contour.normals @ xhat.T           # (elements, angles)
     sg = contour.sigma
+    pref = 0.25 * wave.k0 * np.sqrt(2.0 / (np.pi * wave.k0)) \
+        * np.exp(0.25j * np.pi)
+    # in-place updates keep few (elements, points, angles) arrays alive
     if wave.pol == "TE":
-        dens = (sg * ndot[:, None, :] * jv[:, :, None]
-                + mv[:, :, None] / Z0)
-        pref = -0.25 * wave.k0 * np.sqrt(2.0 / (np.pi * wave.k0)) \
-            * np.exp(0.25j * np.pi)
+        dens = sg * ndot[:, None, :] * jv
+        dens += mv / Z0
+        pref = -pref
     else:
-        dens = (sg * ndot[:, None, :] * mv[:, :, None]
-                - Z0 * jv[:, :, None])
-        pref = +0.25 * wave.k0 * np.sqrt(2.0 / (np.pi * wave.k0)) \
-            * np.exp(0.25j * np.pi)
-    values = pref * np.einsum("eqa,eq->a", dens * phase, wts)
+        dens = sg * ndot[:, None, :] * mv
+        dens -= Z0 * jv
+    dens *= phase
+    values = pref * np.einsum("eqa,eq->a", dens, wts)
     meta = {"geometry": contour_hash(contour)}
     meta.update(currents.meta)
     return FarFieldPattern(angles=angles, values=values, k0=wave.k0,
@@ -469,18 +469,18 @@ def _sweep_angles(contour, coeffs, angles_deg, k0, mode, lump_mass):
     m_space = "P1_nodal" if mode == "p1" else "P0_elementwise"
     n1 = system.sizes[0]
     out = np.empty(len(angles_deg))
-    # one multi-column solve per chunk of angles; each column is bitwise
-    # what its own single-column solve would give (see linsolve)
+    # per chunk: one rhs block, one multi-column solve (column k bitwise
+    # its own solve, see linsolve), one far field with column k at angle k
     for lo in range(0, len(angles_deg), SWEEP_CHUNK):
+        phis = angles_deg[lo:lo + SWEEP_CHUNK]
         waves = [IncidentWave(pol=coeffs.pol, k0=k0, phi_inc=np.deg2rad(phi))
-                 for phi in angles_deg[lo:lo + SWEEP_CHUNK]]
-        rhs = np.stack([assemble_rhs(contour, w, m_space) for w in waves], 1)
+                 for phi in phis]
+        rhs = assemble_rhs(contour, waves, m_space)
         rhs[pinned] = 0.0
         x = solve(fac, rhs)
-        for k, wave in enumerate(waves):
-            sol = SurfaceCurrents(J=x[:n1, k], M=x[n1:, k], meta={"mode": mode})
-            ff = far_field(sol, contour, wave, [angles_deg[lo + k] + 180.0])
-            out[lo + k] = echo_width(ff).sigma[0]
+        sol = SurfaceCurrents(J=x[:n1], M=x[n1:], meta={"mode": mode})
+        ff = far_field(sol, contour, waves[0], phis + 180.0)
+        out[lo:lo + len(phis)] = echo_width(ff).sigma
     return out
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import MeshError, UsageError
 from .geometry import Contour, contour_hash
 from .linsolve import lu_factor, solve
-from .specfun import Z0, hankel2_01_real, quad_rule
+from .specfun import Z0, gauss_legendre_unit, hankel2_01_real, quad_rule
 
 log = logging.getLogger(__name__)
 
@@ -167,10 +167,8 @@ def _rho_weights(w):
 def _self_g_moments(k, h, n_log, n_gl):
     """Weighted integrals of G(k h w) against rho00 and the three P1
     product densities, vectorized over the element-length array h."""
-    gl = quad_rule("gauss_legendre", n_gl)
+    xg, wg = gauss_legendre_unit(n_gl)
     lg = quad_rule("gauss_log", n_log)
-    xg = 0.5 * (gl.nodes + 1.0)
-    wg = 0.5 * gl.weights
     h = np.asarray(h, dtype=float)[:, None]
 
     parts = []
@@ -230,9 +228,7 @@ def _adjacent_pairs(contour):
 
 
 def _assemble_adjacent(contour, k0, mats, m_p1, n_gl, n_log):
-    gl = quad_rule("gauss_legendre", n_gl)
-    xg = 0.5 * (gl.nodes + 1.0)
-    wg = 0.5 * gl.weights
+    xg, wg = gauss_legendre_unit(n_gl)
     lg = quad_rule("gauss_log", n_log)
     nodes = contour.nodes
     sgn = (-1.0, 1.0)
@@ -305,9 +301,7 @@ def _assemble_adjacent(contour, k0, mats, m_p1, n_gl, n_log):
 
 def _assemble_distant(contour, k0, mats, m_p1, n_gl, chunk=64):
     n = contour.n_elements
-    gl = quad_rule("gauss_legendre", n_gl)
-    x = 0.5 * (gl.nodes + 1.0)
-    w = 0.5 * gl.weights
+    x, w = gauss_legendre_unit(n_gl)
 
     a_pts = contour.nodes[contour.elements[:, 0]]
     b_pts = contour.nodes[contour.elements[:, 1]]
@@ -467,49 +461,53 @@ def assemble_mass_and_d(contour, spaces="p1", lump=False):
 # right-hand side
 # --------------------------------------------------------------------------
 
-def assemble_rhs(contour, wave: IncidentWave, m_space="P1_nodal",
+def assemble_rhs(contour, wave, m_space="P1_nodal",
                  n_gl=N_GL_RHS) -> np.ndarray:
     """Incident tangential traces tested against the bases: [E-row; H-row].
 
-    With sigma the tangent/normal orientation sign of the contour, the
-    tested traces of u = exp(-i k0 d.x) are
+    ``wave`` is one :class:`IncidentWave`, which gives an (n,) vector, or
+    a sequence of waves sharing pol and k0, which gives an (n, K) block
+    whose column k is the right-hand side of wave k.  With sigma the
+    tangent/normal orientation sign of the contour, the tested traces of
+    u = exp(-i k0 d.x) are
 
         TE:  E-row = sigma Z0 (d.n) <u, phi>,   H-row = sigma <u, psi>
         TM:  E-row = sigma <u, phi>,   H-row = -(sigma/Z0) (d.n) <u, psi>
     """
-    gl = quad_rule("gauss_legendre", n_gl)
-    x = 0.5 * (gl.nodes + 1.0)
-    w = 0.5 * gl.weights
-    n1 = contour.n_nodes
-    m_p1 = m_space == "P1_nodal"
+    waves = [wave] if isinstance(wave, IncidentWave) else list(wave)
+    if len({(v.pol, v.k0) for v in waves}) != 1:
+        raise UsageError("right-hand sides need one or more waves sharing "
+                         "pol and k0")
+    x, w = gauss_legendre_unit(n_gl)
 
     a_pts = contour.nodes[contour.elements[:, 0]]
     b_pts = contour.nodes[contour.elements[:, 1]]
     pts = a_pts[:, None, :] + x[None, :, None] * (b_pts - a_pts)[:, None, :]
-    uinc = wave.field(pts)                              # (n0, nq)
-    dn = contour.normals @ wave.direction               # (n0,)
+    dirs = np.array([v.direction for v in waves]).T     # (2, K)
+    amps = np.array([v.amplitude for v in waves])
+    uinc = amps * np.exp(-1j * waves[0].k0 * (pts @ dirs))  # (n0, nq, K)
+    dn = (contour.normals @ dirs)[:, None, :]           # (n0, 1, K)
     phi = np.stack([1.0 - x, x])
     wl = w[None, :] * contour.lengths[:, None]
     sig = contour.sigma
 
-    mom = np.einsum("aq,eq,eq->ea", phi, uinc, wl)      # <u, phi_a> per elem
-    if wave.pol == "TE":
-        e_vals = sig * Z0 * dn[:, None] * mom
+    mom = np.einsum("aq,eqk,eq->eak", phi, uinc, wl)    # <u, phi_a> per e, k
+    if waves[0].pol == "TE":
+        e_vals = sig * Z0 * dn * mom
         h_vals = sig * mom
     else:
         e_vals = sig * mom
-        h_vals = -(sig / Z0) * dn[:, None] * mom
+        h_vals = -(sig / Z0) * dn * mom
 
-    e_row = np.zeros(n1, dtype=complex)
-    for a in range(2):
-        np.add.at(e_row, contour.elements[:, a], e_vals[:, a])
-    if m_p1:
-        h_row = np.zeros(n1, dtype=complex)
+    def nodal(vals):
+        row = np.zeros((contour.n_nodes, len(waves)), dtype=complex)
         for a in range(2):
-            np.add.at(h_row, contour.elements[:, a], h_vals[:, a])
-    else:
-        h_row = h_vals.sum(axis=1).astype(complex)
-    return np.concatenate([e_row, h_row])
+            np.add.at(row, contour.elements[:, a], vals[:, a])
+        return row
+
+    h_row = nodal(h_vals) if m_space == "P1_nodal" else h_vals.sum(axis=1)
+    rhs = np.concatenate([nodal(e_vals), h_row])
+    return rhs[:, 0] if isinstance(wave, IncidentWave) else rhs
 
 
 # --------------------------------------------------------------------------
@@ -827,8 +825,11 @@ def solve_currents(system: AssembledSystem, use="reduced") -> SurfaceCurrents:
     fac = lu_factor(mat)
     x = solve(fac, rhs)
     dt = time.perf_counter() - t0
-    log.info("solved n=%d system in %.3fs (rcond %.2e)",
-             mat.shape[0], dt, fac.rcond_estimate)
+    # relative residual ||Ax - b|| / ||b||; a zero b solves to x = 0 exactly
+    residual = float(np.linalg.norm(mat @ x - rhs)
+                     / max(np.linalg.norm(rhs), np.finfo(float).tiny))
+    log.info("solved n=%d system in %.3fs (rcond %.2e, residual %.1e)",
+             mat.shape[0], dt, fac.rcond_estimate, residual)
 
     offs = np.concatenate([[0], np.cumsum(system.sizes)])
     fields = [
@@ -837,9 +838,8 @@ def solve_currents(system: AssembledSystem, use="reduced") -> SurfaceCurrents:
     ]
     fields += [None] * (6 - len(fields))
     meta = dict(system.meta)
-    meta["rcond"] = fac.rcond_estimate
-    meta["solve_seconds"] = dt
-    meta["solved_form"] = use
+    meta.update(rcond=fac.rcond_estimate, residual=residual,
+                solve_seconds=dt, solved_form=use)
     return SurfaceCurrents(J=fields[0], M=fields[1], X=fields[2],
                            Y=fields[3], Xp=fields[4], Yp=fields[5], meta=meta)
 

@@ -469,14 +469,14 @@ def cmd_solve(cfg, out_dir):
             pattern, sol = solve_and_pattern(contour, coeffs, wave,
                                              cfg.angles_deg)
             pattern.meta["phi_inc_deg"] = cfg.phi_inc_deg
-            log.info("reduced solve: rcond %.3e, %.3f s",
-                     sol.meta.get("rcond", float("nan")),
-                     sol.meta.get("solve_seconds", float("nan")))
+            log.info("reduced solve: rcond %.3e, residual %.1e, %.3f s",
+                     sol.meta["rcond"], sol.meta["residual"],
+                     sol.meta["solve_seconds"])
     log.info("%s sweep finished in %.2f s", cfg.sweep_kind,
              time.perf_counter() - t0)
     # run diagnostics live in the log; result files must be byte-stable
-    for key in ("compose_seconds", "solve_seconds", "rcond", "solved_form",
-                "coefficients_scaled", "lump_mass"):
+    for key in ("compose_seconds", "solve_seconds", "rcond", "residual",
+                "solved_form", "coefficients_scaled", "lump_mass"):
         pattern.meta.pop(key, None)
     pattern.meta.update({"fit_method": cfg.fit_method,
                          "n_elements": cfg.n_elements})

@@ -113,13 +113,6 @@ def _jn_miller(nmax, z):
     return vals * (np.exp(ph * z) / S)
 
 
-def _jn_array(nmax, z):
-    """J_0..J_nmax as an array, dispatching on |z|."""
-    if abs(z) <= _SERIES_CUT:
-        return np.array([_j_series(n, z) for n in range(nmax + 1)])
-    return _jn_miller(nmax, z)[: nmax + 1]
-
-
 def _y01_log_series(z):
     """Y0(z), Y1(z) by the ascending log series; scalar complex."""
     lg = np.log(z / 2.0) + EULER_GAMMA
@@ -390,3 +383,9 @@ def quad_rule(kind, n):
         nodes, weights = _GAUSS_LOG_TABLES[n]
         return QuadratureRule(kind, np.array(nodes), np.array(weights))
     raise UsageError(f"unknown quadrature kind {kind!r}")
+
+
+def gauss_legendre_unit(n):
+    """Gauss-Legendre nodes and weights mapped onto (0, 1)."""
+    rule = quad_rule("gauss_legendre", n)
+    return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights

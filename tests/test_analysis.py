@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hoibc2d.analysis import (
+    SWEEP_CHUNK,
     RcsPattern,
     SeriesSolutionSpec,
     _pec_modes,
@@ -32,7 +33,7 @@ from hoibc2d.analysis import (
 )
 from hoibc2d.assembly import IncidentWave, SurfaceCurrents, assemble_blocks
 from hoibc2d.errors import TruncationError, UsageError, ValidationError
-from hoibc2d.geometry import mesh_circle
+from hoibc2d.geometry import mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, fit_coefficients
 from hoibc2d.specfun import C0, Z0
 
@@ -120,6 +121,26 @@ def test_far_field_meta_and_mode_guards(circle96, smooth_currents):
                           meta={"mode": "p7"})
     with pytest.raises(UsageError, match="p7"):
         far_field(odd, circle96, wave, [0.0])
+
+
+def test_far_field_per_angle_columns(circle96, smooth_currents):
+    # (n, K) currents: column k radiates at observation angle k only
+    rng = np.random.default_rng(11)
+    ang = np.array([0.0, 33.0, 90.0, 181.5, 300.0])
+    scale = rng.standard_normal((2, ang.size)) + 1j * rng.standard_normal(
+        (2, ang.size))
+    cols = SurfaceCurrents(J=np.outer(smooth_currents.J, scale[0]),
+                           M=np.outer(smooth_currents.M, scale[1]),
+                           meta={"mode": "p1"})
+    for pol in ("TE", "TM"):
+        wave = IncidentWave(pol=pol, k0=K0, phi_inc=0.0)
+        vals = far_field(cols, circle96, wave, ang).values
+        for k, phi in enumerate(ang):
+            one = SurfaceCurrents(J=cols.J[:, k], M=cols.M[:, k])
+            ref = far_field(one, circle96, wave, [phi]).values[0]
+            assert abs(vals[k] - ref) <= 1e-13 * abs(ref)
+    with pytest.raises(UsageError, match="columns"):
+        far_field(cols, circle96, wave, ang[:-1])
 
 
 # --- echo width --------------------------------------------------------------
@@ -351,12 +372,25 @@ def te_ibc1():
     return fit_coefficients(COAT, "TE", K0, "IBC1")
 
 
-def test_monostatic_length_one_equals_bistatic(circle128, te_ibc1):
-    sweep = monostatic_sweep(circle128, te_ibc1, [37.0], kind="angle", k0=K0)
-    wave = IncidentWave(pol="TE", k0=K0, phi_inc=np.deg2rad(37.0))
-    pat, _ = solve_and_pattern(circle128, te_ibc1, wave, [217.0])
-    assert abs(sweep.sigma[0] - pat.sigma[0]) <= 1e-12
+@pytest.mark.parametrize("kind,pol,mode,n_angles", [
+    ("circle", "TE", "p1", 1),
+    ("circle", "TE", "p1", SWEEP_CHUNK + 44),
+    ("circle", "TE", "p0", SWEEP_CHUNK + 44),
+    ("plate", "TM", "p1", SWEEP_CHUNK + 44)])
+def test_monostatic_sweep_equals_bistatic(kind, pol, mode, n_angles):
+    # one angle, or a full chunk of angles plus a partial one, each angle
+    # checked against its own bistatic solve; the plate pins its endpoints
+    mesh = mesh_circle(B, 32) if kind == "circle" else mesh_plate(2.0, 32)
+    cf = fit_coefficients(COAT, pol, K0, "IBC1")
+    blocks = assemble_blocks(mesh, K0, mode=mode)
+    ang = np.linspace(37.0, 359.0, n_angles)
+    sweep = monostatic_sweep(mesh, cf, ang, kind="angle", k0=K0, mode=mode)
     assert sweep.meta["axis"] == "angle_deg"
+    for phi, sig in zip(ang, sweep.sigma):
+        wave = IncidentWave(pol=pol, k0=K0, phi_inc=np.deg2rad(phi))
+        pat, _ = solve_and_pattern(mesh, cf, wave, [phi + 180.0], mode=mode,
+                                   blocks=blocks)
+        assert abs(sig - pat.sigma[0]) <= 1e-12
 
 
 def test_monostatic_rotational_invariance(te_ibc1):

@@ -315,6 +315,25 @@ def test_rhs_te_tm_row_exchange(circle32):
     assert np.array_equal(te[n:], tm[:n])
 
 
+@pytest.mark.parametrize("space", ["P1_nodal", "P0_elementwise"])
+def test_rhs_wave_block_columns(circle32, space):
+    # a sequence of waves gives one column per wave, each its single-wave
+    # vector up to the summation order of the batched moments
+    waves = [IncidentWave(pol="TE", k0=K0, phi_inc=p, amplitude=1.0 + 0.3j * p)
+             for p in np.linspace(0.0, 6.0, 7)]
+    block = assemble_rhs(circle32, waves, space)
+    assert block.shape == (2 * circle32.n_nodes if space == "P1_nodal"
+                           else circle32.n_nodes + circle32.n_elements, 7)
+    for k, w in enumerate(waves):
+        one = assemble_rhs(circle32, w, space)
+        assert np.max(np.abs(block[:, k] - one)) <= 1e-14 * np.max(np.abs(one))
+    with pytest.raises(UsageError, match="sharing"):
+        assemble_rhs(circle32, waves + [IncidentWave(pol="TM", k0=K0,
+                                                     phi_inc=0.0)])
+    with pytest.raises(UsageError, match="sharing"):
+        assemble_rhs(circle32, [])
+
+
 # --- block systems and reduction ---------------------------------------------
 
 TE1 = IbcCoefficients(order="IBC1", pol="TE", a0=12.0 + 3.0j, a=2.0 - 1.0j,
@@ -493,6 +512,7 @@ def test_system_meta(circle32, circle32_blocks):
     assert scaled["bp"] == 0.0
     sol = solve_currents(sys1)
     assert 0.0 < sol.meta["rcond"] <= 1.0
+    assert sol.meta["residual"] < 1e-12
     assert sol.meta["solved_form"] == "reduced"
 
 
