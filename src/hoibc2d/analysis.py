@@ -427,6 +427,8 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
     coefficients or a callable frequency -> coefficients.
     """
     sweep = np.atleast_1d(np.asarray(sweep, dtype=float))
+    if sweep.size == 0:
+        raise ValidationError("a sweep needs at least one value")
     if sweep.size > 1 and not np.all(np.diff(sweep) > 0.0):
         raise ValidationError("sweep values must be strictly increasing")
     if kind == "angle":

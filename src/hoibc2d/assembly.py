@@ -15,11 +15,17 @@ Kernel matrices, with G the outgoing 2D kernel and phi the nodal basis:
                            - (1/k0) G d_l phi_j d_l phi_i ]
     Q_ij     = int int phi_i(x) phi_j(y) n(x) . grad_y G   (principal value)
 
-Singular element pairs get dedicated rules: the self-element double
-integral collapses to a single integral in w = |t - s| whose logarithmic
-part goes to a log-weighted Gauss rule; pairs sharing a vertex are split
-into two Duffy triangles with the same log/analytic kernel separation.
-Everything else uses tensor Gauss-Legendre.
+All three come from two raw moments per element pair and local basis
+pair, SB = int int G phi_a phi_b and SQ = int int n.grad_y G phi_a phi_b
+(Jacobians included), held as broken matrices indexed (e, a, f, b).
+Each pair class only fills its entries of SB and SQ: the self-element
+double integral collapses to a single integral in w = |t - s| whose
+logarithmic part goes to a log-weighted Gauss rule; pairs sharing a vertex
+are split into two Duffy triangles with the same log/analytic kernel
+separation, all pairs at once on the shared reference nodes; everything
+else uses tensor Gauss-Legendre.  B, B - S and Q are then formed from the
+moments in one place and scattered to nodal DOFs once, A = S A_broken S^T
+with S the node incidence; a P0 trial sums the local trial index.
 """
 
 from __future__ import annotations
@@ -150,177 +156,110 @@ def _split_kernels(k, r):
 
 
 # --------------------------------------------------------------------------
-# self pairs: int int f(|t-s|) phi(t) phi(s) dt ds = int f(w) rho(w) dw
+# raw pair moments SB[e, a, f, b] = int_e int_f G phi_a phi_b and SQ (the
+# same with n(x).grad_y G), Jacobians included; one routine per pair class
 # --------------------------------------------------------------------------
 
+# kernel points evaluated per distant chunk of test rows (bounds memory)
+KERNEL_POINTS_PER_CHUNK = 2**18
+
+
 def _rho_weights(w):
-    # moment densities of 1, t, ts over the strip |t - s| = w in the square
-    rho00 = 2.0 * (1.0 - w)
-    rho10 = 1.0 - w
-    rho11 = 2.0 / 3.0 - w + w**3 / 3.0
-    c00 = rho00 - 2.0 * rho10 + rho11      # (1-t)(1-s)
-    c01 = rho10 - rho11                    # (1-t)s, same as t(1-s)
-    c11 = rho11                            # ts
-    return rho00, c00, c01, c11
+    """Densities of (1-t)(1-s), (1-t)s and ts over the strip |t - s| = w
+    in the unit square; (1-t)(1-s) has the density of ts by symmetry."""
+    c11 = 2.0 / 3.0 - w + w**3 / 3.0
+    return np.stack([c11, (1.0 - w) - c11, c11])
 
 
 def _self_g_moments(k, h, n_log, n_gl):
-    """Weighted integrals of G(k h w) against rho00 and the three P1
-    product densities, vectorized over the element-length array h."""
+    """(n0, 2, 2) self blocks SB[e, :, e, :] for the element-length array
+    h: the double integral collapses to int G(k h w) rho(w) dw."""
     xg, wg = gauss_legendre_unit(n_gl)
     lg = quad_rule("gauss_log", n_log)
     h = np.asarray(h, dtype=float)[:, None]
-
-    parts = []
+    mom = 0.0
     for nodes, wts, logged in ((xg, wg, False), (lg.nodes, lg.weights, True)):
         g_an, g_even, _, _ = _split_kernels(k, h * nodes[None, :])
-        if logged:
-            # the rule integrates (-ln w) f(w); the kernel carries +ln(w)
-            vals = -g_even
-        else:
-            # ln(r) = ln(h) + ln(w); the ln(h) piece is smooth
-            vals = g_an + np.log(h) * g_even
-        rhos = _rho_weights(nodes)
-        parts.append([np.einsum("ew,w,w->e", vals, rho, wts) for rho in rhos])
-    return [a + b for a, b in zip(parts[0], parts[1])]
+        # the log rule integrates (-ln w) f(w) and the kernel carries
+        # +ln(w); elsewhere ln(r) = ln(h) + ln(w) with ln(h) smooth
+        vals = -g_even if logged else g_an + np.log(h) * g_even
+        mom = mom + vals @ (wts * _rho_weights(nodes)).T
+    return (mom * (h * h))[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
-
-def _assemble_self(contour, k0, mats, m_p1, n_log, n_gl):
-    h = contour.lengths
-    i00, p00, p01, p11 = _self_g_moments(k0, h, n_log, n_gl)
-    combos = ((0, 0, p00), (0, 1, p01), (1, 0, p01), (1, 1, p11))
-    sgn = (-1.0, 1.0)
-    for e in range(contour.n_elements):
-        dofs = contour.elements[e]
-        he = h[e]
-        for a, b, mom in combos:
-            sb = mom[e] * he * he
-            ia, jb = dofs[a], dofs[b]
-            mats["B_p1"][ia, jb] += 1j * k0 * sb
-            # tau.tau = 1 on a straight element; in the derivative term the
-            # h^2 Jacobian cancels against the 1/h^2 of the basis slopes
-            mats["BS"][ia, jb] += 1j * (k0 * sb - sgn[a] * sgn[b] * i00[e] / k0)
-        if not m_p1:
-            mats["B_p0"][e, e] += 1j * k0 * i00[e] * he * he
-        # Q self-entries: n(x).(y-x) = 0 on a straight element; exact zero
-
-
-# --------------------------------------------------------------------------
-# adjacent pairs (shared vertex): two Duffy triangles, log extracted
-# --------------------------------------------------------------------------
 
 def _adjacent_pairs(contour):
-    """(e, f, flip_t, flip_s) for every ordered pair sharing one node.
+    """(e, f, flip_t, flip_s) arrays over every ordered pair sharing a node.
 
     flip_t: the shared vertex is the *end* node of e (local t = 1), so the
     vertex-distance coordinate there is 1 - t; flip_s likewise for f.
     """
-    out = []
     n = contour.n_elements
-    for e in range(n):
-        nxt = e + 1 if e + 1 < n else (0 if contour.closed else None)
-        prv = e - 1 if e - 1 >= 0 else (n - 1 if contour.closed else None)
-        if nxt is not None:
-            out.append((e, nxt, True, False))
-        if prv is not None:
-            out.append((e, prv, False, True))
-    return out
+    e = np.arange(n if contour.closed else n - 1)
+    f = (e + 1) % n                     # end node of e = start node of f
+    first = np.arange(2 * e.size) < e.size
+    return np.concatenate([e, f]), np.concatenate([f, e]), first, ~first
 
 
-def _assemble_adjacent(contour, k0, mats, m_p1, n_gl, n_log):
+def _adjacent_moments(contour, k0, e, f, flip_t, flip_s, n_gl, n_log):
+    """(P, 2, 2) blocks SB[e, :, f, :], SQ[e, :, f, :] of the shared-vertex
+    pairs.
+
+    x = V + xi*we, y = V + eta*wf; r vanishes only at the vertex V.  On
+    the triangle eta < xi put eta = xi*v: r = xi*rhat(v) with rhat bounded
+    below, so ln r = ln(xi) + ln(r/xi) splits into a gauss_log part in xi
+    plus a smooth remainder; the other triangle is the mirror image with
+    eta outermost.  Every pair shares the reference nodes.
+    """
     xg, wg = gauss_legendre_unit(n_gl)
     lg = quad_rule("gauss_log", n_log)
-    nodes = contour.nodes
-    sgn = (-1.0, 1.0)
-
-    for (e, f, flip_t, flip_s) in _adjacent_pairs(contour):
-        et, ef = contour.elements[e], contour.elements[f]
-        he, hf = contour.lengths[e], contour.lengths[f]
-        vertex = nodes[et[1]] if flip_t else nodes[et[0]]
-        we = (nodes[et[0]] if flip_t else nodes[et[1]]) - vertex
-        wf = (nodes[ef[0]] if flip_s else nodes[ef[1]]) - vertex
-        ne = contour.normals[e]
-        ttf = float(contour.tangents[e] @ contour.tangents[f])
-        sb = np.zeros((2, 2), dtype=complex)
-        sq = np.zeros((2, 2), dtype=complex)
-
-        # x = V + xi*we, y = V + eta*wf; r vanishes only at the vertex.
-        # On the triangle eta < xi put eta = xi*v: r = xi*rhat(v) with
-        # rhat bounded below, so ln r = ln(xi) + ln(r/xi) splits into a
-        # gauss_log part in xi plus a smooth remainder; the other triangle
-        # is the mirror image with eta outermost.
-        for outer, w_outer, logged in ((xg, wg, False),
-                                       (lg.nodes, lg.weights, True)):
-            for swap in (False, True):
-                if swap:
-                    xi = np.multiply.outer(outer, xg)
-                    eta = np.broadcast_to(outer[:, None], xi.shape)
-                else:
-                    xi = np.broadcast_to(outer[:, None], (outer.size, xg.size))
-                    eta = np.multiply.outer(outer, xg)
-                dvec = eta[..., None] * wf - xi[..., None] * we
-                r = np.hypot(dvec[..., 0], dvec[..., 1])
-                if logged:
-                    _, g_even, _, w_even = _split_kernels(k0, r)
-                    kg = -g_even
-                    kq = -w_even
-                else:
-                    g_an, g_even, w_an, w_even = _split_kernels(k0, r)
-                    lnrest = np.log(r / outer[:, None])
-                    kg = g_an + lnrest * g_even
-                    kq = w_an + lnrest * w_even
-                kq = kq * (dvec @ ne)
-                t = 1.0 - xi if flip_t else xi
-                s = 1.0 - eta if flip_s else eta
-                jac = np.multiply.outer(w_outer, wg) * outer[:, None] * (he * hf)
-                pt = np.stack([1.0 - t, t])
-                ps = np.stack([1.0 - s, s])
-                sb += np.einsum("axv,bxv,xv->ab", pt, ps, kg * jac)
-                sq += np.einsum("axv,bxv,xv->ab", pt, ps, kq * jac)
-
-        s0 = sb.sum()
-        for a in range(2):
-            for b in range(2):
-                ia, jb = et[a], ef[b]
-                mats["B_p1"][ia, jb] += 1j * k0 * sb[a, b]
-                mats["BS"][ia, jb] += 1j * (
-                    k0 * ttf * sb[a, b]
-                    - sgn[a] * sgn[b] * s0 / (k0 * he * hf)
-                )
-                if m_p1:
-                    mats["Q"][ia, jb] += sq[a, b]
-        if not m_p1:
-            mats["B_p0"][e, f] += 1j * k0 * s0
-            for a in range(2):
-                mats["Q"][et[a], f] += sq[a, 0] + sq[a, 1]
+    ends = contour.nodes[contour.elements]             # (n0, 2 local, 2)
+    vertex = ends[e, flip_t.astype(int)]
+    we = ends[e, (~flip_t).astype(int)] - vertex
+    wf = ends[f, (~flip_s).astype(int)] - vertex
+    ne = contour.normals[e]
+    hh = (contour.lengths[e] * contour.lengths[f])[:, None, None]
+    sb = sq = 0.0
+    for outer, w_outer, logged in ((xg, wg, False),
+                                   (lg.nodes, lg.weights, True)):
+        inner = np.multiply.outer(outer, xg)
+        wide = np.broadcast_to(outer[:, None], inner.shape)
+        for xi, eta in ((wide, inner), (inner, wide)):
+            dvec = (eta[..., None] * wf[:, None, None, :]
+                    - xi[..., None] * we[:, None, None, :])
+            r = np.hypot(dvec[..., 0], dvec[..., 1])   # (P, outer, inner)
+            g_an, g_even, w_an, w_even = _split_kernels(k0, r)
+            if logged:
+                kg, kq = -g_even, -w_even
+            else:
+                lnrest = np.log(r / outer[:, None])
+                kg = g_an + lnrest * g_even
+                kq = w_an + lnrest * w_even
+            kq = kq * np.einsum("pxvd,pd->pxv", dvec, ne)
+            t = np.where(flip_t[:, None, None], 1.0 - xi, xi)
+            s = np.where(flip_s[:, None, None], 1.0 - eta, eta)
+            jac = np.multiply.outer(w_outer, wg) * outer[:, None] * hh
+            pt = np.stack([1.0 - t, t], axis=1)
+            ps = np.stack([1.0 - s, s], axis=1)
+            sb = sb + np.einsum("paxv,pbxv,pxv->pab", pt, ps, kg * jac)
+            sq = sq + np.einsum("paxv,pbxv,pxv->pab", pt, ps, kq * jac)
+    return sb, sq
 
 
-# --------------------------------------------------------------------------
-# distant pairs: tensor Gauss-Legendre, vectorized in chunks of test rows
-# --------------------------------------------------------------------------
-
-def _assemble_distant(contour, k0, mats, m_p1, n_gl, chunk=64):
+def _distant_moments(contour, k0, near, n_gl):
+    """(n0, 2, n0, 2) arrays SB, SQ by tensor Gauss-Legendre over chunks
+    of test rows; the pairs flagged in ``near`` are left zero."""
     n = contour.n_elements
     x, w = gauss_legendre_unit(n_gl)
-
     a_pts = contour.nodes[contour.elements[:, 0]]
     b_pts = contour.nodes[contour.elements[:, 1]]
     pts = a_pts[:, None, :] + x[None, :, None] * (b_pts - a_pts)[:, None, :]
     phi = np.stack([1.0 - x, x])                       # (2, nq)
     wh = w[None, :] * contour.lengths[:, None]         # (n, nq)
-
-    near = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(near, True)
-    for (e, f, _, _) in _adjacent_pairs(contour):
-        near[e, f] = True
-
-    tt = contour.tangents @ contour.tangents.T
-    sgn = np.array([-1.0, 1.0])
-    inv_h = 1.0 / contour.lengths
-    all_f = np.arange(n)
-
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    sb = np.empty((n, 2, n, 2), dtype=complex)
+    sq = np.empty((n, 2, n, 2), dtype=complex)
+    rows = max(1, KERNEL_POINTS_PER_CHUNK // (n * x.size**2))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         dvec = pts[None, None, :, :, :] - pts[lo:hi, :, None, None, :]
         r = np.hypot(dvec[..., 0], dvec[..., 1])       # (c, nq, n, nq)
         dead = np.broadcast_to(near[lo:hi, None, :, None], r.shape)
@@ -329,31 +268,35 @@ def _assemble_distant(contour, k0, mats, m_p1, n_gl, chunk=64):
         wq = np.where(dead, 0.0, wq)
         ndote = np.einsum("cqfpd,cd->cqfp", dvec, contour.normals[lo:hi])
         weights = wh[lo:hi][:, :, None, None] * wh[None, None, :, :]
-        sb = np.einsum("aq,bp,cqfp->cfab", phi, phi, g * weights)
-        sq = np.einsum("aq,bp,cqfp->cfab", phi, phi, wq * ndote * weights)
-        s0 = sb.sum(axis=(2, 3))                       # (c, n)
+        sb[lo:hi] = np.einsum("aq,bp,cqfp->cafb", phi, phi, g * weights)
+        sq[lo:hi] = np.einsum("aq,bp,cqfp->cafb", phi, phi,
+                              wq * ndote * weights)
+    return sb, sq
 
-        rows = contour.elements[lo:hi]
-        for a in range(2):
-            ia = np.repeat(rows[:, a], n)
-            for b in range(2):
-                jb = np.tile(contour.elements[:, b], hi - lo)
-                np.add.at(mats["B_p1"], (ia, jb),
-                          (1j * k0 * sb[:, :, a, b]).ravel())
-                bs = 1j * (k0 * tt[lo:hi] * sb[:, :, a, b]
-                           - sgn[a] * sgn[b] / k0
-                           * np.outer(inv_h[lo:hi], inv_h) * s0)
-                np.add.at(mats["BS"], (ia, jb), bs.ravel())
-                if m_p1:
-                    np.add.at(mats["Q"], (ia, jb), sq[:, :, a, b].ravel())
-            if not m_p1:
-                np.add.at(mats["Q"], (ia, np.tile(all_f, hi - lo)),
-                          (sq[:, :, a, 0] + sq[:, :, a, 1]).ravel())
-        if not m_p1:
-            np.add.at(mats["B_p0"],
-                      (np.repeat(np.arange(lo, hi), n),
-                       np.tile(all_f, hi - lo)),
-                      (1j * k0 * s0).ravel())
+
+# --------------------------------------------------------------------------
+# composition and the one scatter to nodal / P0 DOFs
+# --------------------------------------------------------------------------
+
+def _node_sum(contour, x, axis=0):
+    """S x: sums the element-local slots of x into nodes.  x carries the
+    element index on ``axis`` and the local node index (0 start, 1 end)
+    right after it; S is the (n_nodes, 2 n0) node incidence."""
+    shape = x.shape[:axis] + (contour.n_nodes,) + x.shape[axis + 2:]
+    out = np.zeros(shape, dtype=x.dtype)
+    lead = (slice(None),) * axis
+    for a in range(2):
+        # exact: a contour visits each node once, so no index repeats
+        out[lead + (contour.elements[:, a],)] += x[lead + (slice(None), a)]
+    return out
+
+
+def _scatter(contour, blocks, p1_trial=True):
+    """S A S^T for the broken (n0, 2, n0, 2) matrix A of element blocks; a
+    P0 trial sums the local trial index instead, giving S A."""
+    if not p1_trial:
+        return _node_sum(contour, blocks.sum(axis=3))
+    return _node_sum(contour, _node_sum(contour, blocks), axis=1)
 
 
 def _helmholtz_blocks(contour, k0, m_space="P1_nodal", *,
@@ -362,45 +305,34 @@ def _helmholtz_blocks(contour, k0, m_space="P1_nodal", *,
     """One pass over all element pairs; returns BS (P1), B on both spaces,
     and Q (P1 test x M-space trial)."""
     _check_resolution(contour, k0)
-    n1, n0 = contour.n_nodes, contour.n_elements
+    n0 = contour.n_elements
     m_p1 = m_space == "P1_nodal"
     if not m_p1 and m_space != "P0_elementwise":
         raise UsageError(f"unknown trial space {m_space!r}")
-    mats = {
-        "BS": np.zeros((n1, n1), dtype=complex),
-        "B_p1": np.zeros((n1, n1), dtype=complex),
-        "Q": np.zeros((n1, n1 if m_p1 else n0), dtype=complex),
-    }
-    if not m_p1:
-        mats["B_p0"] = np.zeros((n0, n0), dtype=complex)
-    _assemble_self(contour, k0, mats, m_p1, n_log, n_gl)
-    _assemble_adjacent(contour, k0, mats, m_p1, n_gl_duffy, n_log_duffy)
-    _assemble_distant(contour, k0, mats, m_p1, n_gl)
-    if m_p1:
-        mats["B_p0"] = mats["B_p1"]
+
+    e, f, flip_t, flip_s = _adjacent_pairs(contour)
+    diag = np.arange(n0)
+    near = np.zeros((n0, n0), dtype=bool)
+    near[diag, diag] = near[e, f] = True
+    sb, sq = _distant_moments(contour, k0, near, n_gl)
+    # SQ self blocks stay zero: n(x).(y-x) = 0 on a straight element
+    sb[diag, :, diag, :] = _self_g_moments(k0, contour.lengths, n_log, n_gl)
+    sb[e, :, f, :], sq[e, :, f, :] = _adjacent_moments(
+        contour, k0, e, f, flip_t, flip_s, n_gl_duffy, n_log_duffy)
+
+    s0 = sb.sum(axis=(1, 3))
+    mats = {"B_p1": 1j * k0 * _scatter(contour, sb),
+            "Q": _scatter(contour, sq, m_p1)}
+    mats["B_p0"] = mats["B_p1"] if m_p1 else 1j * k0 * s0
+    # B - S, formed in place of SB: the basis slopes are -+1/h per element
+    h = contour.lengths
+    sgn = np.array([-1.0, 1.0])
+    sb *= (k0 * contour.tangents @ contour.tangents.T)[:, None, :, None]
+    deriv = s0 / (k0 * np.outer(h, h))
+    for a, b in np.ndindex(2, 2):
+        sb[:, a, :, b] -= sgn[a] * sgn[b] * deriv
+    mats["BS"] = 1j * _scatter(contour, sb)
     return mats
-
-
-def assemble_bs(contour, k0, space="P1_nodal", **quad_kw):
-    """Combined weighted single-layer/hypersingular Galerkin matrix B - S."""
-    if space != "P1_nodal":
-        raise UsageError("the hypersingular block requires the P1 space")
-    return _helmholtz_blocks(contour, k0, **quad_kw)["BS"]
-
-
-def assemble_b(contour, k0, space="P1_nodal", **quad_kw):
-    """Weighted single-layer matrix B on the requested space."""
-    blocks = _helmholtz_blocks(contour, k0, m_space=space, **quad_kw)
-    return blocks["B_p1"] if space == "P1_nodal" else blocks["B_p0"]
-
-
-def assemble_q(contour, k0, trial_space="P0_elementwise", **quad_kw):
-    """Principal-value double-layer coupling block, P1 tests.
-
-    The identity-jump half of the trace operator is *not* here; it lives
-    in the mass terms of the variational forms.
-    """
-    return _helmholtz_blocks(contour, k0, m_space=trial_space, **quad_kw)["Q"]
 
 
 # --------------------------------------------------------------------------
@@ -499,14 +431,9 @@ def assemble_rhs(contour, wave, m_space="P1_nodal",
         e_vals = sig * mom
         h_vals = -(sig / Z0) * dn * mom
 
-    def nodal(vals):
-        row = np.zeros((contour.n_nodes, len(waves)), dtype=complex)
-        for a in range(2):
-            np.add.at(row, contour.elements[:, a], vals[:, a])
-        return row
-
-    h_row = nodal(h_vals) if m_space == "P1_nodal" else h_vals.sum(axis=1)
-    rhs = np.concatenate([nodal(e_vals), h_row])
+    h_row = (_node_sum(contour, h_vals) if m_space == "P1_nodal"
+             else h_vals.sum(axis=1))
+    rhs = np.concatenate([_node_sum(contour, e_vals), h_row])
     return rhs[:, 0] if isinstance(wave, IncidentWave) else rhs
 
 

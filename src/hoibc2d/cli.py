@@ -122,16 +122,31 @@ def _as_length(value, name, lam0, bad):
 def _as_grid(value, name, bad):
     if isinstance(value, dict):
         try:
-            return np.arange(float(value["start"]), float(value["stop"]),
+            grid = np.arange(float(value["start"]), float(value["stop"]),
                              float(value["step"]))
-        except (KeyError, TypeError, ValueError):
-            bad.append((name, f"{name}: grid spec needs numeric start/stop/step"))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            bad.append((name, f"{name}: grid spec needs numeric start/stop "
+                              "and a nonzero step"))
             return None
-    try:
-        return np.asarray([float(v) for v in value], dtype=float)
-    except (TypeError, ValueError):
-        bad.append((name, f"{name}: cannot read {value!r} as numbers"))
+    else:
+        try:
+            grid = np.asarray([float(v) for v in value], dtype=float)
+        except (TypeError, ValueError):
+            bad.append((name, f"{name}: cannot read {value!r} as numbers"))
+            return None
+    if grid.size == 0:
+        bad.append((name, f"{name}: {value!r} holds no values"))
         return None
+    return grid
+
+
+def _section(raw, name, bad):
+    """The sub-object ``raw[name]``; {} when absent or not an object."""
+    value = raw.get(name, {})
+    if isinstance(value, dict):
+        return value
+    bad.append((name, f"{name} must be a JSON object, got {value!r}"))
+    return {}
 
 
 def load_config(path, pol=None, ibc=None, fit=None):
@@ -182,7 +197,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     if k0_val <= 0.0:
         bad.append(("k0", "wavenumber must be positive"))
 
-    geo = raw.get("geometry", {})
+    geo = _section(raw, "geometry", bad)
     kind = str(geo.get("kind", "")).lower()
     if kind not in ("circle", "plate"):
         bad.append(("geometry.kind",
@@ -202,7 +217,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
                     f"geometry.n_elements: {geo.get('n_elements')!r} is not an integer"))
         n_elements = 4
 
-    coat = raw.get("coating", {})
+    coat = _section(raw, "coating", bad)
     eps_r = _as_complex(coat.get("eps_r", 1.0), "coating.eps_r", bad)
     mu_r = _as_complex(coat.get("mu_r", 1.0), "coating.mu_r", bad)
     d = _as_length(coat.get("d", 0.0), "coating.d", lam0, bad)
@@ -219,7 +234,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
                     f"polarization must be te or tm, got {pol_val or None!r}"))
         pol_val = "TE"
 
-    ibc_cfg = raw.get("ibc", {})
+    ibc_cfg = _section(raw, "ibc", bad)
     order_raw = ibc if ibc is not None else ibc_cfg.get("order", 1)
     order = str(order_raw).upper()
     if order in ("0", "1", "2"):
@@ -237,11 +252,16 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
         grid = _as_grid(colloc, "ibc.collocation_angles", bad)
         colloc = tuple(grid) if grid is not None else None
 
-    sweep = raw.get("sweep", {})
+    sweep = _section(raw, "sweep", bad)
     sweep_kind = str(sweep.get("kind", "bistatic")).lower()
     angles = None
     freqs = None
-    phi_inc = float(sweep.get("phi_inc_deg", 0.0))
+    try:
+        phi_inc = float(sweep.get("phi_inc_deg", 0.0))
+    except (TypeError, ValueError):
+        bad.append(("sweep.phi_inc_deg", "sweep.phi_inc_deg: "
+                    f"{sweep.get('phi_inc_deg')!r} is not a number"))
+        phi_inc = 0.0
     if sweep_kind in ("bistatic", "monostatic-angle"):
         angles = _as_grid(sweep.get("angles_deg",
                                     {"start": 0.0, "stop": 360.0, "step": 1.0}),
@@ -253,12 +273,12 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
                     "sweep.kind must be bistatic, monostatic-angle, or "
                     f"monostatic-frequency, got {sweep.get('kind')!r}"))
 
-    table = raw.get("table", {})
+    table = _section(raw, "table", bad)
     theta = _as_grid(table.get("theta_deg",
                                {"start": 0.0, "stop": 90.0, "step": 1.0}),
                      "table.theta_deg", bad)
 
-    series = raw.get("series", {})
+    series = _section(raw, "series", bad)
     n_max = series.get("n_max")
     if n_max is not None:
         try:
@@ -267,10 +287,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
             bad.append(("series.n_max", f"series.n_max: {n_max!r} is not an integer"))
             n_max = None
 
-    outputs = raw.get("outputs", {})
-    if not isinstance(outputs, dict):
-        bad.append(("outputs", "outputs must be an object of file names"))
-        outputs = {}
+    outputs = _section(raw, "outputs", bad)
 
     if bad:
         raise ValidationError("; ".join(msg for _, msg in bad),

@@ -67,6 +67,12 @@ class Contour:
                 raise MeshError(f"elements {e} and {e + 1} do not chain")
         if self.closed and elems[-1, 1] != elems[0, 0]:
             raise MeshError("closed contour does not wrap around")
+        # a polyline through each node once: no node starts (or ends) two
+        # elements, which the assembly's scatter to nodes relies on
+        visits = elems[:, 0] if self.closed else np.append(elems[:, 0],
+                                                           elems[-1, 1])
+        if np.unique(visits).size != n_nodes:
+            raise MeshError("contour does not visit every node exactly once")
 
         vec = nodes[elems[:, 1]] - nodes[elems[:, 0]]
         h = np.hypot(vec[:, 0], vec[:, 1])

@@ -427,6 +427,8 @@ def test_frequency_sweep():
 def test_sweep_guards(circle128, te_ibc1):
     with pytest.raises(ValidationError, match="increasing"):
         monostatic_sweep(circle128, te_ibc1, [10.0, 5.0], kind="angle", k0=K0)
+    with pytest.raises(ValidationError, match="at least one"):
+        monostatic_sweep(circle128, te_ibc1, [], kind="angle", k0=K0)
     with pytest.raises(UsageError, match="k0"):
         monostatic_sweep(circle128, te_ibc1, [10.0], kind="angle")
     with pytest.raises(UsageError, match="angle or frequency"):

@@ -16,11 +16,8 @@ from hoibc2d.assembly import (
     IncidentWave,
     _helmholtz_blocks,
     _plain_kernels,
-    assemble_b,
     assemble_blocks,
-    assemble_bs,
     assemble_mass_and_d,
-    assemble_q,
     assemble_rhs,
     build_full_system,
     build_reduced_system,
@@ -68,6 +65,11 @@ K_CORNER = 3.7
 @pytest.fixture(scope="module")
 def corner_mats(corner):
     return _helmholtz_blocks(corner, K_CORNER)
+
+
+@pytest.fixture(scope="module")
+def corner_mats_p0(corner):
+    return _helmholtz_blocks(corner, K_CORNER, "P0_elementwise")
 
 
 def _brute_pair_raw(contour, k0, e, f, n, chunk=256):
@@ -150,10 +152,11 @@ def test_circulant_on_uniform_circle(circle32_blocks):
             assert np.max(np.abs(np.roll(m[0], i) - m[i])) <= 1e-10 * scale
 
 
-def test_self_entry_against_high_precision_quadrature(corner, corner_mats):
-    """BS[0,0] isolates the element-0 self pair; the double integral
-    collapses to 1D moments of G, evaluated here with mpmath at 30
-    digits (tanh-sinh handles the log endpoint)."""
+def test_self_entry_against_high_precision_quadrature(corner, corner_mats,
+                                                      corner_mats_p0):
+    """BS[0,0] and the P0 B[0,0] isolate the element-0 self pair; the
+    double integral collapses to 1D moments of G, evaluated here with
+    mpmath at 30 digits (tanh-sinh handles the log endpoint)."""
     import mpmath as mp
 
     with mp.workdps(30):
@@ -168,19 +171,23 @@ def test_self_entry_against_high_precision_quadrature(corner, corner_mats):
         i_c00 = mp.quad(lambda w: g(k * h * w) * c00(w), [0, 1])
         i_r00 = mp.quad(lambda w: g(k * h * w) * rho00(w), [0, 1])
         oracle = complex(1j * (k * h**2 * i_c00 - i_r00 / k))
+        oracle_p0 = complex(1j * k * h**2 * i_r00)
     got = corner_mats["BS"][0, 0]
     assert abs(got - oracle) <= 1e-12 * abs(oracle)
+    got = corner_mats_p0["B_p0"][0, 0]
+    assert abs(got - oracle_p0) <= 1e-12 * abs(oracle_p0)
 
 
 def test_log_rule_refinement_converges(corner):
-    bs8 = assemble_bs(corner, K_CORNER, n_log=8)
-    bs16 = assemble_bs(corner, K_CORNER, n_log=16)
+    bs8 = _helmholtz_blocks(corner, K_CORNER, n_log=8)["BS"]
+    bs16 = _helmholtz_blocks(corner, K_CORNER, n_log=16)["BS"]
     d8 = np.diag(bs8)
     d16 = np.diag(bs16)
     assert np.max(np.abs(d16 - d8) / np.abs(d16)) <= 1e-8
 
 
-def test_adjacent_pair_against_brute_force(corner, corner_mats):
+def test_adjacent_pair_against_brute_force(corner, corner_mats,
+                                           corner_mats_p0):
     """Nodes 0 and 2 each belong to one element, so the (0,2) entries
     isolate the shared-vertex pair (e=0, f=1)."""
     SB, SQ = _brute_pair(corner, K_CORNER, 0, 1)
@@ -189,10 +196,14 @@ def test_adjacent_pair_against_brute_force(corner, corner_mats):
     got_q = corner_mats["Q"][0, 2]
     assert abs(got_bs - bs_ref[0, 1]) <= 1e-6 * abs(bs_ref[0, 1])
     assert abs(got_q - SQ[0, 1]) <= 1e-6 * abs(SQ[0, 1])
+    ref = 1j * K_CORNER * SB[0, 1]
+    assert abs(corner_mats["B_p1"][0, 2] - ref) <= 1e-6 * abs(ref)
 
-    q_p0 = _helmholtz_blocks(corner, K_CORNER, "P0_elementwise")["Q"]
-    ref = SQ[0, 0] + SQ[0, 1]  # elementwise-constant trial
-    assert abs(q_p0[0, 1] - ref) <= 1e-6 * abs(ref)
+    # elementwise-constant trial: the local trial index is summed
+    ref = SQ[0, 0] + SQ[0, 1]
+    assert abs(corner_mats_p0["Q"][0, 1] - ref) <= 1e-6 * abs(ref)
+    ref = 1j * K_CORNER * SB.sum()
+    assert abs(corner_mats_p0["B_p0"][0, 1] - ref) <= 1e-6 * abs(ref)
 
 
 def test_distant_pair_against_brute_force():
@@ -204,6 +215,14 @@ def test_distant_pair_against_brute_force():
     bs_ref = _pair_bs(c, 0, 2, K_CORNER, SB)
     assert abs(mats["BS"][0, 3] - bs_ref[0, 1]) <= 1e-6 * abs(bs_ref[0, 1])
     assert abs(mats["Q"][0, 3] - SQ[0, 1]) <= 1e-6 * abs(SQ[0, 1])
+    ref = 1j * K_CORNER * SB[0, 1]
+    assert abs(mats["B_p1"][0, 3] - ref) <= 1e-6 * abs(ref)
+
+    p0 = _helmholtz_blocks(c, K_CORNER, "P0_elementwise")
+    ref = 1j * K_CORNER * SB.sum()
+    assert abs(p0["B_p0"][0, 2] - ref) <= 1e-6 * abs(ref)
+    ref = SQ[0, 0] + SQ[0, 1]
+    assert abs(p0["Q"][0, 2] - ref) <= 1e-6 * abs(ref)
 
 
 def test_q_self_entries_exact_zero(corner_mats):
@@ -214,8 +233,8 @@ def test_q_self_entries_exact_zero(corner_mats):
 
 def test_plate_q_identically_zero():
     p = mesh_plate(1.0, 16)
-    assert np.max(np.abs(assemble_q(p, K0, trial_space="P1_nodal"))) == 0.0
-    assert np.max(np.abs(assemble_q(p, K0))) == 0.0
+    assert np.max(np.abs(_helmholtz_blocks(p, K0)["Q"])) == 0.0
+    assert np.max(np.abs(_helmholtz_blocks(p, K0, "P0_elementwise")["Q"])) == 0.0
 
 
 def test_q_decay_envelope():
@@ -479,7 +498,7 @@ def test_blocks_reuse_across_orders(circle32, circle32_blocks):
 def test_resolution_guard_names_element():
     c = mesh_circle(1.0, 8)
     with pytest.raises(MeshError, match=r"element \d+"):
-        assemble_bs(c, 20.0)
+        _helmholtz_blocks(c, 20.0)
 
 
 def test_wave_validation():

@@ -110,6 +110,39 @@ def test_malformed_json_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, override", [
+    ("sweep.angles_deg", {"sweep.angles_deg": {"start": 0.0, "stop": 360.0,
+                                               "step": 0.0}}),
+    ("sweep.angles_deg", {"sweep.angles_deg": {"start": 0.0, "stop": 360.0,
+                                               "step": -5.0}}),
+    ("sweep.angles_deg", {"sweep.angles_deg": {"start": 10.0, "stop": 10.0,
+                                               "step": 1.0}}),
+    ("sweep.angles_deg", {"sweep.angles_deg": []}),
+    ("sweep.angles_deg", {"sweep": {"kind": "monostatic-angle",
+                                    "angles_deg": []}}),
+    ("sweep.phi_inc_deg", {"sweep.phi_inc_deg": "north"}),
+    ("geometry", {"geometry": "circle"}),
+    ("coating", {"coating": 4.0}),
+    ("ibc", {"ibc": [1]}),
+    ("sweep", {"sweep": "bistatic"}),
+    ("table", {"table": 3}),
+    ("series", {"series": "n_max"}),
+], ids=["step-zero", "step-negative", "start-equals-stop", "empty-list",
+        "monostatic-empty", "phi-inc-text", "geometry-string",
+        "coating-number", "ibc-list", "sweep-string", "table-number",
+        "series-string"])
+def test_unusable_config_exits_2_without_output(tmp_path, field, override):
+    cfg = put(tmp_path, "bad.json", CYLINDER, **override)
+    with open(cfg, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    with pytest.raises(ValidationError) as err:
+        parse_config(raw)
+    assert field in err.value.fields
+    out = tmp_path / "out"
+    assert run("solve", "--config", cfg, "--out", str(out), "--quiet") == 2
+    assert not out.exists()
+
+
 # --- oracle ------------------------------------------------------------------
 
 def test_oracle_matches_library(tmp_path):

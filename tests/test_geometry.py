@@ -90,6 +90,10 @@ def test_contour_chain_validation():
         geo.Contour(nodes=nodes, elements=np.array([[0, 1], [2, 1]]), closed=False)
     with pytest.raises(MeshError):
         geo.Contour(nodes=nodes, elements=np.array([[0, 1]]), closed=False)
+    with pytest.raises(MeshError, match="every node exactly once"):
+        # element 2 retraces element 1 and node 3 is never visited
+        geo.Contour(nodes=np.vstack([nodes, [[5.0, 5.0]]]),
+                    elements=np.array([[0, 1], [1, 2], [2, 1]]), closed=False)
     with pytest.raises(MeshError):  # duplicate point makes a zero-length element
         geo.Contour(nodes=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
                     elements=np.array([[0, 1], [1, 2]]), closed=False)
