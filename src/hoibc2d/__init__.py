@@ -7,7 +7,7 @@ whose coefficients are fitted to the exact planar-layer impedance.
 
 Submodules
 ----------
-specfun    Bessel/Hankel functions, outgoing Helmholtz kernel, quadrature.
+specfun    Bessel/Hankel functions, the kernel Hankel path, quadrature.
 impedance  Planar-layer impedance, rational coefficient fits, SUC checks.
 geometry   Discretized contours (circles, plates) with per-element frames.
 assembly   Galerkin block systems for TE/TM and their reduction to (J, M).

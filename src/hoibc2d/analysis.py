@@ -406,10 +406,10 @@ def optical_theorem_residual(modes):
 # --------------------------------------------------------------------------
 
 def solve_and_pattern(contour, coeffs, wave, angles_deg, mode="p1",
-                      lump_mass=False, blocks=None):
+                      blocks=None):
     """One bistatic solve: reduced system, currents, echo width curve."""
     system = build_reduced_system(contour, coeffs, wave, mode=mode,
-                                  lump_mass=lump_mass, blocks=blocks)
+                                  blocks=blocks)
     sol = solve_currents(system)
     ff = far_field(sol, contour, wave, angles_deg)
     pattern = echo_width(ff)
@@ -418,7 +418,7 @@ def solve_and_pattern(contour, coeffs, wave, angles_deg, mode="p1",
 
 
 def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
-                     pol=None, phi_inc_deg=0.0, mode="p1", lump_mass=False):
+                     pol=None, phi_inc_deg=0.0, mode="p1"):
     """Backscatter echo width over incidence angles or frequencies.
 
     Angle sweeps hold the geometry and matrix fixed: the operator is
@@ -436,7 +436,7 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
             raise UsageError("angle sweeps need k0")
         if not isinstance(coeffs, IbcCoefficients):
             raise UsageError("angle sweeps need fixed coefficients")
-        sig = _sweep_angles(contour, coeffs, sweep, k0, mode, lump_mass)
+        sig = _sweep_angles(contour, coeffs, sweep, k0, mode)
         meta = {"pol": coeffs.pol, "ibc": coeffs.order, "k0": k0,
                 "axis": "angle_deg", "geometry": contour_hash(contour)}
         return RcsPattern(angles=sweep, sigma=sig, meta=meta)
@@ -450,8 +450,7 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
             wave = IncidentWave(pol=ci.pol, k0=ki,
                                 phi_inc=np.deg2rad(phi_inc_deg))
             pattern, _ = solve_and_pattern(
-                contour, ci, wave, [phi_inc_deg + 180.0], mode=mode,
-                lump_mass=lump_mass)
+                contour, ci, wave, [phi_inc_deg + 180.0], mode=mode)
             sig[i] = pattern.sigma[0]
         meta = {"pol": pol or "", "ibc": tag, "axis": "freq_GHz",
                 "phi_inc_deg": phi_inc_deg, "geometry": contour_hash(contour)}
@@ -459,16 +458,14 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
     raise UsageError(f"sweep kind must be angle or frequency, got {kind!r}")
 
 
-def _sweep_angles(contour, coeffs, angles_deg, k0, mode, lump_mass):
+def _sweep_angles(contour, coeffs, angles_deg, k0, mode):
     wave0 = IncidentWave(pol=coeffs.pol, k0=k0,
                          phi_inc=np.deg2rad(angles_deg[0]))
-    system = build_reduced_system(contour, coeffs, wave0, mode=mode,
-                                  lump_mass=lump_mass)
+    system = build_reduced_system(contour, coeffs, wave0, mode=mode)
     fac = lu_factor(system.reduced_matrix)
     n_red = system.reduced_rhs.size
     con = np.asarray(system.constrained, dtype=int)
     pinned = con[con < n_red]
-    m_space = "P1_nodal" if mode == "p1" else "P0_elementwise"
     n1 = system.sizes[0]
     out = np.empty(len(angles_deg))
     # per chunk: one rhs block, one multi-column solve (column k bitwise
@@ -477,7 +474,7 @@ def _sweep_angles(contour, coeffs, angles_deg, k0, mode, lump_mass):
         phis = angles_deg[lo:lo + SWEEP_CHUNK]
         waves = [IncidentWave(pol=coeffs.pol, k0=k0, phi_inc=np.deg2rad(phi))
                  for phi in phis]
-        rhs = assemble_rhs(contour, waves, m_space)
+        rhs = assemble_rhs(contour, waves, mode)
         rhs[pinned] = 0.0
         x = solve(fac, rhs)
         sol = SurfaceCurrents(J=x[:n1], M=x[n1:], meta={"mode": mode})

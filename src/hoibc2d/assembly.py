@@ -25,12 +25,13 @@ are split into two Duffy triangles with the same log/analytic kernel
 separation, all pairs at once on the shared reference nodes; everything
 else uses tensor Gauss-Legendre.  B, B - S and Q are then formed from the
 moments in one place and scattered to nodal DOFs once, A = S A_broken S^T
-with S the node incidence; a P0 trial sums the local trial index.
+with S the node incidence; a P0 trial sums the local trial index.  The
+local operators (mass, derivative coupling, stiffness) are 2 x 2 element
+blocks summed to nodes by the same start/end index sums.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -117,6 +118,11 @@ class AssembledSystem:
     full_matrix: Optional[np.ndarray] = None
     reduced_matrix: Optional[np.ndarray] = None
     reduced_rhs: Optional[np.ndarray] = None
+
+
+def _check_mode(mode):
+    if mode not in ("p1", "p0"):
+        raise UsageError(f"unknown assembly mode {mode!r}")
 
 
 def _check_resolution(contour: Contour, k0: float):
@@ -299,16 +305,27 @@ def _scatter(contour, blocks, p1_trial=True):
     return _node_sum(contour, _node_sum(contour, blocks), axis=1)
 
 
-def _helmholtz_blocks(contour, k0, m_space="P1_nodal", *,
+def _element_sum(contour, blocks):
+    """S diag(blocks) S^T for (n0, 2, 2) element blocks: the same start/end
+    index sums as :func:`_node_sum`, taken on both local indices at once."""
+    out = np.zeros((contour.n_nodes,) * 2, dtype=blocks.dtype)
+    el = contour.elements
+    for a, b in np.ndindex(2, 2):
+        # exact: an entry receives at most two addends, one per element
+        out[el[:, a], el[:, b]] += blocks[:, a, b]
+    return out
+
+
+def _helmholtz_blocks(contour, k0, mode="p1", *,
                       n_gl=N_GL_DISTANT, n_log=N_LOG_SELF,
                       n_gl_duffy=N_GL_DUFFY, n_log_duffy=N_LOG_DUFFY):
-    """One pass over all element pairs; returns BS (P1), B on both spaces,
-    and Q (P1 test x M-space trial)."""
+    """One pass over all element pairs; returns BS (P1) and B, Q (P1 test,
+    trial on the M space: nodal P1 for mode "p1", elementwise P0 for "p0";
+    B is P0 x P0 in mode "p0")."""
     _check_resolution(contour, k0)
     n0 = contour.n_elements
-    m_p1 = m_space == "P1_nodal"
-    if not m_p1 and m_space != "P0_elementwise":
-        raise UsageError(f"unknown trial space {m_space!r}")
+    _check_mode(mode)
+    m_p1 = mode == "p1"
 
     e, f, flip_t, flip_s = _adjacent_pairs(contour)
     diag = np.arange(n0)
@@ -321,9 +338,8 @@ def _helmholtz_blocks(contour, k0, m_space="P1_nodal", *,
         contour, k0, e, f, flip_t, flip_s, n_gl_duffy, n_log_duffy)
 
     s0 = sb.sum(axis=(1, 3))
-    mats = {"B_p1": 1j * k0 * _scatter(contour, sb),
+    mats = {"B": 1j * k0 * (_scatter(contour, sb) if m_p1 else s0),
             "Q": _scatter(contour, sq, m_p1)}
-    mats["B_p0"] = mats["B_p1"] if m_p1 else 1j * k0 * s0
     # B - S, formed in place of SB: the basis slopes are -+1/h per element
     h = contour.lengths
     sgn = np.array([-1.0, 1.0])
@@ -339,47 +355,37 @@ def _helmholtz_blocks(contour, k0, m_space="P1_nodal", *,
 # mass / derivative-coupling / stiffness matrices (elementwise exact)
 # --------------------------------------------------------------------------
 
-def assemble_mass_and_d(contour, spaces="p1", lump=False):
+def assemble_mass_and_d(contour, mode="p1"):
     """I1, I2, D1, D3, D5 (plus the P1 stiffness K_p1).
 
-    spaces "p1": every field is nodal P1; the three derivative couplings
-    coincide (int phi d_l phi per element) and I2 is the P1 mass matrix,
-    row-sum lumped on request.
+    mode "p1": every field is nodal P1; the three derivative couplings
+    coincide (int phi d_l phi per element) and I2 is the P1 mass matrix.
 
-    spaces "p0": J stays P1 while M, X, Y are elementwise constants.
+    mode "p0": J stays P1 while M, X, Y are elementwise constants.
     D5 = int psi d_l phi has +-1 entries; D1 = -D5^T plus end-of-contour
     boundary terms; D3 holds the half-jumps of P0 fields at shared nodes
     (distributional d_l psi tested against psi).
     """
+    _check_mode(mode)
     n1, n0 = contour.n_nodes, contour.n_elements
-    h = contour.lengths
-    i1 = np.zeros((n1, n1))
-    dm = np.zeros((n1, n1))
-    kst = np.zeros((n1, n1))
-    for e in range(n0):
-        i, j = contour.elements[e]
-        idx = np.ix_((i, j), (i, j))
-        i1[idx] += h[e] * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-        dm[idx] += np.array([[-0.5, 0.5], [-0.5, 0.5]])
-        kst[idx] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h[e]
+    h = contour.lengths[:, None, None]
+    i1 = _element_sum(contour, h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0)
+    dm = _element_sum(contour, np.tile([[-0.5, 0.5], [-0.5, 0.5]], (n0, 1, 1)))
+    kst = _element_sum(contour, np.array([[1.0, -1.0], [-1.0, 1.0]]) / h)
 
-    if spaces == "p1":
-        i2 = np.diag(i1.sum(axis=1)) if lump else i1.copy()
-        return {"I1": i1, "I2": i2, "D1": dm, "D3": dm.copy(),
+    if mode == "p1":
+        return {"I1": i1, "I2": i1.copy(), "D1": dm, "D3": dm.copy(),
                 "D5": dm.copy(), "K_p1": kst}
-    if spaces != "p0":
-        raise UsageError(f"unknown space selection {spaces!r}")
 
-    i2 = np.diag(h)
+    i2 = np.diag(contour.lengths)
+    rows = np.arange(n0)
     d5 = np.zeros((n0, n1))
-    for e in range(n0):
-        d5[e, contour.elements[e, 0]] = -1.0
-        d5[e, contour.elements[e, 1]] = 1.0
+    d5[rows, contour.elements[:, 0]] = -1.0
+    d5[rows, contour.elements[:, 1]] = 1.0
+    # the jump at the node shared by e and f: +1/2 at (e, f), -1/2 at (f, e)
+    e, f, first, _ = _adjacent_pairs(contour)
     d3 = np.zeros((n0, n0))
-    for e in range(n0 if contour.closed else n0 - 1):
-        f = (e + 1) % n0
-        d3[e, f] += 0.5
-        d3[f, e] -= 0.5
+    d3[e, f] = np.where(first, 0.5, -0.5)
     d1 = -d5.T
     if not contour.closed:
         d1[contour.elements[0, 0], 0] += -1.0
@@ -393,8 +399,7 @@ def assemble_mass_and_d(contour, spaces="p1", lump=False):
 # right-hand side
 # --------------------------------------------------------------------------
 
-def assemble_rhs(contour, wave, m_space="P1_nodal",
-                 n_gl=N_GL_RHS) -> np.ndarray:
+def assemble_rhs(contour, wave, mode="p1", n_gl=N_GL_RHS) -> np.ndarray:
     """Incident tangential traces tested against the bases: [E-row; H-row].
 
     ``wave`` is one :class:`IncidentWave`, which gives an (n,) vector, or
@@ -406,6 +411,7 @@ def assemble_rhs(contour, wave, m_space="P1_nodal",
         TE:  E-row = sigma Z0 (d.n) <u, phi>,   H-row = sigma <u, psi>
         TM:  E-row = sigma <u, phi>,   H-row = -(sigma/Z0) (d.n) <u, psi>
     """
+    _check_mode(mode)
     waves = [wave] if isinstance(wave, IncidentWave) else list(wave)
     if len({(v.pol, v.k0) for v in waves}) != 1:
         raise UsageError("right-hand sides need one or more waves sharing "
@@ -431,7 +437,7 @@ def assemble_rhs(contour, wave, m_space="P1_nodal",
         e_vals = sig * mom
         h_vals = -(sig / Z0) * dn * mom
 
-    h_row = (_node_sum(contour, h_vals) if m_space == "P1_nodal"
+    h_row = (_node_sum(contour, h_vals) if mode == "p1"
              else h_vals.sum(axis=1))
     rhs = np.concatenate([_node_sum(contour, e_vals), h_row])
     return rhs[:, 0] if isinstance(wave, IncidentWave) else rhs
@@ -494,8 +500,7 @@ def _apply_constraints(matrix, rhs, constrained):
 
 
 def _mode_guards(contour, coeffs, wave, mode):
-    if mode not in ("p1", "p0"):
-        raise UsageError(f"unknown assembly mode {mode!r}")
+    _check_mode(mode)
     if wave.pol != coeffs.pol:
         raise UsageError(
             f"wave polarization {wave.pol} does not match the coefficient "
@@ -512,23 +517,21 @@ def _mode_guards(contour, coeffs, wave, mode):
     return order
 
 
-def assemble_blocks(contour, k0, mode="p1", lump_mass=False) -> dict:
+def assemble_blocks(contour, k0, mode="p1") -> dict:
     """All geometry/frequency-dependent matrices for later composition.
 
     One kernel pass serves every boundary-condition order, polarization,
     and incidence angle at this (contour, k0, mode).
     """
     t0 = time.perf_counter()
-    m_space = "P1_nodal" if mode == "p1" else "P0_elementwise"
-    kern = _helmholtz_blocks(contour, k0, m_space)
-    blocks = {"BS_p1": kern["BS"], "B_p0": kern["B_p0"], "Q": kern["Q"]}
-    blocks.update(assemble_mass_and_d(contour, mode, lump_mass))
+    blocks = _helmholtz_blocks(contour, k0, mode)
+    blocks.update(assemble_mass_and_d(contour, mode))
     log.info("assembled %s blocks: %d elements, k0 %g, %.2fs", mode,
              contour.n_elements, k0, time.perf_counter() - t0)
     return blocks
 
 
-def _system_meta(contour, coeffs, wave, mode, lump_mass, scaled, t0):
+def _system_meta(contour, coeffs, wave, mode, scaled, t0):
     return {
         "pol": wave.pol,
         "order": coeffs.order,
@@ -537,7 +540,6 @@ def _system_meta(contour, coeffs, wave, mode, lump_mass, scaled, t0):
         "a0": complex(coeffs.a0),
         "coefficients_scaled": dict(scaled),
         "mode": mode,
-        "lump_mass": bool(lump_mass),
         "geometry": contour_hash(contour),
         "n_elements": contour.n_elements,
         "compose_seconds": time.perf_counter() - t0,
@@ -545,7 +547,7 @@ def _system_meta(contour, coeffs, wave, mode, lump_mass, scaled, t0):
 
 
 def build_full_system(contour, coeffs, wave: IncidentWave, mode="p1",
-                      lump_mass=False, blocks=None) -> AssembledSystem:
+                      blocks=None) -> AssembledSystem:
     """Assemble the block matrix with explicit auxiliary fields.
 
     Unknown layout: (J, M) for order 0, (J, M, X, Y) for order 1,
@@ -554,9 +556,9 @@ def build_full_system(contour, coeffs, wave: IncidentWave, mode="p1",
     """
     order = _mode_guards(contour, coeffs, wave, mode)
     if blocks is None:
-        blocks = assemble_blocks(contour, wave.k0, mode, lump_mass)
+        blocks = assemble_blocks(contour, wave.k0, mode)
     t0 = time.perf_counter()
-    bs, b, q = blocks["BS_p1"], blocks["B_p0"], blocks["Q"]
+    bs, b, q = blocks["BS"], blocks["B"], blocks["Q"]
     i1, i2 = blocks["I1"], blocks["I2"]
     d1, d3, d5 = blocks["D1"], blocks["D3"], blocks["D5"]
     kst = blocks["K_p1"]
@@ -604,12 +606,11 @@ def build_full_system(contour, coeffs, wave: IncidentWave, mode="p1",
         put(5, 5, i2)
 
     rhs = np.zeros(offs[-1], dtype=complex)
-    m_space = "P1_nodal" if mode == "p1" else "P0_elementwise"
-    rhs[: offs[2]] = assemble_rhs(contour, wave, m_space)
+    rhs[: offs[2]] = assemble_rhs(contour, wave, mode)
     constrained = _constrained_indices(contour, sizes, mode)
     _apply_constraints(A, rhs, constrained)
 
-    meta = _system_meta(contour, coeffs, wave, mode, lump_mass, c, t0)
+    meta = _system_meta(contour, coeffs, wave, mode, c, t0)
     log.info("assembled %s %s full system: n=%d, geometry %s, %.2fs",
              wave.pol, coeffs.order, offs[-1], meta["geometry"],
              meta["compose_seconds"])
@@ -639,7 +640,7 @@ def reduce_system(system: AssembledSystem) -> AssembledSystem:
 
 
 def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
-                         lump_mass=False, blocks=None) -> AssembledSystem:
+                         blocks=None) -> AssembledSystem:
     """Assemble the 2N (J, M) system directly from closed-form elimination,
     never materializing the larger auxiliary-variable matrix.
 
@@ -649,7 +650,7 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
     """
     order = _mode_guards(contour, coeffs, wave, mode)
     if blocks is None:
-        blocks = assemble_blocks(contour, wave.k0, mode, lump_mass)
+        blocks = assemble_blocks(contour, wave.k0, mode)
     t0 = time.perf_counter()
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
@@ -671,8 +672,8 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
                     m[i, i] = 1.0
         return m
 
-    bs = czero(blocks["BS_p1"], True, True)
-    b = czero(blocks["B_p0"], p1, p1)
+    bs = czero(blocks["BS"], True, True)
+    b = czero(blocks["B"], p1, p1)
     q = czero(blocks["Q"], True, p1)
     i1 = czero(blocks["I1"], True, True)
     d1 = czero(blocks["D1"], True, p1)
@@ -719,13 +720,12 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
     A[:n1, n1:] = a_2
     A[n1:, :n1] = a_3
     A[n1:, n1:] = a_4
-    m_space = "P1_nodal" if p1 else "P0_elementwise"
-    rhs = assemble_rhs(contour, wave, m_space)
+    rhs = assemble_rhs(contour, wave, mode)
     sizes = _field_sizes(contour, mode, order)
     constrained = _constrained_indices(contour, sizes, mode)
     _apply_constraints(A, rhs, tuple(i for i in constrained if i < n1 + nm))
 
-    meta = _system_meta(contour, coeffs, wave, mode, lump_mass, c, t0)
+    meta = _system_meta(contour, coeffs, wave, mode, c, t0)
     log.info("assembled %s %s reduced system: n=%d, geometry %s, %.2fs",
              wave.pol, coeffs.order, n1 + nm, meta["geometry"],
              meta["compose_seconds"])
@@ -770,32 +770,3 @@ def solve_currents(system: AssembledSystem, use="reduced") -> SurfaceCurrents:
     return SurfaceCurrents(J=fields[0], M=fields[1], X=fields[2],
                            Y=fields[3], Xp=fields[4], Yp=fields[5], meta=meta)
 
-
-# --------------------------------------------------------------------------
-# matrix dump (oracle comparison tooling)
-# --------------------------------------------------------------------------
-
-def dump_matrix(path, matrix, meta=None):
-    """Dense binary dump: row-major, little-endian, interleaved re/im
-    8-byte floats, plus a JSON sidecar with dimensions and metadata."""
-    m = np.ascontiguousarray(matrix, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(m.tobytes())
-    sidecar = {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "dtype": "complex128 little-endian, interleaved re/im",
-        "layout": "row-major",
-        "meta": meta or {},
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
-def load_matrix(path):
-    """Inverse of dump_matrix; returns (matrix, sidecar dict)."""
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    data = np.fromfile(path, dtype="<c16")
-    return data.reshape(sidecar["rows"], sidecar["cols"]), sidecar

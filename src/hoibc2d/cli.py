@@ -87,15 +87,24 @@ class RunConfig:
         return CoatingSpec(self.eps_r, self.mu_r, self.d)
 
 
+def _finite(value):
+    """float(value); ValueError unless it is a finite number."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"{value!r} is not finite")
+    return x
+
+
 def _as_complex(value, name, bad):
     try:
         if isinstance(value, (list, tuple)) and len(value) == 2:
-            return complex(float(value[0]), float(value[1]))
-        if isinstance(value, str):
-            return complex(value.replace(" ", ""))
-        return complex(float(value))
+            return complex(_finite(value[0]), _finite(value[1]))
+        z = complex(value.replace(" ", "") if isinstance(value, str)
+                    else float(value))
+        return complex(_finite(z.real), _finite(z.imag))
     except (TypeError, ValueError):
-        bad.append((name, f"{name}: cannot read {value!r} as a complex number"))
+        bad.append((name, f"{name}: cannot read {value!r} as a finite "
+                          "complex number"))
         return 0j
 
 
@@ -107,13 +116,13 @@ def _as_length(value, name, lam0, bad):
                 bad.append((name, f"{name}: {value!r} needs lambda0_reference"))
                 return 0.0
             try:
-                return float(parts[0]) * lam0
+                return _finite(parts[0]) * lam0
             except ValueError:
                 pass
         bad.append((name, f"{name}: cannot read {value!r} as a length"))
         return 0.0
     try:
-        return float(value)
+        return _finite(value)
     except (TypeError, ValueError):
         bad.append((name, f"{name}: cannot read {value!r} as a length"))
         return 0.0
@@ -122,17 +131,18 @@ def _as_length(value, name, lam0, bad):
 def _as_grid(value, name, bad):
     if isinstance(value, dict):
         try:
-            grid = np.arange(float(value["start"]), float(value["stop"]),
-                             float(value["step"]))
+            grid = np.arange(_finite(value["start"]), _finite(value["stop"]),
+                             _finite(value["step"]))
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            bad.append((name, f"{name}: grid spec needs numeric start/stop "
+            bad.append((name, f"{name}: grid spec needs finite start/stop "
                               "and a nonzero step"))
             return None
     else:
         try:
-            grid = np.asarray([float(v) for v in value], dtype=float)
+            grid = np.asarray([_finite(v) for v in value], dtype=float)
         except (TypeError, ValueError):
-            bad.append((name, f"{name}: cannot read {value!r} as numbers"))
+            bad.append((name, f"{name}: cannot read {value!r} as finite "
+                              "numbers"))
             return None
     if grid.size == 0:
         bad.append((name, f"{name}: {value!r} holds no values"))
@@ -171,7 +181,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     lam0 = None
     if lam_ref is not None:
         try:
-            lam0 = C0 / float(lam_ref)
+            lam0 = C0 / _finite(lam_ref)
         except (TypeError, ValueError, ZeroDivisionError):
             bad.append(("lambda0_reference",
                         f"lambda0_reference: {lam_ref!r} is not a frequency"))
@@ -183,16 +193,17 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
         k0_val, freq_val = 1.0, None
     elif freq is not None:
         try:
-            freq_val = float(freq)
+            freq_val = _finite(freq)
             k0_val = 2.0 * np.pi * freq_val / C0
         except (TypeError, ValueError):
-            bad.append(("frequency", f"frequency: {freq!r} is not a number"))
+            bad.append(("frequency",
+                        f"frequency: {freq!r} is not a finite number"))
             k0_val, freq_val = 1.0, None
     else:
         try:
-            k0_val, freq_val = float(k0), None
+            k0_val, freq_val = _finite(k0), None
         except (TypeError, ValueError):
-            bad.append(("k0", f"k0: {k0!r} is not a number"))
+            bad.append(("k0", f"k0: {k0!r} is not a finite number"))
             k0_val, freq_val = 1.0, None
     if k0_val <= 0.0:
         bad.append(("k0", "wavenumber must be positive"))
@@ -212,7 +223,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
         n_elements = int(geo.get("n_elements"))
         if n_elements < 4:
             bad.append(("geometry.n_elements", "n_elements must be at least 4"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         bad.append(("geometry.n_elements",
                     f"geometry.n_elements: {geo.get('n_elements')!r} is not an integer"))
         n_elements = 4
@@ -257,10 +268,10 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     angles = None
     freqs = None
     try:
-        phi_inc = float(sweep.get("phi_inc_deg", 0.0))
+        phi_inc = _finite(sweep.get("phi_inc_deg", 0.0))
     except (TypeError, ValueError):
         bad.append(("sweep.phi_inc_deg", "sweep.phi_inc_deg: "
-                    f"{sweep.get('phi_inc_deg')!r} is not a number"))
+                    f"{sweep.get('phi_inc_deg')!r} is not a finite number"))
         phi_inc = 0.0
     if sweep_kind in ("bistatic", "monostatic-angle"):
         angles = _as_grid(sweep.get("angles_deg",
@@ -283,7 +294,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     if n_max is not None:
         try:
             n_max = int(n_max)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             bad.append(("series.n_max", f"series.n_max: {n_max!r} is not an integer"))
             n_max = None
 
@@ -493,7 +504,7 @@ def cmd_solve(cfg, out_dir):
              time.perf_counter() - t0)
     # run diagnostics live in the log; result files must be byte-stable
     for key in ("compose_seconds", "solve_seconds", "rcond", "residual",
-                "solved_form", "coefficients_scaled", "lump_mass"):
+                "solved_form", "coefficients_scaled"):
         pattern.meta.pop(key, None)
     pattern.meta.update({"fit_method": cfg.fit_method,
                          "n_elements": cfg.n_elements})

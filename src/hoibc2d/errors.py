@@ -2,7 +2,8 @@
 
 The command-line driver maps exceptions to exit codes through the
 ``exit_code`` attribute: 2 for input/usage problems, 3 for numerical
-failures, 4 for comparison failures.  Library code raises these directly;
+failures (a missed compare threshold exits 4 without an exception).
+Library code raises these directly;
 nothing in the package raises bare ValueError/RuntimeError for conditions a
 caller might want to distinguish.
 """
@@ -83,8 +84,3 @@ class TruncationError(HoibcError, ArithmeticError):
         super().__init__(message)
         self.diagnostics = dict(diagnostics)
 
-
-class ComparisonError(HoibcError):
-    """A requested comparison between two result sets exceeded its tolerance."""
-
-    exit_code = 4

@@ -3,15 +3,12 @@
 A contour is a polyline of straight segments with a local frame on each
 element: unit tangent tau, unit outward normal n, length h.  Two builders
 cover the solver targets — a closed circle (coated-cylinder cross section)
-and an open plate on the x axis.  Degree-of-freedom bookkeeping for the
-nodal P1 and elementwise P0 spaces lives here too, including the endpoint
-constraints an open contour imposes on every P1 field.
+and an open plate on the x axis.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,41 +120,6 @@ class Contour:
         return a + np.multiply.outer(t, b - a)
 
 
-@dataclass(frozen=True)
-class DofSpace:
-    """Degrees of freedom of a scalar field on a contour.
-
-    kind is "P1_nodal" (continuous piecewise linear, one DOF per node) or
-    "P0_elementwise" (piecewise constant, one DOF per element).  For open
-    contours every P1 space carries its two endpoint DOFs in `constrained`;
-    they are pinned to zero when systems are assembled.
-    """
-
-    kind: str
-    count: int
-    constrained: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.kind not in ("P1_nodal", "P0_elementwise"):
-            raise UsageError(f"unknown DOF space kind {self.kind!r}")
-        if self.count <= 0:
-            raise UsageError("empty DOF space")
-        bad = [i for i in self.constrained if not (0 <= i < self.count)]
-        if bad:
-            raise UsageError(f"constrained DOF out of range: {bad}")
-
-
-def dof_space(kind: str, contour: Contour) -> DofSpace:
-    if kind == "P1_nodal":
-        if contour.closed:
-            return DofSpace(kind, contour.n_nodes)
-        ends = frozenset({0, contour.n_nodes - 1})
-        return DofSpace(kind, contour.n_nodes, ends)
-    if kind == "P0_elementwise":
-        return DofSpace(kind, contour.n_elements)
-    raise UsageError(f"unknown DOF space kind {kind!r}")
-
-
 def mesh_circle(radius: float, n_elements: int) -> Contour:
     """Closed regular polygon inscribed in the circle of given radius.
 
@@ -181,8 +143,8 @@ def mesh_circle(radius: float, n_elements: int) -> Contour:
 def mesh_plate(length: float, n_elements: int) -> Contour:
     """Open straight strip on the x axis, centered on the origin.
 
-    Tangents are +x, normals +y (the illuminated side); the two endpoint
-    nodes are flagged as constrained by dof_space for every P1 field.
+    Tangents are +x, normals +y (the illuminated side); the assembly pins
+    every P1 field to zero at the two endpoint nodes.
     """
     if length <= 0.0:
         raise UsageError("length must be positive")
@@ -196,32 +158,6 @@ def mesh_plate(length: float, n_elements: int) -> Contour:
     return Contour(nodes=nodes, elements=elems, closed=False)
 
 
-def element_dofs(space: DofSpace, contour: Contour, element: int) -> tuple:
-    """Global DOF indices supported on one element."""
-    if space.kind == "P1_nodal":
-        e = contour.elements[element]
-        return (int(e[0]), int(e[1]))
-    return (int(element),)
-
-
-def basis_eval(space: DofSpace, contour: Contour, element: int, t):
-    """Values and arc-length derivatives of the local basis at t in [0, 1].
-
-    Returns (dofs, values, dvalues); values/dvalues have one row per local
-    DOF and trailing shape of t.
-    """
-    if not 0 <= element < contour.n_elements:
-        raise UsageError(f"element index {element} out of range")
-    t = np.asarray(t, dtype=float)
-    h = contour.lengths[element]
-    dofs = element_dofs(space, contour, element)
-    if space.kind == "P1_nodal":
-        vals = np.stack([1.0 - t, t + 0.0 * t])
-        dvals = np.stack([np.full_like(t, -1.0 / h), np.full_like(t, 1.0 / h)])
-        return dofs, vals, dvals
-    return dofs, np.ones((1,) + t.shape), np.zeros((1,) + t.shape)
-
-
 def contour_hash(contour: Contour) -> str:
     """Stable fingerprint of the mesh (logged with every solve)."""
     m = hashlib.sha256()
@@ -230,15 +166,3 @@ def contour_hash(contour: Contour) -> str:
     m.update(contour.elements.astype(np.int64).tobytes())
     return m.hexdigest()[:16]
 
-
-def dump_csv(contour: Contour) -> str:
-    """Nodes and connectivity as CSV text (debug aid)."""
-    buf = io.StringIO()
-    buf.write(f"# contour closed={int(contour.closed)} nodes={contour.n_nodes}"
-              f" elements={contour.n_elements} hash={contour_hash(contour)}\n")
-    buf.write("# section,index,x_or_first,y_or_second\n")
-    for i, (x, y) in enumerate(contour.nodes):
-        buf.write(f"node,{i},{float(x)!r},{float(y)!r}\n")
-    for e, (i, j) in enumerate(contour.elements):
-        buf.write(f"element,{e},{i},{j}\n")
-    return buf.getvalue()

@@ -48,12 +48,6 @@ DEFAULT_NODES_IBC1 = (np.pi / 6.0, np.pi / 3.0)          # 30, 60 deg
 DEFAULT_NODES_IBC2 = tuple(np.deg2rad((20.0, 40.0, 60.0, 80.0)))
 
 
-def polarization_index(pol):
-    """TE -> 1, TM -> 2 (the j subscript on the coefficients)."""
-    _check_pol(pol)
-    return 1 if pol == "TE" else 2
-
-
 def _check_pol(pol):
     if pol not in POLARIZATIONS:
         raise UsageError(f"polarization must be one of {POLARIZATIONS}, got {pol!r}")

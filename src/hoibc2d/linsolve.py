@@ -113,7 +113,3 @@ def solve(f: Factorization, rhs) -> np.ndarray:
     x = blas.ztrsm(1.0, f.lu, x, overwrite_b=1)
     return x[:, 0] if b.ndim == 1 else x
 
-
-def solve_dense(matrix, rhs) -> np.ndarray:
-    """One-shot factor-and-solve convenience wrapper."""
-    return solve(lu_factor(matrix), rhs)

@@ -1,18 +1,17 @@
 """Special functions for the 2D solver.
 
-Bessel and Hankel functions of real and complex argument, the outgoing
-Helmholtz kernel and its radial derivative, and Gaussian quadrature rules
-including log-weighted rules for singular self terms.
+Bessel and Hankel functions of real and complex argument, and Gaussian
+quadrature rules including log-weighted rules for singular self terms.
 
 Evaluation strategy
 -------------------
-* ``J_n``: ascending power series for |z| <= 8, Miller downward recurrence
-  above.  The recurrence is normalized through the exponential sum
-  ``e^{s i z} = J_0 + 2 sum_k (s i)^k J_k`` with the sign s = +/-1 chosen so
-  the left side is the *large* exponential; this keeps the relative error
-  near machine precision for complex arguments, where the classical
-  ``J_0 + 2 J_2 + 2 J_4 + ... = 1`` normalization loses e^{|Im z|} digits to
-  cancellation.
+* ``J_n`` (:func:`bessel_jy`): ascending power series for |z| <= 6, Miller
+  downward recurrence above.  The recurrence is normalized through the
+  exponential sum ``e^{s i z} = J_0 + 2 sum_k (s i)^k J_k`` with the sign
+  s = +/-1 chosen so the left side is the *large* exponential; this keeps
+  the relative error near machine precision for complex arguments, where
+  the classical ``J_0 + 2 J_2 + 2 J_4 + ... = 1`` normalization loses
+  e^{|Im z|} digits to cancellation.
 * ``Y_0, Y_1``: ascending log series for |z| <= 6, Neumann-type J sums above.
 * ``Y_n``: three-term upward recurrence near the real axis.  Off the real
   axis the upward recurrence is exponentially unstable (initial rounding
@@ -21,8 +20,8 @@ Evaluation strategy
   ``J_n Y_{n-1} - J_{n-1} Y_n = 2/(pi z)`` instead; J_n has no zeros off the
   real axis, so the division is safe.
 * Kernel path (:func:`hankel2_01_real`, real x > 0 only): the Cephes
-  ``j0/j1/y0/y1`` of scipy.special.  The scalar routes above serve complex
-  z, higher orders and the modal series.
+  ``j0/j1/y0/y1`` of scipy.special.  The routes above serve complex z,
+  higher orders and the modal series.
 
 Working range: orders 0..200 and |z| < 1e4.  Within it, accuracy is at the
 1e-12 level wherever the results are representable in double precision;
@@ -49,7 +48,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _MAX_ORDER = 200
 _MAX_ABS_Z = 1.0e4
-_SERIES_CUT = 8.0   # |z| above which J switches from series to recurrence
 _Y01_CUT = 6.0      # |z| above which Y0/Y1 switch from log series to J sums
 _IM_CUT = 0.25      # |Im z| above which the Y chain is Wronskian-anchored
 
@@ -168,25 +166,13 @@ def _y01_neumann(z, js):
     return complex(y0), complex(y1)
 
 
-def bessel_j(order, z):
-    """Bessel function of the first kind J_order(z).
-
-    Supports orders 0..200 and |z| < 1e4 (raises RangeError outside);
-    relative accuracy ~1e-13 wherever the value is representable.
-    """
-    z = complex(z)
-    _check_order_arg(order, z)
-    if abs(z) <= _SERIES_CUT:
-        return _j_series(order, z)
-    return complex(_jn_miller(order, z)[order])
-
-
 def bessel_jy(nmax, z):
     """Arrays (J_0..J_nmax, Y_0..Y_nmax) at a common argument.
 
     This is the workhorse for series summations that consume many orders at
-    once; it shares the recurrence work across orders.  Same domain rules as
-    :func:`bessel_y`.
+    once; it shares the recurrence work across orders.  Orders 0..200 and
+    |z| < 1e4 (RangeError outside); z must lie off the non-positive real
+    axis, the branch cut of Y (DomainError otherwise).
     """
     z = complex(z)
     _check_order_arg(nmax, z)
@@ -216,48 +202,10 @@ def bessel_jy(nmax, z):
     return js[: nmax + 1], ys
 
 
-def bessel_y(order, z):
-    """Bessel function of the second kind Y_order(z), principal branch.
-
-    z must lie off the non-positive real axis (DomainError otherwise).
-    Same order/|z| working range as :func:`bessel_j`.
-    """
-    return complex(bessel_jy(order, z)[1][order])
-
-
-def hankel1(order, z):
-    """Hankel function of the first kind, J + iY."""
-    js, ys = bessel_jy(order, z)
-    return complex(js[order] + 1j * ys[order])
-
-
 def hankel2(order, z):
     """Hankel function of the second kind, J - iY (outgoing under exp(+iwt))."""
     js, ys = bessel_jy(order, z)
     return complex(js[order] - 1j * ys[order])
-
-
-def green2d(k, r):
-    """Outgoing 2D Helmholtz kernel G(r) = H0^(2)(k r) / (4i).
-
-    Under the fixed exp(+i*omega*t) time factor the second-kind Hankel
-    function is the outgoing one.  r must be strictly positive; coincident
-    points are the business of singular quadrature, never of this kernel.
-    """
-    if r <= 0.0:
-        raise DomainError(f"green2d needs r > 0, got r = {r!r}")
-    if k <= 0.0:
-        raise DomainError(f"green2d needs k > 0, got k = {k!r}")
-    return hankel2(0, k * r) / 4j
-
-
-def green2d_grad(k, r):
-    """Radial derivative dG/dr = (i k / 4) H1^(2)(k r)."""
-    if r <= 0.0:
-        raise DomainError(f"green2d_grad needs r > 0, got r = {r!r}")
-    if k <= 0.0:
-        raise DomainError(f"green2d_grad needs k > 0, got k = {k!r}")
-    return 0.25j * k * hankel2(1, k * r)
 
 
 # ----------------------------------------------------------------------

@@ -21,15 +21,13 @@ from hoibc2d.assembly import (
     assemble_rhs,
     build_full_system,
     build_reduced_system,
-    dump_matrix,
-    load_matrix,
     reduce_system,
     solve_currents,
 )
 from hoibc2d.errors import MeshError, UsageError
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import IbcCoefficients
-from hoibc2d.specfun import hankel2_01_real
+from hoibc2d.specfun import gauss_legendre_unit, hankel2_01_real
 
 K0 = 2.0 * np.pi  # 1 m circle at ~300 MHz
 
@@ -69,7 +67,7 @@ def corner_mats(corner):
 
 @pytest.fixture(scope="module")
 def corner_mats_p0(corner):
-    return _helmholtz_blocks(corner, K_CORNER, "P0_elementwise")
+    return _helmholtz_blocks(corner, K_CORNER, "p0")
 
 
 def _brute_pair_raw(contour, k0, e, f, n, chunk=256):
@@ -127,7 +125,7 @@ def _pair_bs(contour, e, f, k0, SB):
 # --- kernel matrix structure ------------------------------------------------
 
 def test_bs_and_b_complex_symmetric(circle32_blocks):
-    for key in ("BS_p1", "B_p0"):
+    for key in ("BS", "B"):
         m = circle32_blocks[key]
         assert np.max(np.abs(m - m.T)) <= 1e-10 * np.max(np.abs(m))
 
@@ -136,16 +134,16 @@ def test_blocks_finite_and_symmetric_at_large_k0d():
     """k0*D ~ 308: one kernel call spans Hankel arguments up to ~300,
     still under the resolution guard (k0*h = 1.94)."""
     blocks = assemble_blocks(mesh_circle(1.1, 500), 140.0)
-    for key in ("BS_p1", "B_p0", "Q"):
+    for key in ("BS", "B", "Q"):
         assert np.all(np.isfinite(blocks[key])), key
-    for key in ("BS_p1", "B_p0"):
+    for key in ("BS", "B"):
         m = blocks[key]
         assert np.max(np.abs(m - m.T)) <= 1e-13 * np.max(np.abs(m)), key
 
 
 def test_circulant_on_uniform_circle(circle32_blocks):
     """Uniform circle: entries depend only on the index difference."""
-    for key in ("BS_p1", "B_p0", "Q"):
+    for key in ("BS", "B", "Q"):
         m = circle32_blocks[key]
         scale = np.max(np.abs(m))
         for i in range(1, m.shape[0]):
@@ -174,7 +172,7 @@ def test_self_entry_against_high_precision_quadrature(corner, corner_mats,
         oracle_p0 = complex(1j * k * h**2 * i_r00)
     got = corner_mats["BS"][0, 0]
     assert abs(got - oracle) <= 1e-12 * abs(oracle)
-    got = corner_mats_p0["B_p0"][0, 0]
+    got = corner_mats_p0["B"][0, 0]
     assert abs(got - oracle_p0) <= 1e-12 * abs(oracle_p0)
 
 
@@ -197,13 +195,13 @@ def test_adjacent_pair_against_brute_force(corner, corner_mats,
     assert abs(got_bs - bs_ref[0, 1]) <= 1e-6 * abs(bs_ref[0, 1])
     assert abs(got_q - SQ[0, 1]) <= 1e-6 * abs(SQ[0, 1])
     ref = 1j * K_CORNER * SB[0, 1]
-    assert abs(corner_mats["B_p1"][0, 2] - ref) <= 1e-6 * abs(ref)
+    assert abs(corner_mats["B"][0, 2] - ref) <= 1e-6 * abs(ref)
 
     # elementwise-constant trial: the local trial index is summed
     ref = SQ[0, 0] + SQ[0, 1]
     assert abs(corner_mats_p0["Q"][0, 1] - ref) <= 1e-6 * abs(ref)
     ref = 1j * K_CORNER * SB.sum()
-    assert abs(corner_mats_p0["B_p0"][0, 1] - ref) <= 1e-6 * abs(ref)
+    assert abs(corner_mats_p0["B"][0, 1] - ref) <= 1e-6 * abs(ref)
 
 
 def test_distant_pair_against_brute_force():
@@ -216,11 +214,11 @@ def test_distant_pair_against_brute_force():
     assert abs(mats["BS"][0, 3] - bs_ref[0, 1]) <= 1e-6 * abs(bs_ref[0, 1])
     assert abs(mats["Q"][0, 3] - SQ[0, 1]) <= 1e-6 * abs(SQ[0, 1])
     ref = 1j * K_CORNER * SB[0, 1]
-    assert abs(mats["B_p1"][0, 3] - ref) <= 1e-6 * abs(ref)
+    assert abs(mats["B"][0, 3] - ref) <= 1e-6 * abs(ref)
 
-    p0 = _helmholtz_blocks(c, K_CORNER, "P0_elementwise")
+    p0 = _helmholtz_blocks(c, K_CORNER, "p0")
     ref = 1j * K_CORNER * SB.sum()
-    assert abs(p0["B_p0"][0, 2] - ref) <= 1e-6 * abs(ref)
+    assert abs(p0["B"][0, 2] - ref) <= 1e-6 * abs(ref)
     ref = SQ[0, 0] + SQ[0, 1]
     assert abs(p0["Q"][0, 2] - ref) <= 1e-6 * abs(ref)
 
@@ -234,7 +232,7 @@ def test_q_self_entries_exact_zero(corner_mats):
 def test_plate_q_identically_zero():
     p = mesh_plate(1.0, 16)
     assert np.max(np.abs(_helmholtz_blocks(p, K0)["Q"])) == 0.0
-    assert np.max(np.abs(_helmholtz_blocks(p, K0, "P0_elementwise")["Q"])) == 0.0
+    assert np.max(np.abs(_helmholtz_blocks(p, K0, "p0")["Q"])) == 0.0
 
 
 def test_q_decay_envelope():
@@ -270,9 +268,6 @@ def test_mass_and_d_p1(circle32):
     assert np.max(np.abs(m["D5"].sum(axis=0))) == 0.0  # d/dl of partition of 1
     assert np.max(np.abs(m["K_p1"].sum(axis=1))) <= 1e-13
     assert np.min(np.linalg.eigvalsh(m["I1"])) > 0.0
-    lumped = assemble_mass_and_d(circle32, "p1", lump=True)
-    assert np.array_equal(lumped["I2"], np.diag(m["I1"].sum(axis=1)))
-    assert np.array_equal(lumped["I1"], m["I1"])  # lumping touches I2 only
 
 
 def test_mass_and_d_p0(circle32):
@@ -297,6 +292,57 @@ def test_mass_and_d_p0_open_boundary_terms():
 
     with pytest.raises(UsageError):
         assemble_mass_and_d(p, "p2")
+
+
+def _random_chain(rng, n):
+    turn = np.cumsum(rng.uniform(-0.8, 0.8, n))
+    step = rng.uniform(0.05, 0.3, n)[:, None]
+    pts = np.cumsum(step * np.column_stack([np.cos(turn), np.sin(turn)]), 0)
+    return Contour(nodes=np.vstack([np.zeros(2), pts]), closed=False,
+                   elements=np.column_stack([np.arange(n), np.arange(1, n + 1)]))
+
+
+def _random_polygon(rng, n):
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    r = rng.uniform(0.7, 1.3, n)
+    return Contour(nodes=np.column_stack([r * np.cos(th), r * np.sin(th)]),
+                   elements=np.column_stack([np.arange(n),
+                                             (np.arange(n) + 1) % n]),
+                   closed=True)
+
+
+@pytest.mark.parametrize("kind", ["chain", "polygon"])
+def test_local_operators_on_nonuniform_mesh(kind):
+    """Each entry of I1, D, K (P1) and D5 (P0) against its defining
+    integral, summed element by element with a Gauss rule that is exact
+    for the quadratic integrands: I1 = int phi_i phi_j, D = int phi_i
+    d_l phi_j, K = int d_l phi_i d_l phi_j, D5 = int psi_e d_l phi_j.
+    Random element lengths catch any misaligned per-element length."""
+    rng = np.random.default_rng(2024)
+    c = _random_chain(rng, 8) if kind == "chain" else _random_polygon(rng, 40)
+    n1, n0 = c.n_nodes, c.n_elements
+    t, w = gauss_legendre_unit(3)
+    ref = {key: np.zeros((n1, n1)) for key in ("I1", "D", "K")}
+    d5 = np.zeros((n0, n1))
+    for e, nodes in enumerate(c.elements):
+        h = c.lengths[e]
+        phi = np.stack([1.0 - t, t])             # (local, quadrature)
+        dphi = np.array([-1.0, 1.0]) / h         # d_l phi, constant on e
+        for a, b in np.ndindex(2, 2):
+            i, j = nodes[a], nodes[b]
+            ref["I1"][i, j] += h * np.sum(w * phi[a] * phi[b])
+            ref["D"][i, j] += h * np.sum(w * phi[a]) * dphi[b]
+            ref["K"][i, j] += h * np.sum(w) * dphi[a] * dphi[b]
+        for b in range(2):
+            d5[e, nodes[b]] += h * np.sum(w) * dphi[b]
+    p1 = assemble_mass_and_d(c, "p1")
+    p0 = assemble_mass_and_d(c, "p0")
+    pairs = [(p1["I1"], ref["I1"]), (p1["I2"], ref["I1"]),
+             (p1["D1"], ref["D"]), (p1["D5"], ref["D"]),
+             (p1["K_p1"], ref["K"]), (p0["D5"], d5),
+             (p0["I2"], np.diag(c.lengths))]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # --- right-hand sides --------------------------------------------------------
@@ -334,14 +380,14 @@ def test_rhs_te_tm_row_exchange(circle32):
     assert np.array_equal(te[n:], tm[:n])
 
 
-@pytest.mark.parametrize("space", ["P1_nodal", "P0_elementwise"])
+@pytest.mark.parametrize("space", ["p1", "p0"])
 def test_rhs_wave_block_columns(circle32, space):
     # a sequence of waves gives one column per wave, each its single-wave
     # vector up to the summation order of the batched moments
     waves = [IncidentWave(pol="TE", k0=K0, phi_inc=p, amplitude=1.0 + 0.3j * p)
              for p in np.linspace(0.0, 6.0, 7)]
     block = assemble_rhs(circle32, waves, space)
-    assert block.shape == (2 * circle32.n_nodes if space == "P1_nodal"
+    assert block.shape == (2 * circle32.n_nodes if space == "p1"
                            else circle32.n_nodes + circle32.n_elements, 7)
     for k, w in enumerate(waves):
         one = assemble_rhs(circle32, w, space)
@@ -351,6 +397,8 @@ def test_rhs_wave_block_columns(circle32, space):
                                                      phi_inc=0.0)])
     with pytest.raises(UsageError, match="sharing"):
         assemble_rhs(circle32, [])
+    with pytest.raises(UsageError, match="mode"):
+        assemble_rhs(circle32, waves, "P1_nodal")
 
 
 # --- block systems and reduction ---------------------------------------------
@@ -468,23 +516,6 @@ def test_p0_open_contour():
     assert sol.J.size == p.n_nodes and sol.M.size == p.n_elements
 
 
-def test_lumped_mass_option():
-    c = mesh_circle(1.0, 32)
-    w = IncidentWave(pol="TE", k0=K0, phi_inc=0.0)
-    cons = build_reduced_system(c, TE1, w)
-    lump = build_reduced_system(c, TE1, w, lump_mass=True)
-    assert np.max(np.abs(cons.reduced_matrix - lump.reduced_matrix)) > 0.0
-    j32c = solve_currents(cons).J
-    j32l = solve_currents(lump).J
-    d32 = np.max(np.abs(j32c - j32l)) / np.max(np.abs(j32c))
-    assert d32 < 0.01
-    c64 = mesh_circle(1.0, 64)
-    j64c = solve_currents(build_reduced_system(c64, TE1, w)).J
-    j64l = solve_currents(build_reduced_system(c64, TE1, w, lump_mass=True)).J
-    d64 = np.max(np.abs(j64c - j64l)) / np.max(np.abs(j64c))
-    assert d64 < 0.5 * d32  # second-order agreement under refinement
-
-
 def test_blocks_reuse_across_orders(circle32, circle32_blocks):
     w = IncidentWave(pol="TE", k0=K0, phi_inc=0.0)
     s1 = build_reduced_system(circle32, TE1, w, blocks=circle32_blocks)
@@ -552,24 +583,6 @@ def test_incident_wave_field_values():
     assert abs(val - 3.0j * np.exp(-0.5j * np.pi)) < 1e-15
 
 
-# --- dump/load ---------------------------------------------------------------
-
-def test_matrix_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    path = tmp_path / "block.bin"
-    dump_matrix(path, m, meta={"name": "test", "k0": 2.0})
-    back, sidecar = load_matrix(path)
-    assert np.array_equal(back, m)
-    assert sidecar["rows"] == 5 and sidecar["cols"] == 3
-    assert sidecar["layout"] == "row-major"
-    assert sidecar["meta"]["name"] == "test"
-    first = (path.read_bytes(), (tmp_path / "block.bin.json").read_bytes())
-    dump_matrix(path, m, meta={"name": "test", "k0": 2.0})
-    assert (path.read_bytes(),
-            (tmp_path / "block.bin.json").read_bytes()) == first
-
-
 # --- property: Galerkin symmetry on arbitrary chains --------------------------
 
 @settings(max_examples=20, deadline=None)
@@ -587,6 +600,6 @@ def test_bs_symmetry_property(turns):
     elems = np.column_stack([np.arange(len(pts) - 1), np.arange(1, len(pts))])
     c = Contour(nodes=nodes, elements=elems, closed=False)
     mats = _helmholtz_blocks(c, 2.0)
-    for key in ("BS", "B_p1"):
+    for key in ("BS", "B"):
         m = mats[key]
         assert np.max(np.abs(m - m.T)) <= 1e-12 * np.max(np.abs(m))

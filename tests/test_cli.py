@@ -127,10 +127,25 @@ def test_malformed_json_exits_2_without_output(tmp_path):
     ("sweep", {"sweep": "bistatic"}),
     ("table", {"table": 3}),
     ("series", {"series": "n_max"}),
+    ("coating.eps_r", {"coating.eps_r": [float("nan"), -0.5]}),
+    ("coating.eps_r", {"coating.eps_r": "nan"}),
+    ("coating.d", {"coating.d": float("nan")}),
+    ("frequency", {"frequency": float("inf")}),
+    ("lambda0_reference", {"lambda0_reference": float("inf")}),
+    ("geometry.n_elements", {"geometry.n_elements": float("inf")}),
+    ("series.n_max", {"series.n_max": float("inf")}),
+    ("geometry.radius", {"geometry.radius": float("nan")}),
+    ("sweep.phi_inc_deg", {"sweep.phi_inc_deg": float("nan")}),
+    ("sweep.phi_inc_deg", {"sweep.phi_inc_deg": "inf"}),
+    ("sweep.angles_deg", {"sweep.angles_deg": [0.0, float("nan"), 10.0]}),
+    ("table.theta_deg", {"table.theta_deg": [float("nan")]}),
 ], ids=["step-zero", "step-negative", "start-equals-stop", "empty-list",
         "monostatic-empty", "phi-inc-text", "geometry-string",
         "coating-number", "ibc-list", "sweep-string", "table-number",
-        "series-string"])
+        "series-string", "eps-nan", "eps-nan-text", "thickness-nan",
+        "frequency-inf", "lambda0-inf", "n-elements-inf", "n-max-inf",
+        "radius-nan", "phi-inc-nan", "phi-inc-inf-text", "angle-nan",
+        "theta-nan"])
 def test_unusable_config_exits_2_without_output(tmp_path, field, override):
     cfg = put(tmp_path, "bad.json", CYLINDER, **override)
     with open(cfg, encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Contour construction, local frames, DOF spaces, and basis functions."""
+"""Contour construction, local frames, and mesh utilities."""
 
 import numpy as np
 import pytest
@@ -105,57 +105,6 @@ def test_contour_immutable():
         c.nodes[0, 0] = 5.0
 
 
-# ------------------------------------------------------------- DOF spaces
-
-def test_dof_spaces():
-    circ = geo.mesh_circle(1.0, 16)
-    plate = geo.mesh_plate(1.0, 16)
-    p1c = geo.dof_space("P1_nodal", circ)
-    assert p1c.count == 16 and not p1c.constrained
-    p1o = geo.dof_space("P1_nodal", plate)
-    assert p1o.count == 17 and p1o.constrained == frozenset({0, 16})
-    p0 = geo.dof_space("P0_elementwise", plate)
-    assert p0.count == 16 and not p0.constrained
-    with pytest.raises(UsageError):
-        geo.dof_space("P2", circ)
-    with pytest.raises(UsageError):
-        geo.DofSpace("P1_nodal", 4, frozenset({9}))
-
-
-def test_basis_p1_values():
-    c = geo.mesh_plate(1.0, 10)
-    sp = geo.dof_space("P1_nodal", c)
-    dofs, vals, dvals = geo.basis_eval(sp, c, 3, 0.0)
-    assert dofs == (3, 4)
-    assert vals[0] == 1.0 and vals[1] == 0.0
-    h = c.lengths[3]
-    assert dvals[0] == pytest.approx(-1.0 / h) and dvals[1] == pytest.approx(1.0 / h)
-    _, vals, _ = geo.basis_eval(sp, c, 3, np.array([0.25, 0.5, 1.0]))
-    assert np.allclose(vals.sum(axis=0), 1.0)  # partition of unity
-
-
-def test_basis_p0_values():
-    c = geo.mesh_circle(1.0, 12)
-    sp = geo.dof_space("P0_elementwise", c)
-    dofs, vals, dvals = geo.basis_eval(sp, c, 5, np.array([0.1, 0.9]))
-    assert dofs == (5,)
-    assert np.all(vals == 1.0) and np.all(dvals == 0.0)
-    with pytest.raises(UsageError):
-        geo.basis_eval(sp, c, 12, 0.5)
-
-
-def test_dl_integral_telescopes_on_closed_contour():
-    """Integral of d/dl of each P1 hat over a closed loop vanishes."""
-    c = geo.mesh_circle(1.0, 16)
-    sp = geo.dof_space("P1_nodal", c)
-    total = np.zeros(sp.count)
-    for e in range(c.n_elements):
-        dofs, _, dvals = geo.basis_eval(sp, c, e, np.array([0.5]))
-        for loc, d in enumerate(dofs):
-            total[d] += dvals[loc, 0] * c.lengths[e]  # d/dl constant per element
-    assert np.allclose(total, 0.0, atol=1e-14)
-
-
 def test_point_mapping():
     c = geo.mesh_plate(2.0, 8)
     p = c.point(0, np.array([0.0, 0.5, 1.0]))
@@ -173,18 +122,6 @@ def test_contour_hash_stability():
     assert geo.contour_hash(a) == geo.contour_hash(b)
     assert geo.contour_hash(a) != geo.contour_hash(c)
     assert len(geo.contour_hash(a)) == 16
-
-
-def test_dump_csv_roundtrip():
-    c = geo.mesh_plate(1.0, 8)
-    text = geo.dump_csv(c)
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    nodes = [ln for ln in lines if ln.startswith("node,")]
-    elems = [ln for ln in lines if ln.startswith("element,")]
-    assert len(nodes) == 9 and len(elems) == 8
-    x = float(nodes[0].split(",")[2])
-    assert x == c.nodes[0, 0]
-    assert geo.dump_csv(c) == text  # deterministic bytes
 
 
 @settings(max_examples=20, deadline=None)

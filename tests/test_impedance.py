@@ -396,13 +396,6 @@ def test_ibc_coefficients_invariants():
         imp.IbcCoefficients(order="IBC1", pol="TE", a0=1.0, convention="kx2")
 
 
-def test_polarization_index():
-    assert imp.polarization_index("TE") == 1
-    assert imp.polarization_index("TM") == 2
-    with pytest.raises(UsageError):
-        imp.polarization_index("te")
-
-
 # -------------------------------------------------- property: collocation
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoibc2d import specfun as sf
+from hoibc2d.assembly import _plain_kernels
 from hoibc2d.errors import DomainError, RangeError, UsageError
 
 mp.mp.dps = 30
@@ -21,17 +22,11 @@ def ref_y(n, z):
     return complex(mp.bessely(n, mp.mpc(z)))
 
 
-# ----------------------------------------------------------------- bessel_j
-
-def test_bessel_j_at_origin():
-    assert sf.bessel_j(0, 0.0) == 1.0 + 0j
-    assert sf.bessel_j(1, 0.0) == 0.0 + 0j
-    assert sf.bessel_j(7, 0.0) == 0.0 + 0j
-
+# ---------------------------------------------------------------- bessel_jy
 
 def test_bessel_j_canonical_value():
     # J0(1), fixed reference from a 30-digit series evaluation
-    assert abs(sf.bessel_j(0, 1.0) - 0.7651976865579666) < 1e-13
+    assert abs(sf.bessel_jy(0, 1.0)[0][0] - 0.7651976865579666) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -51,13 +46,6 @@ def test_bessel_jy_against_reference(z):
         assert abs(ys[n] - ry) <= 1e-11 * abs(ry)
 
 
-def test_scalar_matches_array_entries():
-    z = 9.5 - 1.5j
-    js, ys = sf.bessel_jy(12, z)
-    assert sf.bessel_j(12, z) == pytest.approx(js[12], rel=1e-14)
-    assert sf.bessel_y(12, z) == pytest.approx(ys[12], rel=1e-14)
-
-
 def test_series_and_recurrence_agree_in_overlap():
     # both evaluation routes are in range for moderate |z|
     for z in [2.0, 5.0, 7.5, 3.0 - 2.0j, 6.0 + 1.0j]:
@@ -71,27 +59,25 @@ def test_series_and_recurrence_agree_in_overlap():
 
 def test_hankel_combinations():
     z = 3.0 - 1.0j
-    j = sf.bessel_j(2, z)
-    y = sf.bessel_y(2, z)
-    assert sf.hankel1(2, z) == pytest.approx(j + 1j * y, rel=1e-14)
-    assert sf.hankel2(2, z) == pytest.approx(j - 1j * y, rel=1e-14)
+    js, ys = sf.bessel_jy(2, z)
+    assert sf.hankel2(2, z) == pytest.approx(js[2] - 1j * ys[2], rel=1e-14)
 
 
 def test_bessel_range_errors():
     with pytest.raises(RangeError):
-        sf.bessel_j(201, 1.0)
+        sf.bessel_jy(201, 1.0)
     with pytest.raises(RangeError):
-        sf.bessel_j(-1, 1.0)
+        sf.bessel_jy(-1, 1.0)
     with pytest.raises(RangeError):
-        sf.bessel_j(0, 1.0e4)
+        sf.bessel_jy(0, 1.0e4)
     with pytest.raises(UsageError):
-        sf.bessel_j(1.5, 1.0)
+        sf.bessel_jy(1.5, 1.0)
 
 
 def test_bessel_y_branch_cut():
     for z in [0.0, -1.0, -2.0 + 0.0j]:
         with pytest.raises(DomainError):
-            sf.bessel_y(0, z)
+            sf.bessel_jy(0, z)
 
 
 # ------------------------------------------------------------- Wronskian
@@ -143,10 +129,15 @@ def test_direct_values_far_from_axis():
             assert abs(ys[n] - ref_y(n, z)) <= 1e-12 * abs(ref_y(n, z))
 
 
-# ----------------------------------------------------------------- green2d
+# ------------------------------------------- kernel G and W = (dG/dr) / r
+
+def green2d(k, r):
+    """G(r) = H0^(2)(k r) / (4i), as the kernel pass evaluates it."""
+    return _plain_kernels(k, r)[0]
+
 
 def test_green2d_value():
-    g = sf.green2d(1.0, 1.0)
+    g = green2d(1.0, 1.0)
     ref = (ref_j(0, 1.0) - 1j * ref_y(0, 1.0)) / 4j
     assert abs(g - ref) < 1e-14
     assert abs(g - (-0.0220642410539 - 0.1912994216395j)) < 1e-12
@@ -154,16 +145,16 @@ def test_green2d_value():
 
 def test_green2d_asymptotic_decay():
     for kr in [100.0, 400.0, 2000.0]:
-        g = sf.green2d(1.0, kr)
+        g = green2d(1.0, kr)
         assert abs(abs(g) - np.sqrt(1.0 / (8.0 * np.pi * kr))) < 0.01 * abs(g)
 
 
 def test_green2d_gradient():
-    gp = sf.green2d_grad(1.0, 1.0)
+    gp = _plain_kernels(1.0, 1.0)[1] * 1.0  # dG/dr = W r at r = 1
     assert abs(abs(gp) - 0.25 * abs(ref_j(1, 1.0) - 1j * ref_y(1, 1.0))) < 1e-13
     # finite-difference cross-check
     h = 1e-6
-    fd = (sf.green2d(1.0, 1.0 + h) - sf.green2d(1.0, 1.0 - h)) / (2 * h)
+    fd = (green2d(1.0, 1.0 + h) - green2d(1.0, 1.0 - h)) / (2 * h)
     assert abs(gp - fd) < 1e-8
 
 
@@ -172,22 +163,11 @@ def test_green2d_helmholtz_residual():
     k = 1.0
     h = 2e-4
     for r in np.linspace(0.5, 50.0, 25):
-        g0 = sf.green2d(k, r)
-        gp = sf.green2d(k, r + h)
-        gm = sf.green2d(k, r - h)
+        g0 = green2d(k, r)
+        gp = green2d(k, r + h)
+        gm = green2d(k, r - h)
         lap = (gp - 2 * g0 + gm) / h**2 + (gp - gm) / (2 * h * r)
         assert abs(lap + k * k * g0) <= 1e-6 * abs(g0)
-
-
-def test_green2d_domain_errors():
-    with pytest.raises(DomainError):
-        sf.green2d(1.0, 0.0)
-    with pytest.raises(DomainError):
-        sf.green2d(1.0, -2.0)
-    with pytest.raises(DomainError):
-        sf.green2d(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        sf.green2d_grad(1.0, 0.0)
 
 
 # ------------------------------------------------- vectorized kernel path
