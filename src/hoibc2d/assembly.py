@@ -22,12 +22,14 @@ Each pair class only fills its entries of SB and SQ: the self-element
 double integral collapses to a single integral in w = |t - s| whose
 logarithmic part goes to a log-weighted Gauss rule; pairs sharing a vertex
 are split into two Duffy triangles with the same log/analytic kernel
-separation, all pairs at once on the shared reference nodes; everything
-else uses tensor Gauss-Legendre.  B, B - S and Q are then formed from the
-moments in one place and scattered to nodal DOFs once, A = S A_broken S^T
-with S the node incidence; a P0 trial sums the local trial index.  The
-local operators (mass, derivative coupling, stiffness) are 2 x 2 element
-blocks summed to nodes by the same start/end index sums.
+separation, all pairs at once on the shared reference nodes; every other
+pair e < f is evaluated once by tensor Gauss-Legendre, at an order that a
+fixed table picks from its clearance and k0 h, and mirrored into (f, e)
+(SB symmetric, SQ from the same kernel values).  B, B - S and Q are then
+formed from the moments in one place and scattered to nodal DOFs once,
+A = S A_broken S^T with S the node incidence; a P0 trial sums the local
+trial index.  The local operators (mass, derivative coupling, stiffness)
+are 2 x 2 element blocks summed to nodes by the same start/end index sums.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .specfun import Z0, gauss_legendre_unit, hankel2_01_real, quad_rule
 log = logging.getLogger(__name__)
 
 # default quadrature orders
-N_GL_DISTANT = 6
 N_GL_SMOOTH = 6
 N_LOG_SELF = 8
 N_GL_DUFFY = 6
@@ -166,8 +167,19 @@ def _split_kernels(k, r):
 # same with n(x).grad_y G), Jacobians included; one routine per pair class
 # --------------------------------------------------------------------------
 
-# kernel points evaluated per distant chunk of test rows (bounds memory)
-KERNEL_POINTS_PER_CHUNK = 2**18
+# kernel points evaluated per chunk of distant pairs (bounds memory)
+KERNEL_POINTS_PER_CHUNK = 2**17
+
+# Gauss-Legendre order of a distant pair, by the band of k0 * max(h_e, h_f)
+# (rows: <= 0.25, <= 1, above) and of the clearance (|m_e - m_f| - (h_e +
+# h_f)/2) / max(h_e, h_f) between midpoints (columns: < 3.5, < 7.5, above;
+# index separation - 1 on a uniform line); test_distant_order_table_error
+# is the measurement behind it.
+_ORDER_KH = (0.25, 1.0)
+_ORDER_CLEARANCE = (3.5, 7.5)
+DISTANT_ORDERS = np.array([[6, 5, 4],
+                           [6, 6, 5],
+                           [6, 6, 6]])
 
 
 def _rho_weights(w):
@@ -177,10 +189,10 @@ def _rho_weights(w):
     return np.stack([c11, (1.0 - w) - c11, c11])
 
 
-def _self_g_moments(k, h, n_log, n_gl):
+def _self_g_moments(k, h, n_log):
     """(n0, 2, 2) self blocks SB[e, :, e, :] for the element-length array
     h: the double integral collapses to int G(k h w) rho(w) dw."""
-    xg, wg = gauss_legendre_unit(n_gl)
+    xg, wg = gauss_legendre_unit(N_GL_SMOOTH)
     lg = quad_rule("gauss_log", n_log)
     h = np.asarray(h, dtype=float)[:, None]
     mom = 0.0
@@ -206,7 +218,7 @@ def _adjacent_pairs(contour):
     return np.concatenate([e, f]), np.concatenate([f, e]), first, ~first
 
 
-def _adjacent_moments(contour, k0, e, f, flip_t, flip_s, n_gl, n_log):
+def _adjacent_moments(contour, k0, e, f, flip_t, flip_s):
     """(P, 2, 2) blocks SB[e, :, f, :], SQ[e, :, f, :] of the shared-vertex
     pairs.
 
@@ -216,8 +228,8 @@ def _adjacent_moments(contour, k0, e, f, flip_t, flip_s, n_gl, n_log):
     plus a smooth remainder; the other triangle is the mirror image with
     eta outermost.  Every pair shares the reference nodes.
     """
-    xg, wg = gauss_legendre_unit(n_gl)
-    lg = quad_rule("gauss_log", n_log)
+    xg, wg = gauss_legendre_unit(N_GL_DUFFY)
+    lg = quad_rule("gauss_log", N_LOG_DUFFY)
     ends = contour.nodes[contour.elements]             # (n0, 2 local, 2)
     vertex = ends[e, flip_t.astype(int)]
     we = ends[e, (~flip_t).astype(int)] - vertex
@@ -251,32 +263,53 @@ def _adjacent_moments(contour, k0, e, f, flip_t, flip_s, n_gl, n_log):
     return sb, sq
 
 
-def _distant_moments(contour, k0, near, n_gl):
-    """(n0, 2, n0, 2) arrays SB, SQ by tensor Gauss-Legendre over chunks
-    of test rows; the pairs flagged in ``near`` are left zero."""
-    n = contour.n_elements
+def _pair_moments(contour, k0, e, f, n_gl):
+    """(P, 2, 2) blocks SB[e, :, f, :], SQ[e, :, f, :] and SQ[f, :, e, :]
+    of the pairs (e, f) by tensor Gauss-Legendre; SB[f, :, e, :] is the
+    transpose of SB[e, :, f, :], and the SQ partner reuses W(r) with
+    -(y - x).n(x_f) in place of (y - x).n(x_e)."""
     x, w = gauss_legendre_unit(n_gl)
-    a_pts = contour.nodes[contour.elements[:, 0]]
-    b_pts = contour.nodes[contour.elements[:, 1]]
-    pts = a_pts[:, None, :] + x[None, :, None] * (b_pts - a_pts)[:, None, :]
-    phi = np.stack([1.0 - x, x])                       # (2, nq)
-    wh = w[None, :] * contour.lengths[:, None]         # (n, nq)
-    sb = np.empty((n, 2, n, 2), dtype=complex)
-    sq = np.empty((n, 2, n, 2), dtype=complex)
-    rows = max(1, KERNEL_POINTS_PER_CHUNK // (n * x.size**2))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        dvec = pts[None, None, :, :, :] - pts[lo:hi, :, None, None, :]
-        r = np.hypot(dvec[..., 0], dvec[..., 1])       # (c, nq, n, nq)
-        dead = np.broadcast_to(near[lo:hi, None, :, None], r.shape)
-        g, wq = _plain_kernels(k0, np.where(dead, 1.0, r))
-        g = np.where(dead, 0.0, g)
-        wq = np.where(dead, 0.0, wq)
-        ndote = np.einsum("cqfpd,cd->cqfp", dvec, contour.normals[lo:hi])
-        weights = wh[lo:hi][:, :, None, None] * wh[None, None, :, :]
-        sb[lo:hi] = np.einsum("aq,bp,cqfp->cafb", phi, phi, g * weights)
-        sq[lo:hi] = np.einsum("aq,bp,cqfp->cafb", phi, phi,
-                              wq * ndote * weights)
+    start, end = contour.nodes[contour.elements].transpose(1, 2, 0)
+    pts = start[..., None] + x * (end - start)[..., None]     # (2, n0, nq)
+    dx, dy = (p[f][:, None, :] - p[e][:, :, None] for p in pts)
+    kern = np.empty((3,) + dx.shape, dtype=complex)           # (3, P, nq, nq)
+    kern[0], wq = _plain_kernels(k0, np.hypot(dx, dy))
+    for k, n in ((1, contour.normals[e]), (2, -contour.normals[f])):
+        kern[k] = wq * (dx * n[:, 0, None, None] + dy * n[:, 1, None, None])
+    # both phi contractions as GEMMs, the quadrature weights inside phi
+    phi = np.stack([1.0 - x, x]) * w
+    half = (kern.reshape(-1, n_gl) @ phi.T).reshape(3, -1, n_gl, 2)
+    mom = phi @ half.transpose(2, 0, 1, 3).reshape(n_gl, -1)
+    mom = mom.reshape(2, 3, -1, 2).transpose(1, 2, 0, 3) * (
+        contour.lengths[e] * contour.lengths[f])[:, None, None]
+    return mom[0], mom[1], mom[2].transpose(0, 2, 1)
+
+
+def _distant_blocks(contour, k0):
+    """(n0, 2, n0, 2) moments SB, SQ of the pairs that share no node, zero
+    elsewhere.  Each pair e < f is evaluated once, at the order that
+    DISTANT_ORDERS gives it, and mirrored into (f, e)."""
+    n, h = contour.n_elements, contour.lengths
+    e, f = np.triu_indices(n, 2)
+    if contour.closed:
+        keep = (e > 0) | (f < n - 1)
+        e, f = e[keep], f[keep]
+    hmax = np.maximum(h[e], h[f])
+    mid = contour.midpoints()
+    gap = np.hypot(*(mid[f] - mid[e]).T) - 0.5 * (h[e] + h[f])
+    n_gl = DISTANT_ORDERS[np.searchsorted(_ORDER_KH, k0 * hmax),
+                          np.searchsorted(_ORDER_CLEARANCE, gap / hmax)]
+    sb = np.zeros((n, 2, n, 2), dtype=complex)
+    sq = np.zeros_like(sb)
+    vb, vq = sb.transpose(0, 2, 1, 3), sq.transpose(0, 2, 1, 3)  # [e, f]
+    for order in np.unique(n_gl):
+        pick = np.flatnonzero(n_gl == order)
+        chunks = 1 + pick.size * order**2 // KERNEL_POINTS_PER_CHUNK
+        for part in np.array_split(pick, chunks):
+            pe, pf = e[part], f[part]
+            sb_ef, vq[pe, pf], vq[pf, pe] = _pair_moments(contour, k0, pe,
+                                                          pf, order)
+            vb[pe, pf], vb[pf, pe] = sb_ef, sb_ef.transpose(0, 2, 1)
     return sb, sq
 
 
@@ -316,26 +349,21 @@ def _element_sum(contour, blocks):
     return out
 
 
-def _helmholtz_blocks(contour, k0, mode="p1", *,
-                      n_gl=N_GL_DISTANT, n_log=N_LOG_SELF,
-                      n_gl_duffy=N_GL_DUFFY, n_log_duffy=N_LOG_DUFFY):
+def _helmholtz_blocks(contour, k0, mode="p1", *, n_log=N_LOG_SELF):
     """One pass over all element pairs; returns BS (P1) and B, Q (P1 test,
     trial on the M space: nodal P1 for mode "p1", elementwise P0 for "p0";
     B is P0 x P0 in mode "p0")."""
     _check_resolution(contour, k0)
-    n0 = contour.n_elements
     _check_mode(mode)
     m_p1 = mode == "p1"
 
-    e, f, flip_t, flip_s = _adjacent_pairs(contour)
-    diag = np.arange(n0)
-    near = np.zeros((n0, n0), dtype=bool)
-    near[diag, diag] = near[e, f] = True
-    sb, sq = _distant_moments(contour, k0, near, n_gl)
     # SQ self blocks stay zero: n(x).(y-x) = 0 on a straight element
-    sb[diag, :, diag, :] = _self_g_moments(k0, contour.lengths, n_log, n_gl)
+    sb, sq = _distant_blocks(contour, k0)
+    diag = np.arange(contour.n_elements)
+    sb[diag, :, diag, :] = _self_g_moments(k0, contour.lengths, n_log)
+    e, f, flip_t, flip_s = _adjacent_pairs(contour)
     sb[e, :, f, :], sq[e, :, f, :] = _adjacent_moments(
-        contour, k0, e, f, flip_t, flip_s, n_gl_duffy, n_log_duffy)
+        contour, k0, e, f, flip_t, flip_s)
 
     s0 = sb.sum(axis=(1, 3))
     mats = {"B": 1j * k0 * (_scatter(contour, sb) if m_p1 else s0),
@@ -546,6 +574,15 @@ def _system_meta(contour, coeffs, wave, mode, scaled, t0):
     }
 
 
+def _order0_blocks(te, bs, b, q, i1, m_mass, a0):
+    """The (J, M) blocks A_JJ, A_JM, A_MJ, A_MM of order 0, as new arrays;
+    TM swaps the roles of B - S and B and transposes Q."""
+    q = q.astype(complex)
+    if te:
+        return Z0 * bs + 0.5 * a0 * i1, q, -q.T, b / Z0 + m_mass / (2.0 * a0)
+    return Z0 * b + 0.5 * a0 * i1, q.T, -q, bs / Z0 + m_mass / (2.0 * a0)
+
+
 def build_full_system(contour, coeffs, wave: IncidentWave, mode="p1",
                       blocks=None) -> AssembledSystem:
     """Assemble the block matrix with explicit auxiliary fields.
@@ -574,16 +611,8 @@ def build_full_system(contour, coeffs, wave: IncidentWave, mode="p1",
 
     te = wave.pol == "TE"
     m_mass = i1 if mode == "p1" else i2
-    if te:
-        put(0, 0, Z0 * bs + 0.5 * a0 * i1)
-        put(0, 1, q)
-        put(1, 0, -q.T)
-        put(1, 1, b / Z0 + m_mass / (2.0 * a0))
-    else:
-        put(0, 0, Z0 * b + 0.5 * a0 * i1)
-        put(0, 1, q.T)
-        put(1, 0, -q)
-        put(1, 1, bs / Z0 + m_mass / (2.0 * a0))
+    for k, m in enumerate(_order0_blocks(te, bs, b, q, i1, m_mass, a0)):
+        put(k // 2, k % 2, m)
 
     if order >= 1:
         sy = 1.0 if te else -1.0        # sign carried by every b-coupling
@@ -691,17 +720,7 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
         wy2 = solve(fac, d5 @ wy)
 
     te = wave.pol == "TE"
-    m_mass = i1 if p1 else i2
-    if te:
-        a_1 = Z0 * bs + 0.5 * a0 * i1
-        a_2 = q.astype(complex)
-        a_3 = -q.T.astype(complex)
-        a_4 = b / Z0 + m_mass / (2.0 * a0)
-    else:
-        a_1 = Z0 * b + 0.5 * a0 * i1
-        a_2 = q.T.astype(complex)
-        a_3 = -q.astype(complex)
-        a_4 = bs / Z0 + m_mass / (2.0 * a0)
+    a_1, a_2, a_3, a_4 = _order0_blocks(te, bs, b, q, i1, i1 if p1 else i2, a0)
     if order >= 1:
         sy = 1.0 if te else -1.0
         a_1 += 0.5 * c["a"] * (d1 @ wx)

@@ -109,23 +109,25 @@ def _as_complex(value, name, bad):
 
 
 def _as_length(value, name, lam0, bad):
+    """The length in meters; NaN once a fault is recorded, so that no
+    later comparison records the same field again."""
     if isinstance(value, str):
         parts = value.replace("*", " ").split()
         if len(parts) == 2 and parts[1] == "lambda0":
             if lam0 is None:
                 bad.append((name, f"{name}: {value!r} needs lambda0_reference"))
-                return 0.0
+                return np.nan
             try:
                 return _finite(parts[0]) * lam0
             except ValueError:
                 pass
         bad.append((name, f"{name}: cannot read {value!r} as a length"))
-        return 0.0
+        return np.nan
     try:
         return _finite(value)
     except (TypeError, ValueError):
         bad.append((name, f"{name}: cannot read {value!r} as a length"))
-        return 0.0
+        return np.nan
 
 
 def _as_grid(value, name, bad):
@@ -183,8 +185,11 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
         try:
             lam0 = C0 / _finite(lam_ref)
         except (TypeError, ValueError, ZeroDivisionError):
-            bad.append(("lambda0_reference",
-                        f"lambda0_reference: {lam_ref!r} is not a frequency"))
+            pass
+        if lam0 is None or lam0 <= 0.0:
+            bad.append(("lambda0_reference", f"lambda0_reference: {lam_ref!r} "
+                                             "is not a positive frequency"))
+            lam0 = 1.0      # placeholder, so lambda0 lengths add no clause
 
     # exactly one of frequency / k0
     freq, k0 = raw.get("frequency"), raw.get("k0")
@@ -199,14 +204,16 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
             bad.append(("frequency",
                         f"frequency: {freq!r} is not a finite number"))
             k0_val, freq_val = 1.0, None
+        if k0_val <= 0.0:
+            bad.append(("frequency", "frequency must be positive"))
     else:
         try:
             k0_val, freq_val = _finite(k0), None
         except (TypeError, ValueError):
             bad.append(("k0", f"k0: {k0!r} is not a finite number"))
             k0_val, freq_val = 1.0, None
-    if k0_val <= 0.0:
-        bad.append(("k0", "wavenumber must be positive"))
+        if k0_val <= 0.0:
+            bad.append(("k0", "wavenumber must be positive"))
 
     geo = _section(raw, "geometry", bad)
     kind = str(geo.get("kind", "")).lower()

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from hoibc2d.assembly import (
     IncidentWave,
+    _distant_blocks,
     _helmholtz_blocks,
+    _pair_moments,
     _plain_kernels,
     assemble_blocks,
     assemble_mass_and_d,
@@ -221,6 +223,43 @@ def test_distant_pair_against_brute_force():
     assert abs(p0["B"][0, 2] - ref) <= 1e-6 * abs(ref)
     ref = SQ[0, 0] + SQ[0, 1]
     assert abs(p0["Q"][0, 2] - ref) <= 1e-6 * abs(ref)
+
+    # the mirrored pair (e=2, f=0): node 3 is the end of element 2 only
+    SB, SQ = _brute_pair(c, K_CORNER, 2, 0)
+    bs_ref = _pair_bs(c, 2, 0, K_CORNER, SB)
+    assert abs(mats["BS"][3, 0] - bs_ref[1, 0]) <= 1e-6 * abs(bs_ref[1, 0])
+    assert abs(mats["Q"][3, 0] - SQ[1, 0]) <= 1e-6 * abs(SQ[1, 0])
+    ref = 1j * K_CORNER * SB[1, 0]
+    assert abs(mats["B"][3, 0] - ref) <= 1e-6 * abs(ref)
+    ref = 1j * K_CORNER * SB.sum()
+    assert abs(p0["B"][2, 0] - ref) <= 1e-6 * abs(ref)
+    ref = SQ[1, 0] + SQ[1, 1]
+    assert abs(p0["Q"][3, 0] - ref) <= 1e-6 * abs(ref)
+
+
+@pytest.mark.parametrize("kh", [0.085, 0.2499, 0.49, 0.9999, 1.93])
+def test_distant_order_table_error(kh):
+    """The measurement behind DISTANT_ORDERS.  Against a 12-point rule,
+    every separation class of SB, SQ and the mirrored SQ, as the distant
+    pass fills them at the table's orders, errs by no more than 6 points
+    do at separation 2 (the worst distant entry of a fixed 6-point rule).
+    0.2499 and 0.9999 sit just inside band edges, where a band's coarsest
+    orders are weakest."""
+    for c in (mesh_circle(1.0, 64), mesh_plate(1.0, 64)):
+        n = c.n_elements
+        k0 = kh / c.lengths.max()
+        e, f = np.triu_indices(n, 2)
+        sep = np.minimum(f - e, n - f + e) if c.closed else f - e
+        e, f, sep = e[sep >= 2], f[sep >= 2], sep[sep >= 2]
+        sb, sq = _distant_blocks(c, k0)
+        got = np.array([sb[e, :, f, :], sq[e, :, f, :], sq[f, :, e, :]])
+        ref = np.array(_pair_moments(c, k0, e, f, 12))
+        worst = np.abs(_pair_moments(c, k0, e, f, 6) - ref)[:, sep == 2]
+        err = np.abs(got - ref)
+        for lo, hi in ((2, 2), (3, 4), (5, 8), (9, 16), (17, 63)):
+            cls = (sep >= lo) & (sep <= hi)
+            assert np.all(err[:, cls].max(axis=(1, 2, 3))
+                          <= worst.max(axis=(1, 2, 3))), (c.closed, lo)
 
 
 def test_q_self_entries_exact_zero(corner_mats):
