@@ -3,9 +3,11 @@
 The scattered far field is extracted from the surface currents through
 the large-argument form of the outgoing kernel; echo width follows the
 2D convention sigma(phi) = lim 2*pi*r*|u_sc|^2/|u_inc|^2 and is reported
-in dB relative to one metre.  The modal series for coated, impedance,
-and bare conducting cylinders provide independent reference curves that
-never touch the boundary-element code paths.
+in dB relative to one metre.  Monostatic sweeps use reciprocity instead:
+the backscatter amplitude is the tested incident traces (the right-hand
+side) dotted with the solved currents.  The modal series for coated,
+impedance, and bare conducting cylinders provide independent reference
+curves that never touch the boundary-element code paths.
 """
 
 import logging
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import IncidentWave, SurfaceCurrents, _plain_kernels, \
-    assemble_rhs, build_reduced_system, solve_currents
+from .assembly import IncidentWave, _plain_kernels, assemble_rhs, \
+    build_reduced_system, solve_currents
 from .errors import TruncationError, UsageError, ValidationError
 from .geometry import Contour, contour_hash
 from .impedance import IbcCoefficients
@@ -118,35 +120,27 @@ def _n_max_default(k0b):
 # far field from surface currents
 # --------------------------------------------------------------------------
 
-def _current_traces(contour, currents, n_gl=8, n_angles=None):
+def _current_traces(contour, currents, n_gl=8):
     """Quadrature points plus J and M sampled on them.
 
     J always lives on the nodal space.  M is nodal in the default mode
     and elementwise when the solve ran with the mixed space; the solver
-    records which in ``currents.meta``.  Given ``n_angles``, the traces
-    carry a last axis of columns: one per observation angle when J and M
-    hold one column per angle, else the single current's one column.
+    records which in ``currents.meta``.
     """
     qp, qw = gauss_legendre_unit(n_gl)
-    first = contour.nodes[contour.elements[:, 0]]
-    second = contour.nodes[contour.elements[:, 1]]
-    pts = first[:, None, :] + qp[None, :, None] * (second - first)[:, None, :]
+    pts = contour.points(qp)
     wts = contour.lengths[:, None] * qw[None, :]
 
     def checked(name, vals, n, what=""):
         vals = np.asarray(vals)
-        if vals.shape[:1] != (n,) or vals.ndim > (1 if n_angles is None else 2):
+        if vals.shape != (n,):
             raise UsageError(f"{name} has shape {vals.shape}; expected ({n},)"
                              f"{what}")
-        if vals.shape[1:] not in ((), (n_angles,)):
-            raise UsageError(f"{name} has {vals.shape[1]} columns; expected "
-                             f"one per observation angle ({n_angles})")
-        return vals if n_angles is None else vals.reshape(n, -1)
+        return vals
 
     def nodal_trace(vals):
-        t = qp.reshape((-1,) + (1,) * (vals.ndim - 1))
-        return (vals[contour.elements[:, 0], None] * (1.0 - t)
-                + vals[contour.elements[:, 1], None] * t)
+        return (vals[contour.elements[:, 0], None] * (1.0 - qp)
+                + vals[contour.elements[:, 1], None] * qp)
 
     jv = nodal_trace(checked("J", currents.J, contour.n_nodes))
     mode = currents.meta.get("mode", "p1")
@@ -155,10 +149,15 @@ def _current_traces(contour, currents, n_gl=8, n_angles=None):
                                  " nodal values"))
     elif mode == "p0":
         m = checked("M", currents.M, contour.n_elements, " elementwise values")
-        mv = np.broadcast_to(m[:, None], pts.shape[:2] + m.shape[1:])
+        mv = np.broadcast_to(m[:, None], pts.shape[:2])
     else:
         raise UsageError(f"unknown current space tag {mode!r}")
     return pts, jv, mv, wts
+
+
+def _far_prefactor(k0):
+    # large-argument limit of the outgoing kernel, per unit layer density
+    return 0.25 * k0 * np.sqrt(2.0 / (np.pi * k0)) * np.exp(0.25j * np.pi)
 
 
 def far_field(currents, contour, wave, angles_deg, n_gl=8):
@@ -166,26 +165,24 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
 
     Normalized so that the scattered scalar (H_z for TE, E_z for TM)
     behaves as F(phi) e^{-i k r} / sqrt(r); the echo width then is
-    2 pi |F|^2 / |amplitude|^2.  J and M of shape (n,) radiate at every
-    angle; of shape (n, K), K angles, column k radiates at angle k only.
+    2 pi |F|^2 / |amplitude|^2.  J and M are single (n,) currents.
     """
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    pts, jv, mv, wts = _current_traces(contour, currents, n_gl, angles.size)
+    pts, jv, mv, wts = _current_traces(contour, currents, n_gl)
     xhat = np.column_stack([np.cos(np.deg2rad(angles)),
                             np.sin(np.deg2rad(angles))])
     phase = np.exp(1j * wave.k0 * np.einsum("eqd,ad->eqa", pts, xhat))
     ndot = contour.normals @ xhat.T           # (elements, angles)
     sg = contour.sigma
-    pref = 0.25 * wave.k0 * np.sqrt(2.0 / (np.pi * wave.k0)) \
-        * np.exp(0.25j * np.pi)
+    pref = _far_prefactor(wave.k0)
     # in-place updates keep few (elements, points, angles) arrays alive
     if wave.pol == "TE":
-        dens = sg * ndot[:, None, :] * jv
-        dens += mv / Z0
+        dens = sg * ndot[:, None, :] * jv[..., None]
+        dens += mv[..., None] / Z0
         pref = -pref
     else:
-        dens = sg * ndot[:, None, :] * mv
-        dens -= Z0 * jv
+        dens = sg * ndot[:, None, :] * mv[..., None]
+        dens -= Z0 * jv[..., None]
     dens *= phase
     values = pref * np.einsum("eqa,eq->a", dens, wts)
     meta = {"geometry": contour_hash(contour)}
@@ -418,13 +415,14 @@ def solve_and_pattern(contour, coeffs, wave, angles_deg, mode="p1",
 
 
 def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
-                     pol=None, phi_inc_deg=0.0, mode="p1"):
+                     phi_inc_deg=0.0, mode="p1"):
     """Backscatter echo width over incidence angles or frequencies.
 
     Angle sweeps hold the geometry and matrix fixed: the operator is
     factorized once and only the right-hand side changes per angle.
     Frequency sweeps re-assemble per point and accept either fixed
-    coefficients or a callable frequency -> coefficients.
+    coefficients or a callable frequency -> coefficients; the curve is
+    labelled with the polarization and order of the coefficients solved.
     """
     sweep = np.atleast_1d(np.asarray(sweep, dtype=float))
     if sweep.size == 0:
@@ -442,20 +440,33 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
         return RcsPattern(angles=sweep, sigma=sig, meta=meta)
     if kind == "frequency":
         sig = np.empty(sweep.size)
-        tag = None
         for i, f_hz in enumerate(sweep):
-            ki = 2.0 * np.pi * f_hz / C0
             ci = coeffs(f_hz) if callable(coeffs) else coeffs
-            tag = ci.order
-            wave = IncidentWave(pol=ci.pol, k0=ki,
-                                phi_inc=np.deg2rad(phi_inc_deg))
-            pattern, _ = solve_and_pattern(
-                contour, ci, wave, [phi_inc_deg + 180.0], mode=mode)
-            sig[i] = pattern.sigma[0]
-        meta = {"pol": pol or "", "ibc": tag, "axis": "freq_GHz",
+            sig[i] = _sweep_angles(contour, ci, np.array([phi_inc_deg]),
+                                   2.0 * np.pi * f_hz / C0, mode)[0]
+        meta = {"pol": ci.pol, "ibc": ci.order, "axis": "freq_GHz",
                 "phi_inc_deg": phi_inc_deg, "geometry": contour_hash(contour)}
         return RcsPattern(angles=sweep / 1e9, sigma=sig, meta=meta)
     raise UsageError(f"sweep kind must be angle or frequency, got {kind!r}")
+
+
+def _backscatter_db(contour, pol, k0, rhs, x):
+    """Backscatter echo width [dB(m)] of each column of a solved block.
+
+    Reciprocity: at phi_inc + 180 deg the far-field phase is the incident
+    wave itself, so the radiated amplitude is the tested incident traces
+    (the E and H rows of the rhs) dotted with the solution.  Pinned DOFs
+    solve to 0, and the waves have unit amplitude.
+    """
+    n1 = contour.n_nodes
+    e_dot = np.einsum("ik,ik->k", rhs[:n1], x[:n1])
+    h_dot = np.einsum("ik,ik->k", rhs[n1:], x[n1:])
+    sg = contour.sigma
+    if pol == "TE":
+        f = -_far_prefactor(k0) * (sg * h_dot - e_dot) / Z0
+    else:
+        f = _far_prefactor(k0) * Z0 * (h_dot - sg * e_dot)
+    return 10.0 * np.log10(np.maximum(2.0 * np.pi * np.abs(f) ** 2, DB_FLOOR))
 
 
 def _sweep_angles(contour, coeffs, angles_deg, k0, mode):
@@ -466,20 +477,17 @@ def _sweep_angles(contour, coeffs, angles_deg, k0, mode):
     n_red = system.reduced_rhs.size
     con = np.asarray(system.constrained, dtype=int)
     pinned = con[con < n_red]
-    n1 = system.sizes[0]
     out = np.empty(len(angles_deg))
-    # per chunk: one rhs block, one multi-column solve (column k bitwise
-    # its own solve, see linsolve), one far field with column k at angle k
+    # per chunk: one rhs block and one multi-column solve (column k bitwise
+    # its own solve, see linsolve); backscatter by reciprocity from both
     for lo in range(0, len(angles_deg), SWEEP_CHUNK):
         phis = angles_deg[lo:lo + SWEEP_CHUNK]
         waves = [IncidentWave(pol=coeffs.pol, k0=k0, phi_inc=np.deg2rad(phi))
                  for phi in phis]
         rhs = assemble_rhs(contour, waves, mode)
         rhs[pinned] = 0.0
-        x = solve(fac, rhs)
-        sol = SurfaceCurrents(J=x[:n1], M=x[n1:], meta={"mode": mode})
-        ff = far_field(sol, contour, waves[0], phis + 180.0)
-        out[lo:lo + len(phis)] = echo_width(ff).sigma
+        out[lo:lo + len(phis)] = _backscatter_db(contour, coeffs.pol, k0, rhs,
+                                                 solve(fac, rhs))
     return out
 
 

@@ -82,11 +82,6 @@ class IncidentWave:
     def direction(self) -> np.ndarray:
         return np.array([np.cos(self.phi_inc), np.sin(self.phi_inc)])
 
-    def field(self, points) -> np.ndarray:
-        """exp(-i k0 d.x) at an (..., 2) array of points."""
-        pts = np.asarray(points, dtype=float)
-        return self.amplitude * np.exp(-1j * self.k0 * (pts @ self.direction))
-
 
 @dataclass
 class SurfaceCurrents:
@@ -269,8 +264,7 @@ def _pair_moments(contour, k0, e, f, n_gl):
     transpose of SB[e, :, f, :], and the SQ partner reuses W(r) with
     -(y - x).n(x_f) in place of (y - x).n(x_e)."""
     x, w = gauss_legendre_unit(n_gl)
-    start, end = contour.nodes[contour.elements].transpose(1, 2, 0)
-    pts = start[..., None] + x * (end - start)[..., None]     # (2, n0, nq)
+    pts = contour.points(x).transpose(2, 0, 1)                 # (2, n0, nq)
     dx, dy = (p[f][:, None, :] - p[e][:, :, None] for p in pts)
     kern = np.empty((3,) + dx.shape, dtype=complex)           # (3, P, nq, nq)
     kern[0], wq = _plain_kernels(k0, np.hypot(dx, dy))
@@ -445,10 +439,7 @@ def assemble_rhs(contour, wave, mode="p1", n_gl=N_GL_RHS) -> np.ndarray:
         raise UsageError("right-hand sides need one or more waves sharing "
                          "pol and k0")
     x, w = gauss_legendre_unit(n_gl)
-
-    a_pts = contour.nodes[contour.elements[:, 0]]
-    b_pts = contour.nodes[contour.elements[:, 1]]
-    pts = a_pts[:, None, :] + x[None, :, None] * (b_pts - a_pts)[:, None, :]
+    pts = contour.points(x)                              # (n0, nq, 2)
     dirs = np.array([v.direction for v in waves]).T     # (2, K)
     amps = np.array([v.amplitude for v in waves])
     uinc = amps * np.exp(-1j * waves[0].k0 * (pts @ dirs))  # (n0, nq, K)

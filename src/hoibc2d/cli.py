@@ -488,7 +488,7 @@ def cmd_solve(cfg, out_dir):
             return _fit(cfg, cfg.ibc_order, k0=2.0 * np.pi * f_hz / C0)
 
         pattern = monostatic_sweep(contour, per_freq, cfg.frequencies_hz,
-                                   kind="frequency", pol=cfg.pol,
+                                   kind="frequency",
                                    phi_inc_deg=cfg.phi_inc_deg)
         sol = None
     else:

@@ -105,19 +105,16 @@ class Contour:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    @property
-    def perimeter(self) -> float:
-        return float(self.lengths.sum())
-
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.nodes[self.elements[:, 0]] + self.nodes[self.elements[:, 1]])
 
-    def point(self, element: int, t) -> np.ndarray:
-        """Map local coordinate(s) t in [0, 1] on an element to the plane."""
-        a = self.nodes[self.elements[element, 0]]
-        b = self.nodes[self.elements[element, 1]]
+    def points(self, t) -> np.ndarray:
+        """(E, len(t), 2) images of local coordinates t in [0, 1] on every
+        element: start + t (end - start)."""
+        a = self.nodes[self.elements[:, 0]]
+        b = self.nodes[self.elements[:, 1]]
         t = np.asarray(t, dtype=float)
-        return a + np.multiply.outer(t, b - a)
+        return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
 
 def mesh_circle(radius: float, n_elements: int) -> Contour:

@@ -121,26 +121,11 @@ def test_far_field_meta_and_mode_guards(circle96, smooth_currents):
                           meta={"mode": "p7"})
     with pytest.raises(UsageError, match="p7"):
         far_field(odd, circle96, wave, [0.0])
-
-
-def test_far_field_per_angle_columns(circle96, smooth_currents):
-    # (n, K) currents: column k radiates at observation angle k only
-    rng = np.random.default_rng(11)
-    ang = np.array([0.0, 33.0, 90.0, 181.5, 300.0])
-    scale = rng.standard_normal((2, ang.size)) + 1j * rng.standard_normal(
-        (2, ang.size))
-    cols = SurfaceCurrents(J=np.outer(smooth_currents.J, scale[0]),
-                           M=np.outer(smooth_currents.M, scale[1]),
-                           meta={"mode": "p1"})
-    for pol in ("TE", "TM"):
-        wave = IncidentWave(pol=pol, k0=K0, phi_inc=0.0)
-        vals = far_field(cols, circle96, wave, ang).values
-        for k, phi in enumerate(ang):
-            one = SurfaceCurrents(J=cols.J[:, k], M=cols.M[:, k])
-            ref = far_field(one, circle96, wave, [phi]).values[0]
-            assert abs(vals[k] - ref) <= 1e-13 * abs(ref)
-    with pytest.raises(UsageError, match="columns"):
-        far_field(cols, circle96, wave, ang[:-1])
+    # one current per call: a block of columns is not a current
+    cols = SurfaceCurrents(J=np.zeros((96, 2), complex),
+                           M=np.zeros(96, complex))
+    with pytest.raises(UsageError, match=r"\(96, 2\)"):
+        far_field(cols, circle96, wave, [0.0, 10.0])
 
 
 # --- echo width --------------------------------------------------------------
@@ -372,22 +357,35 @@ def te_ibc1():
     return fit_coefficients(COAT, "TE", K0, "IBC1")
 
 
-@pytest.mark.parametrize("kind,pol,mode,n_angles", [
+@pytest.mark.parametrize("kind,pol,mode,sweep", [
     ("circle", "TE", "p1", 1),
     ("circle", "TE", "p1", SWEEP_CHUNK + 44),
     ("circle", "TE", "p0", SWEEP_CHUNK + 44),
-    ("plate", "TM", "p1", SWEEP_CHUNK + 44)])
-def test_monostatic_sweep_equals_bistatic(kind, pol, mode, n_angles):
-    # one angle, or a full chunk of angles plus a partial one, each angle
-    # checked against its own bistatic solve; the plate pins its endpoints
+    ("plate", "TM", "p1", SWEEP_CHUNK + 44),
+    ("plate", "TE", "p1", SWEEP_CHUNK + 44),
+    ("circle", "TE", "p0", "frequency"),
+    ("plate", "TM", "p1", "frequency")])
+def test_monostatic_sweep_equals_bistatic(kind, pol, mode, sweep):
+    # one angle, or a full chunk of angles plus a partial one, or a few
+    # frequencies, each point checked against its own bistatic solve at
+    # phi_inc + 180; the plate pins its endpoints
     mesh = mesh_circle(B, 32) if kind == "circle" else mesh_plate(2.0, 32)
     cf = fit_coefficients(COAT, pol, K0, "IBC1")
-    blocks = assemble_blocks(mesh, K0, mode=mode)
-    ang = np.linspace(37.0, 359.0, n_angles)
-    sweep = monostatic_sweep(mesh, cf, ang, kind="angle", k0=K0, mode=mode)
-    assert sweep.meta["axis"] == "angle_deg"
-    for phi, sig in zip(ang, sweep.sigma):
-        wave = IncidentWave(pol=pol, k0=K0, phi_inc=np.deg2rad(phi))
+    if sweep == "frequency":
+        phi = 37.0
+        freqs = np.array([0.8, 1.0, 1.3]) * C0
+        curve = monostatic_sweep(mesh, cf, freqs, kind="frequency",
+                                 phi_inc_deg=phi, mode=mode)
+        assert curve.meta["axis"] == "freq_GHz"
+        points = [(2.0 * np.pi * f / C0, phi, None) for f in freqs]
+    else:
+        blocks = assemble_blocks(mesh, K0, mode=mode)
+        ang = np.linspace(37.0, 359.0, sweep)
+        curve = monostatic_sweep(mesh, cf, ang, kind="angle", k0=K0, mode=mode)
+        assert curve.meta["axis"] == "angle_deg"
+        points = [(K0, phi, blocks) for phi in ang]
+    for (k0, phi, blocks), sig in zip(points, curve.sigma):
+        wave = IncidentWave(pol=pol, k0=k0, phi_inc=np.deg2rad(phi))
         pat, _ = solve_and_pattern(mesh, cf, wave, [phi + 180.0], mode=mode,
                                    blocks=blocks)
         assert abs(sig - pat.sigma[0]) <= 1e-12
@@ -417,11 +415,15 @@ def test_frequency_sweep():
         return fit_coefficients(coat, "TE", 2.0 * np.pi * f_hz / C0, "IBC1")
 
     sweep = monostatic_sweep(mesh, per_freq, [3.0e9, 3.5e9, 4.0e9],
-                             kind="frequency", pol="TE")
+                             kind="frequency")
     assert np.array_equal(sweep.angles, [3.0, 3.5, 4.0])   # axis in GHz
     assert np.all(np.isfinite(sweep.sigma))
     assert sweep.meta["axis"] == "freq_GHz"
-    assert sweep.meta["ibc"] == "IBC1"
+    assert (sweep.meta["pol"], sweep.meta["ibc"]) == ("TE", "IBC1")
+    # fixed coefficients label the curve with what was solved
+    tm = fit_coefficients(coat, "TM", 2.0 * np.pi * 3.0e9 / C0, "IBC2")
+    fixed = monostatic_sweep(mesh, tm, [3.0e9, 3.5e9], kind="frequency")
+    assert (fixed.meta["pol"], fixed.meta["ibc"]) == ("TM", "IBC2")
 
 
 def test_sweep_guards(circle128, te_ibc1):

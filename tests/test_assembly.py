@@ -614,14 +614,6 @@ def test_unknown_solve_target(circle32, circle32_blocks):
         solve_currents(sys1, use="full")  # never assembled here
 
 
-def test_incident_wave_field_values():
-    w = IncidentWave(pol="TE", k0=2.0, phi_inc=0.0, amplitude=3.0j)
-    assert w.field(np.zeros(2)) == 3.0j
-    # quarter wavelength along the propagation direction: phase -pi/2
-    val = w.field(np.array([np.pi / 4, 0.0]))
-    assert abs(val - 3.0j * np.exp(-0.5j * np.pi)) < 1e-15
-
-
 # --- property: Galerkin symmetry on arbitrary chains --------------------------
 
 @settings(max_examples=20, deadline=None)

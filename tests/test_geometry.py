@@ -13,7 +13,7 @@ def test_circle_basic():
     c = geo.mesh_circle(1.0, 64)
     assert c.closed and c.n_nodes == 64 and c.n_elements == 64
     # inscribed polygon perimeter deficit below 0.2%
-    assert abs(c.perimeter - 2.0 * np.pi) < 0.002 * 2.0 * np.pi
+    assert abs(c.lengths.sum() - 2.0 * np.pi) < 0.002 * 2.0 * np.pi
     # all nodes on the circle
     assert np.allclose(np.hypot(c.nodes[:, 0], c.nodes[:, 1]), 1.0, atol=1e-14)
 
@@ -41,7 +41,7 @@ def test_frames_orthonormal():
 def test_circle_closure_invariant():
     c = geo.mesh_circle(1.0, 48)
     closure = np.einsum("i,ij->j", c.lengths, c.tangents)
-    assert np.linalg.norm(closure) < 1e-12 * c.perimeter
+    assert np.linalg.norm(closure) < 1e-12 * c.lengths.sum()
 
 
 def test_circle_nested_refinement():
@@ -107,10 +107,11 @@ def test_contour_immutable():
 
 def test_point_mapping():
     c = geo.mesh_plate(2.0, 8)
-    p = c.point(0, np.array([0.0, 0.5, 1.0]))
-    assert p.shape == (3, 2)
-    assert np.allclose(p[0], c.nodes[0]) and np.allclose(p[2], c.nodes[1])
-    assert np.allclose(p[1], 0.5 * (c.nodes[0] + c.nodes[1]))
+    p = c.points(np.array([0.0, 0.5, 1.0]))
+    assert p.shape == (8, 3, 2)
+    assert np.array_equal(p[:, 0], c.nodes[:-1])
+    assert np.array_equal(p[:, 2], c.nodes[1:])
+    assert np.allclose(p[:, 1], c.midpoints(), rtol=0.0, atol=1e-15)
 
 
 # ------------------------------------------------------------- utilities
@@ -129,7 +130,7 @@ def test_contour_hash_stability():
 def test_circle_invariants_property(n, r):
     c = geo.mesh_circle(r, n)
     closure = np.einsum("i,ij->j", c.lengths, c.tangents)
-    assert np.linalg.norm(closure) < 1e-12 * c.perimeter
-    assert c.perimeter < 2.0 * np.pi * r  # inscribed
+    assert np.linalg.norm(closure) < 1e-12 * c.lengths.sum()
+    assert c.lengths.sum() < 2.0 * np.pi * r  # inscribed
     # chord geometry: perimeter = 2 n r sin(pi/n) exactly
-    assert c.perimeter == pytest.approx(2.0 * n * r * np.sin(np.pi / n), rel=1e-12)
+    assert c.lengths.sum() == pytest.approx(2.0 * n * r * np.sin(np.pi / n), rel=1e-12)

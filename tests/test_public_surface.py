@@ -1,7 +1,9 @@
 """Public-surface guard: every public module-level function or class in the
 package is either called from the package itself or is a reference that a
-named test checks the package against.  A name that is neither is library
-surface nobody runs; delete it or name the test that needs it here."""
+named test checks the package against, and so is every public method or
+property of a public class (called as an attribute from the package).  A
+name that is neither is library surface nobody runs; delete it or name the
+test that needs it here."""
 
 import ast
 import pathlib
@@ -31,25 +33,36 @@ ORACLES = {
 
 
 def _public_and_referenced():
-    public, referenced = set(), set()
+    public, methods, names, attributes = set(), set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        public.update(f"{path.stem}.{node.name}" for node in tree.body
-                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                      and not node.name.startswith("_"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            public.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                methods.update(f"{path.stem}.{node.name}.{item.name}"
+                               for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    return public, referenced
+                names.update(alias.name for alias in node.names)
+    return public, methods, names, attributes
 
 
 def test_every_public_name_is_used_or_an_oracle():
-    public, referenced = _public_and_referenced()
-    unused = {name for name in public if name.split(".")[1] not in referenced}
+    public, methods, names, attributes = _public_and_referenced()
+    unused = {name for name in public if name.split(".")[1] not in names}
+    # a method or property is used only as an attribute: obj.name
+    unused |= {name for name in methods
+               if name.rsplit(".", 1)[1] not in attributes}
     assert unused - set(ORACLES) == set(), "public names nothing uses"
     # an entry for a name the package calls, or no longer defines, is stale
     assert set(ORACLES) - unused == set(), "stale ORACLES entries"
@@ -66,4 +79,4 @@ def test_every_oracle_names_a_test_that_uses_it():
         used = {node.id if isinstance(node, ast.Name) else node.attr
                 for node in ast.walk(test)
                 if isinstance(node, (ast.Name, ast.Attribute))}
-        assert name.split(".")[1] in used, f"{where} does not use {name}"
+        assert name.rsplit(".", 1)[1] in used, f"{where} does not use {name}"
