@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import IncidentWave, _plain_kernels, assemble_rhs, \
-    build_reduced_system, solve_currents
+from .assembly import IncidentWave, _compose_reduced, _plain_kernels, \
+    assemble_rhs, build_reduced_system, solve_currents
 from .errors import TruncationError, UsageError, ValidationError
 from .geometry import Contour, contour_hash
 from .impedance import IbcCoefficients
@@ -472,9 +472,12 @@ def _backscatter_db(contour, pol, k0, rhs, x):
 def _sweep_angles(contour, coeffs, angles_deg, k0, mode):
     wave0 = IncidentWave(pol=coeffs.pol, k0=k0,
                          phi_inc=np.deg2rad(angles_deg[0]))
-    system = build_reduced_system(contour, coeffs, wave0, mode=mode)
+    # the matrix only: every chunk assembles its own right-hand sides
+    system = _compose_reduced(contour, coeffs, wave0, mode, None)
     fac = lu_factor(system.reduced_matrix)
-    n_red = system.reduced_rhs.size
+    n_red = system.reduced_matrix.shape[0]
+    log.info("factored n=%d sweep matrix (rcond %.2e)", n_red,
+             fac.rcond_estimate)
     con = np.asarray(system.constrained, dtype=int)
     pinned = con[con < n_red]
     out = np.empty(len(angles_deg))

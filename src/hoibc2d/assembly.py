@@ -30,6 +30,15 @@ formed from the moments in one place and scattered to nodal DOFs once,
 A = S A_broken S^T with S the node incidence; a P0 trial sums the local
 trial index.  The local operators (mass, derivative coupling, stiffness)
 are 2 x 2 element blocks summed to nodes by the same start/end index sums.
+
+The reduced system eliminates the auxiliary fields in O(n^2) real
+arithmetic.  Taken in chain order (the order the elements link up, which
+need not be the node labelling) every local operator has at most three
+entries per row: the P1 mass I2 is tridiagonal, with cyclic corners on a
+closed contour and unit rows at pinned nodes of an open one, and the P0
+mass is diagonal.  The corners are a rank-one update of a tridiagonal
+matrix, removed by Sherman-Morrison; the solves are LAPACK tridiagonal
+ones and the products banded times dense.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import blas, solve_banded
 
 from .errors import MeshError, UsageError
 from .geometry import Contour, contour_hash
@@ -515,7 +525,8 @@ def _apply_constraints(matrix, rhs, constrained):
         matrix[i, :] = 0.0
         matrix[:, i] = 0.0
         matrix[i, i] = 1.0
-        rhs[i] = 0.0
+        if rhs is not None:
+            rhs[i] = 0.0
 
 
 def _mode_guards(contour, coeffs, wave, mode):
@@ -659,15 +670,133 @@ def reduce_system(system: AssembledSystem) -> AssembledSystem:
     return system
 
 
-def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
-                         blocks=None) -> AssembledSystem:
-    """Assemble the 2N (J, M) system directly from closed-form elimination,
-    never materializing the larger auxiliary-variable matrix.
+# --------------------------------------------------------------------------
+# banded elimination of the auxiliary fields
+# --------------------------------------------------------------------------
 
-    Agrees with reduce_system(build_full_system(...)) to solver precision:
-    the auxiliary mass rows are block-triangular, so elimination is just
-    W = I2^{-1} (d-coupling), applied once per auxiliary level.
+def _chain_nodes(contour):
+    """Node labels in chain order (elements are stored in chain order)."""
+    el = contour.elements
+    return el[:, 0] if contour.closed else np.append(el[:, 0], el[-1, 1])
+
+
+def _chain_band(contour, mat, offsets, rows_p1=True, cols_p1=True):
+    """Row-sparse gather of a local operator in chain order.
+
+    Row r is the r-th node along the chain (``rows_p1``) or element r; its
+    entries are taken at chain positions r + offsets of the column space
+    (nodes or elements), wrapping on a closed contour and dropped (zero)
+    past the ends of an open one.  Returns the (rows, len(offsets)) values.
     """
+    elems = np.arange(contour.n_elements)
+    rows = _chain_nodes(contour) if rows_p1 else elems
+    cols = _chain_nodes(contour) if cols_p1 else elems
+    r = np.arange(rows.size)[:, None] + np.asarray(offsets)
+    valid = contour.closed | ((r >= 0) & (r < cols.size))
+    return np.where(valid, mat[rows[:, None], cols[r % cols.size]], 0.0)
+
+
+def _band_dot(vals, offsets, x):
+    """Row-sparse times dense, O(rows x columns): row r of the product is
+    sum_j vals[r, j] x[r + offsets[j]], positions wrapping as in
+    :func:`_chain_band`.  Shifted slices keep the memory order of x."""
+    rows, n = vals.shape[0], x.shape[0]
+    out = np.zeros((rows,) + x.shape[1:],
+                   order="F" if x.flags.f_contiguous else "C")
+    for j, o in enumerate(offsets):
+        lo, hi = max(0, -o), min(rows, n - o)
+        out[lo:hi] += vals[lo:hi, j, None] * x[lo + o:hi + o]
+        for r in (*range(lo), *range(hi, rows)):     # wrapped positions
+            out[r] += vals[r, j] * x[(r + o) % n]
+    return out
+
+
+def _solve_tridiagonal(band, rhs, closed):
+    """Solve T x = rhs in place of rhs (an (n, m) Fortran-ordered array), T
+    tridiagonal in chain order with rows band[k] = (T[k, k-1], T[k, k],
+    T[k, k+1]).
+
+    On a closed chain the corners T[0, n-1], T[n-1, 0] make T = T' + u v^T
+    a rank-one update of a tridiagonal T', and Sherman-Morrison gives
+    x = y - z (v.y) / (1 + v.z) from T' y = rhs, T' z = u.
+    """
+    n = band.shape[0]
+    ab = np.zeros((3, n))
+    ab[0, 1:] = band[:-1, 2]
+    ab[1] = band[:, 1]
+    ab[2, :-1] = band[1:, 0]
+    if not closed:
+        return solve_banded((1, 1), ab, rhs, overwrite_b=True,
+                            check_finite=False)
+    top, bottom = band[0, 0], band[-1, 2]
+    gamma = -ab[1, 0]
+    ab[1, 0] -= gamma
+    ab[1, -1] -= top * bottom / gamma
+    u = np.zeros(n)
+    u[0], u[-1] = gamma, bottom
+    z = solve_banded((1, 1), ab, u, check_finite=False)
+    y = solve_banded((1, 1), ab, rhs, overwrite_b=True, check_finite=False)
+    vy = y[0] + (top / gamma) * y[-1]
+    vz = z[0] + (top / gamma) * z[-1]
+    return blas.dger(-1.0 / (1.0 + vz), z, vy, a=y, overwrite_a=True)
+
+
+def _eliminated_blocks(contour, blocks, mode, order, pinned):
+    """The couplings (G, G2) the eliminated auxiliary fields leave on the
+    J-J, J-M, M-J and M-M blocks, as complex arrays in label order: G are
+    D1 W_X, D1 W_Y, D3 W_X, D3 W_Y with X = W_X J, Y = W_Y M from the mass
+    rows, G2 the order-2 K I2^{-1} D5 W (None below order 2).  At the
+    ``pinned`` node labels an auxiliary mass row is the identity with a
+    zero right-hand side, so those auxiliary values are exactly 0; the J
+    and M pins are left to the composed matrix.
+    """
+    chain = _chain_nodes(contour)
+
+    def label_rows(g):
+        out = np.empty(g.shape, dtype=complex)
+        out[chain] = g
+        return out
+
+    if mode == "p0":
+        # I2 = diag(h); element order is chain order
+        h = np.diagonal(blocks["I2"])[:, None]
+        wx, wy = blocks["D5"] / h, blocks["D3"] / h
+        d1 = _chain_band(contour, blocks["D1"], (-1, 0), cols_p1=False)
+        d3 = _chain_band(contour, blocks["D3"], (-1, 0, 1), False, False)
+        return (label_rows(_band_dot(d1, (-1, 0), wx)),
+                label_rows(_band_dot(d1, (-1, 0), wy)),
+                _band_dot(d3, (-1, 0, 1), wx),
+                _band_dot(d3, (-1, 0, 1), wy)), None
+
+    # mode "p1": D1 = D3 = D5 and W_X = W_Y, so one G serves all four
+    # blocks, and so does one G2 = K I2^{-1} D5 I2^{-1} D5
+    off = (-1, 0, 1)
+    n = chain.size
+    pos = (np.arange(n)[:, None] + off) % n
+    free = np.ones(n, dtype=bool)
+    free[list(pinned)] = False
+    free = free[chain]
+    i2 = _chain_band(contour, blocks["I2"], off) * (free[:, None] & free[pos])
+    i2[~free, 1] = 1.0
+    # D5 with its pinned auxiliary rows zeroed, node-label columns, laid
+    # out column-major for the banded solve
+    rhs = np.zeros((n, n), order="F")
+    rhs[np.arange(n)[:, None], chain[pos]] = (
+        _chain_band(contour, blocks["D5"], off) * free[:, None])
+    w = _solve_tridiagonal(i2, rhs, contour.closed)
+    g = _band_dot(_chain_band(contour, blocks["D1"], off), off, w)
+    g_lab = label_rows(g)
+    if order < 2:
+        return (g_lab,) * 4, None
+    g[~free] = 0.0
+    w2 = _solve_tridiagonal(i2, g, contour.closed)
+    g2 = _band_dot(_chain_band(contour, blocks["K_p1"], off), off, w2)
+    return (g_lab,) * 4, (label_rows(g2),) * 4
+
+
+def _compose_reduced(contour, coeffs, wave, mode, blocks) -> AssembledSystem:
+    """The constrained 2N (J, M) matrix of :func:`build_reduced_system`,
+    without a right-hand side."""
     order = _mode_guards(contour, coeffs, wave, mode)
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0, mode)
@@ -675,75 +804,60 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
     n1 = contour.n_nodes
-    p1 = mode == "p1"
-
-    # elimination must act on *constrained* blocks (endpoint rows/columns
-    # zeroed) to match the Schur complement of the pinned full system
-    def czero(mat, rows_nodal, cols_nodal, unit_diag=False):
-        m = mat.copy()
-        if not contour.closed:
-            ends = (0, n1 - 1)
-            if rows_nodal:
-                m[ends, :] = 0.0
-            if cols_nodal:
-                m[:, ends] = 0.0
-            if unit_diag:
-                for i in ends:
-                    m[i, i] = 1.0
-        return m
-
-    bs = czero(blocks["BS"], True, True)
-    b = czero(blocks["B"], p1, p1)
-    q = czero(blocks["Q"], True, p1)
-    i1 = czero(blocks["I1"], True, True)
-    d1 = czero(blocks["D1"], True, p1)
-    d3 = czero(blocks["D3"], p1, p1)
-    d5 = czero(blocks["D5"], p1, True)
-    i2 = czero(blocks["I2"], p1, p1, unit_diag=p1)
-    kst = czero(blocks["K_p1"], True, True)
-
-    if order >= 1:
-        fac = lu_factor(i2)
-        wx = solve(fac, d5)                            # X = wx @ J
-        wy = solve(fac, d5 if p1 else d3)              # Y = wy @ M
-    if order == 2:
-        wx2 = solve(fac, d5 @ wx)                      # X' = wx2 @ J
-        wy2 = solve(fac, d5 @ wy)
-
-    te = wave.pol == "TE"
-    a_1, a_2, a_3, a_4 = _order0_blocks(te, bs, b, q, i1, i1 if p1 else i2, a0)
-    if order >= 1:
-        sy = 1.0 if te else -1.0
-        a_1 += 0.5 * c["a"] * (d1 @ wx)
-        a_2 += sy * 0.5 * c["b"] * (d1 @ wy)
-        a_3 += sy * c["a"] / (2.0 * a0) * (d3 @ wx)
-        a_4 += c["b"] / (2.0 * a0) * (d3 @ wy)
-    if order == 2:
-        a_1 -= 0.5 * c["ap"] * (kst @ wx2)
-        a_2 -= sy * 0.5 * c["bp"] * (kst @ wy2)
-        a_3 -= sy * c["ap"] / (2.0 * a0) * (kst @ wx2)
-        a_4 -= c["bp"] / (2.0 * a0) * (kst @ wy2)
-
-    nm = a_4.shape[0]
-    A = np.zeros((n1 + nm, n1 + nm), dtype=complex)
-    A[:n1, :n1] = a_1
-    A[:n1, n1:] = a_2
-    A[n1:, :n1] = a_3
-    A[n1:, n1:] = a_4
-    rhs = assemble_rhs(contour, wave, mode)
     sizes = _field_sizes(contour, mode, order)
     constrained = _constrained_indices(contour, sizes, mode)
-    _apply_constraints(A, rhs, tuple(i for i in constrained if i < n1 + nm))
+    n = sizes[0] + sizes[1]
+    pins = tuple(i for i in constrained if i < n)
+
+    te = wave.pol == "TE"
+    if order >= 1:
+        sy = 1.0 if te else -1.0
+        g, g2 = _eliminated_blocks(contour, blocks, mode, order,
+                                   [i for i in pins if i < n1])
+        # J rows carry 1/2, M rows 1/(2 a0), the J-M and M-J blocks sy;
+        # J columns couple through a and a', M columns through b and b'
+        s = (0.5, 0.5 * sy, 0.5 * sy / a0, 0.5 / a0)
+        first, second = (c["a"], c["b"]) * 2, (c["ap"], c["bp"]) * 2
+    A = np.empty((n, n), dtype=complex)
+    views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
+    m_mass = blocks["I1"] if mode == "p1" else blocks["I2"]
+    blocks0 = _order0_blocks(te, blocks["BS"], blocks["B"], blocks["Q"],
+                             blocks["I1"], m_mass, a0)
+    for k, (v, m) in enumerate(zip(views, blocks0)):
+        if order >= 1:
+            # m += coefficient * G in place, one pass each (BLAS axpy)
+            m = np.ascontiguousarray(m)
+            blas.zaxpy(g[k].ravel(), m.ravel(), a=s[k] * first[k])
+            if g2 is not None:
+                blas.zaxpy(g2[k].ravel(), m.ravel(), a=-s[k] * second[k])
+        v[...] = m
+    _apply_constraints(A, None, pins)
 
     meta = _system_meta(contour, coeffs, wave, mode, c, t0)
     log.info("assembled %s %s reduced system: n=%d, geometry %s, %.2fs",
-             wave.pol, coeffs.order, n1 + nm, meta["geometry"],
+             wave.pol, coeffs.order, n, meta["geometry"],
              meta["compose_seconds"])
-    full_rhs = np.concatenate(
-        [rhs, np.zeros(sum(sizes) - (n1 + nm), dtype=complex)])
-    return AssembledSystem(blocks=blocks, rhs=full_rhs, meta=meta,
-                           sizes=sizes, constrained=constrained,
-                           reduced_matrix=A, reduced_rhs=rhs)
+    return AssembledSystem(blocks=blocks, rhs=None, meta=meta, sizes=sizes,
+                           constrained=constrained, reduced_matrix=A)
+
+
+def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
+                         blocks=None) -> AssembledSystem:
+    """Assemble the 2N (J, M) system directly from closed-form elimination,
+    never materializing the larger auxiliary-variable matrix.
+
+    Agrees with reduce_system(build_full_system(...)) to rounding: the
+    auxiliary mass rows are block-triangular, so elimination is just
+    W = I2^{-1} (d-coupling), applied once per auxiliary level, as banded
+    solves and banded-times-dense products in chain order (module notes).
+    """
+    system = _compose_reduced(contour, coeffs, wave, mode, blocks)
+    rhs = assemble_rhs(contour, wave, mode)
+    rhs[[i for i in system.constrained if i < rhs.size]] = 0.0
+    system.reduced_rhs = rhs
+    system.rhs = np.concatenate(
+        [rhs, np.zeros(sum(system.sizes) - rhs.size, dtype=complex)])
+    return system
 
 
 def solve_currents(system: AssembledSystem, use="reduced") -> SurfaceCurrents:

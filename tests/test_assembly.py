@@ -499,17 +499,65 @@ def test_full_vs_reduced_currents(circle32, circle32_blocks, coeffs, pol):
         assert np.max(np.abs(uf - ur)) <= 1e-8 * np.max(np.abs(ur))
 
 
-@pytest.mark.parametrize("coeffs,pol", [(TE1, "TE"), (TM2, "TM")])
-def test_reduced_equals_schur_complement(circle32, circle32_blocks, coeffs, pol):
+def _relabelled_circle(n=32, seed=7):
+    """A circle whose node labels are a random permutation of the chain."""
+    c = mesh_circle(1.0, n)
+    label = np.random.default_rng(seed).permutation(n)
+    nodes = np.empty_like(c.nodes)
+    nodes[label] = c.nodes
+    return Contour(nodes=nodes, elements=label[c.elements], closed=True)
+
+
+SCHUR_MESHES = {"circle32": lambda: mesh_circle(1.0, 32),
+                "plate": lambda: mesh_plate(2.0, 40),
+                "relabelled": _relabelled_circle}
+
+
+@pytest.mark.parametrize("coeffs,pol,mesh,mode", [
+    pytest.param(TE1, "TE", "circle32", "p1", id="coeffs0-TE"),
+    pytest.param(TM2, "TM", "circle32", "p1", id="coeffs1-TM"),
+    pytest.param(TM2, "TM", "plate", "p1", id="plate-p1-TM2"),
+    pytest.param(TE1, "TE", "plate", "p0", id="plate-p0-TE1"),
+    pytest.param(TE1, "TE", "circle32", "p0", id="circle32-p0-TE1"),
+    pytest.param(TE2, "TE", "relabelled", "p1", id="relabelled-p1-TE2"),
+    pytest.param(TE1, "TE", "relabelled", "p0", id="relabelled-p0-TE1"),
+])
+def test_reduced_equals_schur_complement(coeffs, pol, mesh, mode):
+    """The banded elimination against the dense Schur complement, on every
+    band shape: cyclic and pinned-end P1 mass, diagonal P0 mass, and node
+    labels out of chain order."""
+    c = SCHUR_MESHES[mesh]()
+    blocks = assemble_blocks(c, K0, mode)
     w = IncidentWave(pol=pol, k0=K0, phi_inc=0.7)
-    full = reduce_system(
-        build_full_system(circle32, coeffs, w, blocks=circle32_blocks))
-    direct = build_reduced_system(circle32, coeffs, w, blocks=circle32_blocks)
+    full = reduce_system(build_full_system(c, coeffs, w, mode, blocks))
+    direct = build_reduced_system(c, coeffs, w, mode, blocks)
     scale = np.max(np.abs(full.reduced_matrix))
     assert np.max(np.abs(full.reduced_matrix - direct.reduced_matrix)) \
         <= 1e-12 * scale
     assert np.allclose(full.reduced_rhs, direct.reduced_rhs, rtol=0,
                        atol=1e-12 * np.max(np.abs(direct.reduced_rhs)))
+
+
+def test_reduced_system_needs_no_dense_factorization(monkeypatch):
+    """The auxiliary fields are eliminated by banded solves only: with the
+    dense LU disabled, every order, mode and band shape still builds."""
+    cases = [(mesh_circle(1.0, 32), "p1", (TE1, TM2)),
+             (mesh_plate(2.0, 40), "p1", (TM1, TE2)),
+             (mesh_circle(1.0, 32), "p0", (TE1,)),
+             (mesh_plate(2.0, 40), "p0", (TE1,))]
+    prepared = [(c, mode, cf, assemble_blocks(c, K0, mode))
+                for c, mode, cfs in cases for cf in cfs]
+
+    def no_lu(*_):
+        raise AssertionError("dense LU called while eliminating")
+
+    monkeypatch.setattr("hoibc2d.assembly.lu_factor", no_lu)
+    for c, mode, cf, blocks in prepared:
+        w = IncidentWave(pol=cf.pol, k0=K0, phi_inc=0.7)
+        system = build_reduced_system(c, cf, w, mode, blocks)
+        n = system.sizes[0] + system.sizes[1]
+        assert system.reduced_matrix.shape == (n, n)
+        assert np.all(np.isfinite(system.reduced_matrix))
 
 
 def test_plate_endpoint_constraints_exact():
