@@ -1,11 +1,13 @@
 """Far fields, echo widths, and the exact cylinder series references.
 
-The scattered far field is extracted from the surface currents through
-the large-argument form of the outgoing kernel; echo width follows the
-2D convention sigma(phi) = lim 2*pi*r*|u_sc|^2/|u_inc|^2 and is reported
-in dB relative to one metre.  Monostatic sweeps use reciprocity instead:
-the backscatter amplitude is the tested incident traces (the right-hand
-side) dotted with the solved currents.  The modal series for coated,
+Every far field of the solver comes from reciprocity: towards x_hat the
+far-field phase exp(i k0 x_hat.x) is the unit plane wave travelling along
+-x_hat, so the radiated amplitude is that wave's right-hand side (its
+tested incident traces, closed-form and exact for k0 h < MAX_KH) dotted
+with the currents.  Bistatic far fields assemble one such column per
+angle; monostatic sweeps reuse the block they solved.  Echo width follows
+the 2D convention sigma(phi) = lim 2*pi*r*|u_sc|^2/|u_inc|^2 and is
+reported in dB relative to one metre.  The modal series for coated,
 impedance, and bare conducting cylinders provide independent reference
 curves that never touch the boundary-element code paths.
 """
@@ -120,17 +122,13 @@ def _n_max_default(k0b):
 # far field from surface currents
 # --------------------------------------------------------------------------
 
-def _current_traces(contour, currents, n_gl=8):
-    """Quadrature points plus J and M sampled on them.
+def _current_dofs(contour, currents):
+    """J, M and the current space tag of one solution, shapes checked.
 
     J always lives on the nodal space.  M is nodal in the default mode
     and elementwise when the solve ran with the mixed space; the solver
     records which in ``currents.meta``.
     """
-    qp, qw = gauss_legendre_unit(n_gl)
-    pts = contour.points(qp)
-    wts = contour.lengths[:, None] * qw[None, :]
-
     def checked(name, vals, n, what=""):
         vals = np.asarray(vals)
         if vals.shape != (n,):
@@ -138,26 +136,29 @@ def _current_traces(contour, currents, n_gl=8):
                              f"{what}")
         return vals
 
+    j = checked("J", currents.J, contour.n_nodes)
+    mode = currents.meta.get("mode", "p1")
+    if mode == "p1":
+        m = checked("M", currents.M, contour.n_nodes, " nodal values")
+    elif mode == "p0":
+        m = checked("M", currents.M, contour.n_elements, " elementwise values")
+    else:
+        raise UsageError(f"unknown current space tag {mode!r}")
+    return j, m, mode
+
+
+def _current_traces(contour, currents, n_gl):
+    """Gauss-Legendre points and weights plus J and M sampled on them."""
+    j, m, mode = _current_dofs(contour, currents)
+    qp, qw = gauss_legendre_unit(n_gl)
+    wts = contour.lengths[:, None] * qw[None, :]
+
     def nodal_trace(vals):
         return (vals[contour.elements[:, 0], None] * (1.0 - qp)
                 + vals[contour.elements[:, 1], None] * qp)
 
-    jv = nodal_trace(checked("J", currents.J, contour.n_nodes))
-    mode = currents.meta.get("mode", "p1")
-    if mode == "p1":
-        mv = nodal_trace(checked("M", currents.M, contour.n_nodes,
-                                 " nodal values"))
-    elif mode == "p0":
-        m = checked("M", currents.M, contour.n_elements, " elementwise values")
-        mv = np.broadcast_to(m[:, None], pts.shape[:2])
-    else:
-        raise UsageError(f"unknown current space tag {mode!r}")
-    return pts, jv, mv, wts
-
-
-def _far_prefactor(k0):
-    # large-argument limit of the outgoing kernel, per unit layer density
-    return 0.25 * k0 * np.sqrt(2.0 / (np.pi * k0)) * np.exp(0.25j * np.pi)
+    mv = nodal_trace(m) if mode == "p1" else m[:, None]
+    return contour.points(qp), nodal_trace(j), mv, wts
 
 
 def far_field(currents, contour, wave, angles_deg, n_gl=8):
@@ -166,30 +167,41 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
     Normalized so that the scattered scalar (H_z for TE, E_z for TM)
     behaves as F(phi) e^{-i k r} / sqrt(r); the echo width then is
     2 pi |F|^2 / |amplitude|^2.  J and M are single (n,) currents.
+
+    By reciprocity (module notes) F at each angle is the right-hand side
+    of the unit wave arriving from it, phi_inc = angle + 180 deg, dotted
+    with [J; M]; an element with k0 h >= MAX_KH raises MeshError.
+    ``n_gl`` has no effect; the benchmark tracer (bench/tracing.py) reads
+    it to count far-field points.
     """
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    pts, jv, mv, wts = _current_traces(contour, currents, n_gl)
-    xhat = np.column_stack([np.cos(np.deg2rad(angles)),
-                            np.sin(np.deg2rad(angles))])
-    phase = np.exp(1j * wave.k0 * np.einsum("eqd,ad->eqa", pts, xhat))
-    ndot = contour.normals @ xhat.T           # (elements, angles)
-    sg = contour.sigma
-    pref = _far_prefactor(wave.k0)
-    # in-place updates keep few (elements, points, angles) arrays alive
-    if wave.pol == "TE":
-        dens = sg * ndot[:, None, :] * jv[..., None]
-        dens += mv[..., None] / Z0
-        pref = -pref
-    else:
-        dens = sg * ndot[:, None, :] * mv[..., None]
-        dens -= Z0 * jv[..., None]
-    dens *= phase
-    values = pref * np.einsum("eqa,eq->a", dens, wts)
+    j, m, mode = _current_dofs(contour, currents)
+    waves = [IncidentWave(pol=wave.pol, k0=wave.k0,
+                          phi_inc=np.deg2rad(a) + np.pi) for a in angles]
+    rhs = assemble_rhs(contour, waves, mode)
+    values = _reciprocal_amplitude(contour, wave.pol, wave.k0, rhs,
+                                   np.concatenate([j, m]))
     meta = {"geometry": contour_hash(contour)}
     meta.update(currents.meta)
     return FarFieldPattern(angles=angles, values=values, k0=wave.k0,
                            pol=wave.pol, incident_amplitude=wave.amplitude,
                            meta=meta)
+
+
+def _reciprocal_amplitude(contour, pol, k0, rhs, x):
+    """Far-field amplitude F of the currents x towards -d_k, for each unit
+    wave k of the (n, K) block rhs: the E and H rows dotted with J and M,
+    times the large-argument limit of the outgoing kernel.  x is one (n,)
+    pair [J; M], or an (n, K) block whose column k pairs with wave k.
+    """
+    n1 = contour.n_nodes
+    e_dot = np.einsum("i...,i...->...", rhs[:n1], x[:n1])
+    h_dot = np.einsum("i...,i...->...", rhs[n1:], x[n1:])
+    sg = contour.sigma
+    pref = 0.25 * k0 * np.sqrt(2.0 / (np.pi * k0)) * np.exp(0.25j * np.pi)
+    if pol == "TE":
+        return -pref * (sg * h_dot - e_dot) / Z0
+    return pref * Z0 * (h_dot - sg * e_dot)
 
 
 def scattered_field(currents, contour, wave, points, n_gl=8):
@@ -450,25 +462,6 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
     raise UsageError(f"sweep kind must be angle or frequency, got {kind!r}")
 
 
-def _backscatter_db(contour, pol, k0, rhs, x):
-    """Backscatter echo width [dB(m)] of each column of a solved block.
-
-    Reciprocity: at phi_inc + 180 deg the far-field phase is the incident
-    wave itself, so the radiated amplitude is the tested incident traces
-    (the E and H rows of the rhs) dotted with the solution.  Pinned DOFs
-    solve to 0, and the waves have unit amplitude.
-    """
-    n1 = contour.n_nodes
-    e_dot = np.einsum("ik,ik->k", rhs[:n1], x[:n1])
-    h_dot = np.einsum("ik,ik->k", rhs[n1:], x[n1:])
-    sg = contour.sigma
-    if pol == "TE":
-        f = -_far_prefactor(k0) * (sg * h_dot - e_dot) / Z0
-    else:
-        f = _far_prefactor(k0) * Z0 * (h_dot - sg * e_dot)
-    return 10.0 * np.log10(np.maximum(2.0 * np.pi * np.abs(f) ** 2, DB_FLOOR))
-
-
 def _sweep_angles(contour, coeffs, angles_deg, k0, mode):
     wave0 = IncidentWave(pol=coeffs.pol, k0=k0,
                          phi_inc=np.deg2rad(angles_deg[0]))
@@ -489,8 +482,10 @@ def _sweep_angles(contour, coeffs, angles_deg, k0, mode):
                  for phi in phis]
         rhs = assemble_rhs(contour, waves, mode)
         rhs[pinned] = 0.0
-        out[lo:lo + len(phis)] = _backscatter_db(contour, coeffs.pol, k0, rhs,
-                                                 solve(fac, rhs))
+        f = _reciprocal_amplitude(contour, coeffs.pol, k0, rhs,
+                                  solve(fac, rhs))
+        out[lo:lo + len(phis)] = 10.0 * np.log10(
+            np.maximum(2.0 * np.pi * np.abs(f) ** 2, DB_FLOOR))
     return out
 
 

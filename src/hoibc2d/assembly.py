@@ -44,6 +44,7 @@ ones and the products banded times dense.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -63,7 +64,6 @@ N_GL_SMOOTH = 6
 N_LOG_SELF = 8
 N_GL_DUFFY = 6
 N_LOG_DUFFY = 8
-N_GL_RHS = 8
 
 _TWO_PI = 2.0 * np.pi
 MAX_KH = 2.0  # resolution guard: ~3 elements per wavelength hard floor
@@ -431,7 +431,43 @@ def assemble_mass_and_d(contour, mode="p1"):
 # right-hand side
 # --------------------------------------------------------------------------
 
-def assemble_rhs(contour, wave, mode="p1", n_gl=N_GL_RHS) -> np.ndarray:
+# Taylor coefficients, highest power first, in powers of b^2, of the two
+# element integrals of a plane wave against the P1 bases, u = t - 1/2:
+#   C(b) = int_{-1/2}^{1/2} cos(b u) du = sum_n (-1)^n b^2n / ((2n + 1)! 4^n),
+#   S(b) = int_{-1/2}^{1/2} u sin(b u) du
+#        = b sum_n (-1)^n b^2n / ((2n + 1)! 4^(n + 1) (2n + 3)).
+# Ten terms truncate below 1e-19 for |b| <= k0 h < MAX_KH.
+_C_SERIES = [(-1) ** n / (math.factorial(2 * n + 1) * 4 ** n)
+             for n in reversed(range(10))]
+_S_SERIES = [(-1) ** n / (math.factorial(2 * n + 1) * 4 ** (n + 1)
+                          * (2 * n + 3)) for n in reversed(range(10))]
+
+
+def _plane_wave_moments(contour, k0, dirs):
+    """(E, 2, K) moments <exp(-i k0 d.x), phi_a>_e of the start (a = 0) and
+    end (a = 1) basis on every element, for the (2, K) directions d.
+
+    With m_e the midpoint, x = m_e + u (p1 - p0) and b = k0 d.(p1 - p0),
+    the moments are h_e exp(-i k0 d.m_e) (C(b)/2 +- i S(b)): one complex
+    exponential per element and direction, and the two series above by
+    Horner in b^2, which hold while k0 h < MAX_KH (MeshError beyond).
+    """
+    _check_resolution(contour, k0)
+    b = (k0 * contour.lengths[:, None] * contour.tangents) @ dirs    # (E, K)
+    w = np.empty(b.shape, dtype=complex)
+    w.real = 0.5 * np.polyval(_C_SERIES, b * b)
+    w.imag = b * np.polyval(_S_SERIES, b * b)
+    ph = k0 * (contour.midpoints() @ dirs)
+    h = contour.lengths[:, None]
+    em = np.empty(b.shape, dtype=complex)
+    em.real, em.imag = h * np.cos(ph), -h * np.sin(ph)
+    mom = np.empty((b.shape[0], 2, b.shape[1]), dtype=complex)
+    np.multiply(em, w, out=mom[:, 0])
+    np.multiply(em, np.conjugate(w, out=w), out=mom[:, 1])
+    return mom
+
+
+def assemble_rhs(contour, wave, mode="p1") -> np.ndarray:
     """Incident tangential traces tested against the bases: [E-row; H-row].
 
     ``wave`` is one :class:`IncidentWave`, which gives an (n,) vector, or
@@ -442,33 +478,31 @@ def assemble_rhs(contour, wave, mode="p1", n_gl=N_GL_RHS) -> np.ndarray:
 
         TE:  E-row = sigma Z0 (d.n) <u, phi>,   H-row = sigma <u, psi>
         TM:  E-row = sigma <u, phi>,   H-row = -(sigma/Z0) (d.n) <u, psi>
+
+    The element moments <u, phi> are exact in closed form (see
+    :func:`_plane_wave_moments`) for elements with k0 h < MAX_KH; a longer
+    element raises MeshError.  The far field uses the same block by
+    reciprocity (``analysis.far_field``).
     """
     _check_mode(mode)
     waves = [wave] if isinstance(wave, IncidentWave) else list(wave)
     if len({(v.pol, v.k0) for v in waves}) != 1:
         raise UsageError("right-hand sides need one or more waves sharing "
                          "pol and k0")
-    x, w = gauss_legendre_unit(n_gl)
-    pts = contour.points(x)                              # (n0, nq, 2)
     dirs = np.array([v.direction for v in waves]).T     # (2, K)
     amps = np.array([v.amplitude for v in waves])
-    uinc = amps * np.exp(-1j * waves[0].k0 * (pts @ dirs))  # (n0, nq, K)
-    dn = (contour.normals @ dirs)[:, None, :]           # (n0, 1, K)
-    phi = np.stack([1.0 - x, x])
-    wl = w[None, :] * contour.lengths[:, None]
+    mom = _plane_wave_moments(contour, waves[0].k0, dirs)   # (n0, 2, K)
+    dn = (contour.normals @ dirs)[:, None, :] * amps    # (d.n) a, (n0, 1, K)
     sig = contour.sigma
-
-    mom = np.einsum("aq,eqk,eq->eak", phi, uinc, wl)    # <u, phi_a> per e, k
     if waves[0].pol == "TE":
-        e_vals = sig * Z0 * dn * mom
-        h_vals = sig * mom
+        e_fac, h_fac = sig * Z0 * dn, sig * amps
     else:
-        e_vals = sig * mom
-        h_vals = -(sig / Z0) * dn * mom
+        e_fac, h_fac = sig * amps, -(sig / Z0) * dn
 
-    h_row = (_node_sum(contour, h_vals) if mode == "p1"
-             else h_vals.sum(axis=1))
-    rhs = np.concatenate([_node_sum(contour, e_vals), h_row])
+    e_row = _node_sum(contour, e_fac * mom)
+    mom *= h_fac
+    h_row = _node_sum(contour, mom) if mode == "p1" else mom.sum(axis=1)
+    rhs = np.concatenate([e_row, h_row])
     return rhs[:, 0] if isinstance(wave, IncidentWave) else rhs
 
 
@@ -507,10 +541,11 @@ def _field_sizes(contour, mode, order):
 
 
 def _constrained_indices(contour, sizes, mode):
-    """Global DOF indices pinned to zero: P1 endpoint nodes, open contours."""
+    """Global DOF indices pinned to zero: the P1 nodes at the two ends of
+    the chain of an open contour, whatever their labels."""
     if contour.closed:
         return ()
-    ends = (0, contour.n_nodes - 1)
+    ends = (int(contour.elements[0, 0]), int(contour.elements[-1, 1]))
     out = []
     off = 0
     for k, s in enumerate(sizes):

@@ -9,6 +9,8 @@ discretization error from impedance-model error and adjudicates every
 sign in the assembly, right-hand side, and far-field chain at once.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,11 +33,13 @@ from hoibc2d.analysis import (
     series_pec_cylinder,
     solve_and_pattern,
 )
-from hoibc2d.assembly import IncidentWave, SurfaceCurrents, assemble_blocks
-from hoibc2d.errors import TruncationError, UsageError, ValidationError
+from hoibc2d.assembly import (MAX_KH, IncidentWave, SurfaceCurrents,
+                              assemble_blocks, assemble_rhs)
+from hoibc2d.errors import (MeshError, TruncationError, UsageError,
+                            ValidationError)
 from hoibc2d.geometry import mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, fit_coefficients
-from hoibc2d.specfun import C0, Z0
+from hoibc2d.specfun import C0, Z0, gauss_legendre_unit
 
 K0 = 2.0 * np.pi                      # 1 m wavelength
 DEG = np.arange(0.0, 360.0, 1.0)
@@ -126,6 +130,131 @@ def test_far_field_meta_and_mode_guards(circle96, smooth_currents):
                            M=np.zeros(96, complex))
     with pytest.raises(UsageError, match=r"\(96, 2\)"):
         far_field(cols, circle96, wave, [0.0, 10.0])
+
+
+# --- plane-wave traces against quadrature ------------------------------------
+#
+# The rhs and the far field share closed-form element moments; the
+# references below integrate the same traces by 16-point Gauss-Legendre,
+# which is exact to rounding on elements up to k0 h = 2.
+
+TRACE_MESHES = {"circle": lambda: mesh_circle(1.0, 32),
+                "plate": lambda: mesh_plate(2.0, 40)}
+TRACE_CASES = (("TE", "p1"), ("TM", "p1"), ("TE", "p0"))
+
+
+def _gauss_rhs(contour, waves, mode, n_gl=16):
+    """[E-row; H-row] of the waves by n_gl-point Gauss-Legendre."""
+    x, w = gauss_legendre_unit(n_gl)
+    dirs = np.array([v.direction for v in waves]).T
+    amps = np.array([v.amplitude for v in waves])
+    u = amps * np.exp(-1j * waves[0].k0 * (contour.points(x) @ dirs))
+    mom = np.einsum("aq,eqk,eq->eak", np.stack([1.0 - x, x]), u,
+                    w * contour.lengths[:, None])
+    dn = (contour.normals @ dirs)[:, None, :]
+    sg = contour.sigma
+    if waves[0].pol == "TE":
+        e_vals, h_vals = sg * Z0 * dn * mom, sg * mom
+    else:
+        e_vals, h_vals = sg * mom, -(sg / Z0) * dn * mom
+    n1 = contour.n_nodes
+    n_m = n1 if mode == "p1" else contour.n_elements
+    rhs = np.zeros((n1 + n_m, len(waves)), dtype=complex)
+    for a in range(2):
+        np.add.at(rhs, contour.elements[:, a], e_vals[:, a])
+        if mode == "p1":
+            np.add.at(rhs, n1 + contour.elements[:, a], h_vals[:, a])
+    if mode == "p0":
+        rhs[n1:] = h_vals.sum(axis=1)
+    return rhs
+
+
+def _gauss_far_field(contour, currents, pol, k0, angles, n_gl=16):
+    """F of the layer densities against exp(i k0 x_hat.x), n_gl-point
+    Gauss-Legendre on every element."""
+    x, w = gauss_legendre_unit(n_gl)
+    el = contour.elements
+
+    def trace(v):
+        return v[el[:, 0], None] * (1.0 - x) + v[el[:, 1], None] * x
+
+    jv = trace(currents.J)
+    mv = trace(currents.M) if currents.meta["mode"] == "p1" \
+        else currents.M[:, None] * np.ones_like(x)
+    xhat = np.column_stack([np.cos(np.deg2rad(angles)),
+                            np.sin(np.deg2rad(angles))])
+    phase = np.exp(1j * k0 * (contour.points(x) @ xhat.T))   # (E, q, A)
+    ndot = (contour.normals @ xhat.T)[:, None, :]
+    sg = contour.sigma
+    if pol == "TE":
+        dens = -(sg * ndot * jv[..., None] + mv[..., None] / Z0)
+    else:
+        dens = sg * ndot * mv[..., None] - Z0 * jv[..., None]
+    pref = 0.25 * k0 * np.sqrt(2.0 / (np.pi * k0)) * np.exp(0.25j * np.pi)
+    return pref * np.einsum("eqa,eqa,eq->a", dens, phase,
+                            w * contour.lengths[:, None])
+
+
+def _random_currents(contour, mode, seed=5):
+    rng = np.random.default_rng(seed)
+    n_m = contour.n_nodes if mode == "p1" else contour.n_elements
+    return SurfaceCurrents(
+        J=rng.standard_normal(contour.n_nodes)
+        + 1j * rng.standard_normal(contour.n_nodes),
+        M=rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m),
+        meta={"mode": mode})
+
+
+@pytest.mark.parametrize("kh", [0.085, 0.49, 1.0, 1.99])
+@pytest.mark.parametrize("mesh", sorted(TRACE_MESHES))
+def test_plane_wave_traces_against_gauss(mesh, kh):
+    c = TRACE_MESHES[mesh]()
+    k0 = kh / np.max(c.lengths)
+    phis = np.linspace(0.1, 0.1 + 2.0 * np.pi, 12, endpoint=False)
+    angles = np.arange(0.0, 360.0, 7.5)
+    for pol, mode in TRACE_CASES:
+        waves = [IncidentWave(pol=pol, k0=k0, phi_inc=p,
+                              amplitude=1.0 + 0.2j * i)
+                 for i, p in enumerate(phis)]
+        want = _gauss_rhs(c, waves, mode)
+        got = assemble_rhs(c, waves, mode)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        cur = _random_currents(c, mode)
+        want = _gauss_far_field(c, cur, pol, k0, angles)
+        got = far_field(cur, c, IncidentWave(pol=pol, k0=k0, phi_inc=0.4),
+                        angles).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mesh", sorted(TRACE_MESHES))
+def test_plane_wave_traces_range_edge(mesh):
+    """The closed-form moments hold below k0 h = MAX_KH and refuse the
+    first frequency at it."""
+    c = TRACE_MESHES[mesh]()
+    k0 = MAX_KH / np.max(c.lengths)
+    assert np.max(k0 * c.lengths) >= MAX_KH
+    for pol, mode in TRACE_CASES:
+        wave = IncidentWave(pol=pol, k0=k0, phi_inc=0.3)
+        with pytest.raises(MeshError, match=r"k0\*h"):
+            assemble_rhs(c, wave, mode)
+        with pytest.raises(MeshError, match=r"k0\*h"):
+            far_field(_random_currents(c, mode), c, wave, [0.0, 90.0])
+
+
+def test_far_field_memory_budget():
+    """One far field of a 30-wavelength plate at 1440 angles stays within
+    twelve complex (elements, angles) arrays of traced memory."""
+    c = mesh_plate(30.0, 384)
+    cur = _random_currents(c, "p1")
+    wave = IncidentWave(pol="TM", k0=K0, phi_inc=0.5 * np.pi)
+    angles = np.arange(1440) * 0.25
+    tracemalloc.start()
+    try:
+        far_field(cur, c, wave, angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * c.n_elements * angles.size * 16
 
 
 # --- echo width --------------------------------------------------------------

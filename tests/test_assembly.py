@@ -499,18 +499,19 @@ def test_full_vs_reduced_currents(circle32, circle32_blocks, coeffs, pol):
         assert np.max(np.abs(uf - ur)) <= 1e-8 * np.max(np.abs(ur))
 
 
-def _relabelled_circle(n=32, seed=7):
-    """A circle whose node labels are a random permutation of the chain."""
-    c = mesh_circle(1.0, n)
-    label = np.random.default_rng(seed).permutation(n)
+def _relabelled(c, seed=7):
+    """The contour c with node labels a random permutation of the chain;
+    node i of c gets the label ``label[i]``.  Returns (contour, label)."""
+    label = np.random.default_rng(seed).permutation(c.n_nodes)
     nodes = np.empty_like(c.nodes)
     nodes[label] = c.nodes
-    return Contour(nodes=nodes, elements=label[c.elements], closed=True)
+    return Contour(nodes=nodes, elements=label[c.elements],
+                   closed=c.closed), label
 
 
 SCHUR_MESHES = {"circle32": lambda: mesh_circle(1.0, 32),
                 "plate": lambda: mesh_plate(2.0, 40),
-                "relabelled": _relabelled_circle}
+                "relabelled": lambda: _relabelled(mesh_circle(1.0, 32))[0]}
 
 
 @pytest.mark.parametrize("coeffs,pol,mesh,mode", [
@@ -570,6 +571,25 @@ def test_plate_endpoint_constraints_exact():
     red = solve_currents(build_reduced_system(p, TM1, w, blocks=sys1.blocks))
     assert red.J[0] == 0.0 and red.J[-1] == 0.0
     assert np.max(np.abs(red.J - sol.J)) <= 1e-8 * np.max(np.abs(sol.J))
+
+
+@pytest.mark.parametrize("coeffs,mode", [(TE1, "p1"), (TM2, "p1"),
+                                          (TE1, "p0")])
+def test_relabelled_plate_pins_chain_ends(coeffs, mode):
+    """The P1 pins sit at the ends of the chain, not at labels 0 and N - 1:
+    a plate whose chain ends carry other labels (14 and 11 here) solves,
+    reduced and full, to the naturally labelled plate's currents."""
+    plate = mesh_plate(2.0, 40)
+    moved, label = _relabelled(plate)
+    assert (moved.elements[0, 0], moved.elements[-1, 1]) == (14, 11)
+    w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
+    for build, use in ((build_reduced_system, "reduced"),
+                       (build_full_system, "full")):
+        want = solve_currents(build(plate, coeffs, w, mode), use=use)
+        got = solve_currents(build(moved, coeffs, w, mode), use=use)
+        m_got = got.M[label] if mode == "p1" else got.M
+        for a, b in ((got.J[label], want.J), (m_got, want.M)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_p0_mode_reduction_consistency():
