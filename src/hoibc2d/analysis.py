@@ -123,33 +123,19 @@ def _n_max_default(k0b):
 # --------------------------------------------------------------------------
 
 def _current_dofs(contour, currents):
-    """J, M and the current space tag of one solution, shapes checked.
-
-    J always lives on the nodal space.  M is nodal in the default mode
-    and elementwise when the solve ran with the mixed space; the solver
-    records which in ``currents.meta``.
-    """
-    def checked(name, vals, n, what=""):
+    """J and M of one solution, both checked as nodal (n_nodes,) values."""
+    def checked(name, vals):
         vals = np.asarray(vals)
-        if vals.shape != (n,):
-            raise UsageError(f"{name} has shape {vals.shape}; expected ({n},)"
-                             f"{what}")
+        if vals.shape != (contour.n_nodes,):
+            raise UsageError(f"{name} has shape {vals.shape}; expected "
+                             f"({contour.n_nodes},) nodal values")
         return vals
 
-    j = checked("J", currents.J, contour.n_nodes)
-    mode = currents.meta.get("mode", "p1")
-    if mode == "p1":
-        m = checked("M", currents.M, contour.n_nodes, " nodal values")
-    elif mode == "p0":
-        m = checked("M", currents.M, contour.n_elements, " elementwise values")
-    else:
-        raise UsageError(f"unknown current space tag {mode!r}")
-    return j, m, mode
+    return checked("J", currents.J), checked("M", currents.M)
 
 
 def _current_traces(contour, currents, n_gl):
     """Gauss-Legendre points and weights plus J and M sampled on them."""
-    j, m, mode = _current_dofs(contour, currents)
     qp, qw = gauss_legendre_unit(n_gl)
     wts = contour.lengths[:, None] * qw[None, :]
 
@@ -157,8 +143,8 @@ def _current_traces(contour, currents, n_gl):
         return (vals[contour.elements[:, 0], None] * (1.0 - qp)
                 + vals[contour.elements[:, 1], None] * qp)
 
-    mv = nodal_trace(m) if mode == "p1" else m[:, None]
-    return contour.points(qp), nodal_trace(j), mv, wts
+    j, m = _current_dofs(contour, currents)
+    return contour.points(qp), nodal_trace(j), nodal_trace(m), wts
 
 
 def far_field(currents, contour, wave, angles_deg, n_gl=8):
@@ -175,10 +161,9 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
     it to count far-field points.
     """
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    j, m, mode = _current_dofs(contour, currents)
-    waves = [IncidentWave(pol=wave.pol, k0=wave.k0,
-                          phi_inc=np.deg2rad(a) + np.pi) for a in angles]
-    rhs = assemble_rhs(contour, waves, mode)
+    j, m = _current_dofs(contour, currents)
+    rhs = assemble_rhs(contour, wave.pol, wave.k0,
+                       np.deg2rad(angles) + np.pi)
     values = _reciprocal_amplitude(contour, wave.pol, wave.k0, rhs,
                                    np.concatenate([j, m]))
     meta = {"geometry": contour_hash(contour)}
@@ -414,11 +399,9 @@ def optical_theorem_residual(modes):
 # solver-driven sweeps
 # --------------------------------------------------------------------------
 
-def solve_and_pattern(contour, coeffs, wave, angles_deg, mode="p1",
-                      blocks=None):
+def solve_and_pattern(contour, coeffs, wave, angles_deg, blocks=None):
     """One bistatic solve: reduced system, currents, echo width curve."""
-    system = build_reduced_system(contour, coeffs, wave, mode=mode,
-                                  blocks=blocks)
+    system = build_reduced_system(contour, coeffs, wave, blocks=blocks)
     sol = solve_currents(system)
     ff = far_field(sol, contour, wave, angles_deg)
     pattern = echo_width(ff)
@@ -427,7 +410,7 @@ def solve_and_pattern(contour, coeffs, wave, angles_deg, mode="p1",
 
 
 def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
-                     phi_inc_deg=0.0, mode="p1"):
+                     phi_inc_deg=0.0):
     """Backscatter echo width over incidence angles or frequencies.
 
     Angle sweeps hold the geometry and matrix fixed: the operator is
@@ -446,7 +429,7 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
             raise UsageError("angle sweeps need k0")
         if not isinstance(coeffs, IbcCoefficients):
             raise UsageError("angle sweeps need fixed coefficients")
-        sig = _sweep_angles(contour, coeffs, sweep, k0, mode)
+        sig = _sweep_angles(contour, coeffs, sweep, k0)
         meta = {"pol": coeffs.pol, "ibc": coeffs.order, "k0": k0,
                 "axis": "angle_deg", "geometry": contour_hash(contour)}
         return RcsPattern(angles=sweep, sigma=sig, meta=meta)
@@ -455,18 +438,18 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
         for i, f_hz in enumerate(sweep):
             ci = coeffs(f_hz) if callable(coeffs) else coeffs
             sig[i] = _sweep_angles(contour, ci, np.array([phi_inc_deg]),
-                                   2.0 * np.pi * f_hz / C0, mode)[0]
+                                   2.0 * np.pi * f_hz / C0)[0]
         meta = {"pol": ci.pol, "ibc": ci.order, "axis": "freq_GHz",
                 "phi_inc_deg": phi_inc_deg, "geometry": contour_hash(contour)}
         return RcsPattern(angles=sweep / 1e9, sigma=sig, meta=meta)
     raise UsageError(f"sweep kind must be angle or frequency, got {kind!r}")
 
 
-def _sweep_angles(contour, coeffs, angles_deg, k0, mode):
+def _sweep_angles(contour, coeffs, angles_deg, k0):
     wave0 = IncidentWave(pol=coeffs.pol, k0=k0,
                          phi_inc=np.deg2rad(angles_deg[0]))
     # the matrix only: every chunk assembles its own right-hand sides
-    system = _compose_reduced(contour, coeffs, wave0, mode, None)
+    system = _compose_reduced(contour, coeffs, wave0, None)
     fac = lu_factor(system.reduced_matrix)
     n_red = system.reduced_matrix.shape[0]
     log.info("factored n=%d sweep matrix (rcond %.2e)", n_red,
@@ -478,9 +461,7 @@ def _sweep_angles(contour, coeffs, angles_deg, k0, mode):
     # its own solve, see linsolve); backscatter by reciprocity from both
     for lo in range(0, len(angles_deg), SWEEP_CHUNK):
         phis = angles_deg[lo:lo + SWEEP_CHUNK]
-        waves = [IncidentWave(pol=coeffs.pol, k0=k0, phi_inc=np.deg2rad(phi))
-                 for phi in phis]
-        rhs = assemble_rhs(contour, waves, mode)
+        rhs = assemble_rhs(contour, coeffs.pol, k0, np.deg2rad(phis))
         rhs[pinned] = 0.0
         f = _reciprocal_amplitude(contour, coeffs.pol, k0, rhs,
                                   solve(fac, rhs))

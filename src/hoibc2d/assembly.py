@@ -27,18 +27,18 @@ pair e < f is evaluated once by tensor Gauss-Legendre, at an order that a
 fixed table picks from its clearance and k0 h, and mirrored into (f, e)
 (SB symmetric, SQ from the same kernel values).  B, B - S and Q are then
 formed from the moments in one place and scattered to nodal DOFs once,
-A = S A_broken S^T with S the node incidence; a P0 trial sums the local
-trial index.  The local operators (mass, derivative coupling, stiffness)
-are 2 x 2 element blocks summed to nodes by the same start/end index sums.
+A = S A_broken S^T with S the node incidence.  The local operators (mass,
+derivative coupling, stiffness) are 2 x 2 element blocks summed to nodes
+by the same start/end index sums.
 
 The reduced system eliminates the auxiliary fields in O(n^2) real
 arithmetic.  Taken in chain order (the order the elements link up, which
 need not be the node labelling) every local operator has at most three
-entries per row: the P1 mass I2 is tridiagonal, with cyclic corners on a
-closed contour and unit rows at pinned nodes of an open one, and the P0
-mass is diagonal.  The corners are a rank-one update of a tridiagonal
-matrix, removed by Sherman-Morrison; the solves are LAPACK tridiagonal
-ones and the products banded times dense.
+entries per row: the mass I1 of the auxiliary rows is tridiagonal, with
+cyclic corners on a closed contour and unit rows at pinned nodes of an
+open one.  The corners are a rank-one update of a tridiagonal matrix,
+removed by Sherman-Morrison; the solves are LAPACK tridiagonal ones and
+the products banded times dense.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ _N_AUX = {0: 0, 1: 2, 2: 4}
 
 @dataclass
 class IncidentWave:
-    """Unit-amplitude plane wave traveling along (cos phi_inc, sin phi_inc)."""
+    """Plane wave of complex ``amplitude`` travelling along
+    (cos phi_inc, sin phi_inc)."""
 
     pol: str
     k0: float
@@ -87,10 +88,6 @@ class IncidentWave:
         if not self.k0 > 0.0:
             raise UsageError("k0 must be positive")
         self.amplitude = complex(self.amplitude)
-
-    @property
-    def direction(self) -> np.ndarray:
-        return np.array([np.cos(self.phi_inc), np.sin(self.phi_inc)])
 
 
 @dataclass
@@ -124,11 +121,6 @@ class AssembledSystem:
     full_matrix: Optional[np.ndarray] = None
     reduced_matrix: Optional[np.ndarray] = None
     reduced_rhs: Optional[np.ndarray] = None
-
-
-def _check_mode(mode):
-    if mode not in ("p1", "p0"):
-        raise UsageError(f"unknown assembly mode {mode!r}")
 
 
 def _check_resolution(contour: Contour, k0: float):
@@ -318,7 +310,7 @@ def _distant_blocks(contour, k0):
 
 
 # --------------------------------------------------------------------------
-# composition and the one scatter to nodal / P0 DOFs
+# composition and the one scatter to nodal DOFs
 # --------------------------------------------------------------------------
 
 def _node_sum(contour, x, axis=0):
@@ -334,11 +326,8 @@ def _node_sum(contour, x, axis=0):
     return out
 
 
-def _scatter(contour, blocks, p1_trial=True):
-    """S A S^T for the broken (n0, 2, n0, 2) matrix A of element blocks; a
-    P0 trial sums the local trial index instead, giving S A."""
-    if not p1_trial:
-        return _node_sum(contour, blocks.sum(axis=3))
+def _scatter(contour, blocks):
+    """S A S^T for the broken (n0, 2, n0, 2) matrix A of element blocks."""
     return _node_sum(contour, _node_sum(contour, blocks), axis=1)
 
 
@@ -353,13 +342,9 @@ def _element_sum(contour, blocks):
     return out
 
 
-def _helmholtz_blocks(contour, k0, mode="p1", *, n_log=N_LOG_SELF):
-    """One pass over all element pairs; returns BS (P1) and B, Q (P1 test,
-    trial on the M space: nodal P1 for mode "p1", elementwise P0 for "p0";
-    B is P0 x P0 in mode "p0")."""
+def _helmholtz_blocks(contour, k0, *, n_log=N_LOG_SELF):
+    """One pass over all element pairs; returns the nodal B, BS and Q."""
     _check_resolution(contour, k0)
-    _check_mode(mode)
-    m_p1 = mode == "p1"
 
     # SQ self blocks stay zero: n(x).(y-x) = 0 on a straight element
     sb, sq = _distant_blocks(contour, k0)
@@ -370,8 +355,7 @@ def _helmholtz_blocks(contour, k0, mode="p1", *, n_log=N_LOG_SELF):
         contour, k0, e, f, flip_t, flip_s)
 
     s0 = sb.sum(axis=(1, 3))
-    mats = {"B": 1j * k0 * (_scatter(contour, sb) if m_p1 else s0),
-            "Q": _scatter(contour, sq, m_p1)}
+    mats = {"B": 1j * k0 * _scatter(contour, sb), "Q": _scatter(contour, sq)}
     # B - S, formed in place of SB: the basis slopes are -+1/h per element
     h = contour.lengths
     sgn = np.array([-1.0, 1.0])
@@ -387,44 +371,19 @@ def _helmholtz_blocks(contour, k0, mode="p1", *, n_log=N_LOG_SELF):
 # mass / derivative-coupling / stiffness matrices (elementwise exact)
 # --------------------------------------------------------------------------
 
-def assemble_mass_and_d(contour, mode="p1"):
-    """I1, I2, D1, D3, D5 (plus the P1 stiffness K_p1).
+def assemble_mass_and_d(contour):
+    """The nodal P1 mass I1 = int phi_i phi_j, derivative coupling
+    D = int phi_i d_l phi_j and stiffness K = int d_l phi_i d_l phi_j.
 
-    mode "p1": every field is nodal P1; the three derivative couplings
-    coincide (int phi d_l phi per element) and I2 is the P1 mass matrix.
-
-    mode "p0": J stays P1 while M, X, Y are elementwise constants.
-    D5 = int psi d_l phi has +-1 entries; D1 = -D5^T plus end-of-contour
-    boundary terms; D3 holds the half-jumps of P0 fields at shared nodes
-    (distributional d_l psi tested against psi).
+    Every field, auxiliaries included, is nodal P1, so one mass and one
+    coupling serve every auxiliary row and every eliminated block.
     """
-    _check_mode(mode)
-    n1, n0 = contour.n_nodes, contour.n_elements
     h = contour.lengths[:, None, None]
-    i1 = _element_sum(contour, h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0)
-    dm = _element_sum(contour, np.tile([[-0.5, 0.5], [-0.5, 0.5]], (n0, 1, 1)))
-    kst = _element_sum(contour, np.array([[1.0, -1.0], [-1.0, 1.0]]) / h)
-
-    if mode == "p1":
-        return {"I1": i1, "I2": i1.copy(), "D1": dm, "D3": dm.copy(),
-                "D5": dm.copy(), "K_p1": kst}
-
-    i2 = np.diag(contour.lengths)
-    rows = np.arange(n0)
-    d5 = np.zeros((n0, n1))
-    d5[rows, contour.elements[:, 0]] = -1.0
-    d5[rows, contour.elements[:, 1]] = 1.0
-    # the jump at the node shared by e and f: +1/2 at (e, f), -1/2 at (f, e)
-    e, f, first, _ = _adjacent_pairs(contour)
-    d3 = np.zeros((n0, n0))
-    d3[e, f] = np.where(first, 0.5, -0.5)
-    d1 = -d5.T
-    if not contour.closed:
-        d1[contour.elements[0, 0], 0] += -1.0
-        d1[contour.elements[-1, 1], n0 - 1] += 1.0
-        d3[0, 0] += -0.5
-        d3[n0 - 1, n0 - 1] += 0.5
-    return {"I1": i1, "I2": i2, "D1": d1, "D3": d3, "D5": d5, "K_p1": kst}
+    slope = np.array([-0.5, 0.5])
+    local = {"I1": h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0,
+             "D": np.broadcast_to(slope, h.shape[:1] + (2, 2)),
+             "K": np.array([[1.0, -1.0], [-1.0, 1.0]]) / h}
+    return {key: _element_sum(contour, blk) for key, blk in local.items()}
 
 
 # --------------------------------------------------------------------------
@@ -467,43 +426,37 @@ def _plane_wave_moments(contour, k0, dirs):
     return mom
 
 
-def assemble_rhs(contour, wave, mode="p1") -> np.ndarray:
-    """Incident tangential traces tested against the bases: [E-row; H-row].
+def assemble_rhs(contour, pol, k0, phi_inc) -> np.ndarray:
+    """Incident tangential traces of unit plane waves tested against the
+    nodal bases: the (n, K) block [E-row; H-row] whose column k is the
+    right-hand side of the wave travelling along (cos, sin) of phi_inc[k]
+    (an array of angles in radians).  With sigma the tangent/normal
+    orientation sign of the contour, the tested traces of u = exp(-i k0 d.x)
+    are
 
-    ``wave`` is one :class:`IncidentWave`, which gives an (n,) vector, or
-    a sequence of waves sharing pol and k0, which gives an (n, K) block
-    whose column k is the right-hand side of wave k.  With sigma the
-    tangent/normal orientation sign of the contour, the tested traces of
-    u = exp(-i k0 d.x) are
-
-        TE:  E-row = sigma Z0 (d.n) <u, phi>,   H-row = sigma <u, psi>
-        TM:  E-row = sigma <u, phi>,   H-row = -(sigma/Z0) (d.n) <u, psi>
+        TE:  E-row = sigma Z0 (d.n) <u, phi>,   H-row = sigma <u, phi>
+        TM:  E-row = sigma <u, phi>,   H-row = -(sigma/Z0) (d.n) <u, phi>
 
     The element moments <u, phi> are exact in closed form (see
     :func:`_plane_wave_moments`) for elements with k0 h < MAX_KH; a longer
     element raises MeshError.  The far field uses the same block by
     reciprocity (``analysis.far_field``).
     """
-    _check_mode(mode)
-    waves = [wave] if isinstance(wave, IncidentWave) else list(wave)
-    if len({(v.pol, v.k0) for v in waves}) != 1:
-        raise UsageError("right-hand sides need one or more waves sharing "
-                         "pol and k0")
-    dirs = np.array([v.direction for v in waves]).T     # (2, K)
-    amps = np.array([v.amplitude for v in waves])
-    mom = _plane_wave_moments(contour, waves[0].k0, dirs)   # (n0, 2, K)
-    dn = (contour.normals @ dirs)[:, None, :] * amps    # (d.n) a, (n0, 1, K)
+    if pol not in ("TE", "TM") or not k0 > 0.0:
+        raise UsageError(f"need pol TE or TM and k0 > 0, got {pol!r}, {k0!r}")
+    phi = np.atleast_1d(np.asarray(phi_inc, dtype=float))
+    dirs = np.stack([np.cos(phi), np.sin(phi)])             # (2, K)
+    mom = _plane_wave_moments(contour, k0, dirs)            # (n0, 2, K)
+    dn = (contour.normals @ dirs)[:, None, :]               # (n0, 1, K)
     sig = contour.sigma
-    if waves[0].pol == "TE":
-        e_fac, h_fac = sig * Z0 * dn, sig * amps
+    if pol == "TE":
+        e_fac, h_fac = sig * Z0 * dn, sig
     else:
-        e_fac, h_fac = sig * amps, -(sig / Z0) * dn
+        e_fac, h_fac = sig, -(sig / Z0) * dn
 
     e_row = _node_sum(contour, e_fac * mom)
     mom *= h_fac
-    h_row = _node_sum(contour, mom) if mode == "p1" else mom.sum(axis=1)
-    rhs = np.concatenate([e_row, h_row])
-    return rhs[:, 0] if isinstance(wave, IncidentWave) else rhs
+    return np.concatenate([e_row, _node_sum(contour, mom)])
 
 
 # --------------------------------------------------------------------------
@@ -532,27 +485,18 @@ def _scaled_coefficients(coeffs, k0):
     }
 
 
-def _field_sizes(contour, mode, order):
-    n1, n0 = contour.n_nodes, contour.n_elements
-    naux = _N_AUX[order]
-    if mode == "p1":
-        return (n1,) * (2 + naux)
-    return (n1,) + (n0,) * (1 + naux)
+def _field_sizes(contour, order):
+    return (contour.n_nodes,) * (2 + _N_AUX[order])
 
 
-def _constrained_indices(contour, sizes, mode):
-    """Global DOF indices pinned to zero: the P1 nodes at the two ends of
-    the chain of an open contour, whatever their labels."""
+def _constrained_indices(contour, sizes):
+    """Global DOF indices pinned to zero: in every field, the nodes at the
+    two ends of the chain of an open contour, whatever their labels."""
     if contour.closed:
         return ()
     ends = (int(contour.elements[0, 0]), int(contour.elements[-1, 1]))
-    out = []
-    off = 0
-    for k, s in enumerate(sizes):
-        if mode == "p1" or k == 0:      # p0 mode: only J is nodal
-            out.extend(off + i for i in ends)
-        off += s
-    return tuple(out)
+    return tuple(off + i for off in range(0, sum(sizes), contour.n_nodes)
+                 for i in ends)
 
 
 def _apply_constraints(matrix, rhs, constrained):
@@ -564,8 +508,7 @@ def _apply_constraints(matrix, rhs, constrained):
             rhs[i] = 0.0
 
 
-def _mode_guards(contour, coeffs, wave, mode):
-    _check_mode(mode)
+def _checked_order(coeffs, wave):
     if wave.pol != coeffs.pol:
         raise UsageError(
             f"wave polarization {wave.pol} does not match the coefficient "
@@ -573,30 +516,24 @@ def _mode_guards(contour, coeffs, wave, mode):
         )
     if coeffs.a0 == 0:
         raise UsageError("a0 must be nonzero")
-    order = _ORDER_INT[coeffs.order]
-    if mode == "p0" and order == 2:
-        raise UsageError("the mixed P1/P0 mode supports orders 0 and 1 only")
-    if mode == "p0" and wave.pol == "TM":
-        raise UsageError("the mixed P1/P0 mode is TE-only (the TM form "
-                         "differentiates M, which P0 cannot carry twice)")
-    return order
+    return _ORDER_INT[coeffs.order]
 
 
-def assemble_blocks(contour, k0, mode="p1") -> dict:
+def assemble_blocks(contour, k0) -> dict:
     """All geometry/frequency-dependent matrices for later composition.
 
     One kernel pass serves every boundary-condition order, polarization,
-    and incidence angle at this (contour, k0, mode).
+    and incidence angle at this (contour, k0).
     """
     t0 = time.perf_counter()
-    blocks = _helmholtz_blocks(contour, k0, mode)
-    blocks.update(assemble_mass_and_d(contour, mode))
-    log.info("assembled %s blocks: %d elements, k0 %g, %.2fs", mode,
+    blocks = _helmholtz_blocks(contour, k0)
+    blocks.update(assemble_mass_and_d(contour))
+    log.info("assembled blocks: %d elements, k0 %g, %.2fs",
              contour.n_elements, k0, time.perf_counter() - t0)
     return blocks
 
 
-def _system_meta(contour, coeffs, wave, mode, scaled, t0):
+def _system_meta(contour, coeffs, wave, scaled, t0):
     return {
         "pol": wave.pol,
         "order": coeffs.order,
@@ -604,23 +541,23 @@ def _system_meta(contour, coeffs, wave, mode, scaled, t0):
         "phi_inc": wave.phi_inc,
         "a0": complex(coeffs.a0),
         "coefficients_scaled": dict(scaled),
-        "mode": mode,
+        "mode": "p1",       # the trial space, a field of the result files
         "geometry": contour_hash(contour),
         "n_elements": contour.n_elements,
         "compose_seconds": time.perf_counter() - t0,
     }
 
 
-def _order0_blocks(te, bs, b, q, i1, m_mass, a0):
+def _order0_blocks(te, bs, b, q, i1, a0):
     """The (J, M) blocks A_JJ, A_JM, A_MJ, A_MM of order 0, as new arrays;
     TM swaps the roles of B - S and B and transposes Q."""
     q = q.astype(complex)
     if te:
-        return Z0 * bs + 0.5 * a0 * i1, q, -q.T, b / Z0 + m_mass / (2.0 * a0)
-    return Z0 * b + 0.5 * a0 * i1, q.T, -q, bs / Z0 + m_mass / (2.0 * a0)
+        return Z0 * bs + 0.5 * a0 * i1, q, -q.T, b / Z0 + i1 / (2.0 * a0)
+    return Z0 * b + 0.5 * a0 * i1, q.T, -q, bs / Z0 + i1 / (2.0 * a0)
 
 
-def build_full_system(contour, coeffs, wave: IncidentWave, mode="p1",
+def build_full_system(contour, coeffs, wave: IncidentWave,
                       blocks=None) -> AssembledSystem:
     """Assemble the block matrix with explicit auxiliary fields.
 
@@ -628,18 +565,16 @@ def build_full_system(contour, coeffs, wave: IncidentWave, mode="p1",
     (J, M, X, Y, X', Y') for order 2.  Pass a precomputed ``blocks`` dict
     (from assemble_blocks or a previous system) to skip the kernel pass.
     """
-    order = _mode_guards(contour, coeffs, wave, mode)
+    order = _checked_order(coeffs, wave)
     if blocks is None:
-        blocks = assemble_blocks(contour, wave.k0, mode)
+        blocks = assemble_blocks(contour, wave.k0)
     t0 = time.perf_counter()
     bs, b, q = blocks["BS"], blocks["B"], blocks["Q"]
-    i1, i2 = blocks["I1"], blocks["I2"]
-    d1, d3, d5 = blocks["D1"], blocks["D3"], blocks["D5"]
-    kst = blocks["K_p1"]
+    i1, d, kst = blocks["I1"], blocks["D"], blocks["K"]
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
 
-    sizes = _field_sizes(contour, mode, order)
+    sizes = _field_sizes(contour, order)
     offs = np.concatenate([[0], np.cumsum(sizes)])
     A = np.zeros((offs[-1], offs[-1]), dtype=complex)
 
@@ -647,36 +582,36 @@ def build_full_system(contour, coeffs, wave: IncidentWave, mode="p1",
         A[offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] += m
 
     te = wave.pol == "TE"
-    m_mass = i1 if mode == "p1" else i2
-    for k, m in enumerate(_order0_blocks(te, bs, b, q, i1, m_mass, a0)):
+    for k, m in enumerate(_order0_blocks(te, bs, b, q, i1, a0)):
         put(k // 2, k % 2, m)
 
     if order >= 1:
         sy = 1.0 if te else -1.0        # sign carried by every b-coupling
-        put(0, 2, 0.5 * c["a"] * d1)
-        put(0, 3, sy * 0.5 * c["b"] * d1)
-        put(1, 2, sy * c["a"] / (2.0 * a0) * d3)
-        put(1, 3, c["b"] / (2.0 * a0) * d3)
-        put(2, 0, -d5)
-        put(2, 2, i2)
-        put(3, 1, -d5 if mode == "p1" else -d3)
-        put(3, 3, i2)
+        put(0, 2, 0.5 * c["a"] * d)
+        put(0, 3, sy * 0.5 * c["b"] * d)
+        put(1, 2, sy * c["a"] / (2.0 * a0) * d)
+        put(1, 3, c["b"] / (2.0 * a0) * d)
+        put(2, 0, -d)
+        put(2, 2, i1)
+        put(3, 1, -d)
+        put(3, 3, i1)
     if order == 2:
         put(0, 4, -0.5 * c["ap"] * kst)
         put(0, 5, -sy * 0.5 * c["bp"] * kst)
         put(1, 4, -sy * c["ap"] / (2.0 * a0) * kst)
         put(1, 5, -c["bp"] / (2.0 * a0) * kst)
-        put(4, 2, -d5)
-        put(4, 4, i2)
-        put(5, 3, -d5)
-        put(5, 5, i2)
+        put(4, 2, -d)
+        put(4, 4, i1)
+        put(5, 3, -d)
+        put(5, 5, i1)
 
     rhs = np.zeros(offs[-1], dtype=complex)
-    rhs[: offs[2]] = assemble_rhs(contour, wave, mode)
-    constrained = _constrained_indices(contour, sizes, mode)
+    rhs[: offs[2]] = assemble_rhs(contour, wave.pol, wave.k0,
+                                  wave.phi_inc)[:, 0] * wave.amplitude
+    constrained = _constrained_indices(contour, sizes)
     _apply_constraints(A, rhs, constrained)
 
-    meta = _system_meta(contour, coeffs, wave, mode, c, t0)
+    meta = _system_meta(contour, coeffs, wave, c, t0)
     log.info("assembled %s %s full system: n=%d, geometry %s, %.2fs",
              wave.pol, coeffs.order, offs[-1], meta["geometry"],
              meta["compose_seconds"])
@@ -715,20 +650,17 @@ def _chain_nodes(contour):
     return el[:, 0] if contour.closed else np.append(el[:, 0], el[-1, 1])
 
 
-def _chain_band(contour, mat, offsets, rows_p1=True, cols_p1=True):
+def _chain_band(contour, mat, offsets):
     """Row-sparse gather of a local operator in chain order.
 
-    Row r is the r-th node along the chain (``rows_p1``) or element r; its
-    entries are taken at chain positions r + offsets of the column space
-    (nodes or elements), wrapping on a closed contour and dropped (zero)
-    past the ends of an open one.  Returns the (rows, len(offsets)) values.
+    Row r is the r-th node along the chain; its entries are taken at chain
+    positions r + offsets, wrapping on a closed contour and dropped (zero)
+    past the ends of an open one.  Returns the (nodes, len(offsets)) values.
     """
-    elems = np.arange(contour.n_elements)
-    rows = _chain_nodes(contour) if rows_p1 else elems
-    cols = _chain_nodes(contour) if cols_p1 else elems
-    r = np.arange(rows.size)[:, None] + np.asarray(offsets)
-    valid = contour.closed | ((r >= 0) & (r < cols.size))
-    return np.where(valid, mat[rows[:, None], cols[r % cols.size]], 0.0)
+    chain = _chain_nodes(contour)
+    r = np.arange(chain.size)[:, None] + np.asarray(offsets)
+    valid = contour.closed | ((r >= 0) & (r < chain.size))
+    return np.where(valid, mat[chain[:, None], chain[r % chain.size]], 0.0)
 
 
 def _band_dot(vals, offsets, x):
@@ -776,14 +708,14 @@ def _solve_tridiagonal(band, rhs, closed):
     return blas.dger(-1.0 / (1.0 + vz), z, vy, a=y, overwrite_a=True)
 
 
-def _eliminated_blocks(contour, blocks, mode, order, pinned):
+def _eliminated_blocks(contour, blocks, order, pinned):
     """The couplings (G, G2) the eliminated auxiliary fields leave on the
-    J-J, J-M, M-J and M-M blocks, as complex arrays in label order: G are
-    D1 W_X, D1 W_Y, D3 W_X, D3 W_Y with X = W_X J, Y = W_Y M from the mass
-    rows, G2 the order-2 K I2^{-1} D5 W (None below order 2).  At the
-    ``pinned`` node labels an auxiliary mass row is the identity with a
-    zero right-hand side, so those auxiliary values are exactly 0; the J
-    and M pins are left to the composed matrix.
+    J-J, J-M, M-J and M-M blocks alike, as complex arrays in label order:
+    G = D W with X = W J, Y = W M from the mass rows I1 X = D J,
+    I1 Y = D M, and G2 = K I1^{-1} D W the order-2 coupling (None below
+    order 2).  At the ``pinned`` node labels an auxiliary mass row is the
+    identity with a zero right-hand side, so those auxiliary values are
+    exactly 0; the J and M pins are left to the composed matrix.
     """
     chain = _chain_nodes(contour)
 
@@ -792,62 +724,50 @@ def _eliminated_blocks(contour, blocks, mode, order, pinned):
         out[chain] = g
         return out
 
-    if mode == "p0":
-        # I2 = diag(h); element order is chain order
-        h = np.diagonal(blocks["I2"])[:, None]
-        wx, wy = blocks["D5"] / h, blocks["D3"] / h
-        d1 = _chain_band(contour, blocks["D1"], (-1, 0), cols_p1=False)
-        d3 = _chain_band(contour, blocks["D3"], (-1, 0, 1), False, False)
-        return (label_rows(_band_dot(d1, (-1, 0), wx)),
-                label_rows(_band_dot(d1, (-1, 0), wy)),
-                _band_dot(d3, (-1, 0, 1), wx),
-                _band_dot(d3, (-1, 0, 1), wy)), None
-
-    # mode "p1": D1 = D3 = D5 and W_X = W_Y, so one G serves all four
-    # blocks, and so does one G2 = K I2^{-1} D5 I2^{-1} D5
     off = (-1, 0, 1)
     n = chain.size
     pos = (np.arange(n)[:, None] + off) % n
     free = np.ones(n, dtype=bool)
     free[list(pinned)] = False
     free = free[chain]
-    i2 = _chain_band(contour, blocks["I2"], off) * (free[:, None] & free[pos])
-    i2[~free, 1] = 1.0
-    # D5 with its pinned auxiliary rows zeroed, node-label columns, laid
+    mass = _chain_band(contour, blocks["I1"], off)
+    mass *= free[:, None] & free[pos]
+    mass[~free, 1] = 1.0
+    # D with its pinned auxiliary rows zeroed, node-label columns, laid
     # out column-major for the banded solve
+    d = _chain_band(contour, blocks["D"], off)
     rhs = np.zeros((n, n), order="F")
-    rhs[np.arange(n)[:, None], chain[pos]] = (
-        _chain_band(contour, blocks["D5"], off) * free[:, None])
-    w = _solve_tridiagonal(i2, rhs, contour.closed)
-    g = _band_dot(_chain_band(contour, blocks["D1"], off), off, w)
+    rhs[np.arange(n)[:, None], chain[pos]] = d * free[:, None]
+    w = _solve_tridiagonal(mass, rhs, contour.closed)
+    g = _band_dot(d, off, w)
     g_lab = label_rows(g)
     if order < 2:
-        return (g_lab,) * 4, None
+        return g_lab, None
     g[~free] = 0.0
-    w2 = _solve_tridiagonal(i2, g, contour.closed)
-    g2 = _band_dot(_chain_band(contour, blocks["K_p1"], off), off, w2)
-    return (g_lab,) * 4, (label_rows(g2),) * 4
+    w2 = _solve_tridiagonal(mass, g, contour.closed)
+    g2 = _band_dot(_chain_band(contour, blocks["K"], off), off, w2)
+    return g_lab, label_rows(g2)
 
 
-def _compose_reduced(contour, coeffs, wave, mode, blocks) -> AssembledSystem:
+def _compose_reduced(contour, coeffs, wave, blocks) -> AssembledSystem:
     """The constrained 2N (J, M) matrix of :func:`build_reduced_system`,
     without a right-hand side."""
-    order = _mode_guards(contour, coeffs, wave, mode)
+    order = _checked_order(coeffs, wave)
     if blocks is None:
-        blocks = assemble_blocks(contour, wave.k0, mode)
+        blocks = assemble_blocks(contour, wave.k0)
     t0 = time.perf_counter()
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
     n1 = contour.n_nodes
-    sizes = _field_sizes(contour, mode, order)
-    constrained = _constrained_indices(contour, sizes, mode)
+    sizes = _field_sizes(contour, order)
+    constrained = _constrained_indices(contour, sizes)
     n = sizes[0] + sizes[1]
     pins = tuple(i for i in constrained if i < n)
 
     te = wave.pol == "TE"
     if order >= 1:
         sy = 1.0 if te else -1.0
-        g, g2 = _eliminated_blocks(contour, blocks, mode, order,
+        g, g2 = _eliminated_blocks(contour, blocks, order,
                                    [i for i in pins if i < n1])
         # J rows carry 1/2, M rows 1/(2 a0), the J-M and M-J blocks sy;
         # J columns couple through a and a', M columns through b and b'
@@ -855,20 +775,19 @@ def _compose_reduced(contour, coeffs, wave, mode, blocks) -> AssembledSystem:
         first, second = (c["a"], c["b"]) * 2, (c["ap"], c["bp"]) * 2
     A = np.empty((n, n), dtype=complex)
     views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
-    m_mass = blocks["I1"] if mode == "p1" else blocks["I2"]
     blocks0 = _order0_blocks(te, blocks["BS"], blocks["B"], blocks["Q"],
-                             blocks["I1"], m_mass, a0)
+                             blocks["I1"], a0)
     for k, (v, m) in enumerate(zip(views, blocks0)):
         if order >= 1:
             # m += coefficient * G in place, one pass each (BLAS axpy)
             m = np.ascontiguousarray(m)
-            blas.zaxpy(g[k].ravel(), m.ravel(), a=s[k] * first[k])
+            blas.zaxpy(g.ravel(), m.ravel(), a=s[k] * first[k])
             if g2 is not None:
-                blas.zaxpy(g2[k].ravel(), m.ravel(), a=-s[k] * second[k])
+                blas.zaxpy(g2.ravel(), m.ravel(), a=-s[k] * second[k])
         v[...] = m
     _apply_constraints(A, None, pins)
 
-    meta = _system_meta(contour, coeffs, wave, mode, c, t0)
+    meta = _system_meta(contour, coeffs, wave, c, t0)
     log.info("assembled %s %s reduced system: n=%d, geometry %s, %.2fs",
              wave.pol, coeffs.order, n, meta["geometry"],
              meta["compose_seconds"])
@@ -876,18 +795,19 @@ def _compose_reduced(contour, coeffs, wave, mode, blocks) -> AssembledSystem:
                            constrained=constrained, reduced_matrix=A)
 
 
-def build_reduced_system(contour, coeffs, wave: IncidentWave, mode="p1",
+def build_reduced_system(contour, coeffs, wave: IncidentWave,
                          blocks=None) -> AssembledSystem:
     """Assemble the 2N (J, M) system directly from closed-form elimination,
     never materializing the larger auxiliary-variable matrix.
 
     Agrees with reduce_system(build_full_system(...)) to rounding: the
     auxiliary mass rows are block-triangular, so elimination is just
-    W = I2^{-1} (d-coupling), applied once per auxiliary level, as banded
+    W = I1^{-1} (d-coupling), applied once per auxiliary level, as banded
     solves and banded-times-dense products in chain order (module notes).
     """
-    system = _compose_reduced(contour, coeffs, wave, mode, blocks)
-    rhs = assemble_rhs(contour, wave, mode)
+    system = _compose_reduced(contour, coeffs, wave, blocks)
+    rhs = assemble_rhs(contour, wave.pol, wave.k0,
+                       wave.phi_inc)[:, 0] * wave.amplitude
     rhs[[i for i in system.constrained if i < rhs.size]] = 0.0
     system.reduced_rhs = rhs
     system.rhs = np.concatenate(

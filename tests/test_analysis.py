@@ -70,7 +70,7 @@ def smooth_currents(circle96):
     th = np.arctan2(circle96.nodes[:, 1], circle96.nodes[:, 0])
     j = np.cos(th) + 0.3j * np.sin(2.0 * th)
     m = 0.5 - 0.2j * np.cos(th)
-    return SurfaceCurrents(J=j, M=m, meta={"mode": "p1"})
+    return SurfaceCurrents(J=j, M=m)
 
 
 # --- far field ---------------------------------------------------------------
@@ -121,10 +121,13 @@ def test_far_field_meta_and_mode_guards(circle96, smooth_currents):
     bad = SurfaceCurrents(J=np.zeros(95, complex), M=np.zeros(96, complex))
     with pytest.raises(UsageError, match="95"):
         far_field(bad, circle96, wave, [0.0])
-    odd = SurfaceCurrents(J=np.zeros(96, complex), M=np.zeros(96, complex),
-                          meta={"mode": "p7"})
-    with pytest.raises(UsageError, match="p7"):
-        far_field(odd, circle96, wave, [0.0])
+    # an elementwise M (one value per element of an open plate) is refused
+    # whatever its meta claims: both currents are nodal
+    plate = mesh_plate(2.0, 40)
+    elementwise = SurfaceCurrents(J=np.zeros(41, complex),
+                                  M=np.zeros(40, complex), meta={"mode": "p0"})
+    with pytest.raises(UsageError, match=r"\(40,\)"):
+        far_field(elementwise, plate, wave, [0.0])
     # one current per call: a block of columns is not a current
     cols = SurfaceCurrents(J=np.zeros((96, 2), complex),
                            M=np.zeros(96, complex))
@@ -140,32 +143,27 @@ def test_far_field_meta_and_mode_guards(circle96, smooth_currents):
 
 TRACE_MESHES = {"circle": lambda: mesh_circle(1.0, 32),
                 "plate": lambda: mesh_plate(2.0, 40)}
-TRACE_CASES = (("TE", "p1"), ("TM", "p1"), ("TE", "p0"))
+TRACE_POLS = ("TE", "TM")
 
 
-def _gauss_rhs(contour, waves, mode, n_gl=16):
-    """[E-row; H-row] of the waves by n_gl-point Gauss-Legendre."""
+def _gauss_rhs(contour, pol, k0, phis, n_gl=16):
+    """[E-row; H-row] of the unit waves by n_gl-point Gauss-Legendre."""
     x, w = gauss_legendre_unit(n_gl)
-    dirs = np.array([v.direction for v in waves]).T
-    amps = np.array([v.amplitude for v in waves])
-    u = amps * np.exp(-1j * waves[0].k0 * (contour.points(x) @ dirs))
+    dirs = np.array([np.cos(phis), np.sin(phis)])
+    u = np.exp(-1j * k0 * (contour.points(x) @ dirs))
     mom = np.einsum("aq,eqk,eq->eak", np.stack([1.0 - x, x]), u,
                     w * contour.lengths[:, None])
     dn = (contour.normals @ dirs)[:, None, :]
     sg = contour.sigma
-    if waves[0].pol == "TE":
+    if pol == "TE":
         e_vals, h_vals = sg * Z0 * dn * mom, sg * mom
     else:
         e_vals, h_vals = sg * mom, -(sg / Z0) * dn * mom
     n1 = contour.n_nodes
-    n_m = n1 if mode == "p1" else contour.n_elements
-    rhs = np.zeros((n1 + n_m, len(waves)), dtype=complex)
+    rhs = np.zeros((2 * n1, len(phis)), dtype=complex)
     for a in range(2):
         np.add.at(rhs, contour.elements[:, a], e_vals[:, a])
-        if mode == "p1":
-            np.add.at(rhs, n1 + contour.elements[:, a], h_vals[:, a])
-    if mode == "p0":
-        rhs[n1:] = h_vals.sum(axis=1)
+        np.add.at(rhs, n1 + contour.elements[:, a], h_vals[:, a])
     return rhs
 
 
@@ -178,9 +176,7 @@ def _gauss_far_field(contour, currents, pol, k0, angles, n_gl=16):
     def trace(v):
         return v[el[:, 0], None] * (1.0 - x) + v[el[:, 1], None] * x
 
-    jv = trace(currents.J)
-    mv = trace(currents.M) if currents.meta["mode"] == "p1" \
-        else currents.M[:, None] * np.ones_like(x)
+    jv, mv = trace(currents.J), trace(currents.M)
     xhat = np.column_stack([np.cos(np.deg2rad(angles)),
                             np.sin(np.deg2rad(angles))])
     phase = np.exp(1j * k0 * (contour.points(x) @ xhat.T))   # (E, q, A)
@@ -195,14 +191,12 @@ def _gauss_far_field(contour, currents, pol, k0, angles, n_gl=16):
                             w * contour.lengths[:, None])
 
 
-def _random_currents(contour, mode, seed=5):
+def _random_currents(contour, seed=5):
     rng = np.random.default_rng(seed)
-    n_m = contour.n_nodes if mode == "p1" else contour.n_elements
+    n = contour.n_nodes
     return SurfaceCurrents(
-        J=rng.standard_normal(contour.n_nodes)
-        + 1j * rng.standard_normal(contour.n_nodes),
-        M=rng.standard_normal(n_m) + 1j * rng.standard_normal(n_m),
-        meta={"mode": mode})
+        J=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        M=rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 @pytest.mark.parametrize("kh", [0.085, 0.49, 1.0, 1.99])
@@ -212,14 +206,11 @@ def test_plane_wave_traces_against_gauss(mesh, kh):
     k0 = kh / np.max(c.lengths)
     phis = np.linspace(0.1, 0.1 + 2.0 * np.pi, 12, endpoint=False)
     angles = np.arange(0.0, 360.0, 7.5)
-    for pol, mode in TRACE_CASES:
-        waves = [IncidentWave(pol=pol, k0=k0, phi_inc=p,
-                              amplitude=1.0 + 0.2j * i)
-                 for i, p in enumerate(phis)]
-        want = _gauss_rhs(c, waves, mode)
-        got = assemble_rhs(c, waves, mode)
+    for pol in TRACE_POLS:
+        want = _gauss_rhs(c, pol, k0, phis)
+        got = assemble_rhs(c, pol, k0, phis)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        cur = _random_currents(c, mode)
+        cur = _random_currents(c)
         want = _gauss_far_field(c, cur, pol, k0, angles)
         got = far_field(cur, c, IncidentWave(pol=pol, k0=k0, phi_inc=0.4),
                         angles).values
@@ -233,19 +224,19 @@ def test_plane_wave_traces_range_edge(mesh):
     c = TRACE_MESHES[mesh]()
     k0 = MAX_KH / np.max(c.lengths)
     assert np.max(k0 * c.lengths) >= MAX_KH
-    for pol, mode in TRACE_CASES:
+    for pol in TRACE_POLS:
         wave = IncidentWave(pol=pol, k0=k0, phi_inc=0.3)
         with pytest.raises(MeshError, match=r"k0\*h"):
-            assemble_rhs(c, wave, mode)
+            assemble_rhs(c, pol, k0, [0.3])
         with pytest.raises(MeshError, match=r"k0\*h"):
-            far_field(_random_currents(c, mode), c, wave, [0.0, 90.0])
+            far_field(_random_currents(c), c, wave, [0.0, 90.0])
 
 
 def test_far_field_memory_budget():
     """One far field of a 30-wavelength plate at 1440 angles stays within
     twelve complex (elements, angles) arrays of traced memory."""
     c = mesh_plate(30.0, 384)
-    cur = _random_currents(c, "p1")
+    cur = _random_currents(c)
     wave = IncidentWave(pol="TM", k0=K0, phi_inc=0.5 * np.pi)
     angles = np.arange(1440) * 0.25
     tracemalloc.start()
@@ -486,15 +477,13 @@ def te_ibc1():
     return fit_coefficients(COAT, "TE", K0, "IBC1")
 
 
-@pytest.mark.parametrize("kind,pol,mode,sweep", [
-    ("circle", "TE", "p1", 1),
-    ("circle", "TE", "p1", SWEEP_CHUNK + 44),
-    ("circle", "TE", "p0", SWEEP_CHUNK + 44),
-    ("plate", "TM", "p1", SWEEP_CHUNK + 44),
-    ("plate", "TE", "p1", SWEEP_CHUNK + 44),
-    ("circle", "TE", "p0", "frequency"),
-    ("plate", "TM", "p1", "frequency")])
-def test_monostatic_sweep_equals_bistatic(kind, pol, mode, sweep):
+@pytest.mark.parametrize("kind,pol,sweep", [
+    pytest.param("circle", "TE", 1, id="circle-TE-p1-1"),
+    pytest.param("circle", "TE", SWEEP_CHUNK + 44, id="circle-TE-p1-300"),
+    pytest.param("plate", "TM", SWEEP_CHUNK + 44, id="plate-TM-p1-300"),
+    pytest.param("plate", "TE", SWEEP_CHUNK + 44, id="plate-TE-p1-300"),
+    pytest.param("plate", "TM", "frequency", id="plate-TM-p1-frequency")])
+def test_monostatic_sweep_equals_bistatic(kind, pol, sweep):
     # one angle, or a full chunk of angles plus a partial one, or a few
     # frequencies, each point checked against its own bistatic solve at
     # phi_inc + 180; the plate pins its endpoints
@@ -504,18 +493,18 @@ def test_monostatic_sweep_equals_bistatic(kind, pol, mode, sweep):
         phi = 37.0
         freqs = np.array([0.8, 1.0, 1.3]) * C0
         curve = monostatic_sweep(mesh, cf, freqs, kind="frequency",
-                                 phi_inc_deg=phi, mode=mode)
+                                 phi_inc_deg=phi)
         assert curve.meta["axis"] == "freq_GHz"
         points = [(2.0 * np.pi * f / C0, phi, None) for f in freqs]
     else:
-        blocks = assemble_blocks(mesh, K0, mode=mode)
+        blocks = assemble_blocks(mesh, K0)
         ang = np.linspace(37.0, 359.0, sweep)
-        curve = monostatic_sweep(mesh, cf, ang, kind="angle", k0=K0, mode=mode)
+        curve = monostatic_sweep(mesh, cf, ang, kind="angle", k0=K0)
         assert curve.meta["axis"] == "angle_deg"
         points = [(K0, phi, blocks) for phi in ang]
     for (k0, phi, blocks), sig in zip(points, curve.sigma):
         wave = IncidentWave(pol=pol, k0=k0, phi_inc=np.deg2rad(phi))
-        pat, _ = solve_and_pattern(mesh, cf, wave, [phi + 180.0], mode=mode,
+        pat, _ = solve_and_pattern(mesh, cf, wave, [phi + 180.0],
                                    blocks=blocks)
         assert abs(sig - pat.sigma[0]) <= 1e-12
 

@@ -13,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoibc2d.assembly import (
+    N_LOG_SELF,
     IncidentWave,
+    _adjacent_moments,
+    _adjacent_pairs,
     _distant_blocks,
     _helmholtz_blocks,
     _pair_moments,
     _plain_kernels,
+    _self_g_moments,
     assemble_blocks,
     assemble_mass_and_d,
     assemble_rhs,
@@ -67,11 +71,6 @@ def corner_mats(corner):
     return _helmholtz_blocks(corner, K_CORNER)
 
 
-@pytest.fixture(scope="module")
-def corner_mats_p0(corner):
-    return _helmholtz_blocks(corner, K_CORNER, "p0")
-
-
 def _brute_pair_raw(contour, k0, e, f, n, chunk=256):
     a0, b0 = contour.nodes[contour.elements[e]]
     a1, b1 = contour.nodes[contour.elements[f]]
@@ -109,6 +108,19 @@ def _brute_pair(contour, k0, e, f, n=1024):
     SB1, SQ1 = _brute_pair_raw(contour, k0, e, f, n)
     SB2, SQ2 = _brute_pair_raw(contour, k0, e, f, 2 * n)
     return (4.0 * SB2 - SB1) / 3.0, (4.0 * SQ2 - SQ1) / 3.0
+
+
+def _brute_vertex_pair(contour, k0, e, f, n=512):
+    """Raw pair integrals of a shared-vertex pair by midpoint grids.
+
+    There n(x).grad_y G ~ 1/r at the vertex adds an O(h) term to the
+    midpoint error, which dominates the slot where both bases peak at the
+    vertex (n and 2n grids alone differ by ~1e-4 relative there).
+    Extrapolating the n, 2n and 4n grids removes the h and h^2 terms.
+    """
+    (b1, q1), (b2, q2), (b4, q4) = (_brute_pair_raw(contour, k0, e, f, m)
+                                    for m in (n, 2 * n, 4 * n))
+    return (8.0 * b4 - 6.0 * b2 + b1) / 3.0, (8.0 * q4 - 6.0 * q2 + q1) / 3.0
 
 
 def _pair_bs(contour, e, f, k0, SB):
@@ -152,11 +164,11 @@ def test_circulant_on_uniform_circle(circle32_blocks):
             assert np.max(np.abs(np.roll(m[0], i) - m[i])) <= 1e-10 * scale
 
 
-def test_self_entry_against_high_precision_quadrature(corner, corner_mats,
-                                                      corner_mats_p0):
-    """BS[0,0] and the P0 B[0,0] isolate the element-0 self pair; the
-    double integral collapses to 1D moments of G, evaluated here with
-    mpmath at 30 digits (tanh-sinh handles the log endpoint)."""
+def test_self_entry_against_high_precision_quadrature(corner, corner_mats):
+    """BS[0,0] and every (a, b) slot of the element-0 self moments isolate
+    the self pair; the double integral collapses to 1D moments of G,
+    evaluated here with mpmath at 30 digits (tanh-sinh handles the log
+    endpoint)."""
     import mpmath as mp
 
     with mp.workdps(30):
@@ -171,11 +183,14 @@ def test_self_entry_against_high_precision_quadrature(corner, corner_mats,
         i_c00 = mp.quad(lambda w: g(k * h * w) * c00(w), [0, 1])
         i_r00 = mp.quad(lambda w: g(k * h * w) * rho00(w), [0, 1])
         oracle = complex(1j * (k * h**2 * i_c00 - i_r00 / k))
-        oracle_p0 = complex(1j * k * h**2 * i_r00)
+        # (1-t)s has the density rho00/2 - c00; (1-t)(1-s) and ts have c00
+        diag = complex(h**2 * i_c00)
+        off = complex(h**2 * (i_r00 / 2 - i_c00))
     got = corner_mats["BS"][0, 0]
     assert abs(got - oracle) <= 1e-12 * abs(oracle)
-    got = corner_mats_p0["B"][0, 0]
-    assert abs(got - oracle_p0) <= 1e-12 * abs(oracle_p0)
+    slots = np.array([[diag, off], [off, diag]])
+    got = _self_g_moments(K_CORNER, corner.lengths[:1], N_LOG_SELF)[0]
+    assert np.all(np.abs(got - slots) <= 1e-12 * np.abs(slots))
 
 
 def test_log_rule_refinement_converges(corner):
@@ -186,11 +201,11 @@ def test_log_rule_refinement_converges(corner):
     assert np.max(np.abs(d16 - d8) / np.abs(d16)) <= 1e-8
 
 
-def test_adjacent_pair_against_brute_force(corner, corner_mats,
-                                           corner_mats_p0):
+def test_adjacent_pair_against_brute_force(corner, corner_mats):
     """Nodes 0 and 2 each belong to one element, so the (0,2) entries
-    isolate the shared-vertex pair (e=0, f=1)."""
-    SB, SQ = _brute_pair(corner, K_CORNER, 0, 1)
+    isolate the shared-vertex pair (e=0, f=1); its raw moments are checked
+    slot by slot as well."""
+    SB, SQ = _brute_vertex_pair(corner, K_CORNER, 0, 1)
     bs_ref = _pair_bs(corner, 0, 1, K_CORNER, SB)
     got_bs = corner_mats["BS"][0, 2]
     got_q = corner_mats["Q"][0, 2]
@@ -199,14 +214,17 @@ def test_adjacent_pair_against_brute_force(corner, corner_mats,
     ref = 1j * K_CORNER * SB[0, 1]
     assert abs(corner_mats["B"][0, 2] - ref) <= 1e-6 * abs(ref)
 
-    # elementwise-constant trial: the local trial index is summed
-    ref = SQ[0, 0] + SQ[0, 1]
-    assert abs(corner_mats_p0["Q"][0, 1] - ref) <= 1e-6 * abs(ref)
-    ref = 1j * K_CORNER * SB.sum()
-    assert abs(corner_mats_p0["B"][0, 1] - ref) <= 1e-6 * abs(ref)
+    e, f, flip_t, flip_s = _adjacent_pairs(corner)
+    pair = np.flatnonzero((e == 0) & (f == 1))
+    sb, sq = _adjacent_moments(corner, K_CORNER, e[pair], f[pair],
+                               flip_t[pair], flip_s[pair])
+    for got, ref in ((sb[0], SB), (sq[0], SQ)):
+        assert np.all(np.abs(got - ref) <= 1e-6 * np.abs(ref))
 
 
 def test_distant_pair_against_brute_force():
+    """The nodal entries of the distant pair (e=0, f=2) and of its mirror
+    (2, 0), and every slot of their raw moments, against brute force."""
     nodes = np.array([[0.0, 0.0], [0.3, 0.0], [0.55, 0.2], [0.7, 0.45]])
     c = Contour(nodes=nodes, elements=np.array([[0, 1], [1, 2], [2, 3]]),
                 closed=False)
@@ -217,12 +235,9 @@ def test_distant_pair_against_brute_force():
     assert abs(mats["Q"][0, 3] - SQ[0, 1]) <= 1e-6 * abs(SQ[0, 1])
     ref = 1j * K_CORNER * SB[0, 1]
     assert abs(mats["B"][0, 3] - ref) <= 1e-6 * abs(ref)
-
-    p0 = _helmholtz_blocks(c, K_CORNER, "p0")
-    ref = 1j * K_CORNER * SB.sum()
-    assert abs(p0["B"][0, 2] - ref) <= 1e-6 * abs(ref)
-    ref = SQ[0, 0] + SQ[0, 1]
-    assert abs(p0["Q"][0, 2] - ref) <= 1e-6 * abs(ref)
+    sb, sq = _distant_blocks(c, K_CORNER)
+    for got, ref in ((sb[0, :, 2, :], SB), (sq[0, :, 2, :], SQ)):
+        assert np.all(np.abs(got - ref) <= 1e-6 * np.abs(ref))
 
     # the mirrored pair (e=2, f=0): node 3 is the end of element 2 only
     SB, SQ = _brute_pair(c, K_CORNER, 2, 0)
@@ -231,10 +246,8 @@ def test_distant_pair_against_brute_force():
     assert abs(mats["Q"][3, 0] - SQ[1, 0]) <= 1e-6 * abs(SQ[1, 0])
     ref = 1j * K_CORNER * SB[1, 0]
     assert abs(mats["B"][3, 0] - ref) <= 1e-6 * abs(ref)
-    ref = 1j * K_CORNER * SB.sum()
-    assert abs(p0["B"][2, 0] - ref) <= 1e-6 * abs(ref)
-    ref = SQ[1, 0] + SQ[1, 1]
-    assert abs(p0["Q"][3, 0] - ref) <= 1e-6 * abs(ref)
+    for got, ref in ((sb[2, :, 0, :], SB), (sq[2, :, 0, :], SQ)):
+        assert np.all(np.abs(got - ref) <= 1e-6 * np.abs(ref))
 
 
 @pytest.mark.parametrize("kh", [0.085, 0.2499, 0.49, 0.9999, 1.93])
@@ -269,9 +282,12 @@ def test_q_self_entries_exact_zero(corner_mats):
 
 
 def test_plate_q_identically_zero():
+    # every raw SQ moment vanishes, not only their nodal sums
     p = mesh_plate(1.0, 16)
     assert np.max(np.abs(_helmholtz_blocks(p, K0)["Q"])) == 0.0
-    assert np.max(np.abs(_helmholtz_blocks(p, K0, "p0")["Q"])) == 0.0
+    assert np.max(np.abs(_distant_blocks(p, K0)[1])) == 0.0
+    sq = _adjacent_moments(p, K0, *_adjacent_pairs(p))[1]
+    assert np.max(np.abs(sq)) == 0.0
 
 
 def test_q_decay_envelope():
@@ -296,41 +312,16 @@ def test_q_decay_envelope():
 # --- mass and derivative matrices -------------------------------------------
 
 def test_mass_and_d_p1(circle32):
-    m = assemble_mass_and_d(circle32, "p1")
+    m = assemble_mass_and_d(circle32)
+    assert sorted(m) == ["D", "I1", "K"]
     h = circle32.lengths[0]
     # row sums of the P1 mass are the nodal patch half-lengths = h here
     assert np.allclose(m["I1"].sum(axis=1), h, rtol=1e-13)
-    assert np.array_equal(m["D1"], m["D3"])
-    assert np.array_equal(m["D1"], m["D5"])
     # closed contour: int phi d psi = -int psi d phi
-    assert np.max(np.abs(m["D1"] + m["D1"].T)) == 0.0
-    assert np.max(np.abs(m["D5"].sum(axis=0))) == 0.0  # d/dl of partition of 1
-    assert np.max(np.abs(m["K_p1"].sum(axis=1))) <= 1e-13
+    assert np.max(np.abs(m["D"] + m["D"].T)) == 0.0
+    assert np.max(np.abs(m["D"].sum(axis=0))) == 0.0  # d/dl of partition of 1
+    assert np.max(np.abs(m["K"].sum(axis=1))) <= 1e-13
     assert np.min(np.linalg.eigvalsh(m["I1"])) > 0.0
-
-
-def test_mass_and_d_p0(circle32):
-    m = assemble_mass_and_d(circle32, "p0")
-    assert np.array_equal(m["I2"], np.diag(circle32.lengths))
-    assert np.array_equal(m["D1"], -m["D5"].T)
-    assert np.max(np.abs(m["D5"].sum(axis=0))) == 0.0
-    assert np.max(np.abs(m["D3"] + m["D3"].T)) == 0.0
-
-
-def test_mass_and_d_p0_open_boundary_terms():
-    p = mesh_plate(1.0, 10)
-    m = assemble_mass_and_d(p, "p0")
-    n0 = p.n_elements
-    # integration by parts leaves [phi psi] end contributions
-    d1_interior = -m["D5"].T.copy()
-    d1_interior[p.elements[0, 0], 0] += -1.0
-    d1_interior[p.elements[-1, 1], n0 - 1] += 1.0
-    assert np.array_equal(m["D1"], d1_interior)
-    assert m["D3"][0, 0] == -0.5 and m["D3"][n0 - 1, n0 - 1] == 0.5
-    assert np.max(np.abs(np.diag(m["D3"])[1:-1])) == 0.0
-
-    with pytest.raises(UsageError):
-        assemble_mass_and_d(p, "p2")
 
 
 def _random_chain(rng, n):
@@ -352,17 +343,16 @@ def _random_polygon(rng, n):
 
 @pytest.mark.parametrize("kind", ["chain", "polygon"])
 def test_local_operators_on_nonuniform_mesh(kind):
-    """Each entry of I1, D, K (P1) and D5 (P0) against its defining
-    integral, summed element by element with a Gauss rule that is exact
-    for the quadratic integrands: I1 = int phi_i phi_j, D = int phi_i
-    d_l phi_j, K = int d_l phi_i d_l phi_j, D5 = int psi_e d_l phi_j.
-    Random element lengths catch any misaligned per-element length."""
+    """Each entry of I1, D and K against its defining integral, summed
+    element by element with a Gauss rule that is exact for the quadratic
+    integrands: I1 = int phi_i phi_j, D = int phi_i d_l phi_j,
+    K = int d_l phi_i d_l phi_j.  Random element lengths catch any
+    misaligned per-element length."""
     rng = np.random.default_rng(2024)
     c = _random_chain(rng, 8) if kind == "chain" else _random_polygon(rng, 40)
-    n1, n0 = c.n_nodes, c.n_elements
+    n1 = c.n_nodes
     t, w = gauss_legendre_unit(3)
     ref = {key: np.zeros((n1, n1)) for key in ("I1", "D", "K")}
-    d5 = np.zeros((n0, n1))
     for e, nodes in enumerate(c.elements):
         h = c.lengths[e]
         phi = np.stack([1.0 - t, t])             # (local, quadrature)
@@ -372,40 +362,33 @@ def test_local_operators_on_nonuniform_mesh(kind):
             ref["I1"][i, j] += h * np.sum(w * phi[a] * phi[b])
             ref["D"][i, j] += h * np.sum(w * phi[a]) * dphi[b]
             ref["K"][i, j] += h * np.sum(w) * dphi[a] * dphi[b]
-        for b in range(2):
-            d5[e, nodes[b]] += h * np.sum(w) * dphi[b]
-    p1 = assemble_mass_and_d(c, "p1")
-    p0 = assemble_mass_and_d(c, "p0")
-    pairs = [(p1["I1"], ref["I1"]), (p1["I2"], ref["I1"]),
-             (p1["D1"], ref["D"]), (p1["D5"], ref["D"]),
-             (p1["K_p1"], ref["K"]), (p0["D5"], d5),
-             (p0["I2"], np.diag(c.lengths))]
-    for got, want in pairs:
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    got = assemble_mass_and_d(c)
+    for key, want in ref.items():
+        assert np.max(np.abs(got[key] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # --- right-hand sides --------------------------------------------------------
 
-def test_rhs_zero_amplitude(circle32):
+def test_rhs_zero_amplitude(circle32, circle32_blocks):
     w = IncidentWave(pol="TE", k0=K0, phi_inc=0.2, amplitude=0.0)
-    assert np.all(assemble_rhs(circle32, w) == 0.0)
+    rhs = build_reduced_system(circle32, TE1, w,
+                               blocks=circle32_blocks).reduced_rhs
+    assert np.all(rhs == 0.0)
 
 
-def test_rhs_amplitude_linearity(circle32):
+def test_rhs_amplitude_linearity(circle32, circle32_blocks):
     w1 = IncidentWave(pol="TM", k0=K0, phi_inc=0.2)
     w2 = IncidentWave(pol="TM", k0=K0, phi_inc=0.2, amplitude=2.0 - 1.0j)
-    r1 = assemble_rhs(circle32, w1)
-    r2 = assemble_rhs(circle32, w2)
+    r1, r2 = (build_reduced_system(circle32, TM1, w,
+                                   blocks=circle32_blocks).reduced_rhs
+              for w in (w1, w2))
     assert np.allclose(r2, (2.0 - 1.0j) * r1, rtol=0, atol=1e-14 * np.max(np.abs(r1)))
 
 
 def test_rhs_cyclic_permutation(circle32):
     """Rotating the incidence by one mesh step permutes the entries."""
     n = circle32.n_elements
-    w0 = IncidentWave(pol="TE", k0=K0, phi_inc=0.37)
-    w1 = IncidentWave(pol="TE", k0=K0, phi_inc=0.37 + 2 * np.pi / n)
-    r0 = assemble_rhs(circle32, w0)
-    r1 = assemble_rhs(circle32, w1)
+    r0, r1 = assemble_rhs(circle32, "TE", K0, [0.37, 0.37 + 2 * np.pi / n]).T
     scale = np.max(np.abs(r0))
     for row0, row1 in ((r0[:n], r1[:n]), (r0[n:], r1[n:])):
         assert np.max(np.abs(np.roll(row0, 1) - row1)) <= 1e-10 * scale
@@ -414,30 +397,25 @@ def test_rhs_cyclic_permutation(circle32):
 def test_rhs_te_tm_row_exchange(circle32):
     """The TM E-row and the TE H-row test the same scalar moment."""
     n = circle32.n_nodes
-    te = assemble_rhs(circle32, IncidentWave(pol="TE", k0=K0, phi_inc=1.1))
-    tm = assemble_rhs(circle32, IncidentWave(pol="TM", k0=K0, phi_inc=1.1))
+    te = assemble_rhs(circle32, "TE", K0, [1.1])
+    tm = assemble_rhs(circle32, "TM", K0, [1.1])
     assert np.array_equal(te[n:], tm[:n])
 
 
-@pytest.mark.parametrize("space", ["p1", "p0"])
-def test_rhs_wave_block_columns(circle32, space):
-    # a sequence of waves gives one column per wave, each its single-wave
-    # vector up to the summation order of the batched moments
-    waves = [IncidentWave(pol="TE", k0=K0, phi_inc=p, amplitude=1.0 + 0.3j * p)
-             for p in np.linspace(0.0, 6.0, 7)]
-    block = assemble_rhs(circle32, waves, space)
-    assert block.shape == (2 * circle32.n_nodes if space == "p1"
-                           else circle32.n_nodes + circle32.n_elements, 7)
-    for k, w in enumerate(waves):
-        one = assemble_rhs(circle32, w, space)
-        assert np.max(np.abs(block[:, k] - one)) <= 1e-14 * np.max(np.abs(one))
-    with pytest.raises(UsageError, match="sharing"):
-        assemble_rhs(circle32, waves + [IncidentWave(pol="TM", k0=K0,
-                                                     phi_inc=0.0)])
-    with pytest.raises(UsageError, match="sharing"):
-        assemble_rhs(circle32, [])
-    with pytest.raises(UsageError, match="mode"):
-        assemble_rhs(circle32, waves, "P1_nodal")
+def test_rhs_wave_block_columns(circle32):
+    # an array of angles gives one column per unit wave, each the block of
+    # that angle alone up to the summation order of the batched moments
+    phis = np.linspace(0.0, 6.0, 7)
+    block = assemble_rhs(circle32, "TE", K0, phis)
+    assert block.shape == (2 * circle32.n_nodes, 7)
+    for k, p in enumerate(phis):
+        one = assemble_rhs(circle32, "TE", K0, p)
+        assert one.shape == (2 * circle32.n_nodes, 1)
+        assert np.max(np.abs(block[:, k] - one[:, 0])) \
+            <= 1e-14 * np.max(np.abs(one))
+    for pol, k0 in (("te", K0), ("TE", 0.0)):
+        with pytest.raises(UsageError):
+            assemble_rhs(circle32, pol, k0, phis)
 
 
 # --- block systems and reduction ---------------------------------------------
@@ -479,9 +457,9 @@ def test_auxiliary_row_identities(circle32, circle32_blocks):
     w = IncidentWave(pol="TE", k0=K0, phi_inc=0.4)
     sys1 = build_full_system(circle32, TE1, w, blocks=circle32_blocks)
     sol = solve_currents(sys1, use="full")
-    i2, d5 = circle32_blocks["I2"], circle32_blocks["D5"]
-    x_ref = np.linalg.solve(i2, d5 @ sol.J)
-    y_ref = np.linalg.solve(i2, d5 @ sol.M)
+    i1, d = circle32_blocks["I1"], circle32_blocks["D"]
+    x_ref = np.linalg.solve(i1, d @ sol.J)
+    y_ref = np.linalg.solve(i1, d @ sol.M)
     scale = max(np.max(np.abs(x_ref)), np.max(np.abs(y_ref)))
     assert np.max(np.abs(sol.X - x_ref)) <= 1e-10 * scale
     assert np.max(np.abs(sol.Y - y_ref)) <= 1e-10 * scale
@@ -514,24 +492,21 @@ SCHUR_MESHES = {"circle32": lambda: mesh_circle(1.0, 32),
                 "relabelled": lambda: _relabelled(mesh_circle(1.0, 32))[0]}
 
 
-@pytest.mark.parametrize("coeffs,pol,mesh,mode", [
-    pytest.param(TE1, "TE", "circle32", "p1", id="coeffs0-TE"),
-    pytest.param(TM2, "TM", "circle32", "p1", id="coeffs1-TM"),
-    pytest.param(TM2, "TM", "plate", "p1", id="plate-p1-TM2"),
-    pytest.param(TE1, "TE", "plate", "p0", id="plate-p0-TE1"),
-    pytest.param(TE1, "TE", "circle32", "p0", id="circle32-p0-TE1"),
-    pytest.param(TE2, "TE", "relabelled", "p1", id="relabelled-p1-TE2"),
-    pytest.param(TE1, "TE", "relabelled", "p0", id="relabelled-p0-TE1"),
+@pytest.mark.parametrize("coeffs,pol,mesh", [
+    pytest.param(TE1, "TE", "circle32", id="coeffs0-TE"),
+    pytest.param(TM2, "TM", "circle32", id="coeffs1-TM"),
+    pytest.param(TM2, "TM", "plate", id="plate-p1-TM2"),
+    pytest.param(TE2, "TE", "relabelled", id="relabelled-p1-TE2"),
 ])
-def test_reduced_equals_schur_complement(coeffs, pol, mesh, mode):
+def test_reduced_equals_schur_complement(coeffs, pol, mesh):
     """The banded elimination against the dense Schur complement, on every
-    band shape: cyclic and pinned-end P1 mass, diagonal P0 mass, and node
-    labels out of chain order."""
+    band shape: cyclic and pinned-end P1 mass, and node labels out of
+    chain order."""
     c = SCHUR_MESHES[mesh]()
-    blocks = assemble_blocks(c, K0, mode)
+    blocks = assemble_blocks(c, K0)
     w = IncidentWave(pol=pol, k0=K0, phi_inc=0.7)
-    full = reduce_system(build_full_system(c, coeffs, w, mode, blocks))
-    direct = build_reduced_system(c, coeffs, w, mode, blocks)
+    full = reduce_system(build_full_system(c, coeffs, w, blocks))
+    direct = build_reduced_system(c, coeffs, w, blocks)
     scale = np.max(np.abs(full.reduced_matrix))
     assert np.max(np.abs(full.reduced_matrix - direct.reduced_matrix)) \
         <= 1e-12 * scale
@@ -541,21 +516,19 @@ def test_reduced_equals_schur_complement(coeffs, pol, mesh, mode):
 
 def test_reduced_system_needs_no_dense_factorization(monkeypatch):
     """The auxiliary fields are eliminated by banded solves only: with the
-    dense LU disabled, every order, mode and band shape still builds."""
-    cases = [(mesh_circle(1.0, 32), "p1", (TE1, TM2)),
-             (mesh_plate(2.0, 40), "p1", (TM1, TE2)),
-             (mesh_circle(1.0, 32), "p0", (TE1,)),
-             (mesh_plate(2.0, 40), "p0", (TE1,))]
-    prepared = [(c, mode, cf, assemble_blocks(c, K0, mode))
-                for c, mode, cfs in cases for cf in cfs]
+    dense LU disabled, every order and band shape still builds."""
+    cases = [(mesh_circle(1.0, 32), (TE1, TM2)),
+             (mesh_plate(2.0, 40), (TM1, TE2))]
+    prepared = [(c, cf, assemble_blocks(c, K0)) for c, cfs in cases
+                for cf in cfs]
 
     def no_lu(*_):
         raise AssertionError("dense LU called while eliminating")
 
     monkeypatch.setattr("hoibc2d.assembly.lu_factor", no_lu)
-    for c, mode, cf, blocks in prepared:
+    for c, cf, blocks in prepared:
         w = IncidentWave(pol=cf.pol, k0=K0, phi_inc=0.7)
-        system = build_reduced_system(c, cf, w, mode, blocks)
+        system = build_reduced_system(c, cf, w, blocks)
         n = system.sizes[0] + system.sizes[1]
         assert system.reduced_matrix.shape == (n, n)
         assert np.all(np.isfinite(system.reduced_matrix))
@@ -573,9 +546,9 @@ def test_plate_endpoint_constraints_exact():
     assert np.max(np.abs(red.J - sol.J)) <= 1e-8 * np.max(np.abs(sol.J))
 
 
-@pytest.mark.parametrize("coeffs,mode", [(TE1, "p1"), (TM2, "p1"),
-                                          (TE1, "p0")])
-def test_relabelled_plate_pins_chain_ends(coeffs, mode):
+@pytest.mark.parametrize("coeffs", [TE1, TM2],
+                         ids=["coeffs0-p1", "coeffs1-p1"])
+def test_relabelled_plate_pins_chain_ends(coeffs):
     """The P1 pins sit at the ends of the chain, not at labels 0 and N - 1:
     a plate whose chain ends carry other labels (14 and 11 here) solves,
     reduced and full, to the naturally labelled plate's currents."""
@@ -585,42 +558,10 @@ def test_relabelled_plate_pins_chain_ends(coeffs, mode):
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
     for build, use in ((build_reduced_system, "reduced"),
                        (build_full_system, "full")):
-        want = solve_currents(build(plate, coeffs, w, mode), use=use)
-        got = solve_currents(build(moved, coeffs, w, mode), use=use)
-        m_got = got.M[label] if mode == "p1" else got.M
-        for a, b in ((got.J[label], want.J), (m_got, want.M)):
+        want = solve_currents(build(plate, coeffs, w), use=use)
+        got = solve_currents(build(moved, coeffs, w), use=use)
+        for a, b in ((got.J[label], want.J), (got.M[label], want.M)):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-
-
-def test_p0_mode_reduction_consistency():
-    c = mesh_circle(1.0, 24)
-    w = IncidentWave(pol="TE", k0=K0, phi_inc=0.3)
-    full = build_full_system(c, TE1, w, mode="p0")
-    assert full.sizes == (c.n_nodes, c.n_elements, c.n_elements, c.n_elements)
-    red = build_reduced_system(c, TE1, w, mode="p0", blocks=full.blocks)
-    sf = solve_currents(full, use="full")
-    sr = solve_currents(red)
-    assert np.max(np.abs(sf.J - sr.J)) <= 1e-8 * np.max(np.abs(sr.J))
-    assert np.max(np.abs(sf.M - sr.M)) <= 1e-8 * np.max(np.abs(sr.M))
-
-
-def test_p0_mode_guards(circle32):
-    with pytest.raises(UsageError):
-        build_full_system(circle32, TM1,
-                          IncidentWave(pol="TM", k0=K0, phi_inc=0.0),
-                          mode="p0")
-    with pytest.raises(UsageError):
-        build_full_system(circle32, TE2,
-                          IncidentWave(pol="TE", k0=K0, phi_inc=0.0),
-                          mode="p0")
-
-
-def test_p0_open_contour():
-    p = mesh_plate(2.0, 30)
-    w = IncidentWave(pol="TE", k0=K0, phi_inc=np.pi / 3)
-    sol = solve_currents(build_full_system(p, TE1, w, mode="p0"), use="full")
-    assert sol.J[0] == 0.0 and sol.J[-1] == 0.0
-    assert sol.J.size == p.n_nodes and sol.M.size == p.n_elements
 
 
 def test_blocks_reuse_across_orders(circle32, circle32_blocks):
