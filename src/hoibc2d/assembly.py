@@ -17,19 +17,16 @@ Kernel matrices, with G the outgoing 2D kernel and phi the nodal basis:
 
 All three come from two raw moments per element pair and local basis
 pair, SB = int int G phi_a phi_b and SQ = int int n.grad_y G phi_a phi_b
-(Jacobians included), held as broken matrices indexed (e, a, f, b).
-Each pair class only fills its entries of SB and SQ: the self-element
-double integral collapses to a single integral in w = |t - s| whose
-logarithmic part goes to a log-weighted Gauss rule; pairs sharing a vertex
-are split into two Duffy triangles with the same log/analytic kernel
-separation, all pairs at once on the shared reference nodes; every other
-pair e < f is evaluated once by tensor Gauss-Legendre, at an order that a
-fixed table picks from its clearance and k0 h, and mirrored into (f, e)
-(SB symmetric, SQ from the same kernel values).  B, B - S and Q are then
-formed from the moments in one place and scattered to nodal DOFs once,
-A = S A_broken S^T with S the node incidence.  The local operators (mass,
-derivative coupling, stiffness) are 2 x 2 element blocks summed to nodes
-by the same start/end index sums.
+(Jacobians included), a 2 x 2 block per pair.  The self-element double
+integral collapses to a single integral in w = |t - s| whose logarithmic
+part goes to a log-weighted Gauss rule; pairs sharing a vertex are split
+into two Duffy triangles with the same log/analytic kernel separation, all
+pairs at once on the shared reference nodes; every other pair e < f is
+evaluated once by tensor Gauss-Legendre, at an order that a fixed table
+picks from its clearance and k0 h, and also yields the SQ block of (f, e).
+One local formulation turns each pair's moments into its B, B - S and Q
+blocks, and one scatter adds block slot (a, b) of pair (e, f) to nodal
+entry (node(e, a), node(f, b)) for every matrix, I1, D and K included.
 
 The reduced system eliminates the auxiliary fields in O(n^2) real
 arithmetic.  Taken in chain order (the order the elements link up, which
@@ -160,8 +157,9 @@ def _split_kernels(k, r):
 
 
 # --------------------------------------------------------------------------
-# raw pair moments SB[e, a, f, b] = int_e int_f G phi_a phi_b and SQ (the
-# same with n(x).grad_y G), Jacobians included; one routine per pair class
+# raw pair moments, the 2 x 2 blocks SB[e, :, f, :] of int_e int_f G phi_a
+# phi_b and SQ (the same with n(x).grad_y G), Jacobians included; one
+# routine per pair class
 # --------------------------------------------------------------------------
 
 # kernel points evaluated per chunk of distant pairs (bounds memory)
@@ -281,10 +279,9 @@ def _pair_moments(contour, k0, e, f, n_gl):
     return mom[0], mom[1], mom[2].transpose(0, 2, 1)
 
 
-def _distant_blocks(contour, k0):
-    """(n0, 2, n0, 2) moments SB, SQ of the pairs that share no node, zero
-    elsewhere.  Each pair e < f is evaluated once, at the order that
-    DISTANT_ORDERS gives it, and mirrored into (f, e)."""
+def _distant_pairs(contour, k0):
+    """(e, f, n_gl): the pairs e < f that share no node, each with the
+    Gauss-Legendre order that DISTANT_ORDERS gives it."""
     n, h = contour.n_elements, contour.lengths
     e, f = np.triu_indices(n, 2)
     if contour.closed:
@@ -295,75 +292,70 @@ def _distant_blocks(contour, k0):
     gap = np.hypot(*(mid[f] - mid[e]).T) - 0.5 * (h[e] + h[f])
     n_gl = DISTANT_ORDERS[np.searchsorted(_ORDER_KH, k0 * hmax),
                           np.searchsorted(_ORDER_CLEARANCE, gap / hmax)]
-    sb = np.zeros((n, 2, n, 2), dtype=complex)
-    sq = np.zeros_like(sb)
-    vb, vq = sb.transpose(0, 2, 1, 3), sq.transpose(0, 2, 1, 3)  # [e, f]
-    for order in np.unique(n_gl):
-        pick = np.flatnonzero(n_gl == order)
-        chunks = 1 + pick.size * order**2 // KERNEL_POINTS_PER_CHUNK
-        for part in np.array_split(pick, chunks):
-            pe, pf = e[part], f[part]
-            sb_ef, vq[pe, pf], vq[pf, pe] = _pair_moments(contour, k0, pe,
-                                                          pf, order)
-            vb[pe, pf], vb[pf, pe] = sb_ef, sb_ef.transpose(0, 2, 1)
-    return sb, sq
+    return e, f, n_gl
 
 
 # --------------------------------------------------------------------------
-# composition and the one scatter to nodal DOFs
+# the one scatter of element blocks to nodal DOFs
 # --------------------------------------------------------------------------
 
-def _node_sum(contour, x, axis=0):
-    """S x: sums the element-local slots of x into nodes.  x carries the
-    element index on ``axis`` and the local node index (0 start, 1 end)
-    right after it; S is the (n_nodes, 2 n0) node incidence."""
-    shape = x.shape[:axis] + (contour.n_nodes,) + x.shape[axis + 2:]
-    out = np.zeros(shape, dtype=x.dtype)
-    lead = (slice(None),) * axis
-    for a in range(2):
-        # exact: a contour visits each node once, so no index repeats
-        out[lead + (contour.elements[:, a],)] += x[lead + (slice(None), a)]
-    return out
-
-
-def _scatter(contour, blocks):
-    """S A S^T for the broken (n0, 2, n0, 2) matrix A of element blocks."""
-    return _node_sum(contour, _node_sum(contour, blocks), axis=1)
-
-
-def _element_sum(contour, blocks):
-    """S diag(blocks) S^T for (n0, 2, 2) element blocks: the same start/end
-    index sums as :func:`_node_sum`, taken on both local indices at once."""
-    out = np.zeros((contour.n_nodes,) * 2, dtype=blocks.dtype)
+def _add_blocks(out, contour, e, f, blocks):
+    """out += the (P, 2, 2) blocks of the distinct element pairs (e, f),
+    slot (a, b) at (node(e, a), node(f, b)).  Exact: no node starts (or
+    ends) two elements, so for a fixed slot no entry repeats."""
     el = contour.elements
     for a, b in np.ndindex(2, 2):
-        # exact: an entry receives at most two addends, one per element
-        out[el[:, a], el[:, b]] += blocks[:, a, b]
+        out[el[e, a], el[f, b]] += blocks[:, a, b]
+
+
+def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None):
+    """Adds the B, B - S and (given SQ) Q blocks of the pairs (e, f) from
+    their raw moments; the basis slopes are -+1/h per element."""
+    h, tau = contour.lengths, contour.tangents
+    ttf = np.einsum("pd,pd->p", tau[e], tau[f])[:, None, None]
+    deriv = np.multiply.outer(sb.sum(axis=(1, 2)) / (k0 * (h[e] * h[f])),
+                              [[1.0, -1.0], [-1.0, 1.0]])
+    _add_blocks(mats["B"], contour, e, f, 1j * k0 * sb)
+    _add_blocks(mats["BS"], contour, e, f, 1j * (k0 * ttf * sb - deriv))
+    if sq is not None:
+        _add_blocks(mats["Q"], contour, e, f, sq)
+
+
+def _node_sum(contour, x):
+    """S x, S the (n_nodes, 2 n0) node incidence: sums x's slots (element
+    index first, local node 0 start / 1 end second) into nodes."""
+    out = np.zeros((contour.n_nodes,) + x.shape[2:], dtype=x.dtype)
+    for a in range(2):
+        # exact: a contour visits each node once, so no index repeats
+        out[contour.elements[:, a]] += x[:, a]
     return out
 
 
 def _helmholtz_blocks(contour, k0, *, n_log=N_LOG_SELF):
     """One pass over all element pairs; returns the nodal B, BS and Q."""
     _check_resolution(contour, k0)
-
+    mats = {key: np.zeros((contour.n_nodes,) * 2, dtype=complex)
+            for key in ("B", "BS", "Q")}
+    e, f, n_gl = _distant_pairs(contour, k0)
+    for order in np.unique(n_gl):
+        pick = np.flatnonzero(n_gl == order)
+        chunks = 1 + pick.size * order**2 // KERNEL_POINTS_PER_CHUNK
+        for part in np.array_split(pick, chunks):
+            pe, pf = e[part], f[part]
+            sb, sq_ef, sq_fe = _pair_moments(contour, k0, pe, pf, order)
+            _add_pair_blocks(mats, contour, k0, pe, pf, sb, sq_ef)
+            _add_blocks(mats["Q"], contour, pf, pe, sq_fe)
+    # SB[f, :, e, :] = SB[e, :, f, :]^T: the (f, e) blocks of B and B - S
+    # are the transpose (NumPy buffers the overlapping operand)
+    for key in ("B", "BS"):
+        mats[key] += mats[key].T
     # SQ self blocks stay zero: n(x).(y-x) = 0 on a straight element
-    sb, sq = _distant_blocks(contour, k0)
     diag = np.arange(contour.n_elements)
-    sb[diag, :, diag, :] = _self_g_moments(k0, contour.lengths, n_log)
+    _add_pair_blocks(mats, contour, k0, diag, diag,
+                     _self_g_moments(k0, contour.lengths, n_log))
     e, f, flip_t, flip_s = _adjacent_pairs(contour)
-    sb[e, :, f, :], sq[e, :, f, :] = _adjacent_moments(
-        contour, k0, e, f, flip_t, flip_s)
-
-    s0 = sb.sum(axis=(1, 3))
-    mats = {"B": 1j * k0 * _scatter(contour, sb), "Q": _scatter(contour, sq)}
-    # B - S, formed in place of SB: the basis slopes are -+1/h per element
-    h = contour.lengths
-    sgn = np.array([-1.0, 1.0])
-    sb *= (k0 * contour.tangents @ contour.tangents.T)[:, None, :, None]
-    deriv = s0 / (k0 * np.outer(h, h))
-    for a, b in np.ndindex(2, 2):
-        sb[:, a, :, b] -= sgn[a] * sgn[b] * deriv
-    mats["BS"] = 1j * _scatter(contour, sb)
+    _add_pair_blocks(mats, contour, k0, e, f,
+                     *_adjacent_moments(contour, k0, e, f, flip_t, flip_s))
     return mats
 
 
@@ -383,7 +375,11 @@ def assemble_mass_and_d(contour):
     local = {"I1": h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0,
              "D": np.broadcast_to(slope, h.shape[:1] + (2, 2)),
              "K": np.array([[1.0, -1.0], [-1.0, 1.0]]) / h}
-    return {key: _element_sum(contour, blk) for key, blk in local.items()}
+    e = np.arange(contour.n_elements)
+    out = {key: np.zeros((contour.n_nodes,) * 2) for key in local}
+    for key, blk in local.items():
+        _add_blocks(out[key], contour, e, e, blk)
+    return out
 
 
 # --------------------------------------------------------------------------

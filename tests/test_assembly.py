@@ -7,6 +7,8 @@ quadrature for off-diagonal element pairs, and structural identities
 of unity, exact zero blocks) that the discretization must satisfy.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from hoibc2d.assembly import (
     IncidentWave,
     _adjacent_moments,
     _adjacent_pairs,
-    _distant_blocks,
+    _distant_pairs,
     _helmholtz_blocks,
     _pair_moments,
     _plain_kernels,
@@ -121,6 +123,18 @@ def _brute_vertex_pair(contour, k0, e, f, n=512):
     (b1, q1), (b2, q2), (b4, q4) = (_brute_pair_raw(contour, k0, e, f, m)
                                     for m in (n, 2 * n, 4 * n))
     return (8.0 * b4 - 6.0 * b2 + b1) / 3.0, (8.0 * q4 - 6.0 * q2 + q1) / 3.0
+
+
+def _distant_moments(contour, k0):
+    """The distant pairs (e, f) of the kernel pass and their (3, P, 2, 2)
+    moments SB, SQ(e, f) and SQ(f, e), each at the order DISTANT_ORDERS
+    gives the pair."""
+    e, f, n_gl = _distant_pairs(contour, k0)
+    mom = np.empty((3, e.size, 2, 2), dtype=complex)
+    for order in np.unique(n_gl):
+        pick = n_gl == order
+        mom[:, pick] = _pair_moments(contour, k0, e[pick], f[pick], order)
+    return e, f, mom
 
 
 def _pair_bs(contour, e, f, k0, SB):
@@ -235,8 +249,9 @@ def test_distant_pair_against_brute_force():
     assert abs(mats["Q"][0, 3] - SQ[0, 1]) <= 1e-6 * abs(SQ[0, 1])
     ref = 1j * K_CORNER * SB[0, 1]
     assert abs(mats["B"][0, 3] - ref) <= 1e-6 * abs(ref)
-    sb, sq = _distant_blocks(c, K_CORNER)
-    for got, ref in ((sb[0, :, 2, :], SB), (sq[0, :, 2, :], SQ)):
+    e, f, (sb, sq_ef, sq_fe) = _distant_moments(c, K_CORNER)
+    assert (e.tolist(), f.tolist()) == ([0], [2])
+    for got, ref in ((sb[0], SB), (sq_ef[0], SQ)):
         assert np.all(np.abs(got - ref) <= 1e-6 * np.abs(ref))
 
     # the mirrored pair (e=2, f=0): node 3 is the end of element 2 only
@@ -246,7 +261,8 @@ def test_distant_pair_against_brute_force():
     assert abs(mats["Q"][3, 0] - SQ[1, 0]) <= 1e-6 * abs(SQ[1, 0])
     ref = 1j * K_CORNER * SB[1, 0]
     assert abs(mats["B"][3, 0] - ref) <= 1e-6 * abs(ref)
-    for got, ref in ((sb[2, :, 0, :], SB), (sq[2, :, 0, :], SQ)):
+    # SB(f, e) is SB(e, f) transposed
+    for got, ref in ((sb[0].T, SB), (sq_fe[0], SQ)):
         assert np.all(np.abs(got - ref) <= 1e-6 * np.abs(ref))
 
 
@@ -264,8 +280,8 @@ def test_distant_order_table_error(kh):
         e, f = np.triu_indices(n, 2)
         sep = np.minimum(f - e, n - f + e) if c.closed else f - e
         e, f, sep = e[sep >= 2], f[sep >= 2], sep[sep >= 2]
-        sb, sq = _distant_blocks(c, k0)
-        got = np.array([sb[e, :, f, :], sq[e, :, f, :], sq[f, :, e, :]])
+        pe, pf, got = _distant_moments(c, k0)
+        assert np.array_equal(pe, e) and np.array_equal(pf, f)
         ref = np.array(_pair_moments(c, k0, e, f, 12))
         worst = np.abs(_pair_moments(c, k0, e, f, 6) - ref)[:, sep == 2]
         err = np.abs(got - ref)
@@ -285,7 +301,7 @@ def test_plate_q_identically_zero():
     # every raw SQ moment vanishes, not only their nodal sums
     p = mesh_plate(1.0, 16)
     assert np.max(np.abs(_helmholtz_blocks(p, K0)["Q"])) == 0.0
-    assert np.max(np.abs(_distant_blocks(p, K0)[1])) == 0.0
+    assert np.max(np.abs(_distant_moments(p, K0)[2][1:])) == 0.0
     sq = _adjacent_moments(p, K0, *_adjacent_pairs(p))[1]
     assert np.max(np.abs(sq)) == 0.0
 
@@ -307,6 +323,64 @@ def test_q_decay_envelope():
     assert np.all(np.diff(scaled) < 0), "envelope must decrease with distance"
     flat = scaled * np.sqrt(K0 * r[js])
     assert flat.max() / flat.min() < 1.1
+
+
+INCIDENCE_MESHES = {
+    "circle32": lambda: mesh_circle(1.0, 32),
+    "plate": lambda: mesh_plate(2.0, 40),
+    "relabelled-plate": lambda: _relabelled(mesh_plate(2.0, 40))[0],
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 64], ids=["one-chunk", "chunk64"])
+@pytest.mark.parametrize("mesh", sorted(INCIDENCE_MESHES))
+def test_nodal_assembly_equals_incidence_product(mesh, chunk, monkeypatch):
+    """The nodal B, B - S and Q against S A S^T, with A the broken
+    (element, local node) matrices built here from the raw moments of every
+    pair class and S the dense node incidence.  A chunk of 64 kernel points
+    splits the distant pass into many writes of one to four pairs."""
+    if chunk is not None:
+        monkeypatch.setattr("hoibc2d.assembly.KERNEL_POINTS_PER_CHUNK", chunk)
+    c = INCIDENCE_MESHES[mesh]()
+    n0 = c.n_elements
+    sb = np.zeros((n0, 2, n0, 2), dtype=complex)
+    sq = np.zeros_like(sb)
+    diag = np.arange(n0)
+    sb[diag, :, diag, :] = _self_g_moments(K0, c.lengths, N_LOG_SELF)
+    e, f, flip_t, flip_s = _adjacent_pairs(c)
+    sb[e, :, f, :], sq[e, :, f, :] = _adjacent_moments(c, K0, e, f,
+                                                       flip_t, flip_s)
+    e, f, mom = _distant_moments(c, K0)
+    sb[e, :, f, :], sq[e, :, f, :], sq[f, :, e, :] = mom
+    sb[f, :, e, :] = mom[0].transpose(0, 2, 1)
+
+    sgn = np.array([-1.0, 1.0])
+    ttf = c.tangents @ c.tangents.T
+    deriv = sb.sum(axis=(1, 3)) / (K0 * np.outer(c.lengths, c.lengths))
+    broken = {"B": 1j * K0 * sb, "Q": sq,
+              "BS": 1j * (K0 * ttf[:, None, :, None] * sb
+                          - np.einsum("a,b,ef->eafb", sgn, sgn, deriv))}
+    inc = np.zeros((c.n_nodes, 2 * n0))
+    inc[c.elements.ravel(), np.arange(2 * n0)] = 1.0
+    got = _helmholtz_blocks(c, K0)
+    for key, a in broken.items():
+        want = inc @ a.reshape(2 * n0, 2 * n0) @ inc.T
+        assert np.max(np.abs(got[key] - want)) \
+            <= 1e-14 * np.max(np.abs(want)), key
+
+
+def test_kernel_pass_memory_budget():
+    """The kernel pass holds B, B - S, Q and one transpose: about
+    4 n^2 complex entries, plus a fixed buffer for one chunk of kernel
+    points.  N = 1024 is large enough for the n^2 part to dominate."""
+    c = mesh_circle(1.1, 1024)
+    tracemalloc.start()
+    try:
+        _helmholtz_blocks(c, 2.0 * np.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
 
 
 # --- mass and derivative matrices -------------------------------------------
