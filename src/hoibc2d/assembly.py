@@ -111,7 +111,7 @@ class AssembledSystem:
     """
 
     blocks: dict
-    rhs: np.ndarray
+    rhs: Optional[np.ndarray]         # full-system rhs; None when reduced directly
     meta: dict
     sizes: tuple
     constrained: tuple
@@ -806,8 +806,6 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
                        wave.phi_inc)[:, 0] * wave.amplitude
     rhs[[i for i in system.constrained if i < rhs.size]] = 0.0
     system.reduced_rhs = rhs
-    system.rhs = np.concatenate(
-        [rhs, np.zeros(sum(system.sizes) - rhs.size, dtype=complex)])
     return system
 
 

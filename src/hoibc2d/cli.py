@@ -269,6 +269,15 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     if colloc is not None:
         grid = _as_grid(colloc, "ibc.collocation_angles", bad)
         colloc = tuple(grid) if grid is not None else None
+    need = 2 * ORDERS.index(order)          # IBC0 fits no angles
+    if colloc and need and len(colloc) != need:
+        bad.append(("ibc.collocation_angles",
+                    f"ibc.collocation_angles: {order} collocation takes "
+                    f"{need} angles, got {len(colloc)}"))
+    elif colloc and not all(0.0 < t < 90.0 for t in colloc):
+        bad.append(("ibc.collocation_angles",
+                    "ibc.collocation_angles: angles must lie in (0, 90) "
+                    f"degrees, got {list(colloc)}"))
 
     sweep = _section(raw, "sweep", bad)
     sweep_kind = str(sweep.get("kind", "bistatic")).lower()
@@ -339,8 +348,11 @@ def _write_atomic(path, text):
 
 
 def _fit(cfg, order, k0=None):
+    """Fit ``order``; the configured collocation angles belong to the
+    configured order, every other order collocates at its default nodes."""
     thetas = None
-    if cfg.fit_method == "collocation" and cfg.collocation_deg:
+    if cfg.fit_method == "collocation" and cfg.collocation_deg \
+            and order == cfg.ibc_order:
         thetas = tuple(np.deg2rad(cfg.collocation_deg))
     return fit_coefficients(cfg.coating(), cfg.pol, k0 or cfg.k0, order,
                             method=cfg.fit_method, thetas=thetas)

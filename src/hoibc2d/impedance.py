@@ -22,13 +22,15 @@ The SUC (sufficient-uniqueness-condition) and well-posedness checkers
 evaluate the sign/equality conditions that the variational formulations
 place on fitted coefficients.  They report; they never gate a solve.
 
-High-precision internals use mpmath: the exact impedance is cheap, and
-fourth-order Taylor coefficients obtained by finite differences in double
-precision would lose most of their digits.
+High-precision internals use mpmath: the exact impedance is cheap, so the
+Taylor coefficients come from mpmath's numerical differentiation
+(``mp.taylor``) at 40 digits, and the Pade and collocation systems are
+solved at the same precision before rounding to double.
 """
 
 import cmath
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import mpmath as mp
 import numpy as np
@@ -38,7 +40,6 @@ from .specfun import Z0
 
 _DPS = 40                 # working precision for the mpmath internals
 _RES_EPS = 1e-8           # distance to a tan() pole that counts as resonance
-_FD_STEPS = ("1e-3", "5e-4", "2.5e-4")   # pinned Richardson steps in xi
 
 POLARIZATIONS = ("TE", "TM")
 ORDERS = ("IBC0", "IBC1", "IBC2")
@@ -225,76 +226,24 @@ def _z_exact_mp(pol, xi, eps, mu, k0d):
     return z0 * mu * t_over_w
 
 
-def _richardson_deriv(f, order):
-    """order-th derivative of f at 0 from central differences at the pinned
-    steps, Richardson-extrapolated twice (error h^2 -> h^6)."""
-    steps = [mp.mpf(s) for s in _FD_STEPS]
-
-    def cd(h):
-        if order == 1:
-            return (f(h) - f(-h)) / (2 * h)
-        if order == 2:
-            return (f(h) - 2 * f(mp.mpf(0)) + f(-h)) / h**2
-        if order == 3:
-            return (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h**3)
-        if order == 4:
-            return (f(2 * h) - 4 * f(h) + 6 * f(mp.mpf(0)) - 4 * f(-h) + f(-2 * h)) / h**4
-        raise UsageError(f"derivative order {order} not supported")
-
-    d = [cd(h) for h in steps]
-    d01 = (4 * d[1] - d[0]) / 3
-    d12 = (4 * d[2] - d[1]) / 3
-    return (16 * d12 - d01) / 15
-
-
-def _c012_te_closed_mp(eps, mu, k0d):
-    """Closed-form c0, c1, c2 of the TE impedance around xi = 0."""
-    z0 = mp.mpf("376.730313668")
-    w0 = mp.sqrt(eps * mu)
-    T = mp.tan(w0 * k0d)
-    c0 = z0 * w0 * T / eps
-    c1 = z0 * k0d / (2 * eps) + z0 * T / (2 * eps * w0) + z0 * k0d * T**2 / (2 * eps)
-    c2 = (
-        z0 * k0d / (8 * eps**2 * mu)
-        + (z0 * k0d**2 / (4 * eps * w0) - z0 / (8 * eps * (eps * mu) * w0)) * T
-        + z0 * k0d / (8 * eps**2 * mu) * T**2
-        + z0 * k0d**2 / (4 * eps * w0) * T**3
-    )
-    return c0, c1, c2
+def _layer_mp(coating, k0):
+    """eps_r, mu_r and k0 d as mpmath numbers at the current precision."""
+    return _mpc(coating.eps_r), _mpc(coating.mu_r), mp.mpf(k0) * mp.mpf(coating.d)
 
 
 def _taylor_coefficients_mp(coating, pol, k0, upto):
     """c_0..c_upto of Z(xi) around xi = 0, as mpmath numbers.
 
-    TE uses the closed forms for c0..c2; everything else comes from the
-    pinned-step Richardson differences of the exact impedance.
+    mpmath differentiates the exact impedance at _DPS digits; c_0 is Z(0)
+    itself, so a resonant layer raises ResonanceError.
     """
     _check_pol(pol)
     _check_inputs(coating, k0)
     if not 0 <= upto <= 4:
         raise UsageError(f"Taylor order must be 0..4, got {upto}")
     with mp.workdps(_DPS):
-        eps = _mpc(coating.eps_r)
-        mu = _mpc(coating.mu_r)
-        k0d = mp.mpf(k0) * mp.mpf(coating.d)
-        # the closed forms below share the tan() pole of the exact impedance,
-        # so refuse resonant layers up front rather than emitting huge c_k
-        _guard_pole_mp(mp.sqrt(eps * mu) * k0d)
-        cs = [None] * (upto + 1)
-        if pol == "TE":
-            c0, c1, c2 = _c012_te_closed_mp(eps, mu, k0d)
-            for k, v in enumerate((c0, c1, c2)[: upto + 1]):
-                cs[k] = v
-        else:
-            cs[0] = _z_exact_mp(pol, mp.mpf(0), eps, mu, k0d)
-
-        def f(x):
-            return _z_exact_mp(pol, x, eps, mu, k0d)
-
-        for k in range(1, upto + 1):
-            if cs[k] is None:
-                cs[k] = _richardson_deriv(f, k) / mp.factorial(k)
-        return cs
+        eps, mu, k0d = _layer_mp(coating, k0)
+        return mp.taylor(lambda x: _z_exact_mp(pol, x, eps, mu, k0d), 0, upto)
 
 
 def taylor_coefficients(coating, pol, k0, upto=4):
@@ -307,60 +256,24 @@ def taylor_coefficients(coating, pol, k0, upto=4):
 # Fits
 # ----------------------------------------------------------------------
 
-def taylor_ibc1(coating, k0):
-    """First-order Taylor fit for TE: a1 = dZ/dxi at 0, b1 = 0."""
-    cs = _taylor_coefficients_mp(coating, "TE", k0, 1)
-    return IbcCoefficients(
-        order="IBC1", pol="TE", a0=complex(cs[0]), a=complex(cs[1]), b=0j,
-        coating=coating,
-    )
+def _pade_mp(cs, m):
+    """[m/m] Pade (p_0..p_m, q_0..q_m), q_0 = 1, from c_0..c_2m (mp numbers).
 
-
-def _pade11_mp(c0, c1, c2):
-    if abs(c1) == 0:
-        raise DegenerateFitError("Pade [1/1] fit needs c1 != 0, got c1 = 0")
-    b1 = -c2 / c1
-    a1 = c1 - c0 * c2 / c1
-    return a1, b1
-
-
-def pade_ibc1(coating, pol, k0):
-    """[1/1] Pade fit: matches c0, c1, c2 of the exact impedance."""
-    with mp.workdps(_DPS):
-        c0, c1, c2 = _taylor_coefficients_mp(coating, pol, k0, 2)
-        a1, b1 = _pade11_mp(c0, c1, c2)
-        return IbcCoefficients(
-            order="IBC1", pol=pol, a0=complex(c0), a=complex(a1), b=complex(b1),
-            coating=coating,
-        )
-
-
-def _pade22_mp(cs):
-    """[2/2] Pade from series coefficients c0..c4 (mp numbers)."""
-    c0, c1, c2, c3, c4 = cs
-    det = c2 * c2 - c1 * c3
-    scale = abs(c2 * c2) + abs(c1 * c3)
-    if scale == 0 or abs(det) <= mp.mpf("1e-14") * scale:
+    The denominator solves the Toeplitz rows
+    c_{m+i} + sum_j q_j c_{m+i-j} = 0 (i, j = 1..m); then
+    p_k = sum_{j<=k} q_j c_{k-j}.
+    """
+    T = mp.matrix([[cs[m + i - j] for j in range(1, m + 1)] for i in range(1, m + 1)])
+    permanent = sum(mp.fprod(abs(T[i, s[i]]) for i in range(m))
+                    for s in permutations(range(m)))
+    if abs(mp.det(T)) <= mp.mpf("1e-14") * permanent:
         raise DegenerateFitError(
-            "degenerate Hankel system in the [2/2] Pade fit (c2^2 - c1 c3 ~ 0)"
+            f"degenerate Toeplitz system in the [{m}/{m}] Pade fit "
+            "(the series is a lower-order rational)"
         )
-    q1 = (c1 * c4 - c2 * c3) / det
-    q2 = (c3 * c3 - c2 * c4) / det
-    p1 = c1 + q1 * c0
-    p2 = c2 + q1 * c1 + q2 * c0
-    return p1, p2, q1, q2
-
-
-def pade_ibc2(coating, pol, k0):
-    """[2/2] Pade fit: matches c0..c4 of the exact impedance."""
-    with mp.workdps(_DPS):
-        cs = _taylor_coefficients_mp(coating, pol, k0, 4)
-        p1, p2, q1, q2 = _pade22_mp(cs)
-        return IbcCoefficients(
-            order="IBC2", pol=pol, a0=complex(cs[0]),
-            a=complex(p1), ap=complex(p2), b=complex(q1), bp=complex(q2),
-            coating=coating,
-        )
+    q = [mp.mpf(1)] + list(mp.lu_solve(T, -mp.matrix(cs[m + 1: 2 * m + 1])))
+    p = [sum(q[j] * cs[k - j] for j in range(k + 1)) for k in range(m + 1)]
+    return p, q
 
 
 def _check_node(theta):
@@ -370,95 +283,44 @@ def _check_node(theta):
     return theta
 
 
-def collocation_ibc1(coating, pol, k0, theta1=None, theta2=None):
-    """Two-point collocation: rational interpolates Z exactly at both nodes.
+def _collocation(coating, pol, k0, m, thetas):
+    """[m/m] rational (p, q) through Z(0) and Z at 2m angles (radians).
 
-    Angles are in radians; defaults are 30 and 60 degrees.
-    """
-    _check_pol(pol)
-    _check_inputs(coating, k0)
-    if theta1 is None:
-        theta1 = DEFAULT_NODES_IBC1[0]
-    if theta2 is None:
-        theta2 = DEFAULT_NODES_IBC1[1]
-    theta1 = _check_node(theta1)
-    theta2 = _check_node(theta2)
-    if theta1 == theta2:
-        raise DegenerateFitError("collocation nodes coincide (theta1 = theta2)")
-    with mp.workdps(_DPS):
-        eps = _mpc(coating.eps_r)
-        mu = _mpc(coating.mu_r)
-        k0d = mp.mpf(k0) * mp.mpf(coating.d)
-        a0 = _z_exact_mp(pol, mp.mpf(0), eps, mu, k0d)
-        rows = []
-        rhs = []
-        for th in (theta1, theta2):
-            xi = -mp.sin(mp.mpf(th)) ** 2
-            Z = _z_exact_mp(pol, xi, eps, mu, k0d)
-            rows.append((xi, -xi * Z))
-            rhs.append(Z - a0)
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        # Hadamard bound as scale: catches both collinear rows and a
-        # collapsing column (vanishing-thickness layer where Z -> 0).
-        scale = (abs(rows[0][0]) + abs(rows[0][1])) * (abs(rows[1][0]) + abs(rows[1][1]))
-        if scale == 0 or abs(det) <= mp.mpf("1e-25") * scale:
-            raise DegenerateFitError(
-                "collinear collocation nodes (singular 2x2 system); the exact "
-                "impedance does not separate the chosen angles"
-            )
-        a = (rhs[0] * rows[1][1] - rows[0][1] * rhs[1]) / det
-        b = (rows[0][0] * rhs[1] - rhs[0] * rows[1][0]) / det
-        return IbcCoefficients(
-            order="IBC1", pol=pol, a0=complex(a0), a=complex(a), b=complex(b),
-            coating=coating,
-        )
-
-
-def collocation_ibc2(coating, pol, k0, thetas=None):
-    """Four-point collocation for the second-order rational.
-
-    Each node contributes the interpolation condition
-    Z(xi_k) (1 + b xi_k + b' xi_k^2) = a0 + a xi_k + a' xi_k^2, linear in
-    (a, a', b, b').  Angles are radians; defaults 20/40/60/80 degrees.
+    Each node contributes Z(xi_k) (1 + sum_j q_j xi_k^j) = p_0 + sum_j p_j xi_k^j
+    with p_0 = Z(0), linear in (p_1..p_m, q_1..q_m).  Defaults are
+    DEFAULT_NODES_IBC1 / DEFAULT_NODES_IBC2.
     """
     _check_pol(pol)
     _check_inputs(coating, k0)
     if thetas is None:
-        thetas = DEFAULT_NODES_IBC2
+        thetas = (DEFAULT_NODES_IBC1, DEFAULT_NODES_IBC2)[m - 1]
     thetas = [_check_node(t) for t in thetas]
-    if len(thetas) != 4:
-        raise UsageError(f"need exactly 4 collocation angles, got {len(thetas)}")
-    if len(set(thetas)) != 4:
+    if len(thetas) != 2 * m:
+        raise UsageError(f"IBC{m} collocation needs exactly {2 * m} angles, "
+                         f"got {len(thetas)}")
+    if len(set(thetas)) != 2 * m:
         raise DegenerateFitError("collocation nodes must be distinct")
     with mp.workdps(_DPS):
-        eps = _mpc(coating.eps_r)
-        mu = _mpc(coating.mu_r)
-        k0d = mp.mpf(k0) * mp.mpf(coating.d)
+        eps, mu, k0d = _layer_mp(coating, k0)
         a0 = _z_exact_mp(pol, mp.mpf(0), eps, mu, k0d)
-        A = mp.zeros(4)
-        rhs = mp.zeros(4, 1)
-        Afloat = np.zeros((4, 4), dtype=complex)
+        A = mp.zeros(2 * m)
+        rhs = mp.zeros(2 * m, 1)
         for r, th in enumerate(thetas):
             xi = -mp.sin(mp.mpf(th)) ** 2
             Z = _z_exact_mp(pol, xi, eps, mu, k0d)
-            row = (xi, xi * xi, -xi * Z, -xi * xi * Z)
-            for c, v in enumerate(row):
-                A[r, c] = v
-                Afloat[r, c] = complex(v)
+            power = xi
+            for j in range(m):
+                A[r, j], A[r, m + j] = power, -power * Z
+                power *= xi
             rhs[r] = Z - a0
-        cond = np.linalg.cond(Afloat)
+        cond = np.linalg.cond(np.array(A.tolist(), dtype=complex))
         if not np.isfinite(cond) or cond > 1e12:
             raise DegenerateFitError(
                 f"ill-conditioned collocation system (condition estimate {cond:.3e} "
                 "> 1e12); choose better-separated angles"
             )
         sol = mp.lu_solve(A, rhs)
-        return IbcCoefficients(
-            order="IBC2", pol=pol, a0=complex(a0),
-            a=complex(sol[0]), ap=complex(sol[1]),
-            b=complex(sol[2]), bp=complex(sol[3]),
-            coating=coating,
-        )
+        return [a0] + list(sol[:m]), [mp.mpf(1)] + list(sol[m:])
 
 
 def leontovich_ibc0(coating, pol, k0):
@@ -469,31 +331,32 @@ def leontovich_ibc0(coating, pol, k0):
 
 
 def fit_coefficients(coating, pol, k0, order, method="pade", thetas=None):
-    """Dispatch helper: fit coefficients of the requested order and method."""
+    """Fit the order-m rational to the exact impedance of the layer.
+
+    method "pade" matches c_0..c_2m, "collocation" interpolates Z(0) and Z
+    at 2m angles ``thetas`` [rad], and "taylor" (TE IBC1 only) takes
+    a = c_1, b = 0.
+    """
     if order == "IBC0":
         return leontovich_ibc0(coating, pol, k0)
-    if order == "IBC1":
-        if method == "pade":
-            return pade_ibc1(coating, pol, k0)
-        if method == "taylor":
-            if pol != "TE":
-                raise UsageError("the Taylor closed form is available for TE only")
-            return taylor_ibc1(coating, k0)
-        if method == "collocation":
-            t = tuple(thetas) if thetas else (None, None)
-            if len(t) != 2:
-                raise UsageError("first-order collocation takes two angles")
-            return collocation_ibc1(coating, pol, k0, t[0], t[1])
+    if order not in ORDERS:
+        raise UsageError(f"order must be one of {ORDERS}, got {order!r}")
+    m = ORDERS.index(order)
+    if method == "pade":
+        with mp.workdps(_DPS):
+            p, q = _pade_mp(_taylor_coefficients_mp(coating, pol, k0, 2 * m), m)
+    elif method == "collocation":
+        p, q = _collocation(coating, pol, k0, m, thetas)
+    elif method == "taylor":
+        if (order, pol) != ("IBC1", "TE"):
+            raise UsageError("the Taylor fit (a = c1, b = 0) is available for "
+                             "TE IBC1 only; use pade")
+        p, q = _taylor_coefficients_mp(coating, pol, k0, 1), [1, 0]
+    else:
         raise UsageError(f"unknown fit method {method!r}")
-    if order == "IBC2":
-        if method == "pade":
-            return pade_ibc2(coating, pol, k0)
-        if method == "collocation":
-            return collocation_ibc2(coating, pol, k0, thetas)
-        if method == "taylor":
-            raise UsageError("no closed-form Taylor fit at second order; use pade")
-        raise UsageError(f"unknown fit method {method!r}")
-    raise UsageError(f"order must be one of {ORDERS}, got {order!r}")
+    p, q = [complex(v) for v in p] + [0j], [complex(v) for v in q] + [0j]
+    return IbcCoefficients(order=order, pol=pol, a0=p[0], a=p[1], ap=p[2],
+                           b=q[1], bp=q[2], coating=coating)
 
 
 # ----------------------------------------------------------------------

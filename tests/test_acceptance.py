@@ -87,8 +87,10 @@ def test_accept_01_first_order_fit_band():
     t0 = time.perf_counter()
     errs = {}
     for pol in ("TE", "TM"):
-        e1 = imp.max_fit_error(imp.pade_ibc1(FIT_COAT, pol, K0), FIT_COAT, K0)
-        e2 = imp.max_fit_error(imp.pade_ibc2(FIT_COAT, pol, K0), FIT_COAT, K0)
+        e1 = imp.max_fit_error(fit_coefficients(FIT_COAT, pol, K0, "IBC1"),
+                               FIT_COAT, K0)
+        e2 = imp.max_fit_error(fit_coefficients(FIT_COAT, pol, K0, "IBC2"),
+                               FIT_COAT, K0)
         errs[pol] = (e1, e2)
     band = max(e1 for e1, _ in errs.values())
     ordering = all(e2 < e1 for e1, e2 in errs.values())
@@ -125,11 +127,9 @@ def test_accept_02_collocation_interpolation():
     for seed in range(10):
         coat = _random_coating(seed)
         for pol in ("TE", "TM"):
-            fits = (
-                (imp.collocation_ibc1(coat, pol, K0), imp.DEFAULT_NODES_IBC1),
-                (imp.collocation_ibc2(coat, pol, K0), imp.DEFAULT_NODES_IBC2),
-            )
-            for cf, nodes in fits:
+            for order, nodes in (("IBC1", imp.DEFAULT_NODES_IBC1),
+                                 ("IBC2", imp.DEFAULT_NODES_IBC2)):
+                cf = fit_coefficients(coat, pol, K0, order, method="collocation")
                 for th in nodes:
                     xi = -np.sin(th) ** 2
                     z = imp.exact_impedance(pol, xi, coat, K0)
@@ -169,7 +169,7 @@ def test_accept_03_pade_order_conditions():
     t0 = time.perf_counter()
     spreads = {}
     for pol in ("TE", "TM"):
-        c1 = imp.pade_ibc1(FIT_COAT, pol, K0)
+        c1 = fit_coefficients(FIT_COAT, pol, K0, "IBC1", method="pade")
         t2 = imp.taylor_coefficients(FIT_COAT, pol, K0, upto=2)
         r1 = [_residual_ratio((c1.a0, c1.a, 0, c1.b, 0), t2, x)
               for x in XI_POINTS]
@@ -180,11 +180,11 @@ def test_accept_03_pade_order_conditions():
         # so the stored values are checked on the two resolvable points.
         with mp.workdps(imp._DPS):
             cs = imp._taylor_coefficients_mp(CYL_COAT, pol, K0, 4)
-            a, ap, b, bp = imp._pade22_mp(cs)
-            r2 = [_residual_ratio((cs[0], a, ap, b, bp), cs, x)
+            (a0, a, ap), (_, b, bp) = imp._pade_mp(cs, 2)
+            r2 = [_residual_ratio((a0, a, ap, b, bp), cs, x)
                   for x in XI_POINTS]
         spreads[pol, "IBC2"] = max(r2) / min(r2)
-        c2 = imp.pade_ibc2(CYL_COAT, pol, K0)
+        c2 = fit_coefficients(CYL_COAT, pol, K0, "IBC2", method="pade")
         t4 = imp.taylor_coefficients(CYL_COAT, pol, K0, upto=4)
         r2s = [_residual_ratio((c2.a0, c2.a, c2.ap, c2.b, c2.bp), t4, x)
                for x in XI_POINTS[:2]]

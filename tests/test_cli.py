@@ -144,6 +144,13 @@ def test_malformed_json_exits_2_without_output(tmp_path):
                            "geometry.radius": "1 lambda0",
                            "coating.d": "0.1 lambda0"}),
     ("frequency", {"frequency": -3e8}),
+    ("ibc.collocation_angles", {"ibc": {"order": 1, "fit_method": "collocation",
+                                        "collocation_angles": [20.0, 40.0,
+                                                               60.0, 80.0]}}),
+    ("ibc.collocation_angles", {"ibc": {"order": 2, "fit_method": "collocation",
+                                        "collocation_angles": [30.0, 60.0]}}),
+    ("ibc.collocation_angles", {"ibc": {"order": 1, "fit_method": "collocation",
+                                        "collocation_angles": [30.0, 90.0]}}),
 ], ids=["step-zero", "step-negative", "start-equals-stop", "empty-list",
         "monostatic-empty", "phi-inc-text", "geometry-string",
         "coating-number", "ibc-list", "sweep-string", "table-number",
@@ -151,7 +158,8 @@ def test_malformed_json_exits_2_without_output(tmp_path):
         "frequency-inf", "lambda0-inf", "n-elements-inf", "n-max-inf",
         "radius-nan", "phi-inc-nan", "phi-inc-inf-text", "angle-nan",
         "theta-nan", "lambda0-negative", "lambda0-negative-lengths",
-        "frequency-negative"])
+        "frequency-negative", "colloc-count-ibc1", "colloc-count-ibc2",
+        "colloc-range"])
 def test_unusable_config_exits_2_without_output(tmp_path, field, override):
     cfg = put(tmp_path, "bad.json", CYLINDER, **override)
     with open(cfg, encoding="utf-8") as fh:
@@ -328,6 +336,32 @@ def test_impedance_table_fit_override(tmp_path):
                "--fit", "collocation", "--quiet") == 0
     text = (tmp_path / "impedance_table_te.csv").read_text()
     assert "# fit_method=collocation" in text
+
+
+def test_impedance_table_configured_angles(tmp_path):
+    """The configured angles belong to the configured order: the IBC1
+    columns interpolate Z there, IBC2 keeps its default nodes."""
+    cfg = put(tmp_path, "c.json", CYLINDER,
+              ibc={"order": 1, "fit_method": "collocation",
+                   "collocation_angles": [25.0, 65.0]})
+    assert run("impedance-table", "--config", cfg, "--out", str(tmp_path),
+               "--quiet") == 0
+    text = (tmp_path / "impedance_table_te.csv").read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    rows = {float(r[0]): [float(v) for v in r[1:]]
+            for r in (ln.split(",") for ln in lines[1:])}
+
+    def rel_err(deg, column):
+        v = rows[deg]
+        return abs(complex(v[column], v[column + 1]) - complex(v[0], v[1])) \
+            / abs(complex(v[0], v[1]))
+
+    for deg in (25.0, 65.0):
+        assert rel_err(deg, 4) <= 1e-10          # IBC1
+    for deg in (20.0, 40.0, 60.0, 80.0):
+        assert rel_err(deg, 6) <= 1e-10          # IBC2
+    # not the IBC1 default nodes (30 and 60 degrees)
+    assert rel_err(30.0, 4) > 1e-6
 
 
 # --- check -------------------------------------------------------------------

@@ -98,8 +98,8 @@ def test_coating_validation():
 # ------------------------------------------------------------------- fits
 
 def test_taylor_ibc1_against_derivative():
-    """Closed-form a1 equals dZ_TE/dxi at 0 (independent finite difference)."""
-    t = imp.taylor_ibc1(REF, K0)
+    """Taylor-fit a1 equals dZ_TE/dxi at 0 (independent finite difference)."""
+    t = imp.fit_coefficients(REF, "TE", K0, "IBC1", method="taylor")
     assert t.b == 0
     h = 1e-6
     fd = (z_exact_hp("TE", h, REF, K0) - z_exact_hp("TE", -h, REF, K0)) / (2 * h)
@@ -111,32 +111,66 @@ def test_taylor_ibc1_against_derivative():
 def test_taylor_ibc1_thin_scaling():
     # leading order a1 ~ z0 k0 d / eps_r (the two half terms add up)
     for d in (1e-4, 1e-5):
-        t = imp.taylor_ibc1(imp.CoatingSpec(4.0, 1.0, d), K0)
+        t = imp.fit_coefficients(imp.CoatingSpec(4.0, 1.0, d), "TE", K0, "IBC1",
+                                 method="taylor")
         lead = Z0 * K0 * d / 4.0
         assert abs(t.a - lead) <= 1e-3 * abs(lead)
 
 
-def test_taylor_coefficients_closed_vs_richardson():
-    """c1, c2 closed forms agree with pure finite differences (TE)."""
+def test_taylor_coefficients_match_closed_forms():
+    """TE c1, c2 from mpmath's differentiation equal their closed forms."""
     cs = imp.taylor_coefficients(REF, "TE", K0, upto=2)
     with mp.workdps(40):
-        eps, mu = mp.mpc(4), mp.mpc(1)
+        z0 = mp.mpf("376.730313668")
+        eps, mu = mp.mpf(4), mp.mpf(1)
         k0d = mp.mpf(K0) * mp.mpf(REF.d)
+        w0 = mp.sqrt(eps * mu)
+        T = mp.tan(w0 * k0d)
+        c1 = z0 * k0d / (2 * eps) + z0 * T / (2 * eps * w0) + z0 * k0d * T**2 / (2 * eps)
+        c2 = (
+            z0 * k0d / (8 * eps**2 * mu)
+            + (z0 * k0d**2 / (4 * eps * w0) - z0 / (8 * eps * (eps * mu) * w0)) * T
+            + z0 * k0d / (8 * eps**2 * mu) * T**2
+            + z0 * k0d**2 / (4 * eps * w0) * T**3
+        )
+    assert abs(cs[1] - complex(c1)) <= 1e-14 * abs(cs[1])
+    assert abs(cs[2] - complex(c2)) <= 1e-14 * abs(cs[2])
 
-        def f(x):
-            return imp._z_exact_mp("TE", x, eps, mu, k0d)
 
-        c1_fd = imp._richardson_deriv(f, 1)
-        c2_fd = imp._richardson_deriv(f, 2) / 2
-        assert abs(cs[1] - complex(c1_fd)) <= 1e-6 * abs(cs[1])
-        assert abs(cs[2] - complex(c2_fd)) <= 1e-6 * abs(cs[2])
+def _series_80(pol, coating, k0, upto):
+    """c_0..c_upto of the exact impedance, differentiated at 80 digits."""
+    z0 = mp.mpf("376.730313668")
+    eps = mp.mpc(coating.eps_r.real, coating.eps_r.imag)
+    mu = mp.mpc(coating.mu_r.real, coating.mu_r.imag)
+    k0d = mp.mpf(k0) * mp.mpf(coating.d)
+
+    def z(xi):
+        w = mp.sqrt(eps * mu + xi)
+        if pol == "TE":
+            return z0 * w * mp.tan(w * k0d) / eps
+        return z0 * mu * mp.tan(w * k0d) / w
+
+    return mp.taylor(z, 0, upto)
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_fits_are_correctly_rounded(pol):
+    """Taylor coefficients and the [2/2] Pade fit equal 80-digit values
+    rounded to complex128."""
+    with mp.workdps(80):
+        series = [complex(c) for c in _series_80(pol, REF, K0, 4)]
+        p, q = mp.pade(_series_80(pol, LOSSY, K0, 4), 2, 2)
+        pade = [complex(v) for v in (p[0], p[1], p[2], q[1], q[2])]
+    assert list(imp.taylor_coefficients(REF, pol, K0, upto=4)) == series
+    c = imp.fit_coefficients(LOSSY, pol, K0, "IBC2", method="pade")
+    assert [c.a0, c.a, c.ap, c.b, c.bp] == pade
 
 
 def test_pade_ibc1_symbolic():
     # c0=1, c1=2, c2=4 forces b1 = -2, a1 = 0
-    a1, b1 = imp._pade11_mp(mp.mpf(1), mp.mpf(2), mp.mpf(4))
-    assert complex(b1) == -2
-    assert complex(a1) == 0
+    p, q = imp._pade_mp([mp.mpf(v) for v in (1, 2, 4)], 1)
+    assert complex(q[1]) == -2
+    assert complex(p[1]) == 0
 
 
 def pade_residual_ratio(coeffs, taylor, xi_str):
@@ -159,7 +193,7 @@ def pade_residual_ratio(coeffs, taylor, xi_str):
 def test_pade_ibc1_order_condition():
     """R(xi) = (a0 + a1 xi) - (1 + b1 xi)(c0 + c1 xi + c2 xi^2) is O(xi^3)."""
     for pol in ("TE", "TM"):
-        p = imp.pade_ibc1(REF, pol, K0)
+        p = imp.fit_coefficients(REF, pol, K0, "IBC1", method="pade")
         cs = imp.taylor_coefficients(REF, pol, K0, upto=2)
         ratios = [pade_residual_ratio(p, cs, x)
                   for x in ("-1e-2", "-1e-3", "-1e-4")]
@@ -169,7 +203,7 @@ def test_pade_ibc1_order_condition():
 def test_pade_ibc2_order_condition():
     # needs a layer thick enough that c3, c4 survive float64 rounding
     for pol in ("TE", "TM"):
-        p = imp.pade_ibc2(LOSSY, pol, K0)
+        p = imp.fit_coefficients(LOSSY, pol, K0, "IBC2", method="pade")
         cs = imp.taylor_coefficients(LOSSY, pol, K0, upto=4)
         ratios = [pade_residual_ratio(p, cs, x) for x in ("-1e-2", "-1e-3")]
         assert max(ratios) / min(ratios) < 10.0
@@ -178,25 +212,26 @@ def test_pade_ibc2_order_condition():
 def test_pade22_degenerations():
     # c3 = c4 = 0 forces the denominator to 1 (quadratic Taylor polynomial)
     cs = [mp.mpf(v) for v in (1, 2, 4, 0, 0)]
-    p1, p2, q1, q2 = imp._pade22_mp(cs)
-    assert complex(q1) == 0 and complex(q2) == 0
-    assert complex(p1) == 2 and complex(p2) == 4
+    p, q = imp._pade_mp(cs, 2)
+    assert complex(q[1]) == 0 and complex(q[2]) == 0
+    assert complex(p[1]) == 2 and complex(p[2]) == 4
     # a series that IS a [1/1] rational makes the Hankel system singular
     b1 = mp.mpf("0.5")
     geo = [mp.mpf(1), mp.mpf(3), -3 * b1, 3 * b1**2, -3 * b1**3]
     with pytest.raises(DegenerateFitError):
-        imp._pade22_mp(geo)
+        imp._pade_mp(geo, 2)
 
 
 def test_pade_degenerate_c1():
     with pytest.raises(DegenerateFitError):
-        imp._pade11_mp(mp.mpf(1), mp.mpf(0), mp.mpf(4))
+        imp._pade_mp([mp.mpf(v) for v in (1, 0, 4)], 1)
 
 
 def test_collocation_ibc1_interpolates():
     thetas = (np.deg2rad(30.0), np.deg2rad(60.0))
     for pol in ("TE", "TM"):
-        c = imp.collocation_ibc1(REF, pol, K0, *thetas)
+        c = imp.fit_coefficients(REF, pol, K0, "IBC1", method="collocation",
+                                 thetas=thetas)
         for th in thetas:
             xi = -np.sin(th) ** 2
             z = imp.exact_impedance(pol, xi, REF, K0)
@@ -207,7 +242,7 @@ def test_collocation_ibc1_interpolates():
 
 def test_collocation_ibc1_against_direct_solve():
     """Brute-force float solve of the same 2x2 system reproduces (a, b)."""
-    c = imp.collocation_ibc1(REF, "TE", K0)
+    c = imp.fit_coefficients(REF, "TE", K0, "IBC1", method="collocation")
     a0 = imp.leontovich_a0(REF, K0)
     A = np.zeros((2, 2), dtype=complex)
     rhs = np.zeros(2, dtype=complex)
@@ -223,15 +258,17 @@ def test_collocation_ibc1_against_direct_solve():
 
 def test_collocation_ibc1_degenerate():
     with pytest.raises(DegenerateFitError):
-        imp.collocation_ibc1(REF, "TE", K0, 0.5, 0.5)
+        imp.fit_coefficients(REF, "TE", K0, "IBC1", method="collocation",
+                             thetas=(0.5, 0.5))
     # vanishing-thickness layer: Z ~ 0, the 2x2 matrix is numerically singular
     with pytest.raises(DegenerateFitError):
-        imp.collocation_ibc1(imp.CoatingSpec(4.0, 1.0, 1e-30), "TE", K0)
+        imp.fit_coefficients(imp.CoatingSpec(4.0, 1.0, 1e-30), "TE", K0, "IBC1",
+                             method="collocation")
 
 
 def test_collocation_ibc2_interpolates():
     for pol in ("TE", "TM"):
-        c = imp.collocation_ibc2(LOSSY, pol, K0)
+        c = imp.fit_coefficients(LOSSY, pol, K0, "IBC2", method="collocation")
         for th in imp.DEFAULT_NODES_IBC2:
             xi = -np.sin(th) ** 2
             z = imp.exact_impedance(pol, xi, LOSSY, K0)
@@ -243,32 +280,39 @@ def test_collocation_ibc2_near_rational_function_rejected():
     # rational to ~1e-15, so the four-point system is rank deficient and
     # the conditioning gate must fire.
     with pytest.raises(DegenerateFitError):
-        imp.collocation_ibc2(REF, "TM", K0)
+        imp.fit_coefficients(REF, "TM", K0, "IBC2", method="collocation")
 
 
 def test_collocation_ibc2_validation():
     with pytest.raises(UsageError):
-        imp.collocation_ibc2(LOSSY, "TE", K0, thetas=(0.1, 0.2, 0.3))
+        imp.fit_coefficients(LOSSY, "TE", K0, "IBC2", method="collocation",
+                             thetas=(0.1, 0.2, 0.3))
     with pytest.raises(DegenerateFitError):
-        imp.collocation_ibc2(LOSSY, "TE", K0, thetas=(0.1, 0.1, 0.3, 0.4))
+        imp.fit_coefficients(LOSSY, "TE", K0, "IBC2", method="collocation",
+                             thetas=(0.1, 0.1, 0.3, 0.4))
     with pytest.raises(UsageError):
-        imp.collocation_ibc2(LOSSY, "TE", K0, thetas=(0.0, 0.2, 0.3, 0.4))
+        imp.fit_coefficients(LOSSY, "TE", K0, "IBC2", method="collocation",
+                             thetas=(0.0, 0.2, 0.3, 0.4))
 
 
 def test_fit_error_ordering_pade():
     """IBC0 > IBC1 > IBC2 max fit error for the reference coating, both pols."""
     for pol in ("TE", "TM"):
         e0 = imp.max_fit_error(imp.leontovich_ibc0(REF, pol, K0), REF, K0)
-        e1 = imp.max_fit_error(imp.pade_ibc1(REF, pol, K0), REF, K0)
-        e2 = imp.max_fit_error(imp.pade_ibc2(REF, pol, K0), REF, K0)
+        e1 = imp.max_fit_error(imp.fit_coefficients(REF, pol, K0, "IBC1"), REF, K0)
+        e2 = imp.max_fit_error(imp.fit_coefficients(REF, pol, K0, "IBC2"), REF, K0)
         assert e0 > e1 > e2
 
 
 def test_fit_error_ordering_collocation_lossy():
     for pol in ("TE", "TM"):
         e0 = imp.max_fit_error(imp.leontovich_ibc0(LOSSY, pol, K0), LOSSY, K0)
-        e1 = imp.max_fit_error(imp.collocation_ibc1(LOSSY, pol, K0), LOSSY, K0)
-        e2 = imp.max_fit_error(imp.collocation_ibc2(LOSSY, pol, K0), LOSSY, K0)
+        e1 = imp.max_fit_error(
+            imp.fit_coefficients(LOSSY, pol, K0, "IBC1", method="collocation"),
+            LOSSY, K0)
+        e2 = imp.max_fit_error(
+            imp.fit_coefficients(LOSSY, pol, K0, "IBC2", method="collocation"),
+            LOSSY, K0)
         assert e0 > e1 > e2
 
 
@@ -327,7 +371,7 @@ def test_suc_ibc1_leontovich_fails_only_nonzero_clause():
 
 
 def test_suc_ibc1_lossless_pade_report_is_data():
-    rep = imp.suc_check_ibc1(imp.pade_ibc1(REF, "TE", K0))
+    rep = imp.suc_check_ibc1(imp.fit_coefficients(REF, "TE", K0, "IBC1"))
     # real coefficients make Re(a - b* a0) = a - b a0 != 0: recorded, not raised
     assert not rep.passed
     names = [name for (name, _, _, ok) in rep.clauses if not ok]
@@ -335,11 +379,11 @@ def test_suc_ibc1_lossless_pade_report_is_data():
 
 
 def test_suc_ibc1_wrong_order():
-    c2 = imp.pade_ibc2(LOSSY, "TE", K0)
+    c2 = imp.fit_coefficients(LOSSY, "TE", K0, "IBC2")
     with pytest.raises(UsageError):
         imp.suc_check_ibc1(c2)
     with pytest.raises(UsageError):
-        imp.suc_check_ibc2(imp.pade_ibc1(LOSSY, "TE", K0))
+        imp.suc_check_ibc2(imp.fit_coefficients(LOSSY, "TE", K0, "IBC1"))
 
 
 def test_suc_ibc2_zero_higher_coefficients():
@@ -352,10 +396,10 @@ def test_suc_ibc2_zero_higher_coefficients():
 
 
 def test_suc_ibc2_reports_delta_alpha_beta():
-    rep = imp.suc_check_ibc2(imp.pade_ibc2(LOSSY, "TM", K0))
+    rep = imp.suc_check_ibc2(imp.fit_coefficients(LOSSY, "TM", K0, "IBC2"))
     assert set(rep.details) == {"delta", "alpha", "beta"}
     # deterministic: same inputs give identical clause values
-    rep2 = imp.suc_check_ibc2(imp.pade_ibc2(LOSSY, "TM", K0))
+    rep2 = imp.suc_check_ibc2(imp.fit_coefficients(LOSSY, "TM", K0, "IBC2"))
     assert rep.clauses == rep2.clauses
 
 
@@ -374,7 +418,8 @@ def test_wellposedness_examples():
     freq = 6.8e9
     k0 = 2.0 * np.pi * freq / 299792458.0
     rep = imp.wellposedness_check(
-        imp.pade_ibc1(imp.CoatingSpec(10.0 - 5.0j, 1.0, 1.5e-3), "TM", k0)
+        imp.fit_coefficients(imp.CoatingSpec(10.0 - 5.0j, 1.0, 1.5e-3), "TM",
+                             k0, "IBC1")
     )
     assert isinstance(rep.clauses[0][1], float)
     with pytest.raises(UsageError):
@@ -410,7 +455,8 @@ def test_collocation_interpolation_property(re_eps, im_eps, dfrac, t1, t2):
     """Whatever admissible layer and nodes: the rational hits Z at the nodes."""
     coating = imp.CoatingSpec(complex(re_eps, im_eps), 1.0, dfrac * LAM)
     try:
-        c = imp.collocation_ibc1(coating, "TM", K0, t1, t2)
+        c = imp.fit_coefficients(coating, "TM", K0, "IBC1", method="collocation",
+                                 thetas=(t1, t2))
     except (DegenerateFitError, ResonanceError):
         return
     for th in (t1, t2):
