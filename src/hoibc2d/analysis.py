@@ -28,7 +28,9 @@ from .specfun import C0, Z0, bessel_jy, gauss_legendre_unit
 log = logging.getLogger("hoibc2d.analysis")
 
 TAIL_TOL = 1e-10
-SWEEP_CHUNK = 256  # angles per block solve in angle sweeps; bounds the rhs memory
+# angles per plane-wave block, in angle sweeps and far fields alike; it
+# bounds their memory at O(elements x SWEEP_CHUNK), whatever the angle count
+SWEEP_CHUNK = 256
 DB_FLOOR = 1e-300  # linear echo widths are floored here before log10
 
 
@@ -156,16 +158,22 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
 
     By reciprocity (module notes) F at each angle is the right-hand side
     of the unit wave arriving from it, phi_inc = angle + 180 deg, dotted
-    with [J; M]; an element with k0 h >= MAX_KH raises MeshError.
+    with [J; M]; an element with k0 h >= MAX_KH raises MeshError.  The
+    waves go in blocks of SWEEP_CHUNK angles, so memory is
+    O(elements x SWEEP_CHUNK) at any angle count.
     ``n_gl`` has no effect; the benchmark tracer (bench/tracing.py) reads
     it to count far-field points.
     """
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     j, m = _current_dofs(contour, currents)
-    rhs = assemble_rhs(contour, wave.pol, wave.k0,
-                       np.deg2rad(angles) + np.pi)
-    values = _reciprocal_amplitude(contour, wave.pol, wave.k0, rhs,
-                                   np.concatenate([j, m]))
+    x = np.concatenate([j, m])
+    phis = np.deg2rad(angles) + np.pi
+    values = np.empty(angles.size, dtype=complex)
+    for lo in range(0, angles.size, SWEEP_CHUNK):
+        block = phis[lo:lo + SWEEP_CHUNK]
+        values[lo:lo + block.size] = _reciprocal_amplitude(
+            contour, wave.pol, wave.k0,
+            assemble_rhs(contour, wave.pol, wave.k0, block), x)
     meta = {"geometry": contour_hash(contour)}
     meta.update(currents.meta)
     return FarFieldPattern(angles=angles, values=values, k0=wave.k0,

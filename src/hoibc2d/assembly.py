@@ -544,13 +544,23 @@ def _system_meta(contour, coeffs, wave, scaled, t0):
     }
 
 
-def _order0_blocks(te, bs, b, q, i1, a0):
-    """The (J, M) blocks A_JJ, A_JM, A_MJ, A_MM of order 0, as new arrays;
-    TM swaps the roles of B - S and B and transposes Q."""
-    q = q.astype(complex)
-    if te:
-        return Z0 * bs + 0.5 * a0 * i1, q, -q.T, b / Z0 + i1 / (2.0 * a0)
-    return Z0 * b + 0.5 * a0 * i1, q.T, -q, bs / Z0 + i1 / (2.0 * a0)
+def _put_order0(views, te, blocks, a0):
+    """Write the order-0 (J, M) blocks A_JJ, A_JM, A_MJ, A_MM into the four
+    complex views, with no complex n^2 temporary; TM swaps the roles of
+    B - S and B and transposes Q.  The a0 I1 terms go on I1's nonzeros
+    only (at most three per row)."""
+    jj, jm, mj, mm = views
+    bs, b, q = blocks["BS"], blocks["B"], blocks["Q"]
+    if not te:
+        bs, b, q = b, bs, q.T
+    np.multiply(Z0, bs, out=jj)
+    jm[...] = q
+    np.negative(q.T, out=mj)
+    np.divide(b, Z0, out=mm)
+    r, c = np.nonzero(blocks["I1"])
+    i1 = blocks["I1"][r, c]
+    jj[r, c] += 0.5 * a0 * i1
+    mm[r, c] += i1 / (2.0 * a0)
 
 
 def build_full_system(contour, coeffs, wave: IncidentWave,
@@ -565,7 +575,6 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
     t0 = time.perf_counter()
-    bs, b, q = blocks["BS"], blocks["B"], blocks["Q"]
     i1, d, kst = blocks["I1"], blocks["D"], blocks["K"]
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
@@ -578,8 +587,9 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
         A[offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] += m
 
     te = wave.pol == "TE"
-    for k, m in enumerate(_order0_blocks(te, bs, b, q, i1, a0)):
-        put(k // 2, k % 2, m)
+    n1, n2 = offs[1], offs[2]
+    _put_order0((A[:n1, :n1], A[:n1, n1:n2], A[n1:n2, :n1], A[n1:n2, n1:n2]),
+                te, blocks, a0)
 
     if order >= 1:
         sy = 1.0 if te else -1.0        # sign carried by every b-coupling
@@ -706,7 +716,7 @@ def _solve_tridiagonal(band, rhs, closed):
 
 def _eliminated_blocks(contour, blocks, order, pinned):
     """The couplings (G, G2) the eliminated auxiliary fields leave on the
-    J-J, J-M, M-J and M-M blocks alike, as complex arrays in label order:
+    J-J, J-M, M-J and M-M blocks alike, as real arrays in label order:
     G = D W with X = W J, Y = W M from the mass rows I1 X = D J,
     I1 Y = D M, and G2 = K I1^{-1} D W the order-2 coupling (None below
     order 2).  At the ``pinned`` node labels an auxiliary mass row is the
@@ -716,7 +726,7 @@ def _eliminated_blocks(contour, blocks, order, pinned):
     chain = _chain_nodes(contour)
 
     def label_rows(g):
-        out = np.empty(g.shape, dtype=complex)
+        out = np.empty(g.shape)
         out[chain] = g
         return out
 
@@ -747,7 +757,8 @@ def _eliminated_blocks(contour, blocks, order, pinned):
 
 def _compose_reduced(contour, coeffs, wave, blocks) -> AssembledSystem:
     """The constrained 2N (J, M) matrix of :func:`build_reduced_system`,
-    without a right-hand side."""
+    without a right-hand side, written in place into A's quadrants: beyond
+    A it allocates only the real couplings G, G2 and one real product."""
     order = _checked_order(coeffs, wave)
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
@@ -771,16 +782,15 @@ def _compose_reduced(contour, coeffs, wave, blocks) -> AssembledSystem:
         first, second = (c["a"], c["b"]) * 2, (c["ap"], c["bp"]) * 2
     A = np.empty((n, n), dtype=complex)
     views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
-    blocks0 = _order0_blocks(te, blocks["BS"], blocks["B"], blocks["Q"],
-                             blocks["I1"], a0)
-    for k, (v, m) in enumerate(zip(views, blocks0)):
-        if order >= 1:
-            # m += coefficient * G in place, one pass each (BLAS axpy)
-            m = np.ascontiguousarray(m)
-            blas.zaxpy(g.ravel(), m.ravel(), a=s[k] * first[k])
-            if g2 is not None:
-                blas.zaxpy(g2.ravel(), m.ravel(), a=-s[k] * second[k])
-        v[...] = m
+    _put_order0(views, te, blocks, a0)
+    if order >= 1:
+        # v += coefficient * G with G real: one real pass into each part
+        for k, v in enumerate(views):
+            re, im = v.real, v.imag
+            for coef, gk in ((s[k] * first[k], g), (-s[k] * second[k], g2)):
+                if gk is not None:
+                    re += coef.real * gk
+                    im += coef.imag * gk
     _apply_constraints(A, None, pins)
 
     meta = _system_meta(contour, coeffs, wave, c, t0)

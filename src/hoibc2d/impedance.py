@@ -313,11 +313,15 @@ def _collocation(coating, pol, k0, m, thetas):
                 A[r, j], A[r, m + j] = power, -power * Z
                 power *= xi
             rhs[r] = Z - a0
-        cond = np.linalg.cond(np.array(A.tolist(), dtype=complex))
+        # the columns mix powers of xi and ohms: scale each to unit
+        # max-norm, so the estimate does not depend on the layer's units
+        F = np.array(A.tolist(), dtype=complex)
+        cond = np.linalg.cond(F / np.abs(F).max(axis=0))
         if not np.isfinite(cond) or cond > 1e12:
             raise DegenerateFitError(
-                f"ill-conditioned collocation system (condition estimate {cond:.3e} "
-                "> 1e12); choose better-separated angles"
+                f"ill-conditioned collocation system (column-scaled condition "
+                f"estimate {cond:.3e} > 1e12): the angles are too close, or "
+                "the impedance is a lower-order rational there"
             )
         sol = mp.lu_solve(A, rhs)
         return [a0] + list(sol[:m]), [mp.mpf(1)] + list(sol[m:])

@@ -19,6 +19,7 @@ from hoibc2d.analysis import (
     RcsPattern,
     SeriesSolutionSpec,
     _pec_modes,
+    _reciprocal_amplitude,
     compare_rcs,
     cylinder_modes,
     echo_width,
@@ -37,7 +38,7 @@ from hoibc2d.assembly import (MAX_KH, IncidentWave, SurfaceCurrents,
                               assemble_blocks, assemble_rhs)
 from hoibc2d.errors import (MeshError, TruncationError, UsageError,
                             ValidationError)
-from hoibc2d.geometry import mesh_circle, mesh_plate
+from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, fit_coefficients
 from hoibc2d.specfun import C0, Z0, gauss_legendre_unit
 
@@ -232,20 +233,56 @@ def test_plane_wave_traces_range_edge(mesh):
             far_field(_random_currents(c), c, wave, [0.0, 90.0])
 
 
+def _relabelled_plate(seed=7):
+    """mesh_plate(2.0, 40) with its node labels a random permutation."""
+    c = mesh_plate(2.0, 40)
+    label = np.random.default_rng(seed).permutation(c.n_nodes)
+    nodes = np.empty_like(c.nodes)
+    nodes[label] = c.nodes
+    return Contour(nodes=nodes, elements=label[c.elements], closed=False)
+
+
+FF_MESHES = {"circle": lambda: mesh_circle(1.0, 32),
+             "relabelled-plate": _relabelled_plate}
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["SWEEP_CHUNK", "chunk-7"])
+@pytest.mark.parametrize("pol", TRACE_POLS)
+@pytest.mark.parametrize("mesh", sorted(FF_MESHES))
+def test_far_field_blocks_equal_one_block(mesh, pol, chunk, monkeypatch):
+    """The far field in angle blocks is bitwise the one-block reciprocity
+    product, for a full block plus a partial one and for blocks of 7."""
+    c = FF_MESHES[mesh]()
+    cur = _random_currents(c)
+    angles = np.arange(SWEEP_CHUNK + 44) * (360.0 / (SWEEP_CHUNK + 44))
+    rhs = assemble_rhs(c, pol, K0, np.deg2rad(angles) + np.pi)
+    want = _reciprocal_amplitude(c, pol, K0, rhs,
+                                 np.concatenate([cur.J, cur.M]))
+    if chunk is not None:
+        monkeypatch.setattr("hoibc2d.analysis.SWEEP_CHUNK", chunk)
+    got = far_field(cur, c, IncidentWave(pol=pol, k0=K0, phi_inc=0.3),
+                    angles).values
+    assert np.array_equal(got, want)
+
+
 def test_far_field_memory_budget():
     """One far field of a 30-wavelength plate at 1440 angles stays within
-    twelve complex (elements, angles) arrays of traced memory."""
+    twelve complex (elements, angles) arrays of traced memory, and its
+    peak does not grow with the angle count: 8 x SWEEP_CHUNK angles peak
+    within 1.1 x the peak of SWEEP_CHUNK angles."""
     c = mesh_plate(30.0, 384)
     cur = _random_currents(c)
     wave = IncidentWave(pol="TM", k0=K0, phi_inc=0.5 * np.pi)
-    angles = np.arange(1440) * 0.25
-    tracemalloc.start()
-    try:
-        far_field(cur, c, wave, angles)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * c.n_elements * angles.size * 16
+    peaks = {}
+    for count in (1440, SWEEP_CHUNK, 8 * SWEEP_CHUNK):
+        tracemalloc.start()
+        try:
+            far_field(cur, c, wave, np.arange(count) * (360.0 / count))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1440] <= 12 * c.n_elements * 1440 * 16
+    assert peaks[8 * SWEEP_CHUNK] <= 1.1 * peaks[SWEEP_CHUNK], peaks
 
 
 # --- echo width --------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas
 
 from hoibc2d.assembly import (
     N_LOG_SELF,
@@ -20,9 +21,11 @@ from hoibc2d.assembly import (
     _adjacent_moments,
     _adjacent_pairs,
     _distant_pairs,
+    _eliminated_blocks,
     _helmholtz_blocks,
     _pair_moments,
     _plain_kernels,
+    _scaled_coefficients,
     _self_g_moments,
     assemble_blocks,
     assemble_mass_and_d,
@@ -35,7 +38,7 @@ from hoibc2d.assembly import (
 from hoibc2d.errors import MeshError, UsageError
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import IbcCoefficients
-from hoibc2d.specfun import gauss_legendre_unit, hankel2_01_real
+from hoibc2d.specfun import Z0, gauss_legendre_unit, hankel2_01_real
 
 K0 = 2.0 * np.pi  # 1 m circle at ~300 MHz
 
@@ -503,6 +506,7 @@ TE2 = IbcCoefficients(order="IBC2", pol="TE", a0=12.0 + 3.0j, a=2.0 - 1.0j,
 TM2 = IbcCoefficients(order="IBC2", pol="TM", a0=12.0 + 3.0j, a=2.0 - 1.0j,
                       b=0.01 + 0.002j, ap=0.4 + 0.1j, bp=0.003 - 0.001j)
 TE0 = IbcCoefficients(order="IBC0", pol="TE", a0=12.0 + 3.0j)
+TM0 = IbcCoefficients(order="IBC0", pol="TM", a0=12.0 + 3.0j)
 
 
 def test_ibc0_full_equals_reduced(circle32, circle32_blocks):
@@ -586,6 +590,82 @@ def test_reduced_equals_schur_complement(coeffs, pol, mesh):
         <= 1e-12 * scale
     assert np.allclose(full.reduced_rhs, direct.reduced_rhs, rtol=0,
                        atol=1e-12 * np.max(np.abs(direct.reduced_rhs)))
+
+
+def _composed_by_copies(c, coeffs, wave, blocks, pins):
+    """The reduced matrix as the composition before in-place writing built
+    it: four new order-0 arrays, the couplings G and G2 made complex and
+    added by BLAS axpy, the blocks copied into A, then the J and M pins."""
+    sc = _scaled_coefficients(coeffs, wave.k0)
+    a0, n1 = sc["a0"], c.n_nodes
+    te = wave.pol == "TE"
+    bs, b, i1 = blocks["BS"], blocks["B"], blocks["I1"]
+    q = blocks["Q"].astype(complex)
+    if te:
+        parts = Z0 * bs + 0.5 * a0 * i1, q, -q.T, b / Z0 + i1 / (2.0 * a0)
+    else:
+        parts = Z0 * b + 0.5 * a0 * i1, q.T, -q, bs / Z0 + i1 / (2.0 * a0)
+    order = int(coeffs.order[-1])
+    if order >= 1:
+        g, g2 = _eliminated_blocks(c, blocks, order, [i for i in pins if i < n1])
+        sy = 1.0 if te else -1.0
+        s = (0.5, 0.5 * sy, 0.5 * sy / a0, 0.5 / a0)
+        first, second = (sc["a"], sc["b"]) * 2, (sc["ap"], sc["bp"]) * 2
+    A = np.empty((2 * n1, 2 * n1), dtype=complex)
+    for k, m in enumerate(parts):
+        m = np.ascontiguousarray(m)
+        if order >= 1:
+            blas.zaxpy(g.astype(complex).ravel(), m.ravel(), a=s[k] * first[k])
+            if g2 is not None:
+                blas.zaxpy(g2.astype(complex).ravel(), m.ravel(),
+                           a=-s[k] * second[k])
+        r, col = divmod(k, 2)
+        A[r * n1:(r + 1) * n1, col * n1:(col + 1) * n1] = m
+    for i in pins:
+        A[i, :] = 0.0
+        A[:, i] = 0.0
+        A[i, i] = 1.0
+    return A
+
+
+COMPOSE_MESHES = {"circle": lambda: mesh_circle(1.0, 32),
+                  "relabelled-plate": lambda: _relabelled(mesh_plate(2.0, 40))[0]}
+
+
+@pytest.mark.parametrize("mesh", sorted(COMPOSE_MESHES))
+@pytest.mark.parametrize("coeffs", [TE0, TM0, TE1, TM1, TE2, TM2],
+                         ids=lambda cf: f"{cf.pol}-{cf.order}")
+def test_in_place_composition_equals_copies(coeffs, mesh):
+    """The reduced matrix written in place into A's quadrants equals the
+    composition by copies to 1e-15 of its largest entry: the order-0 part
+    is the same arithmetic, the real G passes round like a complex axpy."""
+    c = COMPOSE_MESHES[mesh]()
+    blocks = assemble_blocks(c, K0)
+    w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
+    system = build_reduced_system(c, coeffs, w, blocks)
+    n = 2 * c.n_nodes
+    want = _composed_by_copies(c, coeffs, w, blocks,
+                               [i for i in system.constrained if i < n])
+    assert np.max(np.abs(system.reduced_matrix - want)) \
+        <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("coeffs,budget", [(TM0, 4.5), (TM2, 6.0)],
+                         ids=["IBC0", "IBC2"])
+def test_composition_memory_budget(coeffs, budget):
+    """Composing the reduced 2n system allocates A (4 n^2 complex entries)
+    and, from order 1, the real couplings G, G2 and one real product:
+    within 4.5 (IBC0) and 6 (IBC2) n^2 x 16 B at n = 512 nodes."""
+    c = mesh_circle(1.1, 512)
+    blocks = assemble_blocks(c, K0)
+    w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
+    tracemalloc.start()
+    try:
+        build_reduced_system(c, coeffs, w, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
 
 
 def test_reduced_system_needs_no_dense_factorization(monkeypatch):

@@ -137,8 +137,8 @@ def test_taylor_coefficients_match_closed_forms():
     assert abs(cs[2] - complex(c2)) <= 1e-14 * abs(cs[2])
 
 
-def _series_80(pol, coating, k0, upto):
-    """c_0..c_upto of the exact impedance, differentiated at 80 digits."""
+def _z_mp(pol, coating, k0):
+    """The exact impedance xi -> Z(xi) at the working mpmath precision."""
     z0 = mp.mpf("376.730313668")
     eps = mp.mpc(coating.eps_r.real, coating.eps_r.imag)
     mu = mp.mpc(coating.mu_r.real, coating.mu_r.imag)
@@ -150,7 +150,12 @@ def _series_80(pol, coating, k0, upto):
             return z0 * w * mp.tan(w * k0d) / eps
         return z0 * mu * mp.tan(w * k0d) / w
 
-    return mp.taylor(z, 0, upto)
+    return z
+
+
+def _series_80(pol, coating, k0, upto):
+    """c_0..c_upto of the exact impedance, differentiated at 80 digits."""
+    return mp.taylor(_z_mp(pol, coating, k0), 0, upto)
 
 
 @pytest.mark.parametrize("pol", ["TE", "TM"])
@@ -260,10 +265,40 @@ def test_collocation_ibc1_degenerate():
     with pytest.raises(DegenerateFitError):
         imp.fit_coefficients(REF, "TE", K0, "IBC1", method="collocation",
                              thetas=(0.5, 0.5))
-    # vanishing-thickness layer: Z ~ 0, the 2x2 matrix is numerically singular
+    # vanishing-thickness layer, TM: Z is the constant Z(0) to ~1e-58
+    # relative, so no [1/1] is singled out (any b with a = a0 b fits)
     with pytest.raises(DegenerateFitError):
-        imp.fit_coefficients(imp.CoatingSpec(4.0, 1.0, 1e-30), "TE", K0, "IBC1",
+        imp.fit_coefficients(imp.CoatingSpec(4.0, 1.0, 1e-30), "TM", K0, "IBC1",
                              method="collocation")
+
+
+def test_collocation_accepts_thin_lossless_layer():
+    """A layer whose impedance is small in ohms is not a degenerate fit:
+    for eps 4, d = 2e-6 at 30/60 degrees the float system has a condition
+    number of 2.7e13, the column-scaled one 2.5e11.  The fit equals an
+    80-digit solve of the same interpolation rounded to complex128."""
+    coating = imp.CoatingSpec(4.0, 1.0, 2e-6)
+    thetas = np.deg2rad((30.0, 60.0))
+    c = imp.fit_coefficients(coating, "TM", K0, "IBC1", method="collocation",
+                             thetas=thetas)
+    with mp.workdps(80):
+        z = _z_mp("TM", coating, K0)
+        a0 = z(0)
+        xi = [-mp.sin(mp.mpf(t)) ** 2 for t in thetas]
+        a, b = mp.lu_solve(mp.matrix([[x, -x * z(x)] for x in xi]),
+                           mp.matrix([z(x) - a0 for x in xi]))
+        want = [complex(v) for v in (a0, a, b)]
+    assert [c.a0, c.a, c.b] == want
+
+
+def test_collocation_vanishing_te_layer_is_linear():
+    """TE Z of a vanishing layer is the line a0 (1 + xi / (eps mu)) to
+    ~1e-59 relative: a well-posed [1/1] interpolation (column-scaled
+    condition number 44, unscaled 1.1e28) whose fit is that line."""
+    c = imp.fit_coefficients(imp.CoatingSpec(4.0, 1.0, 1e-30), "TE", K0,
+                             "IBC1", method="collocation")
+    assert abs(c.a - c.a0 / 4.0) <= 1e-14 * abs(c.a)
+    assert abs(c.b) <= 1e-30
 
 
 def test_collocation_ibc2_interpolates():
