@@ -473,6 +473,7 @@ def _sweep_angles(contour, coeffs, angles_deg, k0):
         rhs[pinned] = 0.0
         f = _reciprocal_amplitude(contour, coeffs.pol, k0, rhs,
                                   solve(fac, rhs))
+        del rhs         # not alive while the next chunk assembles its own
         out[lo:lo + len(phis)] = 10.0 * np.log10(
             np.maximum(2.0 * np.pi * np.abs(f) ** 2, DB_FLOOR))
     return out

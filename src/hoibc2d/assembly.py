@@ -22,8 +22,20 @@ integral collapses to a single integral in w = |t - s| whose logarithmic
 part goes to a log-weighted Gauss rule; pairs sharing a vertex are split
 into two Duffy triangles with the same log/analytic kernel separation, all
 pairs at once on the shared reference nodes; every other pair e < f is
-evaluated once by tensor Gauss-Legendre, at an order that a fixed table
-picks from its clearance and k0 h, and also yields the SQ block of (f, e).
+evaluated by tensor Gauss-Legendre, at an order that a fixed table picks
+from its clearance and k0 h, and also yields the SQ block of (f, e).
+
+Self elements and distant pairs are evaluated once per congruence class.
+A pair's key is h_e and the two endpoints of f in e's frame (origin at e's
+start, x axis along tau_e), rounded on a grid of KEY_GRID = 1e-12 times
+the contour's extent, plus its Gauss order; every moment of the pair is a
+function of its key.  Congruent pairs (e, f), (e + 1, f + 1), ... follow
+one another down a diagonal, so a class is a run of equal keys there,
+found in O(pairs) without a sort, and the first pair of each run is
+evaluated for the whole run.  The uniform meshes of mesh_circle and
+mesh_plate have O(n) runs; a mesh with no congruent pairs has one run per
+pair.  Shared-vertex pairs are evaluated one by one (see
+_helmholtz_blocks).
 One local formulation turns each pair's moments into its B, B - S and Q
 blocks, and one scatter adds block slot (a, b) of pair (e, f) to nodal
 entry (node(e, a), node(f, b)) for every matrix, I1, D and K included.
@@ -162,8 +174,12 @@ def _split_kernels(k, r):
 # routine per pair class
 # --------------------------------------------------------------------------
 
-# kernel points evaluated per chunk of distant pairs (bounds memory)
+# kernel points evaluated per chunk of distant pairs, and distant pairs
+# keyed and scattered per block (both bound memory)
 KERNEL_POINTS_PER_CHUNK = 2**17
+PAIRS_PER_BLOCK = 2**13
+# grid of the pair keys, relative to the contour's extent
+KEY_GRID = 1e-12
 
 # Gauss-Legendre order of a distant pair, by the band of k0 * max(h_e, h_f)
 # (rows: <= 0.25, <= 1, above) and of the clearance (|m_e - m_f| - (h_e +
@@ -279,20 +295,43 @@ def _pair_moments(contour, k0, e, f, n_gl):
     return mom[0], mom[1], mom[2].transpose(0, 2, 1)
 
 
-def _distant_pairs(contour, k0):
-    """(e, f, n_gl): the pairs e < f that share no node, each with the
-    Gauss-Legendre order that DISTANT_ORDERS gives it."""
+def _distant_pairs(contour, k0, lo=0, hi=None):
+    """(e, f, n_gl): the pairs e < f that share no node, with e in lo:hi,
+    row by row (e, then f ascending), each with the Gauss-Legendre order
+    that DISTANT_ORDERS gives it."""
     n, h = contour.n_elements, contour.lengths
-    e, f = np.triu_indices(n, 2)
-    if contour.closed:
-        keep = (e > 0) | (f < n - 1)
-        e, f = e[keep], f[keep]
+    rows = np.arange(lo, n if hi is None else min(hi, n))
+    # row e holds f = e + 2 .. n - 1; on a closed contour 0 and n - 1 adjoin
+    count = np.maximum(n - 2 - rows - (contour.closed & (rows == 0)), 0)
+    e = np.repeat(rows, count)
+    f = e + 2 + np.arange(e.size) - np.repeat(np.cumsum(count) - count, count)
     hmax = np.maximum(h[e], h[f])
     mid = contour.midpoints()
     gap = np.hypot(*(mid[f] - mid[e]).T) - 0.5 * (h[e] + h[f])
     n_gl = DISTANT_ORDERS[np.searchsorted(_ORDER_KH, k0 * hmax),
                           np.searchsorted(_ORDER_CLEARANCE, gap / hmax)]
     return e, f, n_gl
+
+
+def _pair_keys(contour, e, f, tag):
+    """(6, P) keys of the pairs (e, f): h_e and the two endpoints of f in
+    e's frame (origin at e's start, x axis along tau_e), rounded on a grid
+    of KEY_GRID times the contour's extent, then the integer ``tag``.
+    Pairs with one key are congruent: every moment of a pair, tau_e .
+    tau_f, h_f and its Gauss order are functions of its key (the normal
+    sign is one per contour)."""
+    x, y = contour.nodes[contour.elements].T                # (2, n0) each
+    tx, ty = (t[e] for t in contour.tangents.T)
+    key = np.empty((6, e.size))
+    key[0] = contour.lengths[e]
+    for k in range(2):
+        dx, dy = x[k][f] - x[0][e], y[k][f] - y[0][e]
+        key[1 + k] = dx * tx + dy * ty
+        key[3 + k] = dy * tx - dx * ty
+    grid = KEY_GRID * np.ptp(contour.nodes, axis=0).max()
+    np.rint(key[:5] / grid, out=key[:5])
+    key[5] = tag
+    return key
 
 
 # --------------------------------------------------------------------------
@@ -332,27 +371,66 @@ def _node_sum(contour, x):
 
 
 def _helmholtz_blocks(contour, k0, *, n_log=N_LOG_SELF):
-    """One pass over all element pairs; returns the nodal B, BS and Q."""
+    """One pass over all element pairs; returns the nodal B, BS and Q.
+
+    The distant pairs go in blocks of rows e, laid out by row and by
+    diagonal f - e, so that (e + 1, f + 1) sits under (e, f).  A run of
+    equal keys (:func:`_pair_keys`) down a diagonal is a class of congruent
+    pairs, evaluated once at its first pair and scattered to every pair of
+    the run; runs continue into the next block through the keys and
+    moments of the last row.
+    """
     _check_resolution(contour, k0)
     mats = {key: np.zeros((contour.n_nodes,) * 2, dtype=complex)
             for key in ("B", "BS", "Q")}
-    e, f, n_gl = _distant_pairs(contour, k0)
-    for order in np.unique(n_gl):
-        pick = np.flatnonzero(n_gl == order)
-        chunks = 1 + pick.size * order**2 // KERNEL_POINTS_PER_CHUNK
-        for part in np.array_split(pick, chunks):
-            pe, pf = e[part], f[part]
-            sb, sq_ef, sq_fe = _pair_moments(contour, k0, pe, pf, order)
-            _add_pair_blocks(mats, contour, k0, pe, pf, sb, sq_ef)
-            _add_blocks(mats["Q"], contour, pf, pe, sq_fe)
+    n = contour.n_elements
+    rows = max(1, PAIRS_PER_BLOCK // n)
+    last_key = np.full((6, 1, n), np.nan)       # NaN: no run to continue
+    last_mom = np.zeros((3, n, 2, 2), dtype=complex)
+    for lo in range(0, n - 2, rows):
+        e, f, n_gl = _distant_pairs(contour, k0, lo, lo + rows)
+        i, j = e - lo, f - e - 2
+        key = np.full((6, rows + 1, n), np.nan)
+        key[:, :1] = last_key
+        key[:, i + 1, j] = _pair_keys(contour, e, f, n_gl)
+        new = np.any(key[:, 1:] != key[:, :-1], axis=0)
+        first = np.flatnonzero(new[i, j])
+        # the carried moments by diagonal, then those of each run's first pair
+        table = np.empty((3, n + first.size, 2, 2), dtype=complex)
+        table[:, :n] = last_mom
+        for order in np.unique(n_gl[first]):
+            pick = np.flatnonzero(n_gl[first] == order)
+            chunks = 1 + pick.size * order**2 // KERNEL_POINTS_PER_CHUNK
+            for part in np.array_split(pick, chunks):
+                rep = first[part]
+                for dst, m in zip(table, _pair_moments(contour, k0, e[rep],
+                                                       f[rep], order)):
+                    dst[n + part] = m
+        head = np.full((rows, n), -1)
+        head[i[first], j[first]] = n + np.arange(first.size)
+        head = np.maximum.accumulate(head, axis=0)[i, j]
+        mom = table[:, np.where(head < 0, j, head)]
+        _add_pair_blocks(mats, contour, k0, e, f, mom[0], mom[1])
+        _add_blocks(mats["Q"], contour, f, e, mom[2])
+        last_key = key[:, -1:]
+        last = i == rows - 1
+        last_mom[:, j[last]] = mom[:, last]
     # SB[f, :, e, :] = SB[e, :, f, :]^T: the (f, e) blocks of B and B - S
     # are the transpose (NumPy buffers the overlapping operand)
     for key in ("B", "BS"):
         mats[key] += mats[key].T
     # SQ self blocks stay zero: n(x).(y-x) = 0 on a straight element
-    diag = np.arange(contour.n_elements)
+    diag = np.arange(n)
+    key = _pair_keys(contour, diag, diag, 0)
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
+    h = contour.lengths[new]
     _add_pair_blocks(mats, contour, k0, diag, diag,
-                     _self_g_moments(k0, contour.lengths, n_log))
+                     _self_g_moments(k0, h, n_log)[np.cumsum(new) - 1])
+    # the shared-vertex pairs are evaluated one by one: their SQ is about
+    # proportional to the turning angle, which spreads by ~1e-12 relative
+    # over the rounded nodes of a regular polygon, too much for one pair to
+    # stand for all
     e, f, flip_t, flip_s = _adjacent_pairs(contour)
     _add_pair_blocks(mats, contour, k0, e, f,
                      *_adjacent_moments(contour, k0, e, f, flip_t, flip_s))

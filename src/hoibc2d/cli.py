@@ -347,6 +347,14 @@ def _write_atomic(path, text):
     log.info("wrote %s", path)
 
 
+def _fit_method(cfg, order):
+    """The Taylor fit exists for TE IBC1 only: it goes to the configured
+    order, and every other order is fitted by Pade."""
+    if cfg.fit_method == "taylor" and order != cfg.ibc_order:
+        return "pade"
+    return cfg.fit_method
+
+
 def _fit(cfg, order, k0=None):
     """Fit ``order``; the configured collocation angles belong to the
     configured order, every other order collocates at its default nodes."""
@@ -355,7 +363,7 @@ def _fit(cfg, order, k0=None):
             and order == cfg.ibc_order:
         thetas = tuple(np.deg2rad(cfg.collocation_deg))
     return fit_coefficients(cfg.coating(), cfg.pol, k0 or cfg.k0, order,
-                            method=cfg.fit_method, thetas=thetas)
+                            method=_fit_method(cfg, order), thetas=thetas)
 
 
 def _contour(cfg):
@@ -397,6 +405,8 @@ def cmd_impedance_table(cfg, out_dir):
         f"# coating_mu_r={cfg.mu_r}",
         f"# coating_d={cfg.d!r}",
         f"# fit_method={cfg.fit_method}",
+        "# fit_method_by_order="
+        + ",".join(f"{o}:{_fit_method(cfg, o)}" for o in ORDERS),
         f"# k0={cfg.k0!r}",
         f"# note=values follow the spectral fit convention; the physical "
         "surface impedance is i times the tabulated value",

@@ -3,8 +3,9 @@
 
 The systems assembled upstream are dense; one dense LU is the whole
 strategy, and memory bounds the size.  Per n^2 x 16 B, n nodes (tracemalloc
-on circles, n = 512 and 1024): the kernel pass peaks at 4 plus a fixed
-~20 MB chunk of kernel points and keeps 4.5 (B, B - S, Q, real I1, D, K);
+on circles, n = 512 and 1024): the kernel pass peaks at 4 plus fixed
+buffers, ~20 MB for a chunk of kernel points and ~2 MB for a block of
+pairs, and keeps 4.5 (B, B - S, Q, real I1, D, K);
 composing the reduced 2n system peaks 4 (IBC0), 5 (IBC1) or 5.5 (IBC2)
 above that and keeps 4; its LU adds 4: an IBC2 solve peaks at 12.5 while
 it factors, 210 MB at n = 1024.  Far fields and angle sweeps add a block

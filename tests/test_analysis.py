@@ -285,6 +285,23 @@ def test_far_field_memory_budget():
     assert peaks[8 * SWEEP_CHUNK] <= 1.1 * peaks[SWEEP_CHUNK], peaks
 
 
+def test_sweep_memory_budget(te_ibc1):
+    """An angle sweep holds one rhs block at a time: on a 30-wavelength
+    plate its peak at 8 x SWEEP_CHUNK angles stays within 1.02 x its peak
+    at SWEEP_CHUNK angles."""
+    c = mesh_plate(30.0, 384)
+    peaks = {}
+    for count in (SWEEP_CHUNK, 8 * SWEEP_CHUNK):
+        tracemalloc.start()
+        try:
+            monostatic_sweep(c, te_ibc1, np.arange(count) * (360.0 / count),
+                             kind="angle", k0=K0)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8 * SWEEP_CHUNK] <= 1.02 * peaks[SWEEP_CHUNK], peaks
+
+
 # --- echo width --------------------------------------------------------------
 
 def test_echo_width_amplitude_invariance(circle96, smooth_currents):

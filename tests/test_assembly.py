@@ -38,7 +38,7 @@ from hoibc2d.assembly import (
 from hoibc2d.errors import MeshError, UsageError
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import IbcCoefficients
-from hoibc2d.specfun import Z0, gauss_legendre_unit, hankel2_01_real
+from hoibc2d.specfun import C0, Z0, gauss_legendre_unit, hankel2_01_real
 
 K0 = 2.0 * np.pi  # 1 m circle at ~300 MHz
 
@@ -328,6 +328,44 @@ def test_q_decay_envelope():
     assert flat.max() / flat.min() < 1.1
 
 
+def _per_pair_blocks(c, k0):
+    """The nodal B, B - S and Q as S A S^T, with A the broken (element,
+    local node) matrices built from the raw moments of every pair, each
+    evaluated on its own, and S the dense node incidence."""
+    n0 = c.n_elements
+    sb = np.zeros((n0, 2, n0, 2), dtype=complex)
+    sq = np.zeros_like(sb)
+    diag = np.arange(n0)
+    sb[diag, :, diag, :] = _self_g_moments(k0, c.lengths, N_LOG_SELF)
+    e, f, flip_t, flip_s = _adjacent_pairs(c)
+    sb[e, :, f, :], sq[e, :, f, :] = _adjacent_moments(c, k0, e, f,
+                                                       flip_t, flip_s)
+    e, f, mom = _distant_moments(c, k0)
+    sb[e, :, f, :], sq[e, :, f, :], sq[f, :, e, :] = mom
+    sb[f, :, e, :] = mom[0].transpose(0, 2, 1)
+
+    sgn = np.array([-1.0, 1.0])
+    ttf = c.tangents @ c.tangents.T
+    deriv = sb.sum(axis=(1, 3)) / (k0 * np.outer(c.lengths, c.lengths))
+    broken = {"B": 1j * k0 * sb, "Q": sq,
+              "BS": 1j * (k0 * ttf[:, None, :, None] * sb
+                          - np.einsum("a,b,ef->eafb", sgn, sgn, deriv))}
+    inc = np.zeros((c.n_nodes, 2 * n0))
+    inc[c.elements.ravel(), np.arange(2 * n0)] = 1.0
+    return {key: inc @ a.reshape(2 * n0, 2 * n0) @ inc.T
+            for key, a in broken.items()}
+
+
+def _jittered_circle(n, seed=3):
+    """A closed n-gon on the 1.1 m circle with node angles 2 pi (j + u_j)
+    / n, u_j uniform in +-0.3: no two element pairs are congruent."""
+    u = np.random.default_rng(seed).uniform(-0.3, 0.3, n)
+    ang = 2.0 * np.pi * (np.arange(n) + u) / n
+    nodes = 1.1 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    elems = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    return Contour(nodes=nodes, elements=elems, closed=True)
+
+
 INCIDENCE_MESHES = {
     "circle32": lambda: mesh_circle(1.0, 32),
     "plate": lambda: mesh_plate(2.0, 40),
@@ -340,50 +378,69 @@ INCIDENCE_MESHES = {
 def test_nodal_assembly_equals_incidence_product(mesh, chunk, monkeypatch):
     """The nodal B, B - S and Q against S A S^T, with A the broken
     (element, local node) matrices built here from the raw moments of every
-    pair class and S the dense node incidence.  A chunk of 64 kernel points
-    splits the distant pass into many writes of one to four pairs."""
+    pair class and S the dense node incidence.  Chunks of 64 kernel points
+    and blocks of 64 pairs (one row of pairs each) split the distant pass
+    into many writes of one to four pairs, and every run of congruent pairs
+    continues across blocks."""
     if chunk is not None:
         monkeypatch.setattr("hoibc2d.assembly.KERNEL_POINTS_PER_CHUNK", chunk)
+        monkeypatch.setattr("hoibc2d.assembly.PAIRS_PER_BLOCK", chunk)
     c = INCIDENCE_MESHES[mesh]()
-    n0 = c.n_elements
-    sb = np.zeros((n0, 2, n0, 2), dtype=complex)
-    sq = np.zeros_like(sb)
-    diag = np.arange(n0)
-    sb[diag, :, diag, :] = _self_g_moments(K0, c.lengths, N_LOG_SELF)
-    e, f, flip_t, flip_s = _adjacent_pairs(c)
-    sb[e, :, f, :], sq[e, :, f, :] = _adjacent_moments(c, K0, e, f,
-                                                       flip_t, flip_s)
-    e, f, mom = _distant_moments(c, K0)
-    sb[e, :, f, :], sq[e, :, f, :], sq[f, :, e, :] = mom
-    sb[f, :, e, :] = mom[0].transpose(0, 2, 1)
-
-    sgn = np.array([-1.0, 1.0])
-    ttf = c.tangents @ c.tangents.T
-    deriv = sb.sum(axis=(1, 3)) / (K0 * np.outer(c.lengths, c.lengths))
-    broken = {"B": 1j * K0 * sb, "Q": sq,
-              "BS": 1j * (K0 * ttf[:, None, :, None] * sb
-                          - np.einsum("a,b,ef->eafb", sgn, sgn, deriv))}
-    inc = np.zeros((c.n_nodes, 2 * n0))
-    inc[c.elements.ravel(), np.arange(2 * n0)] = 1.0
     got = _helmholtz_blocks(c, K0)
-    for key, a in broken.items():
-        want = inc @ a.reshape(2 * n0, 2 * n0) @ inc.T
+    for key, want in _per_pair_blocks(c, K0).items():
         assert np.max(np.abs(got[key] - want)) \
             <= 1e-14 * np.max(np.abs(want)), key
 
 
+_K_PLATE = 2.0 * np.pi * 6.8e9 / C0          # 30 wavelengths at 6.8 GHz
+CLASS_MESHES = {
+    "circle512": (lambda: mesh_circle(1.1, 512), K0, 1e-12),
+    "plate384": (lambda: mesh_plate(30.0 * C0 / 6.8e9, 384), _K_PLATE, 1e-12),
+    "relabelled-plate384": (
+        lambda: _relabelled(mesh_plate(30.0 * C0 / 6.8e9, 384))[0],
+        _K_PLATE, 1e-12),
+    "jittered512": (lambda: _jittered_circle(512), K0, 1e-15),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(CLASS_MESHES))
+def test_classed_pass_equals_per_pair_reference(mesh, monkeypatch):
+    """One evaluation per run of congruent pairs against every pair
+    evaluated on its own: within 1e-12 of the largest entry, and within
+    1e-15 on a jittered circle, where no two pairs merge.  On the regular
+    meshes the pass evaluates at most 4 n distant pairs."""
+    build, k0, bound = CLASS_MESHES[mesh]
+    c = build()
+    want = _per_pair_blocks(c, k0)
+    evaluated = []
+
+    def counted(contour, k, e, f, n_gl):
+        evaluated.append(e.size)
+        return _pair_moments(contour, k, e, f, n_gl)
+
+    monkeypatch.setattr("hoibc2d.assembly._pair_moments", counted)
+    got = _helmholtz_blocks(c, k0)
+    for key in ("B", "BS", "Q"):
+        scale = max(np.max(np.abs(want[key])), np.finfo(float).tiny)
+        assert np.max(np.abs(got[key] - want[key])) <= bound * scale, key
+    if not mesh.startswith("jittered"):
+        assert sum(evaluated) <= 4 * c.n_elements, sum(evaluated)
+
+
 def test_kernel_pass_memory_budget():
     """The kernel pass holds B, B - S, Q and one transpose: about
-    4 n^2 complex entries, plus a fixed buffer for one chunk of kernel
-    points.  N = 1024 is large enough for the n^2 part to dominate."""
-    c = mesh_circle(1.1, 1024)
-    tracemalloc.start()
-    try:
-        _helmholtz_blocks(c, 2.0 * np.pi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
+    4 n^2 complex entries, plus fixed buffers for one block of pairs and
+    one chunk of kernel points.  N = 1024 is large enough for the n^2 part
+    to dominate; the jittered circle, where every pair is its own class,
+    is the worst case of the blocks."""
+    for c in (mesh_circle(1.1, 1024), _jittered_circle(1024)):
+        tracemalloc.start()
+        try:
+            _helmholtz_blocks(c, 2.0 * np.pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
 
 
 # --- mass and derivative matrices -------------------------------------------

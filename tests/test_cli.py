@@ -26,6 +26,7 @@ from hoibc2d.analysis import (
 )
 from hoibc2d.cli import main, parse_config
 from hoibc2d.errors import ValidationError
+from hoibc2d.impedance import CoatingSpec, eval_rational, fit_coefficients
 
 COARSE = {"start": 0.0, "stop": 360.0, "step": 5.0}
 
@@ -336,6 +337,27 @@ def test_impedance_table_fit_override(tmp_path):
                "--fit", "collocation", "--quiet") == 0
     text = (tmp_path / "impedance_table_te.csv").read_text()
     assert "# fit_method=collocation" in text
+
+
+def test_impedance_table_taylor(tmp_path):
+    """The Taylor fit exists for TE IBC1 only: it fits the configured order
+    and Pade fits the others."""
+    cfg = put(tmp_path, "c.json", CYLINDER,
+              ibc={"order": 1, "fit_method": "taylor"})
+    assert run("impedance-table", "--config", cfg, "--out", str(tmp_path),
+               "--quiet") == 0
+    text = (tmp_path / "impedance_table_te.csv").read_text()
+    assert "# fit_method_by_order=IBC0:pade,IBC1:taylor,IBC2:pade" in text
+    k0 = float(text.split("# k0=")[1].split()[0])
+    coating = CoatingSpec(4.0 - 0.5j, 1.0, 0.1)
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    for method, column in (("taylor", 5), ("pade", 7)):
+        order = "IBC1" if method == "taylor" else "IBC2"
+        fit = fit_coefficients(coating, "TE", k0, order, method=method)
+        for ln in lines[1:]:
+            row = [float(v) for v in ln.split(",")]
+            z = eval_rational(fit, -np.sin(np.deg2rad(row[0])) ** 2)
+            assert (row[column], row[column + 1]) == (z.real, z.imag)
 
 
 def test_impedance_table_configured_angles(tmp_path):
