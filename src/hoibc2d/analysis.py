@@ -344,9 +344,11 @@ def _pattern_from_modes(modes, k0, angles_deg, mode, phi_inc_deg, meta):
     harm = np.cos(np.outer(alpha, np.arange(1, nmax + 1)))
     s = modes[0] + 2.0 * harm @ modes[1:]
     tail = 2.0 * abs(modes[-1]) / max(np.max(np.abs(s)), 1e-300)
-    if tail > TAIL_TOL:
+    # a NaN tail (Bessel values that overflowed) is refused here as well
+    if not tail <= TAIL_TOL:
         raise TruncationError(
-            f"series tail {tail:.3e} above {TAIL_TOL:.0e} at n_max = {nmax}",
+            f"series tail {tail:.3e} not below {TAIL_TOL:.0e} at "
+            f"n_max = {nmax}",
             n_max=nmax, last_coefficient=abs(modes[-1]), tail_ratio=tail)
     lin = (4.0 / k0) * np.abs(s) ** 2
     db = 10.0 * np.log10(np.maximum(lin, DB_FLOOR))

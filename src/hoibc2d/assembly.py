@@ -101,14 +101,10 @@ class IncidentWave:
 
 @dataclass
 class SurfaceCurrents:
-    """Solution DOF vectors; auxiliary fields are None when unused."""
+    """Nodal J and M of one solution."""
 
     J: np.ndarray
     M: np.ndarray
-    X: Optional[np.ndarray] = None
-    Y: Optional[np.ndarray] = None
-    Xp: Optional[np.ndarray] = None
-    Yp: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
 
@@ -897,18 +893,10 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     return system
 
 
-def solve_currents(system: AssembledSystem, use="reduced") -> SurfaceCurrents:
-    """LU-solve the requested form and unpack the per-field DOF vectors."""
-    if use == "reduced":
-        if system.reduced_matrix is None:
-            reduce_system(system)
-        mat, rhs = system.reduced_matrix, system.reduced_rhs
-    elif use == "full":
-        mat, rhs = system.full_matrix, system.rhs
-        if mat is None:
-            raise UsageError("full matrix was not assembled")
-    else:
-        raise UsageError(f"unknown solve target {use!r}")
+def solve_currents(system: AssembledSystem) -> SurfaceCurrents:
+    """LU-solve the reduced (J, M) system of :func:`build_reduced_system`
+    and unpack J and M."""
+    mat, rhs = system.reduced_matrix, system.reduced_rhs
     t0 = time.perf_counter()
     fac = lu_factor(mat)
     x = solve(fac, rhs)
@@ -919,15 +907,8 @@ def solve_currents(system: AssembledSystem, use="reduced") -> SurfaceCurrents:
     log.info("solved n=%d system in %.3fs (rcond %.2e, residual %.1e)",
              mat.shape[0], dt, fac.rcond_estimate, residual)
 
-    offs = np.concatenate([[0], np.cumsum(system.sizes)])
-    fields = [
-        x[offs[i]:offs[i + 1]].copy() if offs[i] < x.size else None
-        for i in range(len(system.sizes))
-    ]
-    fields += [None] * (6 - len(fields))
+    n1 = system.sizes[0]
     meta = dict(system.meta)
     meta.update(rcond=fac.rcond_estimate, residual=residual,
-                solve_seconds=dt, solved_form=use)
-    return SurfaceCurrents(J=fields[0], M=fields[1], X=fields[2],
-                           Y=fields[3], Xp=fields[4], Yp=fields[5], meta=meta)
-
+                solve_seconds=dt)
+    return SurfaceCurrents(J=x[:n1], M=x[n1:], meta=meta)

@@ -533,7 +533,7 @@ def cmd_solve(cfg, out_dir):
              time.perf_counter() - t0)
     # run diagnostics live in the log; result files must be byte-stable
     for key in ("compose_seconds", "solve_seconds", "rcond", "residual",
-                "solved_form", "coefficients_scaled"):
+                "coefficients_scaled"):
         pattern.meta.pop(key, None)
     pattern.meta.update({"fit_method": cfg.fit_method,
                          "n_elements": cfg.n_elements})

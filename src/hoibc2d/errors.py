@@ -74,7 +74,8 @@ class SingularMatrixError(HoibcError, ArithmeticError):
 
 
 class TruncationError(HoibcError, ArithmeticError):
-    """A series tail failed to reach the requested tolerance.
+    """A series tail failed to reach the requested tolerance, or is NaN
+    because the modes overflowed.
 
     ``diagnostics`` carries whatever the caller finds useful to report
     (last term magnitude, number of terms, target tolerance).

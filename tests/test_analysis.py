@@ -11,6 +11,7 @@ sign in the assembly, right-hand side, and far-field chain at once.
 
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -411,6 +412,34 @@ def test_truncation_error_diagnostics():
     assert err.value.diagnostics["n_max"] == 55
     assert err.value.diagnostics["tail_ratio"] > 1e-10
     series_pec_cylinder(1.0, 40.0, "TE", DEG, n_max=75)   # converged: no raise
+
+
+def test_overflowing_series_is_a_truncation_error():
+    # |Im k1 b| ~ 740: the coating's Bessel values overflow, the modes are
+    # NaN, and that is a numerical failure, not an invalid curve
+    spec = SeriesSolutionSpec(1.0, 0.1, 10.0 - 100.0j, 1.0, 100.0)
+    assert not np.any(np.isfinite(cylinder_modes(spec, "TM")))
+    with pytest.raises(TruncationError):
+        series_coated_cylinder(spec, "TM", DEG)
+
+
+def _mpmath_bessel_jy(nmax, z):
+    """J_0..J_nmax and Y_0..Y_nmax from 30-digit mpmath, rounded once."""
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        return (np.array([complex(mp.besselj(n, z)) for n in range(nmax + 1)]),
+                np.array([complex(mp.bessely(n, z)) for n in range(nmax + 1)]))
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_series_independent_of_bessel_library(pol, monkeypatch):
+    """The frozen coated-cylinder curve (test_cli's pinned oracle) with
+    every J and Y taken from mpmath instead of scipy moves <= 1e-12 dB."""
+    spec = SeriesSolutionSpec(1.0, 0.1, 4.0 - 0.5j, 1.0, K0)
+    fast = series_coated_cylinder(spec, pol, DEG)
+    monkeypatch.setattr("hoibc2d.analysis.bessel_jy", _mpmath_bessel_jy)
+    exact = series_coated_cylinder(spec, pol, DEG)
+    assert compare_rcs(fast, exact).max_abs_dB <= 1e-12
 
 
 def test_series_bistatic_symmetry():

@@ -38,6 +38,7 @@ from hoibc2d.assembly import (
 from hoibc2d.errors import MeshError, UsageError
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import IbcCoefficients
+from hoibc2d.linsolve import lu_factor, solve
 from hoibc2d.specfun import C0, Z0, gauss_legendre_unit, hankel2_01_real
 
 K0 = 2.0 * np.pi  # 1 m circle at ~300 MHz
@@ -588,16 +589,23 @@ def test_ibc1_block_sparsity(circle32, circle32_blocks):
     assert np.any(blk(2, 0) != 0.0) and np.any(blk(3, 3) != 0.0)
 
 
+def _full_solution(system):
+    """The constrained full system solved by LU, split by ``system.sizes``
+    into J, M and the auxiliary fields (X, Y at IBC1; X, Y, X', Y' at IBC2)."""
+    x = solve(lu_factor(system.full_matrix), system.rhs)
+    return np.split(x, np.cumsum(system.sizes)[:-1])
+
+
 def test_auxiliary_row_identities(circle32, circle32_blocks):
     w = IncidentWave(pol="TE", k0=K0, phi_inc=0.4)
     sys1 = build_full_system(circle32, TE1, w, blocks=circle32_blocks)
-    sol = solve_currents(sys1, use="full")
+    j, m, x, y = _full_solution(sys1)
     i1, d = circle32_blocks["I1"], circle32_blocks["D"]
-    x_ref = np.linalg.solve(i1, d @ sol.J)
-    y_ref = np.linalg.solve(i1, d @ sol.M)
+    x_ref = np.linalg.solve(i1, d @ j)
+    y_ref = np.linalg.solve(i1, d @ m)
     scale = max(np.max(np.abs(x_ref)), np.max(np.abs(y_ref)))
-    assert np.max(np.abs(sol.X - x_ref)) <= 1e-10 * scale
-    assert np.max(np.abs(sol.Y - y_ref)) <= 1e-10 * scale
+    assert np.max(np.abs(x - x_ref)) <= 1e-10 * scale
+    assert np.max(np.abs(y - y_ref)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("coeffs,pol", [(TE1, "TE"), (TM1, "TM"),
@@ -606,9 +614,9 @@ def test_full_vs_reduced_currents(circle32, circle32_blocks, coeffs, pol):
     w = IncidentWave(pol=pol, k0=K0, phi_inc=0.7)
     full = build_full_system(circle32, coeffs, w, blocks=circle32_blocks)
     red = build_reduced_system(circle32, coeffs, w, blocks=circle32_blocks)
-    sf = solve_currents(full, use="full")
-    sr = solve_currents(red, use="reduced")
-    for uf, ur in ((sf.J, sr.J), (sf.M, sr.M)):
+    jf, mf, *_ = _full_solution(full)
+    sr = solve_currents(red)
+    for uf, ur in ((jf, sr.J), (mf, sr.M)):
         assert np.max(np.abs(uf - ur)) <= 1e-8 * np.max(np.abs(ur))
 
 
@@ -749,12 +757,12 @@ def test_plate_endpoint_constraints_exact():
     p = mesh_plate(2.0, 40)
     w = IncidentWave(pol="TM", k0=K0, phi_inc=np.pi / 2)
     sys1 = build_full_system(p, TM1, w)
-    sol = solve_currents(sys1, use="full")
-    for vec in (sol.J, sol.M, sol.X, sol.Y):
+    j, m, x, y = _full_solution(sys1)
+    for vec in (j, m, x, y):
         assert vec[0] == 0.0 and vec[-1] == 0.0
     red = solve_currents(build_reduced_system(p, TM1, w, blocks=sys1.blocks))
     assert red.J[0] == 0.0 and red.J[-1] == 0.0
-    assert np.max(np.abs(red.J - sol.J)) <= 1e-8 * np.max(np.abs(sol.J))
+    assert np.max(np.abs(red.J - j)) <= 1e-8 * np.max(np.abs(j))
 
 
 @pytest.mark.parametrize("coeffs", [TE1, TM2],
@@ -767,12 +775,14 @@ def test_relabelled_plate_pins_chain_ends(coeffs):
     moved, label = _relabelled(plate)
     assert (moved.elements[0, 0], moved.elements[-1, 1]) == (14, 11)
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
-    for build, use in ((build_reduced_system, "reduced"),
-                       (build_full_system, "full")):
-        want = solve_currents(build(plate, coeffs, w), use=use)
-        got = solve_currents(build(moved, coeffs, w), use=use)
-        for a, b in ((got.J[label], want.J), (got.M[label], want.M)):
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    want = solve_currents(build_reduced_system(plate, coeffs, w))
+    got = solve_currents(build_reduced_system(moved, coeffs, w))
+    want_full = _full_solution(build_full_system(plate, coeffs, w))
+    got_full = _full_solution(build_full_system(moved, coeffs, w))
+    for a, b in ((got.J[label], want.J), (got.M[label], want.M),
+                 (got_full[0][label], want_full[0]),
+                 (got_full[1][label], want_full[1])):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_blocks_reuse_across_orders(circle32, circle32_blocks):
@@ -822,16 +832,6 @@ def test_system_meta(circle32, circle32_blocks):
     sol = solve_currents(sys1)
     assert 0.0 < sol.meta["rcond"] <= 1.0
     assert sol.meta["residual"] < 1e-12
-    assert sol.meta["solved_form"] == "reduced"
-
-
-def test_unknown_solve_target(circle32, circle32_blocks):
-    w = IncidentWave(pol="TE", k0=K0, phi_inc=0.25)
-    sys1 = build_reduced_system(circle32, TE1, w, blocks=circle32_blocks)
-    with pytest.raises(UsageError):
-        solve_currents(sys1, use="qr")
-    with pytest.raises(UsageError):
-        solve_currents(sys1, use="full")  # never assembled here
 
 
 # --- property: Galerkin symmetry on arbitrary chains --------------------------

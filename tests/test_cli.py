@@ -191,14 +191,26 @@ def test_oracle_matches_library(tmp_path):
 def test_oracle_frozen_paper_curve(tmp_path):
     # regenerated bit-identically: the full 1-degree TE curve for the
     # thick lossy coating, pinned by hash after validation against the
-    # solver and the mode-by-mode impedance equivalence
+    # solver, the mode-by-mode impedance equivalence and the same series
+    # on mpmath Bessel values (test_series_independent_of_bessel_library)
     cfg = put(tmp_path, "c.json", CYLINDER,
               **{"sweep.angles_deg": {"start": 0.0, "stop": 360.0, "step": 1.0}})
     assert run("oracle", "--config", cfg, "--out", str(tmp_path),
                "--quiet") == 0
     digest = hashlib.sha256((tmp_path / "oracle_te.csv").read_bytes())
     assert digest.hexdigest() == \
-        "55d5633a5db4d99f64a0367fcc5af3ed14274992f4d364c1197aac799d866fc4"
+        "542e24750802d32c8f3a5d857020b97db581a276a74f71df49069972d5ea72bc"
+
+
+def test_oracle_overflowing_series_exits_3(tmp_path):
+    # a lossy coating whose Bessel values overflow (|Im k1 b| ~ 740) is a
+    # numerical failure (TruncationError), not an unusable config
+    cfg = put(tmp_path, "c.json", CYLINDER, polarization="TM",
+              frequency=100.0 * 299792458.0 / (2.0 * np.pi),
+              **{"coating.eps_r": [10.0, -100.0]})
+    out = tmp_path / "out"
+    assert run("oracle", "--config", cfg, "--out", str(out), "--quiet") == 3
+    assert not (out / "oracle_tm.csv").exists()
 
 
 def test_oracle_pec_degeneration(tmp_path):

@@ -23,6 +23,8 @@ ORACLES = {
         "test_cli.py::test_oracle_pec_degeneration",
     "assembly.build_full_system":
         "test_acceptance.py::test_accept_05_full_vs_reduced",
+    "assembly.reduce_system":
+        "test_assembly.py::test_reduced_equals_schur_complement",
     "impedance.max_fit_error":
         "test_acceptance.py::test_accept_01_first_order_fit_band",
     "impedance.taylor_coefficients":

@@ -46,15 +46,23 @@ def test_bessel_jy_against_reference(z):
         assert abs(ys[n] - ry) <= 1e-11 * abs(ry)
 
 
-def test_series_and_recurrence_agree_in_overlap():
-    # both evaluation routes are in range for moderate |z|
-    for z in [2.0, 5.0, 7.5, 3.0 - 2.0j, 6.0 + 1.0j]:
-        z = complex(z)
-        js_m = sf._jn_miller(20, z)
-        for n in range(21):
-            s = sf._j_series(n, z)
-            scale = max(abs(s), 1e-30)
-            assert abs(js_m[n] - s) <= 1e-12 * max(scale, 1e-6)
+@pytest.mark.parametrize("z,tol", [
+    (9999.0, 2e-11), (9998.9 - 15.0j, 2e-11),   # order 200 at |z| -> 1e4
+    (40.0 - 30.0j, 3e-13),                       # far off the real axis
+])
+def test_bessel_jy_working_range_edges(z, tol):
+    """Orders up to 200 at the edges of the working range against 40-digit
+    references, on the scale and at the accuracy the module docstring
+    states for |z|: relative to the modulus sqrt(|J_n|^2 + |Y_n|^2) where
+    n < |z|, relative to the value where n >= |z|."""
+    js, ys = sf.bessel_jy(200, z)
+    with mp.workdps(40):
+        for n in [*range(0, 200, 10), 199, 200]:
+            rj, ry = mp.besselj(n, mp.mpc(z)), mp.bessely(n, mp.mpc(z))
+            modulus = mp.sqrt(abs(rj) ** 2 + abs(ry) ** 2)
+            for got, ref in ((js[n], rj), (ys[n], ry)):
+                scale = modulus if n < abs(z) else abs(ref)
+                assert abs(got - ref) <= tol * scale
 
 
 def test_hankel_combinations():
