@@ -242,8 +242,13 @@ def echo_width(pattern):
 # --------------------------------------------------------------------------
 
 def _jy_with_derivs(nmax, z):
-    """J, J', Y, Y' for orders 0..nmax at a common argument."""
+    """J, J', Y, Y' for orders 0..nmax at a common argument.  Values that
+    overflow double precision are refused before any arithmetic on them."""
     js, ys = bessel_jy(nmax + 1, complex(z))
+    if not (np.all(np.isfinite(js)) and np.all(np.isfinite(ys))):
+        raise TruncationError(
+            f"Bessel values at z = {complex(z):.6g} overflow double "
+            f"precision (orders 0..{nmax + 1})", n_max=nmax, argument=z)
     n = np.arange(1, nmax + 1)
     jp = np.empty(nmax + 1, dtype=complex)
     yp = np.empty(nmax + 1, dtype=complex)
@@ -361,7 +366,13 @@ def _pattern_from_modes(modes, k0, angles_deg, mode, phi_inc_deg, meta):
 def series_coated_cylinder(spec, pol, angles_deg, mode="bistatic",
                            phi_inc_deg=0.0):
     """Exact echo width of the coated conducting cylinder, in dB(m)."""
-    modes = cylinder_modes(spec, pol)
+    return _coated_cylinder_pattern(spec, pol, cylinder_modes(spec, pol),
+                                    angles_deg, mode, phi_inc_deg)
+
+
+def _coated_cylinder_pattern(spec, pol, modes, angles_deg, mode,
+                             phi_inc_deg):
+    """The curve of :func:`series_coated_cylinder` from its modes."""
     meta = {"pol": pol, "ibc": "exact",
             "geometry": f"coated-cylinder a={spec.a:.12g} d={spec.d:.12g} "
                         f"eps={spec.eps_r:.12g} mu={spec.mu_r:.12g}"}

@@ -41,11 +41,13 @@ blocks, and one scatter adds block slot (a, b) of pair (e, f) to nodal
 entry (node(e, a), node(f, b)) for every matrix, I1, D and K included.
 
 The reduced system eliminates the auxiliary fields in O(n^2) real
-arithmetic.  Taken in chain order (the order the elements link up, which
-need not be the node labelling) every local operator has at most three
-entries per row: the mass I1 of the auxiliary rows is tridiagonal, with
-cyclic corners on a closed contour and unit rows at pinned nodes of an
-open one.  The corners are a rank-one update of a tridiagonal matrix,
+arithmetic, once per mesh: the couplings they leave depend on the mesh
+alone, so assemble_blocks stores them and every order, polarization and
+angle reads them.  Taken in chain order (the order the elements link up,
+which need not be the node labelling) every local operator has at most
+three entries per row: the mass I1 of the auxiliary rows is tridiagonal,
+with cyclic corners on a closed contour and unit rows at pinned nodes of
+an open one.  The corners are a rank-one update of a tridiagonal matrix,
 removed by Sherman-Morrison; the solves are LAPACK tridiagonal ones and
 the products banded times dense.
 """
@@ -112,10 +114,11 @@ class SurfaceCurrents:
 class AssembledSystem:
     """Raw blocks, the auxiliary-variable matrix, and the 2N reduction.
 
-    ``blocks`` keeps the geometry-dependent matrices unconstrained so a
-    single assembly can be reused across boundary-condition orders and
-    incidence angles; endpoint constraints are applied to the composed
-    systems, not to the stored blocks.
+    ``blocks`` keeps the geometry-dependent matrices so a single assembly
+    can be reused across boundary-condition orders and incidence angles;
+    the J and M endpoint constraints are applied to the composed systems,
+    not to the stored blocks (only the couplings G, G2 carry the pins of
+    the auxiliary fields, which are the same at every order).
     """
 
     blocks: dict
@@ -208,7 +211,7 @@ def _self_g_moments(k, h, n_log):
         # the log rule integrates (-ln w) f(w) and the kernel carries
         # +ln(w); elsewhere ln(r) = ln(h) + ln(w) with ln(h) smooth
         vals = -g_even if logged else g_an + np.log(h) * g_even
-        mom = mom + vals @ (wts * _rho_weights(nodes)).T
+        mom = mom + np.einsum("eq,cq->ec", vals, wts * _rho_weights(nodes))
     return (mom * (h * h))[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
@@ -282,11 +285,10 @@ def _pair_moments(contour, k0, e, f, n_gl):
     kern[0], wq = _plain_kernels(k0, np.hypot(dx, dy))
     for k, n in ((1, contour.normals[e]), (2, -contour.normals[f])):
         kern[k] = wq * (dx * n[:, 0, None, None] + dy * n[:, 1, None, None])
-    # both phi contractions as GEMMs, the quadrature weights inside phi
+    # both phi contractions, the quadrature weights inside phi
     phi = np.stack([1.0 - x, x]) * w
-    half = (kern.reshape(-1, n_gl) @ phi.T).reshape(3, -1, n_gl, 2)
-    mom = phi @ half.transpose(2, 0, 1, 3).reshape(n_gl, -1)
-    mom = mom.reshape(2, 3, -1, 2).transpose(1, 2, 0, 3) * (
+    half = np.einsum("kpij,bj->bkpi", kern, phi)
+    mom = np.einsum("ai,bkpi->kpab", phi, half) * (
         contour.lengths[e] * contour.lengths[f])[:, None, None]
     return mom[0], mom[1], mom[2].transpose(0, 2, 1)
 
@@ -472,6 +474,15 @@ _S_SERIES = [(-1) ** n / (math.factorial(2 * n + 1) * 4 ** (n + 1)
                           * (2 * n + 3)) for n in reversed(range(10))]
 
 
+def _dot_dirs(vecs, dirs):
+    """(E, K) dot products of the (E, 2) vectors with the (2, K) directions,
+    as two elementwise products and a sum: column k is the same whatever
+    other directions share the block (a BLAS product rounds by block)."""
+    out = vecs[:, :1] * dirs[0]
+    out += vecs[:, 1:] * dirs[1]
+    return out
+
+
 def _plane_wave_moments(contour, k0, dirs):
     """(E, 2, K) moments <exp(-i k0 d.x), phi_a>_e of the start (a = 0) and
     end (a = 1) basis on every element, for the (2, K) directions d.
@@ -482,11 +493,11 @@ def _plane_wave_moments(contour, k0, dirs):
     Horner in b^2, which hold while k0 h < MAX_KH (MeshError beyond).
     """
     _check_resolution(contour, k0)
-    b = (k0 * contour.lengths[:, None] * contour.tangents) @ dirs    # (E, K)
+    b = _dot_dirs(k0 * contour.lengths[:, None] * contour.tangents, dirs)
     w = np.empty(b.shape, dtype=complex)
     w.real = 0.5 * np.polyval(_C_SERIES, b * b)
     w.imag = b * np.polyval(_S_SERIES, b * b)
-    ph = k0 * (contour.midpoints() @ dirs)
+    ph = k0 * _dot_dirs(contour.midpoints(), dirs)
     h = contour.lengths[:, None]
     em = np.empty(b.shape, dtype=complex)
     em.real, em.imag = h * np.cos(ph), -h * np.sin(ph)
@@ -517,7 +528,7 @@ def assemble_rhs(contour, pol, k0, phi_inc) -> np.ndarray:
     phi = np.atleast_1d(np.asarray(phi_inc, dtype=float))
     dirs = np.stack([np.cos(phi), np.sin(phi)])             # (2, K)
     mom = _plane_wave_moments(contour, k0, dirs)            # (n0, 2, K)
-    dn = (contour.normals @ dirs)[:, None, :]               # (n0, 1, K)
+    dn = _dot_dirs(contour.normals, dirs)[:, None, :]       # (n0, 1, K)
     sig = contour.sigma
     if pol == "TE":
         e_fac, h_fac = sig * Z0 * dn, sig
@@ -592,12 +603,15 @@ def _checked_order(coeffs, wave):
 def assemble_blocks(contour, k0) -> dict:
     """All geometry/frequency-dependent matrices for later composition.
 
-    One kernel pass serves every boundary-condition order, polarization,
-    and incidence angle at this (contour, k0).
+    One kernel pass and one elimination of the auxiliary fields serve
+    every boundary-condition order, polarization, and incidence angle at
+    this (contour, k0): B, BS, Q, I1, D, K and the couplings G, G2 of
+    :func:`_eliminated_blocks`.
     """
     t0 = time.perf_counter()
     blocks = _helmholtz_blocks(contour, k0)
     blocks.update(assemble_mass_and_d(contour))
+    blocks["G"], blocks["G2"] = _eliminated_blocks(contour, blocks)
     log.info("assembled blocks: %d elements, k0 %g, %.2fs",
              contour.n_elements, k0, time.perf_counter() - t0)
     return blocks
@@ -788,14 +802,16 @@ def _solve_tridiagonal(band, rhs, closed):
     return blas.dger(-1.0 / (1.0 + vz), z, vy, a=y, overwrite_a=True)
 
 
-def _eliminated_blocks(contour, blocks, order, pinned):
+def _eliminated_blocks(contour, blocks):
     """The couplings (G, G2) the eliminated auxiliary fields leave on the
     J-J, J-M, M-J and M-M blocks alike, as real arrays in label order:
     G = D W with X = W J, Y = W M from the mass rows I1 X = D J,
-    I1 Y = D M, and G2 = K I1^{-1} D W the order-2 coupling (None below
-    order 2).  At the ``pinned`` node labels an auxiliary mass row is the
-    identity with a zero right-hand side, so those auxiliary values are
-    exactly 0; the J and M pins are left to the composed matrix.
+    I1 Y = D M, and G2 = K I1^{-1} D W the order-2 coupling.  Both depend
+    on the mesh alone.  At the pinned node labels (the chain ends of an
+    open contour, :func:`_constrained_indices`, in every field) an
+    auxiliary mass row is the identity with a zero right-hand side, so
+    those auxiliary values are exactly 0; the J and M pins are left to the
+    composed matrix.
     """
     chain = _chain_nodes(contour)
 
@@ -808,7 +824,7 @@ def _eliminated_blocks(contour, blocks, order, pinned):
     n = chain.size
     pos = (np.arange(n)[:, None] + off) % n
     free = np.ones(n, dtype=bool)
-    free[list(pinned)] = False
+    free[list(_constrained_indices(contour, (n,)))] = False
     free = free[chain]
     mass = _chain_band(contour, blocks["I1"], off)
     mass *= free[:, None] & free[pos]
@@ -816,13 +832,11 @@ def _eliminated_blocks(contour, blocks, order, pinned):
     # D with its pinned auxiliary rows zeroed, node-label columns, laid
     # out column-major for the banded solve
     d = _chain_band(contour, blocks["D"], off)
-    rhs = np.zeros((n, n), order="F")
-    rhs[np.arange(n)[:, None], chain[pos]] = d * free[:, None]
-    w = _solve_tridiagonal(mass, rhs, contour.closed)
-    g = _band_dot(d, off, w)
+    w = np.zeros((n, n), order="F")
+    w[np.arange(n)[:, None], chain[pos]] = d * free[:, None]
+    g = _band_dot(d, off, _solve_tridiagonal(mass, w, contour.closed))
+    del w           # not alive while G2 is formed
     g_lab = label_rows(g)
-    if order < 2:
-        return g_lab, None
     g[~free] = 0.0
     w2 = _solve_tridiagonal(mass, g, contour.closed)
     g2 = _band_dot(_chain_band(contour, blocks["K"], off), off, w2)
@@ -831,8 +845,8 @@ def _eliminated_blocks(contour, blocks, order, pinned):
 
 def _compose_reduced(contour, coeffs, wave, blocks) -> AssembledSystem:
     """The constrained 2N (J, M) matrix of :func:`build_reduced_system`,
-    without a right-hand side, written in place into A's quadrants: beyond
-    A it allocates only the real couplings G, G2 and one real product."""
+    without a right-hand side, written in place into A's quadrants from
+    the stored blocks: beyond A it allocates one real product."""
     order = _checked_order(coeffs, wave)
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
@@ -843,28 +857,25 @@ def _compose_reduced(contour, coeffs, wave, blocks) -> AssembledSystem:
     sizes = _field_sizes(contour, order)
     constrained = _constrained_indices(contour, sizes)
     n = sizes[0] + sizes[1]
-    pins = tuple(i for i in constrained if i < n)
 
     te = wave.pol == "TE"
-    if order >= 1:
-        sy = 1.0 if te else -1.0
-        g, g2 = _eliminated_blocks(contour, blocks, order,
-                                   [i for i in pins if i < n1])
-        # J rows carry 1/2, M rows 1/(2 a0), the J-M and M-J blocks sy;
-        # J columns couple through a and a', M columns through b and b'
-        s = (0.5, 0.5 * sy, 0.5 * sy / a0, 0.5 / a0)
-        first, second = (c["a"], c["b"]) * 2, (c["ap"], c["bp"]) * 2
     A = np.empty((n, n), dtype=complex)
     views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
     _put_order0(views, te, blocks, a0)
-    if order >= 1:
-        # v += coefficient * G with G real: one real pass into each part
-        for k, v in enumerate(views):
-            re, im = v.real, v.imag
-            for coef, gk in ((s[k] * first[k], g), (-s[k] * second[k], g2)):
-                if gk is not None:
-                    re += coef.real * gk
-                    im += coef.imag * gk
+    # J rows carry 1/2, M rows 1/(2 a0), the J-M and M-J blocks sy;
+    # J columns couple through a and a', M columns through b and b'
+    sy = 1.0 if te else -1.0
+    s = (0.5, 0.5 * sy, 0.5 * sy / a0, 0.5 / a0)
+    terms = (((c["a"], c["b"]) * 2, blocks["G"]),
+             ((-c["ap"], -c["bp"]) * 2, blocks["G2"]))[:order]
+    # v += coefficient * G with G real: one real pass into each part
+    for k, v in enumerate(views):
+        re, im = v.real, v.imag
+        for coefs, gk in terms:
+            coef = s[k] * coefs[k]
+            re += coef.real * gk
+            im += coef.imag * gk
+    pins = tuple(i for i in constrained if i < n)
     _apply_constraints(A, None, pins)
 
     meta = _system_meta(contour, coeffs, wave, c, t0)
@@ -883,7 +894,8 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     Agrees with reduce_system(build_full_system(...)) to rounding: the
     auxiliary mass rows are block-triangular, so elimination is just
     W = I1^{-1} (d-coupling), applied once per auxiliary level, as banded
-    solves and banded-times-dense products in chain order (module notes).
+    solves and banded-times-dense products in chain order (module notes),
+    done once by assemble_blocks; this composes from the stored blocks.
     """
     system = _compose_reduced(contour, coeffs, wave, blocks)
     rhs = assemble_rhs(contour, wave.pol, wave.k0,
@@ -901,8 +913,11 @@ def solve_currents(system: AssembledSystem) -> SurfaceCurrents:
     fac = lu_factor(mat)
     x = solve(fac, rhs)
     dt = time.perf_counter() - t0
-    # relative residual ||Ax - b|| / ||b||; a zero b solves to x = 0 exactly
-    residual = float(np.linalg.norm(mat @ x - rhs)
+    # relative residual ||Ax - b|| / ||b||; a zero b solves to x = 0 exactly.
+    # A x is zgemv on the Fortran view of A (no copy), through scipy's BLAS
+    # like the factorization (linsolve's notes)
+    ax = blas.zgemv(1.0, mat.T, x, trans=1)
+    residual = float(np.linalg.norm(ax - rhs)
                      / max(np.linalg.norm(rhs), np.finfo(float).tiny))
     log.info("solved n=%d system in %.3fs (rcond %.2e, residual %.1e)",
              mat.shape[0], dt, fac.rcond_estimate, residual)

@@ -27,12 +27,12 @@ import numpy as np
 
 from .analysis import (
     SeriesSolutionSpec,
+    _coated_cylinder_pattern,
     compare_rcs,
     cylinder_modes,
     monostatic_sweep,
     rcs_csv_parse,
     rcs_csv_text,
-    series_coated_cylinder,
     solve_and_pattern,
 )
 from .assembly import IncidentWave
@@ -558,11 +558,11 @@ def cmd_oracle(cfg, out_dir):
     mode = "monostatic" if cfg.sweep_kind == "monostatic-angle" else "bistatic"
     if cfg.sweep_kind == "monostatic-frequency":
         raise UsageError("the reference series sweeps angles, not frequencies")
-    pattern = series_coated_cylinder(spec, cfg.pol, cfg.angles_deg,
-                                     mode=mode, phi_inc_deg=cfg.phi_inc_deg)
+    modes = cylinder_modes(spec, cfg.pol)
+    pattern = _coated_cylinder_pattern(spec, cfg.pol, modes, cfg.angles_deg,
+                                       mode, cfg.phi_inc_deg)
     # truncation diagnostic for the header: how much the last kept mode
     # could still move the curve
-    modes = cylinder_modes(spec, cfg.pol)
     s_max = np.max(np.sqrt(10.0 ** (pattern.sigma / 10.0) * spec.k0 / 4.0))
     pattern.meta.update({"n_max": spec.n_max,
                          "tail_ratio": repr(float(2.0 * abs(modes[-1]) / s_max)),

@@ -74,8 +74,8 @@ class SingularMatrixError(HoibcError, ArithmeticError):
 
 
 class TruncationError(HoibcError, ArithmeticError):
-    """A series tail failed to reach the requested tolerance, or is NaN
-    because the modes overflowed.
+    """A series tail failed to reach the requested tolerance, or the
+    series' Bessel values overflow double precision.
 
     ``diagnostics`` carries whatever the caller finds useful to report
     (last term magnitude, number of terms, target tolerance).

@@ -5,13 +5,28 @@ The systems assembled upstream are dense; one dense LU is the whole
 strategy, and memory bounds the size.  Per n^2 x 16 B, n nodes (tracemalloc
 on circles, n = 512 and 1024): the kernel pass peaks at 4 plus fixed
 buffers, ~20 MB for a chunk of kernel points and ~2 MB for a block of
-pairs, and keeps 4.5 (B, B - S, Q, real I1, D, K);
-composing the reduced 2n system peaks 4 (IBC0), 5 (IBC1) or 5.5 (IBC2)
-above that and keeps 4; its LU adds 4: an IBC2 solve peaks at 12.5 while
-it factors, 210 MB at n = 1024.  Far fields and angle sweeps add a block
-of O(elements x SWEEP_CHUNK), independent of the angle count.
-The factorization object is immutable and may be shared across threads;
-each solve runs independent substitution passes.
+pairs; with the one elimination of the auxiliary fields (peak 6.5) the
+blocks keep 5.5 (B, B - S, Q, real I1, D, K and the real couplings G,
+G2).  Composing the reduced 2n system adds only A, 4 (and from IBC1 one
+real product, 0.5, while it composes); its LU adds 4: a solve of any
+order peaks at 13.5 while it factors, 226 MB at n = 1024.  Far fields and
+angle sweeps add a block of O(elements x SWEEP_CHUNK), independent of the
+angle count.  The factorization object is immutable and may be shared
+across threads; each solve runs independent substitution passes.
+
+Threaded BLAS goes through ``scipy.linalg`` alone.  numpy and scipy each
+bundle an OpenBLAS with its own thread pool (numpy's 0.3.31 and scipy's
+0.3.30 on the 2-core VM where this was measured).  A numpy product (``@``,
+``np.dot``) wakes numpy's pool, whose threads then compete for the cores
+with scipy's LU: with numpy products in its kernel pass and right-hand
+sides, the benchmark's orders-cylinder operation ran in one process at a
+median of 1.38 s with both pools at 2 threads and 0.98 s with numpy's at
+1 (8 operations each).  So the package's solve path makes no numpy BLAS
+call: the kernel contractions are ``np.einsum`` (no ``optimize``, which
+calls no BLAS), the plane-wave direction products elementwise, and the
+residual scipy's ``zgemv``; the same operation now runs at 0.96 s with
+numpy's pool at 2 threads and 0.94 s at 1.  tests/test_numpy_blas.py
+keeps it so, with an allowlist of two oracles.
 
 Every right-hand side, one column or a block, goes through the same pair of
 level-3 triangular solves (``ztrsm``).  Column k of any multi-column solve is
@@ -68,9 +83,12 @@ def lu_factor(matrix) -> Factorization:
         raise UsageError(f"matrix must be square, got shape {a.shape}")
     if a.size == 0:
         raise UsageError("empty matrix")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise UsageError("matrix has non-finite entries")
-    anorm = float(np.linalg.norm(a, 1))
+    # one pass: an inf or NaN entry makes the 1-norm inf or NaN
+    with np.errstate(over="ignore"):
+        anorm = float(np.linalg.norm(a, 1))
+    if not np.isfinite(anorm):
+        raise UsageError("matrix has non-finite entries, or its 1-norm "
+                         "overflows")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact singularity
         try:

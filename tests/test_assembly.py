@@ -672,7 +672,8 @@ def _composed_by_copies(c, coeffs, wave, blocks, pins):
         parts = Z0 * b + 0.5 * a0 * i1, q.T, -q, bs / Z0 + i1 / (2.0 * a0)
     order = int(coeffs.order[-1])
     if order >= 1:
-        g, g2 = _eliminated_blocks(c, blocks, order, [i for i in pins if i < n1])
+        g, g2 = _eliminated_blocks(c, blocks)
+        g2 = g2 if order == 2 else None
         sy = 1.0 if te else -1.0
         s = (0.5, 0.5 * sy, 0.5 * sy / a0, 0.5 / a0)
         first, second = (sc["a"], sc["b"]) * 2, (sc["ap"], sc["bp"]) * 2
@@ -715,12 +716,13 @@ def test_in_place_composition_equals_copies(coeffs, mesh):
         <= 1e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("coeffs,budget", [(TM0, 4.5), (TM2, 6.0)],
+@pytest.mark.parametrize("coeffs,budget", [(TM0, 4.5), (TM2, 4.75)],
                          ids=["IBC0", "IBC2"])
 def test_composition_memory_budget(coeffs, budget):
     """Composing the reduced 2n system allocates A (4 n^2 complex entries)
-    and, from order 1, the real couplings G, G2 and one real product:
-    within 4.5 (IBC0) and 6 (IBC2) n^2 x 16 B at n = 512 nodes."""
+    and, from order 1, one real product (0.5); the couplings G, G2 are
+    already in the blocks: within 4.5 (IBC0) and 4.75 (IBC2) n^2 x 16 B at
+    n = 512 nodes."""
     c = mesh_circle(1.1, 512)
     blocks = assemble_blocks(c, K0)
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
@@ -731,6 +733,31 @@ def test_composition_memory_budget(coeffs, budget):
     finally:
         tracemalloc.stop()
     assert peak <= budget * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
+
+
+def test_elimination_once_per_mesh(monkeypatch):
+    """assemble_blocks eliminates the auxiliary fields once and stores the
+    couplings G, G2; composing every order and polarization after it reads
+    them and eliminates nothing again."""
+    calls = []
+    eliminate = _eliminated_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr("hoibc2d.assembly._eliminated_blocks", counted)
+    for c in (mesh_circle(1.0, 32), _relabelled(mesh_plate(2.0, 40))[0]):
+        calls.clear()
+        blocks = assemble_blocks(c, K0)
+        assert len(calls) == 1
+        want = eliminate(c, blocks)
+        for key, g in zip(("G", "G2"), want):
+            assert np.array_equal(blocks[key], g), key
+        for cf in (TE0, TM0, TE1, TM1, TE2, TM2):
+            w = IncidentWave(pol=cf.pol, k0=K0, phi_inc=0.7)
+            build_reduced_system(c, cf, w, blocks)
+        assert len(calls) == 1
 
 
 def test_reduced_system_needs_no_dense_factorization(monkeypatch):

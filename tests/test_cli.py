@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import hoibc2d
+from hoibc2d import analysis
 from hoibc2d.analysis import (
     SeriesSolutionSpec,
     rcs_csv_parse,
@@ -200,6 +201,23 @@ def test_oracle_frozen_paper_curve(tmp_path):
     digest = hashlib.sha256((tmp_path / "oracle_te.csv").read_bytes())
     assert digest.hexdigest() == \
         "542e24750802d32c8f3a5d857020b97db581a276a74f71df49069972d5ea72bc"
+
+
+def test_oracle_evaluates_the_series_once(tmp_path, monkeypatch):
+    # one coated-cylinder series: Bessel J/Y at k0 b, k1 b and k1 a, for
+    # the curve and the tail_ratio header alike
+    calls = []
+    bessel_jy = analysis.bessel_jy
+
+    def counted(*args):
+        calls.append(args)
+        return bessel_jy(*args)
+
+    monkeypatch.setattr("hoibc2d.analysis.bessel_jy", counted)
+    cfg = put(tmp_path, "c.json", CYLINDER)
+    assert run("oracle", "--config", cfg, "--out", str(tmp_path),
+               "--quiet") == 0
+    assert len(calls) == 3
 
 
 def test_oracle_overflowing_series_exits_3(tmp_path):

@@ -89,17 +89,57 @@ _THREADED_CHILD = textwrap.dedent("""
 """)
 
 
-def test_multi_rhs_bitwise_under_threaded_blas():
-    # The check above only bites when BLAS runs threaded, so run the same
-    # promise in a child process that asks OpenBLAS/OpenMP for two threads.
+_RHS_CHILD = textwrap.dedent("""
+    import numpy as np
+    from hoibc2d.analysis import SWEEP_CHUNK
+    from hoibc2d.assembly import assemble_rhs
+    from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
+
+    plate = mesh_plate(2.0, 40)
+    label = np.random.default_rng(7).permutation(plate.n_nodes)
+    nodes = np.empty_like(plate.nodes)
+    nodes[label] = plate.nodes
+    relabelled = Contour(nodes=nodes, elements=label[plate.elements],
+                         closed=False)
+    rng = np.random.default_rng(23)
+    bad = []
+    for name, c in (("circle", mesh_circle(1.1, 128)),
+                    ("plate", relabelled)):
+        for pol in ("TE", "TM"):
+            for width in (1, 7, SWEEP_CHUNK + 44):
+                phis = rng.uniform(0.0, 2.0 * np.pi, width)
+                block = assemble_rhs(c, pol, 6.0, phis)
+                for k in range(width):
+                    one = assemble_rhs(c, pol, 6.0, phis[k:k + 1])[:, 0]
+                    if not np.array_equal(block[:, k], one):
+                        bad.append((name, pol, width, k))
+    print("mismatches", len(bad), bad[:4])
+""")
+
+
+def _run_threaded(child):
+    # BLAS only rounds differently when it runs threaded, so the child
+    # process asks OpenBLAS/OpenMP for two threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _THREADED_CHILD], env=env,
+    out = subprocess.run([sys.executable, "-c", child], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[:2] == ["mismatches", "0"], out.stdout
+
+
+def test_multi_rhs_bitwise_under_threaded_blas():
+    # the promise of test_multi_rhs_matches_looped, at two BLAS threads
+    _run_threaded(_THREADED_CHILD)
+
+
+def test_rhs_columns_bitwise_under_threaded_blas():
+    """Column k of a block of right-hand sides is bitwise the block of
+    its angle alone, at widths 1, 7 and SWEEP_CHUNK + 44, on a circle and
+    on a plate whose node labels are out of chain order."""
+    _run_threaded(_RHS_CHILD)
 
 
 def test_zero_rhs_and_linearity():
@@ -134,8 +174,13 @@ def test_rcond_warning_logged(caplog):
 def test_usage_errors():
     with pytest.raises(UsageError):
         ls.lu_factor(np.zeros((2, 3)))
+    # a non-finite entry, found through the 1-norm that lu_factor needs
+    # anyway, and a 1-norm that overflows
+    for bad in (np.nan, np.inf, -np.inf, 1j * np.inf, -1j * np.inf):
+        with pytest.raises(UsageError):
+            ls.lu_factor(np.array([[1.0, 0.0], [bad, 1.0]]))
     with pytest.raises(UsageError):
-        ls.lu_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        ls.lu_factor(np.full((2, 2), 1e308))
     f = ls.lu_factor(np.eye(3))
     with pytest.raises(UsageError):
         ls.solve(f, np.zeros(4))
