@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import IncidentWave, _compose_reduced, _plain_kernels, \
-    assemble_rhs, build_reduced_system, solve_currents
+from .assembly import IncidentWave, _plain_kernels, assemble_rhs, \
+    build_reduced_system, solve_currents
 from .errors import TruncationError, UsageError, ValidationError
 from .geometry import Contour, contour_hash
 from .impedance import IbcCoefficients
@@ -469,8 +469,9 @@ def monostatic_sweep(contour, coeffs, sweep, kind="angle", k0=None,
 def _sweep_angles(contour, coeffs, angles_deg, k0):
     wave0 = IncidentWave(pol=coeffs.pol, k0=k0,
                          phi_inc=np.deg2rad(angles_deg[0]))
-    # the matrix only: every chunk assembles its own right-hand sides
-    system = _compose_reduced(contour, coeffs, wave0, None)
+    # the matrix; its one rhs column goes unused, every chunk assembles its
+    # own right-hand sides
+    system = build_reduced_system(contour, coeffs, wave0)
     fac = lu_factor(system.reduced_matrix)
     n_red = system.reduced_matrix.shape[0]
     log.info("factored n=%d sweep matrix (rcond %.2e)", n_red,

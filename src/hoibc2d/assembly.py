@@ -19,11 +19,14 @@ All three come from two raw moments per element pair and local basis
 pair, SB = int int G phi_a phi_b and SQ = int int n.grad_y G phi_a phi_b
 (Jacobians included), a 2 x 2 block per pair.  The self-element double
 integral collapses to a single integral in w = |t - s| whose logarithmic
-part goes to a log-weighted Gauss rule; pairs sharing a vertex are split
-into two Duffy triangles with the same log/analytic kernel separation, all
-pairs at once on the shared reference nodes; every other pair e < f is
-evaluated by tensor Gauss-Legendre, at an order that a fixed table picks
-from its clearance and k0 h, and also yields the SQ block of (f, e).
+part goes to a log-weighted Gauss rule.  Every other pair is evaluated
+once, as e < f or, on a closed contour, (n - 1, 0): pairs sharing a vertex
+are split into two Duffy triangles with the same log/analytic kernel
+separation, all pairs at once on the shared reference nodes; the rest go
+to tensor Gauss-Legendre, at an order that a fixed table picks from the
+clearance and k0 h.  The (f, e) blocks of B and B - S are the transpose,
+SB(f, e) = SB(e, f)^T, so both matrices come out exactly symmetric; the
+SQ block of (f, e) comes from the same points with the normal of f.
 
 Self elements and distant pairs are evaluated once per congruence class.
 A pair's key is h_e and the two endpoints of f in e's frame (origin at e's
@@ -35,7 +38,7 @@ found in O(pairs) without a sort, and the first pair of each run is
 evaluated for the whole run.  The uniform meshes of mesh_circle and
 mesh_plate have O(n) runs; a mesh with no congruent pairs has one run per
 pair.  Shared-vertex pairs are evaluated one by one (see
-_helmholtz_blocks).
+_helmholtz_blocks), each of them once.
 One local formulation turns each pair's moments into its B, B - S and Q
 blocks, and one scatter adds block slot (a, b) of pair (e, f) to nodal
 entry (node(e, a), node(f, b)) for every matrix, I1, D and K included.
@@ -199,11 +202,11 @@ def _rho_weights(w):
     return np.stack([c11, (1.0 - w) - c11, c11])
 
 
-def _self_g_moments(k, h, n_log):
+def _self_g_moments(k, h):
     """(n0, 2, 2) self blocks SB[e, :, e, :] for the element-length array
     h: the double integral collapses to int G(k h w) rho(w) dw."""
     xg, wg = gauss_legendre_unit(N_GL_SMOOTH)
-    lg = quad_rule("gauss_log", n_log)
+    lg = quad_rule("gauss_log", N_LOG_SELF)
     h = np.asarray(h, dtype=float)[:, None]
     mom = 0.0
     for nodes, wts, logged in ((xg, wg, False), (lg.nodes, lg.weights, True)):
@@ -215,38 +218,32 @@ def _self_g_moments(k, h, n_log):
     return (mom * (h * h))[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
-def _adjacent_pairs(contour):
-    """(e, f, flip_t, flip_s) arrays over every ordered pair sharing a node.
+def _adjacent_moments(contour, k0):
+    """(P, 2, 2) blocks SB[e, :, f, :], SQ[e, :, f, :] and SQ[f, :, e, :] of
+    the shared-vertex pairs (e, f = e + 1 mod n), e = 0 .. P - 1 (P = n on a
+    closed contour, n - 1 on an open one); SB[f, :, e, :] is the transpose
+    of SB[e, :, f, :], and the SQ partner takes -(y - x).n_f in place of
+    (y - x).n_e at the same points.
 
-    flip_t: the shared vertex is the *end* node of e (local t = 1), so the
-    vertex-distance coordinate there is 1 - t; flip_s likewise for f.
-    """
-    n = contour.n_elements
-    e = np.arange(n if contour.closed else n - 1)
-    f = (e + 1) % n                     # end node of e = start node of f
-    first = np.arange(2 * e.size) < e.size
-    return np.concatenate([e, f]), np.concatenate([f, e]), first, ~first
-
-
-def _adjacent_moments(contour, k0, e, f, flip_t, flip_s):
-    """(P, 2, 2) blocks SB[e, :, f, :], SQ[e, :, f, :] of the shared-vertex
-    pairs.
-
-    x = V + xi*we, y = V + eta*wf; r vanishes only at the vertex V.  On
-    the triangle eta < xi put eta = xi*v: r = xi*rhat(v) with rhat bounded
-    below, so ln r = ln(xi) + ln(r/xi) splits into a gauss_log part in xi
-    plus a smooth remainder; the other triangle is the mirror image with
-    eta outermost.  Every pair shares the reference nodes.
+    x = V + xi*we, y = V + eta*wf, V the end of e and the start of f; r
+    vanishes only at V.  On the triangle eta < xi put eta = xi*v: r =
+    xi*rhat(v) with rhat bounded below, so ln r = ln(xi) + ln(r/xi) splits
+    into a gauss_log part in xi plus a smooth remainder; the other triangle
+    is the mirror image with eta outermost.  Every pair shares the
+    reference nodes.
     """
     xg, wg = gauss_legendre_unit(N_GL_DUFFY)
     lg = quad_rule("gauss_log", N_LOG_DUFFY)
+    n = contour.n_elements
+    e = np.arange(n if contour.closed else n - 1)
+    f = (e + 1) % n
     ends = contour.nodes[contour.elements]             # (n0, 2 local, 2)
-    vertex = ends[e, flip_t.astype(int)]
-    we = ends[e, (~flip_t).astype(int)] - vertex
-    wf = ends[f, (~flip_s).astype(int)] - vertex
-    ne = contour.normals[e]
+    vertex = ends[e, 1]
+    we = ends[e, 0] - vertex
+    wf = ends[f, 1] - vertex
+    normals = np.stack([contour.normals[e], -contour.normals[f]])
     hh = (contour.lengths[e] * contour.lengths[f])[:, None, None]
-    sb = sq = 0.0
+    mom = 0.0
     for outer, w_outer, logged in ((xg, wg, False),
                                    (lg.nodes, lg.weights, True)):
         inner = np.multiply.outer(outer, xg)
@@ -262,15 +259,13 @@ def _adjacent_moments(contour, k0, e, f, flip_t, flip_s):
                 lnrest = np.log(r / outer[:, None])
                 kg = g_an + lnrest * g_even
                 kq = w_an + lnrest * w_even
-            kq = kq * np.einsum("pxvd,pd->pxv", dvec, ne)
-            t = np.where(flip_t[:, None, None], 1.0 - xi, xi)
-            s = np.where(flip_s[:, None, None], 1.0 - eta, eta)
             jac = np.multiply.outer(w_outer, wg) * outer[:, None] * hh
-            pt = np.stack([1.0 - t, t], axis=1)
-            ps = np.stack([1.0 - s, s], axis=1)
-            sb = sb + np.einsum("paxv,pbxv,pxv->pab", pt, ps, kg * jac)
-            sq = sq + np.einsum("paxv,pbxv,pxv->pab", pt, ps, kq * jac)
-    return sb, sq
+            kern = np.stack([kg, *(kq * np.einsum("pxvd,pd->pxv", dvec, m)
+                                   for m in normals)]) * jac
+            pt = np.stack([xi, 1.0 - xi])              # t = 1 - xi on e
+            ps = np.stack([1.0 - eta, eta])
+            mom = mom + np.einsum("axv,bxv,kpxv->kpab", pt, ps, kern)
+    return mom[0], mom[1], mom[2].transpose(0, 2, 1)
 
 
 def _pair_moments(contour, k0, e, f, n_gl):
@@ -345,9 +340,11 @@ def _add_blocks(out, contour, e, f, blocks):
         out[el[e, a], el[f, b]] += blocks[:, a, b]
 
 
-def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None):
+def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None, sq_fe=None):
     """Adds the B, B - S and (given SQ) Q blocks of the pairs (e, f) from
-    their raw moments; the basis slopes are -+1/h per element."""
+    their raw moments, and with SQ the Q blocks of (f, e) from their
+    partner moments SQ[f, :, e, :]; the basis slopes are -+1/h per
+    element."""
     h, tau = contour.lengths, contour.tangents
     ttf = np.einsum("pd,pd->p", tau[e], tau[f])[:, None, None]
     deriv = np.multiply.outer(sb.sum(axis=(1, 2)) / (k0 * (h[e] * h[f])),
@@ -356,6 +353,7 @@ def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None):
     _add_blocks(mats["BS"], contour, e, f, 1j * (k0 * ttf * sb - deriv))
     if sq is not None:
         _add_blocks(mats["Q"], contour, e, f, sq)
+        _add_blocks(mats["Q"], contour, f, e, sq_fe)
 
 
 def _node_sum(contour, x):
@@ -368,7 +366,7 @@ def _node_sum(contour, x):
     return out
 
 
-def _helmholtz_blocks(contour, k0, *, n_log=N_LOG_SELF):
+def _helmholtz_blocks(contour, k0):
     """One pass over all element pairs; returns the nodal B, BS and Q.
 
     The distant pairs go in blocks of rows e, laid out by row and by
@@ -408,13 +406,21 @@ def _helmholtz_blocks(contour, k0, *, n_log=N_LOG_SELF):
         head[i[first], j[first]] = n + np.arange(first.size)
         head = np.maximum.accumulate(head, axis=0)[i, j]
         mom = table[:, np.where(head < 0, j, head)]
-        _add_pair_blocks(mats, contour, k0, e, f, mom[0], mom[1])
-        _add_blocks(mats["Q"], contour, f, e, mom[2])
+        _add_pair_blocks(mats, contour, k0, e, f, *mom)
         last_key = key[:, -1:]
         last = i == rows - 1
         last_mom[:, j[last]] = mom[:, last]
+    # the shared-vertex pairs (e, e + 1 mod n) go in once, like the distant
+    # pairs e < f, with Q's (f, e) blocks from the partner normal; they are
+    # evaluated one by one: their SQ is about proportional to the turning
+    # angle, which spreads by ~1e-12 relative over the rounded nodes of a
+    # regular polygon, too much for one pair to stand for all
+    mom = _adjacent_moments(contour, k0)
+    e = np.arange(mom[0].shape[0])
+    _add_pair_blocks(mats, contour, k0, e, (e + 1) % n, *mom)
     # SB[f, :, e, :] = SB[e, :, f, :]^T: the (f, e) blocks of B and B - S
-    # are the transpose (NumPy buffers the overlapping operand)
+    # of every off-diagonal pair are the transpose (NumPy buffers the
+    # overlapping operand), which leaves both exactly symmetric
     for key in ("B", "BS"):
         mats[key] += mats[key].T
     # SQ self blocks stay zero: n(x).(y-x) = 0 on a straight element
@@ -424,14 +430,7 @@ def _helmholtz_blocks(contour, k0, *, n_log=N_LOG_SELF):
     new[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
     h = contour.lengths[new]
     _add_pair_blocks(mats, contour, k0, diag, diag,
-                     _self_g_moments(k0, h, n_log)[np.cumsum(new) - 1])
-    # the shared-vertex pairs are evaluated one by one: their SQ is about
-    # proportional to the turning angle, which spreads by ~1e-12 relative
-    # over the rounded nodes of a regular polygon, too much for one pair to
-    # stand for all
-    e, f, flip_t, flip_s = _adjacent_pairs(contour)
-    _add_pair_blocks(mats, contour, k0, e, f,
-                     *_adjacent_moments(contour, k0, e, f, flip_t, flip_s))
+                     _self_g_moments(k0, h)[np.cumsum(new) - 1])
     return mats
 
 
@@ -843,13 +842,24 @@ def _eliminated_blocks(contour, blocks):
     return g_lab, label_rows(g2)
 
 
-def _compose_reduced(contour, coeffs, wave, blocks) -> AssembledSystem:
-    """The constrained 2N (J, M) matrix of :func:`build_reduced_system`,
-    without a right-hand side, written in place into A's quadrants from
-    the stored blocks: beyond A it allocates one real product."""
+def build_reduced_system(contour, coeffs, wave: IncidentWave,
+                         blocks=None) -> AssembledSystem:
+    """Assemble the 2N (J, M) system directly from closed-form elimination,
+    never materializing the larger auxiliary-variable matrix.
+
+    Agrees with reduce_system(build_full_system(...)) to rounding: the
+    auxiliary mass rows are block-triangular, so elimination is just
+    W = I1^{-1} (d-coupling), applied once per auxiliary level, as banded
+    solves and banded-times-dense products in chain order (module notes),
+    done once by assemble_blocks.  This writes the constrained matrix in
+    place into A's quadrants from the stored blocks (beyond A it allocates
+    one real product) and adds the right-hand side of ``wave``.
+    """
     order = _checked_order(coeffs, wave)
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
+    rhs = assemble_rhs(contour, wave.pol, wave.k0,
+                       wave.phi_inc)[:, 0] * wave.amplitude
     t0 = time.perf_counter()
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
@@ -875,34 +885,15 @@ def _compose_reduced(contour, coeffs, wave, blocks) -> AssembledSystem:
             coef = s[k] * coefs[k]
             re += coef.real * gk
             im += coef.imag * gk
-    pins = tuple(i for i in constrained if i < n)
-    _apply_constraints(A, None, pins)
+    _apply_constraints(A, rhs, tuple(i for i in constrained if i < n))
 
     meta = _system_meta(contour, coeffs, wave, c, t0)
     log.info("assembled %s %s reduced system: n=%d, geometry %s, %.2fs",
              wave.pol, coeffs.order, n, meta["geometry"],
              meta["compose_seconds"])
     return AssembledSystem(blocks=blocks, rhs=None, meta=meta, sizes=sizes,
-                           constrained=constrained, reduced_matrix=A)
-
-
-def build_reduced_system(contour, coeffs, wave: IncidentWave,
-                         blocks=None) -> AssembledSystem:
-    """Assemble the 2N (J, M) system directly from closed-form elimination,
-    never materializing the larger auxiliary-variable matrix.
-
-    Agrees with reduce_system(build_full_system(...)) to rounding: the
-    auxiliary mass rows are block-triangular, so elimination is just
-    W = I1^{-1} (d-coupling), applied once per auxiliary level, as banded
-    solves and banded-times-dense products in chain order (module notes),
-    done once by assemble_blocks; this composes from the stored blocks.
-    """
-    system = _compose_reduced(contour, coeffs, wave, blocks)
-    rhs = assemble_rhs(contour, wave.pol, wave.k0,
-                       wave.phi_inc)[:, 0] * wave.amplitude
-    rhs[[i for i in system.constrained if i < rhs.size]] = 0.0
-    system.reduced_rhs = rhs
-    return system
+                           constrained=constrained, reduced_matrix=A,
+                           reduced_rhs=rhs)
 
 
 def solve_currents(system: AssembledSystem) -> SurfaceCurrents:

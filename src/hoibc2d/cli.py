@@ -70,7 +70,6 @@ class RunConfig:
     mu_r: complex
     d: float                      # coating thickness; 0 only for references
     k0: float
-    frequency: Optional[float]
     pol: str
     ibc_order: str
     fit_method: str
@@ -93,6 +92,15 @@ def _finite(value):
     if not np.isfinite(x):
         raise ValueError(f"{value!r} is not finite")
     return x
+
+
+def _whole(value):
+    """int(value); ValueError unless it is a whole number (a number with a
+    fractional part is not truncated)."""
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return n
 
 
 def _as_complex(value, name, bad):
@@ -195,23 +203,22 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     freq, k0 = raw.get("frequency"), raw.get("k0")
     if (freq is None) == (k0 is None):
         bad.append(("frequency", "exactly one of frequency or k0 is required"))
-        k0_val, freq_val = 1.0, None
+        k0_val = 1.0
     elif freq is not None:
         try:
-            freq_val = _finite(freq)
-            k0_val = 2.0 * np.pi * freq_val / C0
+            k0_val = 2.0 * np.pi * _finite(freq) / C0
         except (TypeError, ValueError):
             bad.append(("frequency",
                         f"frequency: {freq!r} is not a finite number"))
-            k0_val, freq_val = 1.0, None
+            k0_val = 1.0
         if k0_val <= 0.0:
             bad.append(("frequency", "frequency must be positive"))
     else:
         try:
-            k0_val, freq_val = _finite(k0), None
+            k0_val = _finite(k0)
         except (TypeError, ValueError):
             bad.append(("k0", f"k0: {k0!r} is not a finite number"))
-            k0_val, freq_val = 1.0, None
+            k0_val = 1.0
         if k0_val <= 0.0:
             bad.append(("k0", "wavenumber must be positive"))
 
@@ -227,7 +234,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
         bad.append((f"geometry.{size_field}",
                     f"geometry.{size_field} must be positive"))
     try:
-        n_elements = int(geo.get("n_elements"))
+        n_elements = _whole(geo.get("n_elements"))
         if n_elements < 4:
             bad.append(("geometry.n_elements", "n_elements must be at least 4"))
     except (TypeError, ValueError, OverflowError):
@@ -309,7 +316,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     n_max = series.get("n_max")
     if n_max is not None:
         try:
-            n_max = int(n_max)
+            n_max = _whole(n_max)
         except (TypeError, ValueError, OverflowError):
             bad.append(("series.n_max", f"series.n_max: {n_max!r} is not an integer"))
             n_max = None
@@ -321,7 +328,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
                               fields=tuple(name for name, _ in bad))
     return RunConfig(
         kind=kind, size=size, n_elements=n_elements,
-        eps_r=eps_r, mu_r=mu_r, d=d, k0=k0_val, frequency=freq_val,
+        eps_r=eps_r, mu_r=mu_r, d=d, k0=k0_val,
         pol=pol_val, ibc_order=order, fit_method=method,
         collocation_deg=colloc, sweep_kind=sweep_kind, phi_inc_deg=phi_inc,
         angles_deg=angles, frequencies_hz=freqs, table_theta_deg=theta,

@@ -22,13 +22,13 @@ The SUC (sufficient-uniqueness-condition) and well-posedness checkers
 evaluate the sign/equality conditions that the variational formulations
 place on fitted coefficients.  They report; they never gate a solve.
 
-High-precision internals use mpmath: the exact impedance is cheap, so the
+High-precision internals use mpmath: the exact impedance is one mpmath
+formula at 40 digits, rounded once to double for exact_impedance; the
 Taylor coefficients come from mpmath's numerical differentiation
-(``mp.taylor``) at 40 digits, and the Pade and collocation systems are
-solved at the same precision before rounding to double.
+(``mp.taylor``) of it at the same precision, and the Pade and collocation
+systems are solved at that precision before rounding to double.
 """
 
-import cmath
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -36,7 +36,6 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateFitError, PoleError, ResonanceError, UsageError
-from .specfun import Z0
 
 _DPS = 40                 # working precision for the mpmath internals
 _RES_EPS = 1e-8           # distance to a tan() pole that counts as resonance
@@ -140,24 +139,6 @@ class SucReport:
 # Exact impedance
 # ----------------------------------------------------------------------
 
-def _pole_distance(arg):
-    """Distance from arg to the nearest pole of tan, and the pole index."""
-    n = int(round(arg.real / np.pi - 0.5))
-    dist = abs(arg - (n + 0.5) * np.pi)
-    return dist, n
-
-
-def _check_resonance(arg):
-    arg = complex(arg)
-    dist, n = _pole_distance(arg)
-    if dist < _RES_EPS:
-        raise ResonanceError(
-            f"sqrt(mu_r eps_r + xi) k0 d = {arg:.12g} sits within {_RES_EPS:g} "
-            f"of the tan() pole at (n + 1/2) pi with n = {n}",
-            n=n,
-        )
-
-
 def _check_inputs(coating, k0):
     if not isinstance(coating, CoatingSpec):
         raise UsageError(f"expected a CoatingSpec, got {type(coating).__name__}")
@@ -168,25 +149,18 @@ def _check_inputs(coating, k0):
 def exact_impedance(pol, xi, coating, k0):
     """Exact impedance of the metal-backed layer at spectral point xi.
 
-    xi = -sin^2(theta) must lie in (-1, 0].  Raises ResonanceError when the
-    layer is within ~1e-8 of a thickness resonance (tan pole).
+    xi = -sin^2(theta) must lie in (-1, 0].  Evaluated at _DPS digits by
+    the fitting internals' own formula and rounded once to double.  Raises
+    ResonanceError when the layer is within ~1e-8 of a thickness
+    resonance (tan pole).
     """
     _check_pol(pol)
     _check_inputs(coating, k0)
     xi = float(xi)
     if not -1.0 < xi <= 0.0:
         raise UsageError(f"xi must lie in (-1, 0], got {xi}")
-    w = cmath.sqrt(coating.eps_r * coating.mu_r + xi)
-    arg = w * k0 * coating.d
-    _check_resonance(arg)
-    if pol == "TE":
-        return Z0 * w * cmath.tan(arg) / coating.eps_r
-    # TM: tan(arg)/w is finite as w -> 0; switch to the series near it
-    if abs(arg) < 1e-6:
-        t_over_w = k0 * coating.d * (1.0 + arg * arg / 3.0)
-    else:
-        t_over_w = cmath.tan(arg) / w
-    return Z0 * coating.mu_r * t_over_w
+    with mp.workdps(_DPS):
+        return complex(_z_exact_mp(pol, mp.mpf(xi), *_layer_mp(coating, k0)))
 
 
 def leontovich_a0(coating, k0):
@@ -194,7 +168,7 @@ def leontovich_a0(coating, k0):
     return exact_impedance("TE", 0.0, coating, k0)
 
 
-# mpmath twin, used by the fitting internals ---------------------------------
+# the mpmath formula, for exact_impedance and the fits --------------------
 
 def _mpc(z):
     z = complex(z)
@@ -206,7 +180,8 @@ def _guard_pole_mp(arg):
     n = int(mp.nint(mp.re(arg) / mp.pi - mp.mpf(0.5)))
     if abs(arg - (n + mp.mpf(0.5)) * mp.pi) < mp.mpf(_RES_EPS):
         raise ResonanceError(
-            f"layer resonance near pole index n = {n} during coefficient fitting",
+            f"sqrt(mu_r eps_r + xi) k0 d = {complex(arg):.12g} sits within "
+            f"{_RES_EPS:g} of the tan() pole at (n + 1/2) pi with n = {n}",
             n=n,
         )
 

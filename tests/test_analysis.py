@@ -16,6 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from hoibc2d import analysis
 from hoibc2d.analysis import (
     SWEEP_CHUNK,
     RcsPattern,
@@ -595,6 +596,23 @@ def test_monostatic_sweep_equals_bistatic(kind, pol, sweep):
         pat, _ = solve_and_pattern(mesh, cf, wave, [phi + 180.0],
                                    blocks=blocks)
         assert abs(sig - pat.sigma[0]) <= 1e-12
+
+
+def test_angle_sweep_composes_once(te_ibc1, monkeypatch):
+    # the sweep's one matrix goes through build_reduced_system, the one
+    # entry to the reduced system, whatever the number of angle chunks
+    calls = []
+    build = analysis.build_reduced_system
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr("hoibc2d.analysis.build_reduced_system", counted)
+    monostatic_sweep(mesh_circle(B, 32), te_ibc1,
+                     np.linspace(0.0, 359.0, SWEEP_CHUNK + 44),
+                     kind="angle", k0=K0)
+    assert len(calls) == 1
 
 
 def test_monostatic_rotational_invariance(te_ibc1):

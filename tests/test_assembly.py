@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 from scipy.linalg import blas
 
 from hoibc2d.assembly import (
-    N_LOG_SELF,
     IncidentWave,
     _adjacent_moments,
-    _adjacent_pairs,
     _distant_pairs,
     _eliminated_blocks,
     _helmholtz_blocks,
@@ -159,7 +157,7 @@ def _pair_bs(contour, e, f, k0, SB):
 def test_bs_and_b_complex_symmetric(circle32_blocks):
     for key in ("BS", "B"):
         m = circle32_blocks[key]
-        assert np.max(np.abs(m - m.T)) <= 1e-10 * np.max(np.abs(m))
+        assert np.array_equal(m, m.T), key
 
 
 def test_blocks_finite_and_symmetric_at_large_k0d():
@@ -170,7 +168,7 @@ def test_blocks_finite_and_symmetric_at_large_k0d():
         assert np.all(np.isfinite(blocks[key])), key
     for key in ("BS", "B"):
         m = blocks[key]
-        assert np.max(np.abs(m - m.T)) <= 1e-13 * np.max(np.abs(m)), key
+        assert np.array_equal(m, m.T), key
 
 
 def test_circulant_on_uniform_circle(circle32_blocks):
@@ -207,13 +205,14 @@ def test_self_entry_against_high_precision_quadrature(corner, corner_mats):
     got = corner_mats["BS"][0, 0]
     assert abs(got - oracle) <= 1e-12 * abs(oracle)
     slots = np.array([[diag, off], [off, diag]])
-    got = _self_g_moments(K_CORNER, corner.lengths[:1], N_LOG_SELF)[0]
+    got = _self_g_moments(K_CORNER, corner.lengths[:1])[0]
     assert np.all(np.abs(got - slots) <= 1e-12 * np.abs(slots))
 
 
-def test_log_rule_refinement_converges(corner):
-    bs8 = _helmholtz_blocks(corner, K_CORNER, n_log=8)["BS"]
-    bs16 = _helmholtz_blocks(corner, K_CORNER, n_log=16)["BS"]
+def test_log_rule_refinement_converges(corner, monkeypatch):
+    bs8 = _helmholtz_blocks(corner, K_CORNER)["BS"]
+    monkeypatch.setattr("hoibc2d.assembly.N_LOG_SELF", 16)
+    bs16 = _helmholtz_blocks(corner, K_CORNER)["BS"]
     d8 = np.diag(bs8)
     d16 = np.diag(bs16)
     assert np.max(np.abs(d16 - d8) / np.abs(d16)) <= 1e-8
@@ -221,23 +220,25 @@ def test_log_rule_refinement_converges(corner):
 
 def test_adjacent_pair_against_brute_force(corner, corner_mats):
     """Nodes 0 and 2 each belong to one element, so the (0,2) entries
-    isolate the shared-vertex pair (e=0, f=1); its raw moments are checked
-    slot by slot as well."""
-    SB, SQ = _brute_vertex_pair(corner, K_CORNER, 0, 1)
-    bs_ref = _pair_bs(corner, 0, 1, K_CORNER, SB)
-    got_bs = corner_mats["BS"][0, 2]
-    got_q = corner_mats["Q"][0, 2]
-    assert abs(got_bs - bs_ref[0, 1]) <= 1e-6 * abs(bs_ref[0, 1])
-    assert abs(got_q - SQ[0, 1]) <= 1e-6 * abs(SQ[0, 1])
-    ref = 1j * K_CORNER * SB[0, 1]
-    assert abs(corner_mats["B"][0, 2] - ref) <= 1e-6 * abs(ref)
-
-    e, f, flip_t, flip_s = _adjacent_pairs(corner)
-    pair = np.flatnonzero((e == 0) & (f == 1))
-    sb, sq = _adjacent_moments(corner, K_CORNER, e[pair], f[pair],
-                               flip_t[pair], flip_s[pair])
-    for got, ref in ((sb[0], SB), (sq[0], SQ)):
-        assert np.all(np.abs(got - ref) <= 1e-6 * np.abs(ref))
+    isolate the shared-vertex pair (e=0, f=1) and the (2,0) entries its
+    mirror (1, 0), which the pass fills from the transpose and the partner
+    normal; the raw moments of both are checked slot by slot as well."""
+    sb, sq, sq_fe = _adjacent_moments(corner, K_CORNER)
+    assert sb.shape == (1, 2, 2)
+    # the pair, its nodal entry and block slot, and its raw SB and SQ
+    for (e, f), (i, j), (a, b), moments in (
+            ((0, 1), (0, 2), (0, 1), (sb[0], sq[0])),
+            ((1, 0), (2, 0), (1, 0), (sb[0].T, sq_fe[0]))):
+        SB, SQ = _brute_vertex_pair(corner, K_CORNER, e, f)
+        bs_ref = _pair_bs(corner, e, f, K_CORNER, SB)
+        got_bs = corner_mats["BS"][i, j]
+        got_q = corner_mats["Q"][i, j]
+        assert abs(got_bs - bs_ref[a, b]) <= 1e-6 * abs(bs_ref[a, b])
+        assert abs(got_q - SQ[a, b]) <= 1e-6 * abs(SQ[a, b])
+        ref = 1j * K_CORNER * SB[a, b]
+        assert abs(corner_mats["B"][i, j] - ref) <= 1e-6 * abs(ref)
+        for got, want in zip(moments, (SB, SQ)):
+            assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want))
 
 
 def test_distant_pair_against_brute_force():
@@ -302,12 +303,12 @@ def test_q_self_entries_exact_zero(corner_mats):
 
 
 def test_plate_q_identically_zero():
-    # every raw SQ moment vanishes, not only their nodal sums
+    # every raw SQ moment vanishes, the partners SQ(f, e) included, not
+    # only their nodal sums
     p = mesh_plate(1.0, 16)
     assert np.max(np.abs(_helmholtz_blocks(p, K0)["Q"])) == 0.0
     assert np.max(np.abs(_distant_moments(p, K0)[2][1:])) == 0.0
-    sq = _adjacent_moments(p, K0, *_adjacent_pairs(p))[1]
-    assert np.max(np.abs(sq)) == 0.0
+    assert np.max(np.abs(_adjacent_moments(p, K0)[1:])) == 0.0
 
 
 def test_q_decay_envelope():
@@ -337,13 +338,13 @@ def _per_pair_blocks(c, k0):
     sb = np.zeros((n0, 2, n0, 2), dtype=complex)
     sq = np.zeros_like(sb)
     diag = np.arange(n0)
-    sb[diag, :, diag, :] = _self_g_moments(k0, c.lengths, N_LOG_SELF)
-    e, f, flip_t, flip_s = _adjacent_pairs(c)
-    sb[e, :, f, :], sq[e, :, f, :] = _adjacent_moments(c, k0, e, f,
-                                                       flip_t, flip_s)
-    e, f, mom = _distant_moments(c, k0)
-    sb[e, :, f, :], sq[e, :, f, :], sq[f, :, e, :] = mom
-    sb[f, :, e, :] = mom[0].transpose(0, 2, 1)
+    sb[diag, :, diag, :] = _self_g_moments(k0, c.lengths)
+    mom = np.array(_adjacent_moments(c, k0))
+    e = np.arange(mom.shape[1])
+    pairs = [(e, (e + 1) % n0, mom), _distant_moments(c, k0)]
+    for e, f, mom in pairs:
+        sb[e, :, f, :], sq[e, :, f, :], sq[f, :, e, :] = mom
+        sb[f, :, e, :] = mom[0].transpose(0, 2, 1)
 
     sgn = np.array([-1.0, 1.0])
     ttf = c.tangents @ c.tangents.T
@@ -409,7 +410,8 @@ def test_classed_pass_equals_per_pair_reference(mesh, monkeypatch):
     """One evaluation per run of congruent pairs against every pair
     evaluated on its own: within 1e-12 of the largest entry, and within
     1e-15 on a jittered circle, where no two pairs merge.  On the regular
-    meshes the pass evaluates at most 4 n distant pairs."""
+    meshes the pass evaluates at most 4 n distant pairs.  B and B - S are
+    exactly symmetric on every mesh."""
     build, k0, bound = CLASS_MESHES[mesh]
     c = build()
     want = _per_pair_blocks(c, k0)
@@ -424,6 +426,8 @@ def test_classed_pass_equals_per_pair_reference(mesh, monkeypatch):
     for key in ("B", "BS", "Q"):
         scale = max(np.max(np.abs(want[key])), np.finfo(float).tiny)
         assert np.max(np.abs(got[key] - want[key])) <= bound * scale, key
+    for key in ("B", "BS"):
+        assert np.array_equal(got[key], got[key].T), key
     if not mesh.startswith("jittered"):
         assert sum(evaluated) <= 4 * c.n_elements, sum(evaluated)
 
@@ -880,4 +884,4 @@ def test_bs_symmetry_property(turns):
     mats = _helmholtz_blocks(c, 2.0)
     for key in ("BS", "B"):
         m = mats[key]
-        assert np.max(np.abs(m - m.T)) <= 1e-12 * np.max(np.abs(m))
+        assert np.array_equal(m, m.T), key

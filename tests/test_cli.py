@@ -136,6 +136,8 @@ def test_malformed_json_exits_2_without_output(tmp_path):
     ("lambda0_reference", {"lambda0_reference": float("inf")}),
     ("geometry.n_elements", {"geometry.n_elements": float("inf")}),
     ("series.n_max", {"series.n_max": float("inf")}),
+    ("geometry.n_elements", {"geometry.n_elements": 64.9}),
+    ("series.n_max", {"series.n_max": 40.7}),
     ("geometry.radius", {"geometry.radius": float("nan")}),
     ("sweep.phi_inc_deg", {"sweep.phi_inc_deg": float("nan")}),
     ("sweep.phi_inc_deg", {"sweep.phi_inc_deg": "inf"}),
@@ -158,6 +160,7 @@ def test_malformed_json_exits_2_without_output(tmp_path):
         "coating-number", "ibc-list", "sweep-string", "table-number",
         "series-string", "eps-nan", "eps-nan-text", "thickness-nan",
         "frequency-inf", "lambda0-inf", "n-elements-inf", "n-max-inf",
+        "n-elements-fraction", "n-max-fraction",
         "radius-nan", "phi-inc-nan", "phi-inc-inf-text", "angle-nan",
         "theta-nan", "lambda0-negative", "lambda0-negative-lengths",
         "frequency-negative", "colloc-count-ibc1", "colloc-count-ibc2",
