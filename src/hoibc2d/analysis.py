@@ -472,12 +472,11 @@ def _sweep_angles(contour, coeffs, angles_deg, k0):
     # the matrix; its one rhs column goes unused, every chunk assembles its
     # own right-hand sides
     system = build_reduced_system(contour, coeffs, wave0)
-    fac = lu_factor(system.reduced_matrix)
-    n_red = system.reduced_matrix.shape[0]
-    log.info("factored n=%d sweep matrix (rcond %.2e)", n_red,
+    fac = lu_factor(system.reduced_matrix, overwrite_a=True)
+    log.info("factored n=%d sweep matrix (rcond %.2e)", fac.n,
              fac.rcond_estimate)
     con = np.asarray(system.constrained, dtype=int)
-    pinned = con[con < n_red]
+    pinned = con[con < fac.n]
     out = np.empty(len(angles_deg))
     # per chunk: one rhs block and one multi-column solve (column k bitwise
     # its own solve, see linsolve); backscatter by reciprocity from both

@@ -122,6 +122,9 @@ class AssembledSystem:
     the J and M endpoint constraints are applied to the composed systems,
     not to the stored blocks (only the couplings G, G2 carry the pins of
     the auxiliary fields, which are the same at every order).
+    ``reduced_matrix`` is consumed by :func:`solve_currents`, which
+    factors it in place and sets it to None; the residual it reports is
+    computed from ``blocks`` and ``meta``.
     """
 
     blocks: dict
@@ -605,7 +608,9 @@ def assemble_blocks(contour, k0) -> dict:
     One kernel pass and one elimination of the auxiliary fields serve
     every boundary-condition order, polarization, and incidence angle at
     this (contour, k0): B, BS, Q, I1, D, K and the couplings G, G2 of
-    :func:`_eliminated_blocks`.
+    :func:`_eliminated_blocks`.  G and G2 are column-major like the
+    reduced matrix they are added into; B and B - S are exactly symmetric,
+    so they read column-major through their transpose.
     """
     t0 = time.perf_counter()
     blocks = _helmholtz_blocks(contour, k0)
@@ -631,23 +636,56 @@ def _system_meta(contour, coeffs, wave, scaled, t0):
     }
 
 
-def _put_order0(views, te, blocks, a0):
-    """Write the order-0 (J, M) blocks A_JJ, A_JM, A_MJ, A_MM into the four
-    complex views, with no complex n^2 temporary; TM swaps the roles of
-    B - S and B and transposes Q.  The a0 I1 terms go on I1's nonzeros
-    only (at most three per row)."""
-    jj, jm, mj, mm = views
-    bs, b, q = blocks["BS"], blocks["B"], blocks["Q"]
-    if not te:
-        bs, b, q = b, bs, q.T
-    np.multiply(Z0, bs, out=jj)
-    jm[...] = q
-    np.negative(q.T, out=mj)
-    np.divide(b, Z0, out=mm)
+def _jm_table(te, c, order):
+    """The (J, M) matrix as a table, per quadrant JJ, JM, MJ, MM (row-major)
+    the terms ``(key, transposed, op, scalar)`` it sums, each
+    ``op(block, scalar)`` (``op(block)`` when scalar is None) with block
+    ``blocks[key]`` or its transpose.  The composition (:func:`_compose`)
+    and the residual's matvec (:func:`_jm_matvec`) both read it.
+
+    Per quadrant: the order-0 kernel block (TM swaps the roles of B - S and
+    B and transposes Q), I1's a0 term on the diagonal, then up to ``order``
+    couplings G, G2 of the eliminated auxiliary fields.  J rows carry 1/2,
+    M rows 1/(2 a0), the J-M and M-J blocks sy; J columns couple through a
+    and a', M columns through b and b'.  B - S and B are bitwise symmetric
+    and listed transposed, which reads them column-major like A.
+    """
+    a0 = c["a0"]
+    bs, b, qt = ("BS", "B", False) if te else ("B", "BS", True)
+    order0 = ((bs, True, np.multiply, Z0), ("Q", qt, np.positive, None),
+              ("Q", not qt, np.negative, None), (b, True, np.divide, Z0))
+    mass = {0: (("I1", False, np.multiply, 0.5 * a0),),
+            3: (("I1", False, np.divide, 2.0 * a0),)}
+    sy = 1.0 if te else -1.0
+    s = (0.5, 0.5 * sy, 0.5 * sy / a0, 0.5 / a0)
+    couplings = (((c["a"], c["b"]) * 2, "G"),
+                 ((-c["ap"], -c["bp"]) * 2, "G2"))[:order]
+    return tuple((term,) + mass.get(k, ())
+                 + tuple((key, False, np.multiply, s[k] * coefs[k])
+                         for coefs, key in couplings)
+                 for k, term in enumerate(order0))
+
+
+def _compose(views, blocks, table):
+    """Write the terms of ``table`` (:func:`_jm_table`) into the four
+    complex quadrant views, with no complex n^2 temporary: the first term
+    of a quadrant goes in through ``out=``, I1's on its nonzeros only (at
+    most three per row), and a real coupling in one real pass into each
+    part."""
     r, c = np.nonzero(blocks["I1"])
-    i1 = blocks["I1"][r, c]
-    jj[r, c] += 0.5 * a0 * i1
-    mm[r, c] += i1 / (2.0 * a0)
+    for v, ((key, tr, op, scalar), *added) in zip(views, table):
+        m = blocks[key].T if tr else blocks[key]
+        if scalar is None:
+            op(m, out=v)
+        else:
+            op(m, scalar, out=v)
+        for key, _, op, scalar in added:
+            if key == "I1":
+                v[r, c] += op(blocks[key][r, c], scalar)
+            else:
+                re, im = v.real, v.imag
+                re += scalar.real * blocks[key]
+                im += scalar.imag * blocks[key]
 
 
 def build_full_system(contour, coeffs, wave: IncidentWave,
@@ -675,8 +713,8 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
 
     te = wave.pol == "TE"
     n1, n2 = offs[1], offs[2]
-    _put_order0((A[:n1, :n1], A[:n1, n1:n2], A[n1:n2, :n1], A[n1:n2, n1:n2]),
-                te, blocks, a0)
+    _compose((A[:n1, :n1], A[:n1, n1:n2], A[n1:n2, :n1], A[n1:n2, n1:n2]),
+             blocks, _jm_table(te, c, 0))
 
     if order >= 1:
         sy = 1.0 if te else -1.0        # sign carried by every b-coupling
@@ -806,7 +844,9 @@ def _eliminated_blocks(contour, blocks):
     J-J, J-M, M-J and M-M blocks alike, as real arrays in label order:
     G = D W with X = W J, Y = W M from the mass rows I1 X = D J,
     I1 Y = D M, and G2 = K I1^{-1} D W the order-2 coupling.  Both depend
-    on the mesh alone.  At the pinned node labels (the chain ends of an
+    on the mesh alone, and both are column-major, as the banded solves
+    leave them, so that the composition adds them into the column-major A
+    in memory order.  At the pinned node labels (the chain ends of an
     open contour, :func:`_constrained_indices`, in every field) an
     auxiliary mass row is the identity with a zero right-hand side, so
     those auxiliary values are exactly 0; the J and M pins are left to the
@@ -815,7 +855,7 @@ def _eliminated_blocks(contour, blocks):
     chain = _chain_nodes(contour)
 
     def label_rows(g):
-        out = np.empty(g.shape)
+        out = np.empty_like(g)      # column-major, as g
         out[chain] = g
         return out
 
@@ -853,7 +893,9 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     solves and banded-times-dense products in chain order (module notes),
     done once by assemble_blocks.  This writes the constrained matrix in
     place into A's quadrants from the stored blocks (beyond A it allocates
-    one real product) and adds the right-hand side of ``wave``.
+    one real product) and adds the right-hand side of ``wave``.  A is
+    column-major (Fortran order), as LAPACK stores a matrix, so that
+    :func:`solve_currents` factors it where it lies instead of copying it.
     """
     order = _checked_order(coeffs, wave)
     if blocks is None:
@@ -862,29 +904,14 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
                        wave.phi_inc)[:, 0] * wave.amplitude
     t0 = time.perf_counter()
     c = _scaled_coefficients(coeffs, wave.k0)
-    a0 = c["a0"]
     n1 = contour.n_nodes
     sizes = _field_sizes(contour, order)
     constrained = _constrained_indices(contour, sizes)
     n = sizes[0] + sizes[1]
 
-    te = wave.pol == "TE"
-    A = np.empty((n, n), dtype=complex)
+    A = np.empty((n, n), dtype=complex, order="F")
     views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
-    _put_order0(views, te, blocks, a0)
-    # J rows carry 1/2, M rows 1/(2 a0), the J-M and M-J blocks sy;
-    # J columns couple through a and a', M columns through b and b'
-    sy = 1.0 if te else -1.0
-    s = (0.5, 0.5 * sy, 0.5 * sy / a0, 0.5 / a0)
-    terms = (((c["a"], c["b"]) * 2, blocks["G"]),
-             ((-c["ap"], -c["bp"]) * 2, blocks["G2"]))[:order]
-    # v += coefficient * G with G real: one real pass into each part
-    for k, v in enumerate(views):
-        re, im = v.real, v.imag
-        for coefs, gk in terms:
-            coef = s[k] * coefs[k]
-            re += coef.real * gk
-            im += coef.imag * gk
+    _compose(views, blocks, _jm_table(wave.pol == "TE", c, order))
     _apply_constraints(A, rhs, tuple(i for i in constrained if i < n))
 
     meta = _system_meta(contour, coeffs, wave, c, t0)
@@ -896,22 +923,63 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
                            reduced_rhs=rhs)
 
 
+def _blas_mv(m, v, transposed):
+    """m v, or m^T v when ``transposed``, for a real or complex m and a
+    complex v, by scipy's BLAS on m as it lies (no copy)."""
+    if not m.flags.f_contiguous:    # a row-major m is m^T column-major
+        m, transposed = m.T, not transposed
+    trans = int(transposed)
+    if np.iscomplexobj(m):
+        return blas.zgemv(1.0, m, v, trans=trans)
+    return (blas.dgemv(1.0, m, v.real, trans=trans)
+            + 1j * blas.dgemv(1.0, m, v.imag, trans=trans))
+
+
+def _jm_matvec(system, x):
+    """A x for the reduced matrix A of ``system``, from its stored blocks
+    and the table that composed A (:func:`_jm_table`), so A itself need
+    not exist: a pinned row of A is the identity's and a pinned column
+    zero."""
+    meta, n1 = system.meta, system.sizes[0]
+    table = _jm_table(meta["pol"] == "TE", meta["coefficients_scaled"],
+                      _ORDER_INT[meta["order"]])
+    pins = [i for i in system.constrained if i < x.size]
+    xs = x.copy()
+    xs[pins] = 0.0
+    y = np.zeros_like(xs)
+    for k, terms in enumerate(table):
+        row, col = divmod(k, 2)
+        for key, tr, op, scalar in terms:
+            p = _blas_mv(system.blocks[key], xs[col * n1:(col + 1) * n1], tr)
+            y[row * n1:(row + 1) * n1] += (op(p) if scalar is None
+                                           else op(p, scalar))
+    y[pins] = x[pins]
+    return y
+
+
 def solve_currents(system: AssembledSystem) -> SurfaceCurrents:
     """LU-solve the reduced (J, M) system of :func:`build_reduced_system`
-    and unpack J and M."""
+    and unpack J and M.
+
+    The system's ``reduced_matrix`` is consumed: it is factored in place
+    (no copy of A) and set to None, so that A and its LU are freed on
+    return; a second solve of the same system raises ``UsageError``.  The
+    relative residual ||Ax - b|| / ||b|| in the meta takes A x from the
+    stored blocks (:func:`_jm_matvec`)."""
     mat, rhs = system.reduced_matrix, system.reduced_rhs
+    if mat is None:
+        raise UsageError("the reduced matrix was consumed by an earlier "
+                         "solve; build the system again")
+    system.reduced_matrix = None    # holds the LU, or a partial one
     t0 = time.perf_counter()
-    fac = lu_factor(mat)
+    fac = lu_factor(mat, overwrite_a=True)
     x = solve(fac, rhs)
     dt = time.perf_counter() - t0
-    # relative residual ||Ax - b|| / ||b||; a zero b solves to x = 0 exactly.
-    # A x is zgemv on the Fortran view of A (no copy), through scipy's BLAS
-    # like the factorization (linsolve's notes)
-    ax = blas.zgemv(1.0, mat.T, x, trans=1)
-    residual = float(np.linalg.norm(ax - rhs)
+    # a zero b solves to x = 0 exactly
+    residual = float(np.linalg.norm(_jm_matvec(system, x) - rhs)
                      / max(np.linalg.norm(rhs), np.finfo(float).tiny))
     log.info("solved n=%d system in %.3fs (rcond %.2e, residual %.1e)",
-             mat.shape[0], dt, fac.rcond_estimate, residual)
+             fac.n, dt, fac.rcond_estimate, residual)
 
     n1 = system.sizes[0]
     meta = dict(system.meta)

@@ -8,11 +8,13 @@ buffers, ~20 MB for a chunk of kernel points and ~2 MB for a block of
 pairs; with the one elimination of the auxiliary fields (peak 6.5) the
 blocks keep 5.5 (B, B - S, Q, real I1, D, K and the real couplings G,
 G2).  Composing the reduced 2n system adds only A, 4 (and from IBC1 one
-real product, 0.5, while it composes); its LU adds 4: a solve of any
-order peaks at 13.5 while it factors, 226 MB at n = 1024.  Far fields and
-angle sweeps add a block of O(elements x SWEEP_CHUNK), independent of the
-angle count.  The factorization object is immutable and may be shared
-across threads; each solve runs independent substitution passes.
+real product, 0.5, while it composes).  A is column-major, so its LU
+takes its place (``overwrite_a``) and adds nothing, and the residual reads
+the blocks, not A: a solve peaks while it composes, at 10 (9.5 at IBC0),
+168 MB at n = 1024.  Far fields and angle sweeps add a block of
+O(elements x SWEEP_CHUNK), independent of the angle count.  The
+factorization object is immutable and may be shared across threads; each
+solve runs independent substitution passes.
 
 Threaded BLAS goes through ``scipy.linalg`` alone.  numpy and scipy each
 bundle an OpenBLAS with its own thread pool (numpy's 0.3.31 and scipy's
@@ -24,9 +26,10 @@ median of 1.38 s with both pools at 2 threads and 0.98 s with numpy's at
 1 (8 operations each).  So the package's solve path makes no numpy BLAS
 call: the kernel contractions are ``np.einsum`` (no ``optimize``, which
 calls no BLAS), the plane-wave direction products elementwise, and the
-residual scipy's ``zgemv``; the same operation now runs at 0.96 s with
-numpy's pool at 2 threads and 0.94 s at 1.  tests/test_numpy_blas.py
-keeps it so, with an allowlist of two oracles.
+residual's block products scipy's ``zgemv`` and ``dgemv``; the same
+operation now runs at 0.96 s with numpy's pool at 2 threads and 0.94 s
+at 1.  tests/test_numpy_blas.py keeps it so, with an allowlist of two
+oracles.
 
 Every right-hand side, one column or a block, goes through the same pair of
 level-3 triangular solves (``ztrsm``).  Column k of any multi-column solve is
@@ -53,6 +56,7 @@ from .errors import SingularMatrixError, UsageError
 log = logging.getLogger(__name__)
 
 RCOND_WARN = 1e-12
+NORM_PANEL = 32     # columns per panel of the 1-norm (_norm1)
 
 
 @dataclass(frozen=True)
@@ -71,28 +75,50 @@ class Factorization:
     rcond_estimate: float
 
 
-def lu_factor(matrix) -> Factorization:
+def _norm1(a):
+    """max_j sum_i |a_ij|, a column panel at a time through one real
+    n x NORM_PANEL row-major buffer, so no n^2 temporary.  Row-major, each
+    column sums in row order: bitwise ``np.linalg.norm(a, 1)`` of a
+    row-major ``a``, whatever the memory order of ``a``.  An inf or NaN
+    entry makes it inf or NaN."""
+    n, m = a.shape
+    buf = np.empty((n, min(m, NORM_PANEL)))
+    norm = 0.0
+    with np.errstate(over="ignore"):
+        for lo in range(0, m, NORM_PANEL):
+            panel = buf[:, :min(NORM_PANEL, m - lo)]
+            np.abs(a[:, lo:lo + NORM_PANEL], out=panel)
+            norm = np.maximum(norm, panel.sum(axis=0).max())
+    return float(norm)
+
+
+def lu_factor(matrix, overwrite_a=False) -> Factorization:
     """Partial-pivoted LU of a square complex matrix with rcond attached.
 
     Exact singularity (a zero pivot) raises with the offending column; a
     merely terrible condition number only warns, because near-resonance
     systems are legitimately ill-conditioned and the caller sees rcond.
+
+    ``overwrite_a`` (scipy's keyword) lets the LU take the place of
+    ``matrix``: a Fortran-contiguous complex128 array is factored where it
+    lies, with no copy, and ``lu`` is then that array (also after a
+    failure, which leaves it partly factored).  Any other input is copied
+    first and left as it was, as without ``overwrite_a``.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise UsageError(f"matrix must be square, got shape {a.shape}")
     if a.size == 0:
         raise UsageError("empty matrix")
-    # one pass: an inf or NaN entry makes the 1-norm inf or NaN
-    with np.errstate(over="ignore"):
-        anorm = float(np.linalg.norm(a, 1))
+    anorm = _norm1(a)
     if not np.isfinite(anorm):
         raise UsageError("matrix has non-finite entries, or its 1-norm "
                          "overflows")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact singularity
         try:
-            lu, piv = _sp_lu_factor(a, check_finite=False)
+            lu, piv = _sp_lu_factor(a, overwrite_a=overwrite_a,
+                                    check_finite=False)
         except Exception as exc:  # LinAlgError on hard zero-pivot failures
             raise SingularMatrixError(
                 f"LU factorization failed: {exc}", column=None

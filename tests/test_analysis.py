@@ -615,6 +615,28 @@ def test_angle_sweep_composes_once(te_ibc1, monkeypatch):
     assert len(calls) == 1
 
 
+def test_angle_sweep_factors_in_place(te_ibc1, monkeypatch):
+    # the sweep's LU takes the place of its composed matrix: no copy of A
+    matrices, factors = [], []
+    build, factor = analysis.build_reduced_system, analysis.lu_factor
+
+    def built(*args, **kwargs):
+        system = build(*args, **kwargs)
+        matrices.append(system.reduced_matrix)
+        return system
+
+    def factored(*args, **kwargs):
+        factors.append(factor(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr("hoibc2d.analysis.build_reduced_system", built)
+    monkeypatch.setattr("hoibc2d.analysis.lu_factor", factored)
+    monostatic_sweep(mesh_circle(B, 32), te_ibc1, [0.0, 90.0],
+                     kind="angle", k0=K0)
+    [a], [fac] = matrices, factors
+    assert fac.lu is a
+
+
 def test_monostatic_rotational_invariance(te_ibc1):
     mesh = mesh_circle(B, 64)
     sweep = monostatic_sweep(mesh, te_ibc1, [0.0, 33.7, 90.0, 217.5],

@@ -21,6 +21,7 @@ from hoibc2d.assembly import (
     _distant_pairs,
     _eliminated_blocks,
     _helmholtz_blocks,
+    _jm_matvec,
     _pair_moments,
     _plain_kernels,
     _scaled_coefficients,
@@ -155,9 +156,10 @@ def _pair_bs(contour, e, f, k0, SB):
 # --- kernel matrix structure ------------------------------------------------
 
 def test_bs_and_b_complex_symmetric(circle32_blocks):
+    # bitwise, signed zeros included: the composition reads them transposed
     for key in ("BS", "B"):
         m = circle32_blocks[key]
-        assert np.array_equal(m, m.T), key
+        assert m.tobytes() == m.T.tobytes(), key
 
 
 def test_blocks_finite_and_symmetric_at_large_k0d():
@@ -720,15 +722,20 @@ def test_in_place_composition_equals_copies(coeffs, mesh):
         <= 1e-15 * np.max(np.abs(want))
 
 
+@pytest.fixture(scope="module")
+def circle512():
+    c = mesh_circle(1.1, 512)
+    return c, assemble_blocks(c, K0)
+
+
 @pytest.mark.parametrize("coeffs,budget", [(TM0, 4.5), (TM2, 4.75)],
                          ids=["IBC0", "IBC2"])
-def test_composition_memory_budget(coeffs, budget):
+def test_composition_memory_budget(coeffs, budget, circle512):
     """Composing the reduced 2n system allocates A (4 n^2 complex entries)
     and, from order 1, one real product (0.5); the couplings G, G2 are
     already in the blocks: within 4.5 (IBC0) and 4.75 (IBC2) n^2 x 16 B at
     n = 512 nodes."""
-    c = mesh_circle(1.1, 512)
-    blocks = assemble_blocks(c, K0)
+    c, blocks = circle512
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
     tracemalloc.start()
     try:
@@ -737,6 +744,77 @@ def test_composition_memory_budget(coeffs, budget):
     finally:
         tracemalloc.stop()
     assert peak <= budget * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
+
+
+@pytest.mark.parametrize("coeffs,budget", [(TM0, 4.5), (TM2, 4.75)],
+                         ids=["IBC0", "IBC2"])
+def test_solve_memory_budget(coeffs, budget, circle512):
+    """Solving adds nothing to the composition's budget: the LU takes A's
+    place and the residual reads the blocks, so composing and solving stay
+    within 4.5 (IBC0) and 4.75 (IBC2) n^2 x 16 B at n = 512 nodes (a copy
+    of A for the LU would add 4)."""
+    c, blocks = circle512
+    w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
+    tracemalloc.start()
+    try:
+        solve_currents(build_reduced_system(c, coeffs, w, blocks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
+
+
+def test_solve_factors_in_place(circle32, circle32_blocks, monkeypatch):
+    """A and the couplings are column-major, so that solve_currents factors
+    A where it lies (f2py would copy any other layout silently): the LU
+    shares A's memory, the system gives A up, and a second solve of it
+    raises."""
+    for key in ("G", "G2"):
+        assert circle32_blocks[key].flags.f_contiguous, key
+    w = IncidentWave(pol="TE", k0=K0, phi_inc=0.7)
+    system = build_reduced_system(circle32, TE2, w, blocks=circle32_blocks)
+    A = system.reduced_matrix
+    assert A.flags.f_contiguous
+    seen = []
+
+    def recorded(matrix, overwrite_a=False):
+        seen.append((matrix, lu_factor(matrix, overwrite_a=overwrite_a)))
+        return seen[-1][1]
+
+    monkeypatch.setattr("hoibc2d.assembly.lu_factor", recorded)
+    solve_currents(system)
+    [(matrix, fac)] = seen
+    assert matrix is A and fac.lu is A
+    assert system.reduced_matrix is None
+    with pytest.raises(UsageError, match="consumed"):
+        solve_currents(system)
+
+
+@pytest.mark.parametrize("mesh", sorted(COMPOSE_MESHES))
+@pytest.mark.parametrize("coeffs", [TE0, TM0, TE1, TM1, TE2, TM2],
+                         ids=lambda cf: f"{cf.pol}-{cf.order}")
+def test_block_residual_equals_dense(coeffs, mesh):
+    """The residual's A x from the stored blocks equals the product with
+    the composed A (taken before the factor) to 1e-14 of max |A x|, for an
+    x nonzero at the pinned indices too, and the solve's residual equals
+    the dense ||A x - b|| / ||b|| to 1e-14."""
+    c = COMPOSE_MESHES[mesh]()
+    blocks = assemble_blocks(c, K0)
+    w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
+    system = build_reduced_system(c, coeffs, w, blocks)
+    A = system.reduced_matrix.copy()
+    n = A.shape[0]
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pins = [i for i in system.constrained if i < n]
+    assert len(pins) == (0 if c.closed else 4) and np.all(x[pins] != 0.0)
+    want = A @ x
+    assert np.max(np.abs(_jm_matvec(system, x) - want)) \
+        <= 1e-14 * np.max(np.abs(want))
+    sol = solve_currents(system)
+    u, b = np.concatenate([sol.J, sol.M]), system.reduced_rhs
+    dense = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
+    assert abs(sol.meta["residual"] - dense) <= 1e-14
 
 
 def test_elimination_once_per_mesh(monkeypatch):

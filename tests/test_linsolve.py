@@ -12,6 +12,22 @@ from hoibc2d import linsolve as ls
 from hoibc2d.errors import SingularMatrixError, UsageError
 
 
+def _in_place(a):
+    """Factor a Fortran-ordered complex copy of ``a`` where it lies, and
+    check that it did (f2py would copy any other input silently)."""
+    fa = np.asfortranarray(a, dtype=complex)
+    if fa is a:
+        fa = fa.copy(order="F")
+    f = ls.lu_factor(fa, overwrite_a=True)
+    assert f.lu is fa
+    return f
+
+
+# lu_factor on the input as given, and in place on a Fortran-ordered copy:
+# every check below that factors runs on both
+ROUTES = (ls.lu_factor, _in_place)
+
+
 def test_identity():
     f = ls.lu_factor(np.eye(4))
     assert f.rcond_estimate == pytest.approx(1.0)
@@ -49,13 +65,67 @@ def test_residual_backward_error_bound():
 def test_lu_reconstruction():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    f = ls.lu_factor(a)
-    lower = np.tril(f.lu, -1) + np.eye(30)
-    upper = np.triu(f.lu)
-    pa = a.copy()
-    for i, p in enumerate(f.piv):  # apply recorded row swaps
-        pa[[i, p]] = pa[[p, i]]
-    assert np.linalg.norm(pa - lower @ upper) <= 1e-12 * np.linalg.norm(a)
+    for factor in ROUTES:
+        f = factor(a)
+        lower = np.tril(f.lu, -1) + np.eye(30)
+        upper = np.triu(f.lu)
+        pa = a.copy()
+        for i, p in enumerate(f.piv):  # apply recorded row swaps
+            pa[[i, p]] = pa[[p, i]]
+        assert np.linalg.norm(pa - lower @ upper) <= \
+            1e-12 * np.linalg.norm(a)
+        assert np.array_equal(pa, a[f.perm])
+
+
+def test_factor_leaves_input_unchanged():
+    """Without ``overwrite_a`` the matrix is only read, row-major or
+    Fortran-ordered, and both give the same LU and rcond, bitwise."""
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((70, 70)) + 1j * rng.standard_normal((70, 70))
+    want = ls.lu_factor(a.copy())
+    for m in (a.copy(), np.asfortranarray(a)):
+        before = m.copy()
+        f = ls.lu_factor(m)
+        assert m.tobytes() == before.tobytes()
+        assert not np.shares_memory(f.lu, m)
+        assert f.lu.tobytes() == want.lu.tobytes()
+        assert f.rcond_estimate == want.rcond_estimate
+
+
+def test_overwrite_in_place_only_where_it_can():
+    """``overwrite_a`` factors a Fortran-ordered complex array where it
+    lies, bitwise the copying route's LU and rcond; a row-major or a real
+    array cannot hold the LU, so it is copied, left as it was, and factored
+    all the same."""
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((70, 70)) + 1j * rng.standard_normal((70, 70))
+    want = ls.lu_factor(a)
+    f = _in_place(a)
+    assert f.lu.tobytes() == want.lu.tobytes()
+    assert np.array_equal(f.piv, want.piv)
+    assert f.rcond_estimate == want.rcond_estimate
+    b = rng.standard_normal(70) + 1j * rng.standard_normal(70)
+    for m in (a.copy(), a.real.copy(), np.asfortranarray(a.real)):
+        before = m.copy()
+        f = ls.lu_factor(m, overwrite_a=True)
+        assert m.tobytes() == before.tobytes()
+        assert not np.shares_memory(f.lu, m)
+        assert f.lu.tobytes() == ls.lu_factor(m).lu.tobytes()
+        x = ls.solve(f, b)
+        assert np.linalg.norm(m @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [1, ls.NORM_PANEL - 1, ls.NORM_PANEL + 1, 70])
+def test_one_norm_by_panels(n):
+    """The panelled 1-norm is bitwise numpy's of the row-major matrix (the
+    rounding rcond inherits), for either memory order and any panel
+    remainder."""
+    rng = np.random.default_rng(n)
+    a = (rng.standard_normal((n, n)) * rng.lognormal(0.0, 3.0, (n, n))
+         + 1j * rng.standard_normal((n, n)))
+    want = np.linalg.norm(a, 1)
+    assert ls._norm1(a) == want
+    assert ls._norm1(np.asfortranarray(a)) == want
 
 
 def test_multi_rhs_matches_looped():
@@ -156,11 +226,12 @@ def test_zero_rhs_and_linearity():
 def test_singular_matrix_reports_column():
     a = np.eye(5, dtype=complex)
     a[:, 2] = 0.0
-    with pytest.raises(SingularMatrixError) as exc:
-        ls.lu_factor(a)
-    assert exc.value.column == 2
-    with pytest.raises(SingularMatrixError):
-        ls.lu_factor(np.zeros((3, 3)))
+    for factor in ROUTES:
+        with pytest.raises(SingularMatrixError) as exc:
+            factor(a)
+        assert exc.value.column == 2
+        with pytest.raises(SingularMatrixError):
+            factor(np.zeros((3, 3)))
 
 
 def test_rcond_warning_logged(caplog):
@@ -172,15 +243,22 @@ def test_rcond_warning_logged(caplog):
 
 
 def test_usage_errors():
-    with pytest.raises(UsageError):
-        ls.lu_factor(np.zeros((2, 3)))
-    # a non-finite entry, found through the 1-norm that lu_factor needs
-    # anyway, and a 1-norm that overflows
-    for bad in (np.nan, np.inf, -np.inf, 1j * np.inf, -1j * np.inf):
+    for factor in ROUTES:
         with pytest.raises(UsageError):
-            ls.lu_factor(np.array([[1.0, 0.0], [bad, 1.0]]))
-    with pytest.raises(UsageError):
-        ls.lu_factor(np.full((2, 2), 1e308))
+            factor(np.zeros((2, 3)))
+        # a non-finite entry, found through the 1-norm that lu_factor
+        # needs anyway, and a 1-norm that overflows
+        for bad in (np.nan, np.inf, -np.inf, 1j * np.inf, -1j * np.inf):
+            with pytest.raises(UsageError):
+                factor(np.array([[1.0, 0.0], [bad, 1.0]]))
+            # in the first and in the last panel of the 1-norm
+            for col in (0, -1):
+                big = np.eye(ls.NORM_PANEL + 3, dtype=complex)
+                big[1, col] = bad
+                with pytest.raises(UsageError):
+                    factor(big)
+        with pytest.raises(UsageError):
+            factor(np.full((2, 2), 1e308))
     f = ls.lu_factor(np.eye(3))
     with pytest.raises(UsageError):
         ls.solve(f, np.zeros(4))
