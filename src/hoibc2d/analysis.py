@@ -244,11 +244,13 @@ def echo_width(pattern):
 def _jy_with_derivs(nmax, z):
     """J, J', Y, Y' for orders 0..nmax at a common argument.  Values that
     overflow double precision are refused before any arithmetic on them."""
-    js, ys = bessel_jy(nmax + 1, complex(z))
+    # J'_0 = -J_1, and J'_n = J_{n-1} - (n/z) J_n reads orders <= n
+    top = max(nmax, 1)
+    js, ys = bessel_jy(top, complex(z))
     if not (np.all(np.isfinite(js)) and np.all(np.isfinite(ys))):
         raise TruncationError(
             f"Bessel values at z = {complex(z):.6g} overflow double "
-            f"precision (orders 0..{nmax + 1})", n_max=nmax, argument=z)
+            f"precision (orders 0..{top})", n_max=nmax, argument=z)
     n = np.arange(1, nmax + 1)
     jp = np.empty(nmax + 1, dtype=complex)
     yp = np.empty(nmax + 1, dtype=complex)

@@ -28,17 +28,18 @@ clearance and k0 h.  The (f, e) blocks of B and B - S are the transpose,
 SB(f, e) = SB(e, f)^T, so both matrices come out exactly symmetric; the
 SQ block of (f, e) comes from the same points with the normal of f.
 
-Self elements and distant pairs are evaluated once per congruence class.
-A pair's key is h_e and the two endpoints of f in e's frame (origin at e's
-start, x axis along tau_e), rounded on a grid of KEY_GRID = 1e-12 times
-the contour's extent, plus its Gauss order; every moment of the pair is a
-function of its key.  Congruent pairs (e, f), (e + 1, f + 1), ... follow
-one another down a diagonal, so a class is a run of equal keys there,
-found in O(pairs) without a sort, and the first pair of each run is
-evaluated for the whole run.  The uniform meshes of mesh_circle and
-mesh_plate have O(n) runs; a mesh with no congruent pairs has one run per
-pair.  Shared-vertex pairs are evaluated one by one (see
-_helmholtz_blocks), each of them once.
+Distant pairs are evaluated once per congruence class.  A pair's key is
+h_e and the two endpoints of f in e's frame (origin at e's start, x axis
+along tau_e), rounded on a grid of KEY_GRID = 1e-12 times the contour's
+extent, plus its Gauss order; every moment of the pair is a function of
+its key.  Congruent pairs (e, f), (e + 1, f + 1), ... follow one another
+down a diagonal f - e, so a class is a run of equal keys there, found in
+O(pairs) without a sort, and the first pair of each run is evaluated for
+the whole run.  The pass takes the pairs in bands of whole diagonals, so
+every run starts and ends inside one band.  The uniform meshes of
+mesh_circle and mesh_plate have O(n) runs; a mesh with no congruent pairs
+has one run per pair.  Self elements (one short 1D rule each) and
+shared-vertex pairs (see _helmholtz_blocks) are evaluated one by one.
 One local formulation turns each pair's moments into its B, B - S and Q
 blocks, and one scatter adds block slot (a, b) of pair (e, f) to nodal
 entry (node(e, a), node(f, b)) for every matrix, I1, D and K included.
@@ -291,16 +292,17 @@ def _pair_moments(contour, k0, e, f, n_gl):
     return mom[0], mom[1], mom[2].transpose(0, 2, 1)
 
 
-def _distant_pairs(contour, k0, lo=0, hi=None):
-    """(e, f, n_gl): the pairs e < f that share no node, with e in lo:hi,
-    row by row (e, then f ascending), each with the Gauss-Legendre order
-    that DISTANT_ORDERS gives it."""
+def _distant_pairs(contour, k0, lo=2, hi=None):
+    """(e, f, n_gl): the pairs e < f that share no node whose diagonal
+    f - e lies in lo:hi, lo >= 2 (all of them by default), row by row (e,
+    then f ascending), each with the Gauss-Legendre order that
+    DISTANT_ORDERS gives it."""
     n, h = contour.n_elements, contour.lengths
-    rows = np.arange(lo, n if hi is None else min(hi, n))
-    # row e holds f = e + 2 .. n - 1; on a closed contour 0 and n - 1 adjoin
-    count = np.maximum(n - 2 - rows - (contour.closed & (rows == 0)), 0)
-    e = np.repeat(rows, count)
-    f = e + 2 + np.arange(e.size) - np.repeat(np.cumsum(count) - count, count)
+    rows = np.arange(n)[:, None]
+    f = rows + np.arange(lo, n if hi is None else min(hi, n))
+    # on a closed contour 0 and n - 1 adjoin
+    e, j = np.nonzero(f < n - (contour.closed & (rows == 0)))
+    f = f[e, j]
     hmax = np.maximum(h[e], h[f])
     mid = contour.midpoints()
     gap = np.hypot(*(mid[f] - mid[e]).T) - 0.5 * (h[e] + h[f])
@@ -372,47 +374,38 @@ def _node_sum(contour, x):
 def _helmholtz_blocks(contour, k0):
     """One pass over all element pairs; returns the nodal B, BS and Q.
 
-    The distant pairs go in blocks of rows e, laid out by row and by
-    diagonal f - e, so that (e + 1, f + 1) sits under (e, f).  A run of
-    equal keys (:func:`_pair_keys`) down a diagonal is a class of congruent
-    pairs, evaluated once at its first pair and scattered to every pair of
-    the run; runs continue into the next block through the keys and
-    moments of the last row.
+    The distant pairs go in bands of whole diagonals f - e, laid out by
+    row e and diagonal, so that (e + 1, f + 1) sits under (e, f) and every
+    diagonal starts under a row of NaN keys.  A run of equal keys
+    (:func:`_pair_keys`) down a diagonal is a class of congruent pairs,
+    evaluated once at its first pair and scattered to every pair of the
+    run; a run never leaves its band, so no block depends on another.
     """
     _check_resolution(contour, k0)
     mats = {key: np.zeros((contour.n_nodes,) * 2, dtype=complex)
             for key in ("B", "BS", "Q")}
     n = contour.n_elements
-    rows = max(1, PAIRS_PER_BLOCK // n)
-    last_key = np.full((6, 1, n), np.nan)       # NaN: no run to continue
-    last_mom = np.zeros((3, n, 2, 2), dtype=complex)
-    for lo in range(0, n - 2, rows):
-        e, f, n_gl = _distant_pairs(contour, k0, lo, lo + rows)
-        i, j = e - lo, f - e - 2
-        key = np.full((6, rows + 1, n), np.nan)
-        key[:, :1] = last_key
-        key[:, i + 1, j] = _pair_keys(contour, e, f, n_gl)
+    width = max(1, min(PAIRS_PER_BLOCK // n, n - 2))
+    for lo in range(2, n, width):
+        e, f, n_gl = _distant_pairs(contour, k0, lo, lo + width)
+        j = f - e - lo
+        key = np.full((6, n + 1, width), np.nan)
+        key[:, e + 1, j] = _pair_keys(contour, e, f, n_gl)
         new = np.any(key[:, 1:] != key[:, :-1], axis=0)
-        first = np.flatnonzero(new[i, j])
-        # the carried moments by diagonal, then those of each run's first pair
-        table = np.empty((3, n + first.size, 2, 2), dtype=complex)
-        table[:, :n] = last_mom
+        first = np.flatnonzero(new[e, j])
+        # the moments of each run's first pair
+        table = np.empty((3, first.size, 2, 2), dtype=complex)
         for order in np.unique(n_gl[first]):
             pick = np.flatnonzero(n_gl[first] == order)
             chunks = 1 + pick.size * order**2 // KERNEL_POINTS_PER_CHUNK
             for part in np.array_split(pick, chunks):
                 rep = first[part]
-                for dst, m in zip(table, _pair_moments(contour, k0, e[rep],
-                                                       f[rep], order)):
-                    dst[n + part] = m
-        head = np.full((rows, n), -1)
-        head[i[first], j[first]] = n + np.arange(first.size)
-        head = np.maximum.accumulate(head, axis=0)[i, j]
-        mom = table[:, np.where(head < 0, j, head)]
-        _add_pair_blocks(mats, contour, k0, e, f, *mom)
-        last_key = key[:, -1:]
-        last = i == rows - 1
-        last_mom[:, j[last]] = mom[:, last]
+                table[:, part] = _pair_moments(contour, k0, e[rep], f[rep],
+                                               order)
+        head = np.full((n, width), -1)
+        head[e[first], j[first]] = np.arange(first.size)
+        head = np.maximum.accumulate(head, axis=0)[e, j]
+        _add_pair_blocks(mats, contour, k0, e, f, *table[:, head])
     # the shared-vertex pairs (e, e + 1 mod n) go in once, like the distant
     # pairs e < f, with Q's (f, e) blocks from the partner normal; they are
     # evaluated one by one: their SQ is about proportional to the turning
@@ -428,12 +421,8 @@ def _helmholtz_blocks(contour, k0):
         mats[key] += mats[key].T
     # SQ self blocks stay zero: n(x).(y-x) = 0 on a straight element
     diag = np.arange(n)
-    key = _pair_keys(contour, diag, diag, 0)
-    new = np.ones(n, dtype=bool)
-    new[1:] = np.any(key[:, 1:] != key[:, :-1], axis=0)
-    h = contour.lengths[new]
     _add_pair_blocks(mats, contour, k0, diag, diag,
-                     _self_g_moments(k0, h)[np.cumsum(new) - 1])
+                     _self_g_moments(k0, contour.lengths))
     return mats
 
 

@@ -311,6 +311,9 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     theta = _as_grid(table.get("theta_deg",
                                {"start": 0.0, "stop": 90.0, "step": 1.0}),
                      "table.theta_deg", bad)
+    if theta is not None and not np.all((theta >= 0.0) & (theta < 90.0)):
+        bad.append(("table.theta_deg", "table.theta_deg: angles must lie in "
+                                       f"[0, 90) degrees, got {theta.tolist()}"))
 
     series = _section(raw, "series", bad)
     n_max = series.get("n_max")

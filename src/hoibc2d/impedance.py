@@ -385,24 +385,18 @@ def _material_clauses(coating):
     ]
 
 
-def _default_tol(coeffs, tol):
-    if tol is None:
-        return 1e-9 * abs(coeffs.a0)
-    return float(tol)
-
-
-def suc_check_ibc1(coeffs, tol=None):
+def suc_check_ibc1(coeffs):
     """Uniqueness conditions for the first-order coefficients.
 
     Equalities are tested as |lhs| <= tol, sign conditions as
     lhs >= -tol * scale with the scale chosen to keep units consistent
-    (tol itself is in ohms; default 1e-9 |a0|).
+    (tol = 1e-9 |a0|, in ohms).
     """
     if not isinstance(coeffs, IbcCoefficients):
         raise UsageError(f"expected IbcCoefficients, got {type(coeffs).__name__}")
     if coeffs.order != "IBC1":
         raise UsageError(f"suc_check_ibc1 needs IBC1 coefficients, got {coeffs.order}")
-    tol = _default_tol(coeffs, tol)
+    tol = 1e-9 * abs(coeffs.a0)
     a0, a, b = coeffs.a0, coeffs.a, coeffs.b
     v = a - b.conjugate() * a0
     p3 = (a0.conjugate() * a).imag * v.imag
@@ -420,7 +414,7 @@ def suc_check_ibc1(coeffs, tol=None):
     )
 
 
-def suc_check_ibc2(coeffs, tol=None):
+def suc_check_ibc2(coeffs):
     """Uniqueness conditions for the second-order coefficients (nine clauses).
 
     Delta, alpha, beta are reported in ``details``.  Tolerances scale with
@@ -430,7 +424,7 @@ def suc_check_ibc2(coeffs, tol=None):
         raise UsageError(f"expected IbcCoefficients, got {type(coeffs).__name__}")
     if coeffs.order != "IBC2":
         raise UsageError(f"suc_check_ibc2 needs IBC2 coefficients, got {coeffs.order}")
-    tol = _default_tol(coeffs, tol)
+    tol = 1e-9 * abs(coeffs.a0)
     a0, a, b, ap, bp = coeffs.a0, coeffs.a, coeffs.b, coeffs.ap, coeffs.bp
     cb, cbp = b.conjugate(), bp.conjugate()
     g = a * cbp - ap * cb                       # a_j b'_j* - a'_j b_j*
@@ -463,7 +457,7 @@ def suc_check_ibc2(coeffs, tol=None):
     )
 
 
-def wellposedness_check(coeffs, tol=None):
+def wellposedness_check(coeffs):
     """Coercivity coefficient condition Re(a_j) + |a0| |b_j + a_j*/a0*| / 2 = 0.
 
     Reported, never enforced: the solver warns and proceeds when it fails.
@@ -474,7 +468,7 @@ def wellposedness_check(coeffs, tol=None):
         raise UsageError("wellposedness_check applies to IBC1/IBC2 coefficients")
     if coeffs.a0 == 0:
         raise UsageError("a0 must be nonzero")
-    tol = _default_tol(coeffs, tol)
+    tol = 1e-9 * abs(coeffs.a0)
     lhs = coeffs.a.real + abs(coeffs.a0) * abs(
         coeffs.b + coeffs.a.conjugate() / coeffs.a0.conjugate()
     ) / 2.0

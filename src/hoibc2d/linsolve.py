@@ -4,7 +4,7 @@
 The systems assembled upstream are dense; one dense LU is the whole
 strategy, and memory bounds the size.  Per n^2 x 16 B, n nodes (tracemalloc
 on circles, n = 512 and 1024): the kernel pass peaks at 4 plus fixed
-buffers, ~20 MB for a chunk of kernel points and ~2 MB for a block of
+buffers, ~15 MB for a chunk of kernel points and 3.5-5.5 MB for a band of
 pairs; with the one elimination of the auxiliary fields (peak 6.5) the
 blocks keep 5.5 (B, B - S, Q, real I1, D, K and the real couplings G,
 G2).  Composing the reduced 2n system adds only A, 4 (and from IBC1 one

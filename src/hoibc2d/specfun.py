@@ -35,6 +35,7 @@ All functions are pure; nothing here mutates shared state.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import j0, j1, jv, y0, y1, yv
@@ -206,7 +207,12 @@ def quad_rule(kind, n):
     raise UsageError(f"unknown quadrature kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre_unit(n):
-    """Gauss-Legendre nodes and weights mapped onto (0, 1)."""
+    """Gauss-Legendre nodes and weights mapped onto (0, 1), read-only.
+    Each rule is computed once: numpy's leggauss costs ~0.4 ms a call,
+    more than a kernel chunk of a few pairs."""
     rule = quad_rule("gauss_legendre", n)
-    return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
+    nodes, weights = 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

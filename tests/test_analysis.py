@@ -39,8 +39,8 @@ from hoibc2d.analysis import (
 )
 from hoibc2d.assembly import (MAX_KH, IncidentWave, SurfaceCurrents,
                               assemble_blocks, assemble_rhs)
-from hoibc2d.errors import (MeshError, TruncationError, UsageError,
-                            ValidationError)
+from hoibc2d.errors import (MeshError, RangeError, TruncationError,
+                            UsageError, ValidationError)
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, fit_coefficients
 from hoibc2d.specfun import C0, Z0, gauss_legendre_unit
@@ -427,6 +427,27 @@ def test_overflowing_series_is_a_truncation_error():
             cylinder_modes(spec, "TM")
         with pytest.raises(TruncationError):
             series_coated_cylinder(spec, "TM", DEG)
+
+
+@pytest.mark.parametrize("pol", ["TE", "TM"])
+def test_series_reach_order_200(pol):
+    """Orders 0..200 are the documented working range of the Bessel
+    arrays, and every series reads no order above its n_max: n_max = 200
+    evaluates, and its first modes are bitwise those of n_max = 199."""
+    def coated(n):
+        return cylinder_modes(
+            SeriesSolutionSpec(1.0, 0.1, 4.0 - 0.5j, 1.0, K0, n_max=n), pol)
+
+    series = {"coated": coated,
+              "impedance": lambda n: impedance_cylinder_modes(
+                  1.1, 100j, K0, pol, n_max=n),
+              "pec": lambda n: _pec_modes(1.1 * K0, pol, n)}
+    for name, modes in series.items():
+        top = modes(200)
+        assert top.shape == (201,) and np.all(np.isfinite(top)), name
+        assert np.array_equal(top[:200], modes(199)), name
+        with pytest.raises(RangeError):
+            modes(201)
 
 
 def _mpmath_bessel_jy(nmax, z):

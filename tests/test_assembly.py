@@ -377,15 +377,41 @@ INCIDENCE_MESHES = {
 }
 
 
+@pytest.mark.parametrize("width", [1, 3, 64])
+@pytest.mark.parametrize("mesh", sorted(INCIDENCE_MESHES))
+def test_distant_pairs_by_band(mesh, width):
+    """Consecutive bands of ``width`` diagonals (64 holds every diagonal)
+    list every pair e < f with f - e >= 2 once, never the adjoining pair
+    (0, n - 1) of a closed contour, row by row within each band, and each
+    at the Gauss order of the whole listing."""
+    c = INCIDENCE_MESHES[mesh]()
+    n = c.n_elements
+    e0, f0, n_gl0 = _distant_pairs(c, K0)
+    order = dict(zip(zip(e0.tolist(), f0.tolist()), n_gl0.tolist()))
+    seen = []
+    for lo in range(2, n, width):
+        e, f, n_gl = _distant_pairs(c, K0, lo, lo + width)
+        assert np.all((f - e >= lo) & (f - e < lo + width))
+        assert np.array_equal(np.lexsort((f, e)), np.arange(e.size))
+        pairs = list(zip(e.tolist(), f.tolist()))
+        assert n_gl.tolist() == [order[p] for p in pairs]
+        seen += pairs
+    want = {(a, b) for a in range(n) for b in range(a + 2, n)}
+    if c.closed:
+        want.remove((0, n - 1))
+    assert len(seen) == len(set(seen)) and set(seen) == want
+    assert list(order) == sorted(want)
+
+
 @pytest.mark.parametrize("chunk", [None, 64], ids=["one-chunk", "chunk64"])
 @pytest.mark.parametrize("mesh", sorted(INCIDENCE_MESHES))
 def test_nodal_assembly_equals_incidence_product(mesh, chunk, monkeypatch):
     """The nodal B, B - S and Q against S A S^T, with A the broken
     (element, local node) matrices built here from the raw moments of every
     pair class and S the dense node incidence.  Chunks of 64 kernel points
-    and blocks of 64 pairs (one row of pairs each) split the distant pass
-    into many writes of one to four pairs, and every run of congruent pairs
-    continues across blocks."""
+    and blocks of 64 pairs (bands of one or two diagonals each) split the
+    distant pass into many writes of one to four pairs, and every run of
+    congruent pairs starts and ends inside its band."""
     if chunk is not None:
         monkeypatch.setattr("hoibc2d.assembly.KERNEL_POINTS_PER_CHUNK", chunk)
         monkeypatch.setattr("hoibc2d.assembly.PAIRS_PER_BLOCK", chunk)

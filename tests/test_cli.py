@@ -143,6 +143,8 @@ def test_malformed_json_exits_2_without_output(tmp_path):
     ("sweep.phi_inc_deg", {"sweep.phi_inc_deg": "inf"}),
     ("sweep.angles_deg", {"sweep.angles_deg": [0.0, float("nan"), 10.0]}),
     ("table.theta_deg", {"table.theta_deg": [float("nan")]}),
+    ("table.theta_deg", {"table.theta_deg": [0.0, 45.0, 90.0]}),
+    ("table.theta_deg", {"table.theta_deg": [-10.0, 45.0]}),
     ("lambda0_reference", {"lambda0_reference": -3e8}),
     ("lambda0_reference", {"lambda0_reference": -3e8,
                            "geometry.radius": "1 lambda0",
@@ -162,7 +164,8 @@ def test_malformed_json_exits_2_without_output(tmp_path):
         "frequency-inf", "lambda0-inf", "n-elements-inf", "n-max-inf",
         "n-elements-fraction", "n-max-fraction",
         "radius-nan", "phi-inc-nan", "phi-inc-inf-text", "angle-nan",
-        "theta-nan", "lambda0-negative", "lambda0-negative-lengths",
+        "theta-nan", "theta-90", "theta-negative", "lambda0-negative",
+        "lambda0-negative-lengths",
         "frequency-negative", "colloc-count-ibc1", "colloc-count-ibc2",
         "colloc-range"])
 def test_unusable_config_exits_2_without_output(tmp_path, field, override):
