@@ -42,18 +42,21 @@ has one run per pair.  Self elements (one short 1D rule each) and
 shared-vertex pairs (see _helmholtz_blocks) are evaluated one by one.
 One local formulation turns each pair's moments into its B, B - S and Q
 blocks, and one scatter adds block slot (a, b) of pair (e, f) to nodal
-entry (node(e, a), node(f, b)) for every matrix, I1, D and K included.
+entry (node(e, a), node(f, b)) of each kernel matrix.
 
-The reduced system eliminates the auxiliary fields in O(n^2) real
-arithmetic, once per mesh: the couplings they leave depend on the mesh
-alone, so assemble_blocks stores them and every order, polarization and
-angle reads them.  Taken in chain order (the order the elements link up,
-which need not be the node labelling) every local operator has at most
-three entries per row: the mass I1 of the auxiliary rows is tridiagonal,
-with cyclic corners on a closed contour and unit rows at pinned nodes of
-an open one.  The corners are a rank-one update of a tridiagonal matrix,
-removed by Sherman-Morrison; the solves are LAPACK tridiagonal ones and
-the products banded times dense.
+Taken in chain order (the order the elements link up, which need not be
+the node labelling) the local operators I1, D and K have at most three
+entries per row, so they are built and kept as (nodes, 3) chain bands,
+LAPACK's banded storage (LAPACK Users' Guide, 3rd ed., SIAM 1999, 5.3.3)
+with cyclic corners on a closed contour; only the oracle
+build_full_system makes them dense.  The reduced system eliminates the
+auxiliary fields in O(n^2) real arithmetic, once per mesh: the couplings
+they leave depend on the mesh alone, so assemble_blocks stores them and
+every order, polarization and angle reads them.  The mass I1 of the
+auxiliary rows has unit rows at pinned nodes of an open contour; the
+cyclic corners are a rank-one update of a tridiagonal matrix, removed by
+Sherman-Morrison.  The solves are LAPACK tridiagonal ones, the products
+banded times dense, and I1's a0 terms take O(n) band entries.
 """
 
 from __future__ import annotations
@@ -118,11 +121,14 @@ class SurfaceCurrents:
 class AssembledSystem:
     """Raw blocks, the auxiliary-variable matrix, and the 2N reduction.
 
-    ``blocks`` keeps the geometry-dependent matrices so a single assembly
-    can be reused across boundary-condition orders and incidence angles;
-    the J and M endpoint constraints are applied to the composed systems,
-    not to the stored blocks (only the couplings G, G2 carry the pins of
-    the auxiliary fields, which are the same at every order).
+    ``blocks`` keeps the geometry-dependent matrices of
+    :func:`assemble_blocks` (B, B - S, Q and the couplings G, G2 dense;
+    I1, D and K as chain bands, with the node labels of their rows in
+    ``chain``) so a single assembly can be reused across boundary-condition
+    orders and incidence angles; the J and M endpoint constraints are
+    applied to the composed systems, not to the stored blocks (only the
+    couplings G, G2 carry the pins of the auxiliary fields, which are the
+    same at every order).
     ``reduced_matrix`` is consumed by :func:`solve_currents`, which
     factors it in place and sets it to None; the residual it reports is
     computed from ``blocks`` and ``meta``.
@@ -278,8 +284,11 @@ def _pair_moments(contour, k0, e, f, n_gl):
     transpose of SB[e, :, f, :], and the SQ partner reuses W(r) with
     -(y - x).n(x_f) in place of (y - x).n(x_e)."""
     x, w = gauss_legendre_unit(n_gl)
-    pts = contour.points(x).transpose(2, 0, 1)                 # (2, n0, nq)
-    dx, dy = (p[f][:, None, :] - p[e][:, :, None] for p in pts)
+    # Contour.points on the elements e and f alone, (P, nq, 2) each
+    a, b = contour.nodes[contour.elements[np.stack([e, f])]].transpose(
+        2, 0, 1, 3)
+    pe, pf = a[..., None, :] + (b - a)[..., None, :] * x[:, None]
+    dx, dy = (pf[:, None, :, k] - pe[:, :, None, k] for k in range(2))
     kern = np.empty((3,) + dx.shape, dtype=complex)           # (3, P, nq, nq)
     kern[0], wq = _plain_kernels(k0, np.hypot(dx, dy))
     for k, n in ((1, contour.normals[e]), (2, -contour.normals[f])):
@@ -427,12 +436,33 @@ def _helmholtz_blocks(contour, k0):
 
 
 # --------------------------------------------------------------------------
-# mass / derivative-coupling / stiffness matrices (elementwise exact)
+# mass / derivative-coupling / stiffness chain bands (elementwise exact)
 # --------------------------------------------------------------------------
+
+# column offsets of a chain band: row r of a (nodes, 3) band holds the
+# entries of the r-th node along the chain at chain positions r - 1, r, r + 1
+BAND = (-1, 0, 1)
+
+
+def _chain_nodes(contour):
+    """Node labels in chain order (elements are stored in chain order)."""
+    el = contour.elements
+    return el[:, 0] if contour.closed else np.append(el[:, 0], el[-1, 1])
+
+
+def _band_columns(n):
+    """(n, 3) chain positions of the entries of a chain band, wrapping mod
+    n; past the ends of an open chain the band holds zeros there."""
+    return (np.arange(n)[:, None] + BAND) % n
+
 
 def assemble_mass_and_d(contour):
     """The nodal P1 mass I1 = int phi_i phi_j, derivative coupling
-    D = int phi_i d_l phi_j and stiffness K = int d_l phi_i d_l phi_j.
+    D = int phi_i d_l phi_j and stiffness K = int d_l phi_i d_l phi_j, as
+    (nodes, 3) chain bands (BAND).  Element r joins chain positions r and
+    r + 1, so with M_r its 2 x 2 element block row r holds M_{r-1}[1, 0],
+    M_{r-1}[1, 1] + M_r[0, 0] and M_r[0, 1], wrapping on a closed contour
+    and zero past the ends of an open one.
 
     Every field, auxiliaries included, is nodal P1, so one mass and one
     coupling serve every auxiliary row and every eliminated block.
@@ -443,9 +473,24 @@ def assemble_mass_and_d(contour):
              "D": np.broadcast_to(slope, h.shape[:1] + (2, 2)),
              "K": np.array([[1.0, -1.0], [-1.0, 1.0]]) / h}
     e = np.arange(contour.n_elements)
-    out = {key: np.zeros((contour.n_nodes,) * 2) for key in local}
+    nxt = (e + 1) % contour.n_nodes
+    out = {}
     for key, blk in local.items():
-        _add_blocks(out[key], contour, e, e, blk)
+        band = out[key] = np.zeros((contour.n_nodes, 3))
+        band[e, 1:] = blk[:, 0]
+        band[nxt, 0] = blk[:, 1, 0]
+        band[nxt, 1] += blk[:, 1, 1]
+    return out
+
+
+def _dense(contour, band):
+    """The n x n matrix, by node label, of a chain band: the layout of the
+    explicit auxiliary rows of :func:`build_full_system` alone.  Entries
+    are added, not assigned: on a one-element open chain a wrapped zero
+    shares its position with a band entry."""
+    chain = _chain_nodes(contour)
+    out = np.zeros((chain.size,) * 2)
+    np.add.at(out, (chain[:, None], chain[_band_columns(chain.size)]), band)
     return out
 
 
@@ -596,14 +641,17 @@ def assemble_blocks(contour, k0) -> dict:
 
     One kernel pass and one elimination of the auxiliary fields serve
     every boundary-condition order, polarization, and incidence angle at
-    this (contour, k0): B, BS, Q, I1, D, K and the couplings G, G2 of
-    :func:`_eliminated_blocks`.  G and G2 are column-major like the
-    reduced matrix they are added into; B and B - S are exactly symmetric,
-    so they read column-major through their transpose.
+    this (contour, k0): B, BS, Q, the chain bands I1, D, K of
+    :func:`assemble_mass_and_d` with ``chain``, the node labels of their
+    rows, and the couplings G, G2 of :func:`_eliminated_blocks`.  G and G2
+    are column-major like the reduced matrix they are added into; B and
+    B - S are exactly symmetric, so they read column-major through their
+    transpose.  The n x n arrays are B, B - S, Q (complex) and G, G2
+    (real): 4 n^2 x 16 B.
     """
     t0 = time.perf_counter()
     blocks = _helmholtz_blocks(contour, k0)
-    blocks.update(assemble_mass_and_d(contour))
+    blocks.update(assemble_mass_and_d(contour), chain=_chain_nodes(contour))
     blocks["G"], blocks["G2"] = _eliminated_blocks(contour, blocks)
     log.info("assembled blocks: %d elements, k0 %g, %.2fs",
              contour.n_elements, k0, time.perf_counter() - t0)
@@ -658,10 +706,11 @@ def _jm_table(te, c, order):
 def _compose(views, blocks, table):
     """Write the terms of ``table`` (:func:`_jm_table`) into the four
     complex quadrant views, with no complex n^2 temporary: the first term
-    of a quadrant goes in through ``out=``, I1's on its nonzeros only (at
-    most three per row), and a real coupling in one real pass into each
-    part."""
-    r, c = np.nonzero(blocks["I1"])
+    of a quadrant goes in through ``out=``, I1's on its 3n band entries
+    only, and a real coupling in one real pass into each part.  The band
+    entries past the ends of an open chain add zeros to pinned rows."""
+    chain = blocks["chain"]
+    r, c = chain[:, None], chain[_band_columns(chain.size)]
     for v, ((key, tr, op, scalar), *added) in zip(views, table):
         m = blocks[key].T if tr else blocks[key]
         if scalar is None:
@@ -670,7 +719,7 @@ def _compose(views, blocks, table):
             op(m, scalar, out=v)
         for key, _, op, scalar in added:
             if key == "I1":
-                v[r, c] += op(blocks[key][r, c], scalar)
+                v[r, c] += op(blocks[key], scalar)
             else:
                 re, im = v.real, v.imag
                 re += scalar.real * blocks[key]
@@ -689,7 +738,7 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
     t0 = time.perf_counter()
-    i1, d, kst = blocks["I1"], blocks["D"], blocks["K"]
+    i1, d, kst = (_dense(contour, blocks[key]) for key in ("I1", "D", "K"))
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
 
@@ -764,35 +813,18 @@ def reduce_system(system: AssembledSystem) -> AssembledSystem:
 # banded elimination of the auxiliary fields
 # --------------------------------------------------------------------------
 
-def _chain_nodes(contour):
-    """Node labels in chain order (elements are stored in chain order)."""
-    el = contour.elements
-    return el[:, 0] if contour.closed else np.append(el[:, 0], el[-1, 1])
-
-
-def _chain_band(contour, mat, offsets):
-    """Row-sparse gather of a local operator in chain order.
-
-    Row r is the r-th node along the chain; its entries are taken at chain
-    positions r + offsets, wrapping on a closed contour and dropped (zero)
-    past the ends of an open one.  Returns the (nodes, len(offsets)) values.
-    """
-    chain = _chain_nodes(contour)
-    r = np.arange(chain.size)[:, None] + np.asarray(offsets)
-    valid = contour.closed | ((r >= 0) & (r < chain.size))
-    return np.where(valid, mat[chain[:, None], chain[r % chain.size]], 0.0)
-
-
-def _band_dot(vals, offsets, x):
-    """Row-sparse times dense, O(rows x columns): row r of the product is
-    sum_j vals[r, j] x[r + offsets[j]], positions wrapping as in
-    :func:`_chain_band`.  Shifted slices keep the memory order of x."""
+def _band_dot(vals, x):
+    """A chain band times dense, O(rows x columns): row r of the product is
+    sum_j vals[r, j] x[r + BAND[j]], positions wrapping mod the length of
+    x.  x is a vector or a matrix; shifted slices keep its memory order,
+    and the product takes its dtype."""
     rows, n = vals.shape[0], x.shape[0]
-    out = np.zeros((rows,) + x.shape[1:],
+    out = np.zeros((rows,) + x.shape[1:], dtype=np.result_type(vals, x),
                    order="F" if x.flags.f_contiguous else "C")
-    for j, o in enumerate(offsets):
+    cols = vals.reshape(vals.shape + (1,) * (x.ndim - 1))
+    for j, o in enumerate(BAND):
         lo, hi = max(0, -o), min(rows, n - o)
-        out[lo:hi] += vals[lo:hi, j, None] * x[lo + o:hi + o]
+        out[lo:hi] += cols[lo:hi, j] * x[lo + o:hi + o]
         for r in (*range(lo), *range(hi, rows)):     # wrapped positions
             out[r] += vals[r, j] * x[(r + o) % n]
     return out
@@ -848,26 +880,24 @@ def _eliminated_blocks(contour, blocks):
         out[chain] = g
         return out
 
-    off = (-1, 0, 1)
     n = chain.size
-    pos = (np.arange(n)[:, None] + off) % n
+    pos = _band_columns(n)
     free = np.ones(n, dtype=bool)
     free[list(_constrained_indices(contour, (n,)))] = False
     free = free[chain]
-    mass = _chain_band(contour, blocks["I1"], off)
-    mass *= free[:, None] & free[pos]
+    mass = blocks["I1"] * (free[:, None] & free[pos])
     mass[~free, 1] = 1.0
     # D with its pinned auxiliary rows zeroed, node-label columns, laid
     # out column-major for the banded solve
-    d = _chain_band(contour, blocks["D"], off)
+    d = blocks["D"]
     w = np.zeros((n, n), order="F")
     w[np.arange(n)[:, None], chain[pos]] = d * free[:, None]
-    g = _band_dot(d, off, _solve_tridiagonal(mass, w, contour.closed))
+    g = _band_dot(d, _solve_tridiagonal(mass, w, contour.closed))
     del w           # not alive while G2 is formed
     g_lab = label_rows(g)
     g[~free] = 0.0
     w2 = _solve_tridiagonal(mass, g, contour.closed)
-    g2 = _band_dot(_chain_band(contour, blocks["K"], off), off, w2)
+    g2 = _band_dot(blocks["K"], w2)
     return g_lab, label_rows(g2)
 
 
@@ -936,10 +966,16 @@ def _jm_matvec(system, x):
     xs = x.copy()
     xs[pins] = 0.0
     y = np.zeros_like(xs)
+    chain = system.blocks["chain"]
     for k, terms in enumerate(table):
         row, col = divmod(k, 2)
+        part = xs[col * n1:(col + 1) * n1]
         for key, tr, op, scalar in terms:
-            p = _blas_mv(system.blocks[key], xs[col * n1:(col + 1) * n1], tr)
+            if key == "I1":         # a chain band, in chain order
+                p = np.empty_like(part)
+                p[chain] = _band_dot(system.blocks[key], part[chain])
+            else:
+                p = _blas_mv(system.blocks[key], part, tr)
             y[row * n1:(row + 1) * n1] += (op(p) if scalar is None
                                            else op(p, scalar))
     y[pins] = x[pins]

@@ -275,7 +275,7 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
     colloc = ibc_cfg.get("collocation_angles")
     if colloc is not None:
         grid = _as_grid(colloc, "ibc.collocation_angles", bad)
-        colloc = tuple(grid) if grid is not None else None
+        colloc = tuple(grid.tolist()) if grid is not None else None
     need = 2 * ORDERS.index(order)          # IBC0 fits no angles
     if colloc and need and len(colloc) != need:
         bad.append(("ibc.collocation_angles",

@@ -18,6 +18,7 @@ from scipy.linalg import blas
 from hoibc2d.assembly import (
     IncidentWave,
     _adjacent_moments,
+    _dense,
     _distant_pairs,
     _eliminated_blocks,
     _helmholtz_blocks,
@@ -479,8 +480,9 @@ def test_kernel_pass_memory_budget():
 # --- mass and derivative matrices -------------------------------------------
 
 def test_mass_and_d_p1(circle32):
-    m = assemble_mass_and_d(circle32)
-    assert sorted(m) == ["D", "I1", "K"]
+    bands = assemble_mass_and_d(circle32)
+    assert sorted(bands) == ["D", "I1", "K"]
+    m = {key: _dense(circle32, band) for key, band in bands.items()}
     h = circle32.lengths[0]
     # row sums of the P1 mass are the nodal patch half-lengths = h here
     assert np.allclose(m["I1"].sum(axis=1), h, rtol=1e-13)
@@ -531,7 +533,72 @@ def test_local_operators_on_nonuniform_mesh(kind):
             ref["K"][i, j] += h * np.sum(w) * dphi[a] * dphi[b]
     got = assemble_mass_and_d(c)
     for key, want in ref.items():
-        assert np.max(np.abs(got[key] - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(got[key] - _chain_gather(c, want))) \
+            <= 1e-14 * np.max(np.abs(want))
+
+
+def _chain_gather(c, mat):
+    """The (nodes, 3) chain band of the n x n ``mat``: row r holds the
+    entries of the r-th node along the chain at chain positions r - 1, r,
+    r + 1, wrapping on a closed contour and 0 past the ends of an open
+    one."""
+    el = c.elements
+    chain = el[:, 0] if c.closed else np.append(el[:, 0], el[-1, 1])
+    r = np.arange(chain.size)[:, None] + np.array([-1, 0, 1])
+    valid = c.closed | ((r >= 0) & (r < chain.size))
+    return np.where(valid, mat[chain[:, None], chain[r % chain.size]], 0.0)
+
+
+def _scattered_local_operators(c):
+    """Dense I1, D and K by node label, from the element blocks of
+    assemble_mass_and_d scattered one element at a time."""
+    out = {key: np.zeros((c.n_nodes,) * 2) for key in ("I1", "D", "K")}
+    for h, nodes in zip(c.lengths, c.elements):
+        local = {"I1": h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0,
+                 "D": np.array([[-0.5, 0.5], [-0.5, 0.5]]),
+                 "K": np.array([[1.0, -1.0], [-1.0, 1.0]]) / h}
+        for key, m in local.items():
+            out[key][np.ix_(nodes, nodes)] += m
+    return out
+
+
+BAND_MESHES = {"circle32": lambda: mesh_circle(1.0, 32),
+               "plate40": lambda: mesh_plate(2.0, 40),
+               "relabelled-plate": lambda: _relabelled(mesh_plate(2.0, 40))[0]}
+
+
+@pytest.mark.parametrize("mesh", sorted(BAND_MESHES))
+def test_bands_equal_chain_gather_of_dense_scatter(mesh):
+    """Each band of I1, D and K is bit for bit the chain-order gather of a
+    dense element scatter, node labels in or out of chain order, and the
+    full system's dense operator (_dense) is that scatter bit for bit."""
+    c = BAND_MESHES[mesh]()
+    bands = assemble_mass_and_d(c)
+    for key, want in _scattered_local_operators(c).items():
+        assert bands[key].shape == (c.n_nodes, 3), key
+        assert np.array_equal(bands[key], _chain_gather(c, want)), key
+        assert np.array_equal(_dense(c, bands[key]), want), key
+
+
+def test_stored_blocks_size():
+    """assemble_blocks holds n x n arrays for B, B - S, Q (complex) and
+    G, G2 (real) only, 4 n^2 x 16 B, and I1, D and K as (n, 3) bands: within
+    4.05 n^2 x 16 B at n = 512 nodes.  No dense I1, D or K is made on the
+    way either, so the elimination peaks within 5.1 (B, B - S, Q, G and
+    three real n^2 work arrays)."""
+    c = mesh_circle(1.1, 512)
+    tracemalloc.start()
+    try:
+        blocks = assemble_blocks(c, K0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = c.n_nodes**2 * 16
+    held = sum(v.nbytes for v in blocks.values())
+    assert held <= 4.05 * unit, held / unit
+    assert peak <= 5.1 * unit, peak / unit
+    for key in ("I1", "D", "K"):
+        assert blocks[key].shape == (c.n_nodes, 3), key
 
 
 # --- right-hand sides --------------------------------------------------------
@@ -632,7 +699,7 @@ def test_auxiliary_row_identities(circle32, circle32_blocks):
     w = IncidentWave(pol="TE", k0=K0, phi_inc=0.4)
     sys1 = build_full_system(circle32, TE1, w, blocks=circle32_blocks)
     j, m, x, y = _full_solution(sys1)
-    i1, d = circle32_blocks["I1"], circle32_blocks["D"]
+    i1, d = (_dense(circle32, circle32_blocks[key]) for key in ("I1", "D"))
     x_ref = np.linalg.solve(i1, d @ j)
     y_ref = np.linalg.solve(i1, d @ m)
     scale = max(np.max(np.abs(x_ref)), np.max(np.abs(y_ref)))
@@ -696,7 +763,7 @@ def _composed_by_copies(c, coeffs, wave, blocks, pins):
     sc = _scaled_coefficients(coeffs, wave.k0)
     a0, n1 = sc["a0"], c.n_nodes
     te = wave.pol == "TE"
-    bs, b, i1 = blocks["BS"], blocks["B"], blocks["I1"]
+    bs, b, i1 = blocks["BS"], blocks["B"], _dense(c, blocks["I1"])
     q = blocks["Q"].astype(complex)
     if te:
         parts = Z0 * bs + 0.5 * a0 * i1, q, -q.T, b / Z0 + i1 / (2.0 * a0)

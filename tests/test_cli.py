@@ -180,6 +180,16 @@ def test_unusable_config_exits_2_without_output(tmp_path, field, override):
     assert not out.exists()
 
 
+def test_collocation_angles_message_prints_plain_floats():
+    raw = json.loads(json.dumps(CYLINDER))
+    raw["ibc"] = {"order": 1, "fit_method": "collocation",
+                  "collocation_angles": [30, 90]}
+    with pytest.raises(ValidationError) as err:
+        parse_config(raw)
+    assert "got [30.0, 90.0]" in str(err.value)
+    assert "np." not in str(err.value)
+
+
 # --- oracle ------------------------------------------------------------------
 
 def test_oracle_matches_library(tmp_path):
