@@ -223,13 +223,19 @@ def scattered_field(currents, contour, wave, points, n_gl=8):
     return out
 
 
+def _echo_width_db(values, amp=1.0):
+    """10 log10 of the echo width 2 pi |F|^2 / |u_inc|^2 of the far-field
+    values F under an incident amplitude ``amp``, floored at DB_FLOOR."""
+    lin = 2.0 * np.pi * np.abs(values) ** 2 / amp**2
+    return 10.0 * np.log10(np.maximum(lin, DB_FLOOR))
+
+
 def echo_width(pattern):
     """Echo width sigma(phi) = 2 pi |F|^2 / |u_inc|^2 in dB(m)."""
     amp = abs(pattern.incident_amplitude)
     if amp == 0.0:
         raise UsageError("incident amplitude is zero; echo width undefined")
-    lin = 2.0 * np.pi * np.abs(pattern.values) ** 2 / amp**2
-    db = 10.0 * np.log10(np.maximum(lin, DB_FLOOR))
+    db = _echo_width_db(pattern.values, amp)
     meta = dict(pattern.meta)
     meta.setdefault("pol", pattern.pol)
     meta.setdefault("k0", pattern.k0)
@@ -489,8 +495,7 @@ def _sweep_angles(contour, coeffs, angles_deg, k0):
         f = _reciprocal_amplitude(contour, coeffs.pol, k0, rhs,
                                   solve(fac, rhs))
         del rhs         # not alive while the next chunk assembles its own
-        out[lo:lo + len(phis)] = 10.0 * np.log10(
-            np.maximum(2.0 * np.pi * np.abs(f) ** 2, DB_FLOOR))
+        out[lo:lo + len(phis)] = _echo_width_db(f)
     return out
 
 

@@ -30,16 +30,15 @@ SQ block of (f, e) comes from the same points with the normal of f.
 
 Distant pairs are evaluated once per congruence class.  A pair's key is
 h_e and the two endpoints of f in e's frame (origin at e's start, x axis
-along tau_e), rounded on a grid of KEY_GRID = 1e-12 times the contour's
-extent, plus its Gauss order; every moment of the pair is a function of
-its key.  Congruent pairs (e, f), (e + 1, f + 1), ... follow one another
-down a diagonal f - e, so a class is a run of equal keys there, found in
-O(pairs) without a sort, and the first pair of each run is evaluated for
-the whole run.  The pass takes the pairs in bands of whole diagonals, so
-every run starts and ends inside one band.  The uniform meshes of
-mesh_circle and mesh_plate have O(n) runs; a mesh with no congruent pairs
-has one run per pair.  Self elements (one short 1D rule each) and
-shared-vertex pairs (see _helmholtz_blocks) are evaluated one by one.
+along tau_e); with its Gauss order, every moment of the pair is a function
+of its key.  Congruent pairs (e, f), (e + 1, f + 1), ... follow one another
+in the diagonal-major listing of the pairs (f - e, then e ascending), so a
+class is a run there of pairs whose keys lie within KEY_TOL times their
+own size of the run's first pair, which is evaluated for the whole run.
+The uniform meshes of mesh_circle and mesh_plate have O(n) runs; a mesh
+with no congruent pairs has one run per pair.  Self elements (one short
+1D rule each) and shared-vertex pairs (see _helmholtz_blocks) are
+evaluated one by one.
 One local formulation turns each pair's moments into its B, B - S and Q
 blocks, and one scatter adds block slot (a, b) of pair (e, f) to nodal
 entry (node(e, a), node(f, b)) of each kernel matrix.
@@ -61,6 +60,7 @@ banded times dense, and I1's a0 terms take O(n) band entries.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -186,12 +186,10 @@ def _split_kernels(k, r):
 # routine per pair class
 # --------------------------------------------------------------------------
 
-# kernel points evaluated per chunk of distant pairs, and distant pairs
-# keyed and scattered per block (both bound memory)
-KERNEL_POINTS_PER_CHUNK = 2**17
-PAIRS_PER_BLOCK = 2**13
-# grid of the pair keys, relative to the contour's extent
-KEY_GRID = 1e-12
+# distant pairs keyed, evaluated and scattered per slice (bounds memory),
+# and the tolerance of a run's keys, relative to each pair's own key size
+PAIRS_PER_SLICE = 2**12
+KEY_TOL = 1e-12
 
 # Gauss-Legendre order of a distant pair, by the band of k0 * max(h_e, h_f)
 # (rows: <= 0.25, <= 1, above) and of the clearance (|m_e - m_f| - (h_e +
@@ -301,17 +299,19 @@ def _pair_moments(contour, k0, e, f, n_gl):
     return mom[0], mom[1], mom[2].transpose(0, 2, 1)
 
 
-def _distant_pairs(contour, k0, lo=2, hi=None):
-    """(e, f, n_gl): the pairs e < f that share no node whose diagonal
-    f - e lies in lo:hi, lo >= 2 (all of them by default), row by row (e,
-    then f ascending), each with the Gauss-Legendre order that
-    DISTANT_ORDERS gives it."""
+def _distant_pairs(contour, k0, lo=0, hi=None):
+    """(e, f, n_gl): slice lo:hi (all by default) of the listing of the
+    pairs e < f that share no node, diagonal by diagonal (f - e from 2 up,
+    e ascending within a diagonal, so that (e + 1, f + 1) follows (e, f)),
+    each with the Gauss-Legendre order that DISTANT_ORDERS gives it."""
     n, h = contour.n_elements, contour.lengths
-    rows = np.arange(n)[:, None]
-    f = rows + np.arange(lo, n if hi is None else min(hi, n))
-    # on a closed contour 0 and n - 1 adjoin
-    e, j = np.nonzero(f < n - (contour.closed & (rows == 0)))
-    f = f[e, j]
+    # on a closed contour the one pair of diagonal n - 1, (0, n - 1), adjoins
+    diag = np.arange(2, n - contour.closed)
+    start = np.concatenate([[0], np.cumsum(n - diag)])
+    k = np.arange(lo, start[-1] if hi is None else min(hi, start[-1]))
+    j = np.searchsorted(start, k, side="right") - 1
+    e = k - start[j]
+    f = e + diag[j]
     hmax = np.maximum(h[e], h[f])
     mid = contour.midpoints()
     gap = np.hypot(*(mid[f] - mid[e]).T) - 0.5 * (h[e] + h[f])
@@ -320,24 +320,19 @@ def _distant_pairs(contour, k0, lo=2, hi=None):
     return e, f, n_gl
 
 
-def _pair_keys(contour, e, f, tag):
-    """(6, P) keys of the pairs (e, f): h_e and the two endpoints of f in
-    e's frame (origin at e's start, x axis along tau_e), rounded on a grid
-    of KEY_GRID times the contour's extent, then the integer ``tag``.
-    Pairs with one key are congruent: every moment of a pair, tau_e .
-    tau_f, h_f and its Gauss order are functions of its key (the normal
-    sign is one per contour)."""
+def _pair_keys(contour, e, f):
+    """(5, P) keys of the pairs (e, f): h_e and the two endpoints of f in
+    e's frame (origin at e's start, x axis along tau_e).  Pairs with one
+    key are congruent: every moment of a pair, tau_e . tau_f and h_f are
+    functions of its key (the normal sign is one per contour)."""
     x, y = contour.nodes[contour.elements].T                # (2, n0) each
     tx, ty = (t[e] for t in contour.tangents.T)
-    key = np.empty((6, e.size))
+    key = np.empty((5, e.size))
     key[0] = contour.lengths[e]
     for k in range(2):
         dx, dy = x[k][f] - x[0][e], y[k][f] - y[0][e]
         key[1 + k] = dx * tx + dy * ty
         key[3 + k] = dy * tx - dx * ty
-    grid = KEY_GRID * np.ptp(contour.nodes, axis=0).max()
-    np.rint(key[:5] / grid, out=key[:5])
-    key[5] = tag
     return key
 
 
@@ -383,38 +378,42 @@ def _node_sum(contour, x):
 def _helmholtz_blocks(contour, k0):
     """One pass over all element pairs; returns the nodal B, BS and Q.
 
-    The distant pairs go in bands of whole diagonals f - e, laid out by
-    row e and diagonal, so that (e + 1, f + 1) sits under (e, f) and every
-    diagonal starts under a row of NaN keys.  A run of equal keys
-    (:func:`_pair_keys`) down a diagonal is a class of congruent pairs,
-    evaluated once at its first pair and scattered to every pair of the
-    run; a run never leaves its band, so no block depends on another.
+    The distant pairs go in slices of PAIRS_PER_SLICE pairs of their
+    listing (:func:`_distant_pairs`).  A run of one diagonal and one Gauss
+    order lasts while its pairs' keys (:func:`_pair_keys`) lie within
+    KEY_TOL times their own size (max |key component|) of its first pair's;
+    that pair is evaluated for the whole run.  No run leaves its slice.
     """
     _check_resolution(contour, k0)
     mats = {key: np.zeros((contour.n_nodes,) * 2, dtype=complex)
             for key in ("B", "BS", "Q")}
     n = contour.n_elements
-    width = max(1, min(PAIRS_PER_BLOCK // n, n - 2))
-    for lo in range(2, n, width):
-        e, f, n_gl = _distant_pairs(contour, k0, lo, lo + width)
-        j = f - e - lo
-        key = np.full((6, n + 1, width), np.nan)
-        key[:, e + 1, j] = _pair_keys(contour, e, f, n_gl)
-        new = np.any(key[:, 1:] != key[:, :-1], axis=0)
-        first = np.flatnonzero(new[e, j])
-        # the moments of each run's first pair
+    for lo in itertools.count(0, PAIRS_PER_SLICE):
+        e, f, n_gl = _distant_pairs(contour, k0, lo, lo + PAIRS_PER_SLICE)
+        if not e.size:
+            break
+        key = _pair_keys(contour, e, f)
+        tol = KEY_TOL * np.abs(key).max(axis=0)
+        # a pair further than both tolerances from the pair before it
+        # cannot share that pair's first
+        new = np.ones(e.size, dtype=bool)
+        new[1:] = ((np.abs(np.diff(key)).max(axis=0) > tol[1:] + tol[:-1])
+                   | (np.diff(f - e) != 0) | (np.diff(n_gl) != 0))
+        while True:
+            first = np.flatnonzero(new)
+            run = np.cumsum(new) - 1
+            far = np.flatnonzero(
+                np.abs(key - key[:, first[run]]).max(axis=0) > tol)
+            if not far.size:
+                break
+            # each run's first far pair starts a new run
+            new[far[np.diff(run[far], prepend=-1) != 0]] = True
         table = np.empty((3, first.size, 2, 2), dtype=complex)
         for order in np.unique(n_gl[first]):
             pick = np.flatnonzero(n_gl[first] == order)
-            chunks = 1 + pick.size * order**2 // KERNEL_POINTS_PER_CHUNK
-            for part in np.array_split(pick, chunks):
-                rep = first[part]
-                table[:, part] = _pair_moments(contour, k0, e[rep], f[rep],
-                                               order)
-        head = np.full((n, width), -1)
-        head[e[first], j[first]] = np.arange(first.size)
-        head = np.maximum.accumulate(head, axis=0)[e, j]
-        _add_pair_blocks(mats, contour, k0, e, f, *table[:, head])
+            table[:, pick] = _pair_moments(contour, k0, e[first[pick]],
+                                           f[first[pick]], order)
+        _add_pair_blocks(mats, contour, k0, e, f, *table[:, run])
     # the shared-vertex pairs (e, e + 1 mod n) go in once, like the distant
     # pairs e < f, with Q's (f, e) blocks from the partner normal; they are
     # evaluated one by one: their SQ is about proportional to the turning
@@ -590,8 +589,6 @@ def _scaled_coefficients(coeffs, k0):
     shorted lossless layer must look inductive, Z = i|Z|, or the solver
     would model an absorbing sheet instead of a reactive one.
     """
-    if coeffs.convention != "xi":
-        raise UsageError("coefficients must use the xi convention")
     k2 = k0 * k0
     return {
         "a0": 1j * complex(coeffs.a0),

@@ -101,15 +101,12 @@ class IbcCoefficients:
     b: complex = 0j
     ap: complex = 0j
     bp: complex = 0j
-    convention: str = "xi"
     coating: CoatingSpec | None = None
 
     def __post_init__(self):
         if self.order not in ORDERS:
             raise UsageError(f"order must be one of {ORDERS}, got {self.order!r}")
         _check_pol(self.pol)
-        if self.convention != "xi":
-            raise UsageError(f"only the 'xi' convention is supported, got {self.convention!r}")
         for name in ("a0", "a", "b", "ap", "bp"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         if self.a0 == 0:

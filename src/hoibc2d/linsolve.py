@@ -2,19 +2,19 @@
 1-norm reciprocal-condition estimate.
 
 The systems assembled upstream are dense; one dense LU is the whole
-strategy, and memory bounds the size.  Per n^2 x 16 B, n nodes (tracemalloc
-on circles, n = 512 and 1024): the kernel pass peaks at 4 plus fixed
-buffers, ~15 MB for a chunk of kernel points and 3.5-5.5 MB for a band of
-pairs; with the one elimination of the auxiliary fields (peak 5.0) the
-blocks keep 4.0 (B, B - S, Q and the real couplings G, G2; I1, D and K
-are (n, 3) bands).  Composing the reduced 2n system adds only A, 4 (and
-from IBC1 one real product, 0.5, while it composes).  A is column-major,
-so its LU takes its place (``overwrite_a``) and adds nothing, and the
-residual reads the blocks, not A: a solve peaks while it composes, at
-8.5 (8.0 at IBC0), 143 MB at n = 1024.  Far fields and angle sweeps add a block of
-O(elements x SWEEP_CHUNK), independent of the angle count.  The
-factorization object is immutable and may be shared across threads; each
-solve runs independent substitution passes.
+strategy, and memory bounds the size.  Per n^2 x 16 B, n nodes
+(tracemalloc on circles, n = 512 and 1024): the kernel pass peaks at 4
+plus fixed buffers, up to ~11 MB for a slice of pairs (a jittered circle,
+with no congruent pairs); with the one elimination of the auxiliary fields
+(peak 5.0) the blocks keep 4.0 (B, B - S, Q and the real couplings G, G2;
+I1, D and K are (n, 3) bands).  Composing the reduced 2n system adds only
+A, 4 (and from IBC1 one real product, 0.5, while it composes).  A is
+column-major, so its LU takes its place (``overwrite_a``) and adds
+nothing, and the residual reads the blocks, not A: a solve peaks while it
+composes, at 8.5 (8.0 at IBC0), 143 MB at n = 1024.  Far fields and angle
+sweeps add a block of O(elements x SWEEP_CHUNK), independent of the angle
+count.  The factorization object is immutable and may be shared across
+threads; each solve runs independent substitution passes.
 
 Threaded BLAS goes through ``scipy.linalg`` alone.  numpy and scipy each
 bundle an OpenBLAS with its own thread pool (numpy's 0.3.31 and scipy's

@@ -285,11 +285,13 @@ def test_distant_order_table_error(kh):
     for c in (mesh_circle(1.0, 64), mesh_plate(1.0, 64)):
         n = c.n_elements
         k0 = kh / c.lengths.max()
-        e, f = np.triu_indices(n, 2)
+        e, f, got = _distant_moments(c, k0)
         sep = np.minimum(f - e, n - f + e) if c.closed else f - e
-        e, f, sep = e[sep >= 2], f[sep >= 2], sep[sep >= 2]
-        pe, pf, got = _distant_moments(c, k0)
-        assert np.array_equal(pe, e) and np.array_equal(pf, f)
+        # every pair e < f that shares no node, once
+        want = set(zip(*np.triu_indices(n, 2)))
+        if c.closed:
+            want.remove((0, n - 1))
+        assert len(e) == len(want) and set(zip(e, f)) == want
         ref = np.array(_pair_moments(c, k0, e, f, 12))
         worst = np.abs(_pair_moments(c, k0, e, f, 6) - ref)[:, sep == 2]
         err = np.abs(got - ref)
@@ -381,41 +383,42 @@ INCIDENCE_MESHES = {
 @pytest.mark.parametrize("width", [1, 3, 64])
 @pytest.mark.parametrize("mesh", sorted(INCIDENCE_MESHES))
 def test_distant_pairs_by_band(mesh, width):
-    """Consecutive bands of ``width`` diagonals (64 holds every diagonal)
-    list every pair e < f with f - e >= 2 once, never the adjoining pair
-    (0, n - 1) of a closed contour, row by row within each band, and each
-    at the Gauss order of the whole listing."""
+    """Consecutive slices of ``width`` pairs of the listing list every pair
+    e < f with f - e >= 2 once, never the adjoining pair (0, n - 1) of a
+    closed contour, in diagonal-major order (f - e, then e ascending), and
+    each at the Gauss order of the whole listing; a slice past the end is
+    empty."""
     c = INCIDENCE_MESHES[mesh]()
     n = c.n_elements
     e0, f0, n_gl0 = _distant_pairs(c, K0)
     order = dict(zip(zip(e0.tolist(), f0.tolist()), n_gl0.tolist()))
     seen = []
-    for lo in range(2, n, width):
+    for lo in range(0, e0.size + width, width):
         e, f, n_gl = _distant_pairs(c, K0, lo, lo + width)
-        assert np.all((f - e >= lo) & (f - e < lo + width))
-        assert np.array_equal(np.lexsort((f, e)), np.arange(e.size))
+        assert e.size == min(width, max(0, e0.size - lo))
         pairs = list(zip(e.tolist(), f.tolist()))
         assert n_gl.tolist() == [order[p] for p in pairs]
         seen += pairs
-    want = {(a, b) for a in range(n) for b in range(a + 2, n)}
+    want = sorted(((a, b) for a in range(n) for b in range(a + 2, n)),
+                  key=lambda p: (p[1] - p[0], p[0]))
     if c.closed:
         want.remove((0, n - 1))
-    assert len(seen) == len(set(seen)) and set(seen) == want
-    assert list(order) == sorted(want)
+    assert seen == want and list(order) == want
 
 
-@pytest.mark.parametrize("chunk", [None, 64], ids=["one-chunk", "chunk64"])
+@pytest.mark.parametrize("per_slice", [None, 64],
+                         ids=["one-chunk", "chunk64"])
 @pytest.mark.parametrize("mesh", sorted(INCIDENCE_MESHES))
-def test_nodal_assembly_equals_incidence_product(mesh, chunk, monkeypatch):
+def test_nodal_assembly_equals_incidence_product(mesh, per_slice,
+                                                 monkeypatch):
     """The nodal B, B - S and Q against S A S^T, with A the broken
     (element, local node) matrices built here from the raw moments of every
-    pair class and S the dense node incidence.  Chunks of 64 kernel points
-    and blocks of 64 pairs (bands of one or two diagonals each) split the
-    distant pass into many writes of one to four pairs, and every run of
-    congruent pairs starts and ends inside its band."""
-    if chunk is not None:
-        monkeypatch.setattr("hoibc2d.assembly.KERNEL_POINTS_PER_CHUNK", chunk)
-        monkeypatch.setattr("hoibc2d.assembly.PAIRS_PER_BLOCK", chunk)
+    pair class and S the dense node incidence.  One slice holds every
+    distant pair of these meshes; slices of 64 pairs split the pass into
+    many, and each run of congruent pairs that crosses a slice boundary
+    into one run per slice."""
+    if per_slice is not None:
+        monkeypatch.setattr("hoibc2d.assembly.PAIRS_PER_SLICE", per_slice)
     c = INCIDENCE_MESHES[mesh]()
     got = _helmholtz_blocks(c, K0)
     for key, want in _per_pair_blocks(c, K0).items():
@@ -434,16 +437,9 @@ CLASS_MESHES = {
 }
 
 
-@pytest.mark.parametrize("mesh", sorted(CLASS_MESHES))
-def test_classed_pass_equals_per_pair_reference(mesh, monkeypatch):
-    """One evaluation per run of congruent pairs against every pair
-    evaluated on its own: within 1e-12 of the largest entry, and within
-    1e-15 on a jittered circle, where no two pairs merge.  On the regular
-    meshes the pass evaluates at most 4 n distant pairs.  B and B - S are
-    exactly symmetric on every mesh."""
-    build, k0, bound = CLASS_MESHES[mesh]
-    c = build()
-    want = _per_pair_blocks(c, k0)
+def _counted_pass(c, k0, monkeypatch):
+    """The kernel pass on ``c`` and the number of distant pairs it
+    evaluates with _pair_moments."""
     evaluated = []
 
     def counted(contour, k, e, f, n_gl):
@@ -451,22 +447,73 @@ def test_classed_pass_equals_per_pair_reference(mesh, monkeypatch):
         return _pair_moments(contour, k, e, f, n_gl)
 
     monkeypatch.setattr("hoibc2d.assembly._pair_moments", counted)
-    got = _helmholtz_blocks(c, k0)
-    for key in ("B", "BS", "Q"):
-        scale = max(np.max(np.abs(want[key])), np.finfo(float).tiny)
-        assert np.max(np.abs(got[key] - want[key])) <= bound * scale, key
+    return _helmholtz_blocks(c, k0), sum(evaluated)
+
+
+def _max_rel_error(got, want, keys):
+    return {key: np.max(np.abs(got[key] - want[key]))
+            / max(np.max(np.abs(want[key])), np.finfo(float).tiny)
+            for key in keys}
+
+
+@pytest.mark.parametrize("mesh", sorted(CLASS_MESHES))
+def test_classed_pass_equals_per_pair_reference(mesh, monkeypatch):
+    """One evaluation per run of congruent pairs (pairs whose keys lie
+    within KEY_TOL of the run's first pair) against every pair evaluated
+    on its own: within 1e-12 of the largest entry, and within 1e-15 on a
+    jittered circle, where no two pairs merge.  On the regular meshes the
+    pass evaluates at most 4 n distant pairs.  B and B - S are exactly
+    symmetric on every mesh."""
+    build, k0, bound = CLASS_MESHES[mesh]
+    c = build()
+    got, evaluated = _counted_pass(c, k0, monkeypatch)
+    for key, err in _max_rel_error(got, _per_pair_blocks(c, k0),
+                                   ("B", "BS", "Q")).items():
+        assert err <= bound, (key, err)
     for key in ("B", "BS"):
         assert np.array_equal(got[key], got[key].T), key
     if not mesh.startswith("jittered"):
-        assert sum(evaluated) <= 4 * c.n_elements, sum(evaluated)
+        assert evaluated <= 4 * c.n_elements, evaluated
+
+
+def test_circle1024_evaluates_at_most_4n_distant_pairs(monkeypatch):
+    """On a 1024-gon the rounding of the node coordinates stays far inside
+    KEY_TOL, so a run ends at a slice end, a diagonal's end or a change of
+    Gauss order: the pass evaluates at most 4 n of its 522,752 distant
+    pairs."""
+    c = mesh_circle(1.1, 1024)
+    assert _counted_pass(c, K0, monkeypatch)[1] <= 4 * c.n_elements
+
+
+def _graded_plate(n=400, length=3.0, growth=5e-13):
+    """An open plate of n elements whose lengths grow by the factor
+    1 + growth from each element to the next."""
+    h = (1.0 + growth) ** np.arange(n)
+    x = np.concatenate([[0.0], np.cumsum(h)]) * (length / h.sum())
+    nodes = np.column_stack([x - 0.5 * length, np.zeros(n + 1)])
+    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    return Contour(nodes=nodes, elements=elements, closed=False)
+
+
+def test_classed_pass_on_graded_plate():
+    """Down a diagonal of a 3 m plate graded by 5e-13 per element the keys
+    drift by about that much per pair, so a run ends where its pairs leave
+    KEY_TOL of its first pair: B and B - S stay within 1e-11 of the
+    per-pair reference, and exactly symmetric."""
+    c = _graded_plate()
+    got = _helmholtz_blocks(c, K0)
+    for key, err in _max_rel_error(got, _per_pair_blocks(c, K0),
+                                   ("B", "BS")).items():
+        assert err <= 1e-11, (key, err)
+        assert np.array_equal(got[key], got[key].T), key
 
 
 def test_kernel_pass_memory_budget():
     """The kernel pass holds B, B - S, Q and one transpose: about
-    4 n^2 complex entries, plus fixed buffers for one block of pairs and
-    one chunk of kernel points.  N = 1024 is large enough for the n^2 part
-    to dominate; the jittered circle, where every pair is its own class,
-    is the worst case of the blocks."""
+    4 n^2 complex entries, plus fixed buffers for one slice of pairs.
+    N = 1024 is large enough for the n^2 part to dominate; the jittered
+    circle, where every pair is its own class, is the worst case of the
+    slices."""
     for c in (mesh_circle(1.1, 1024), _jittered_circle(1024)):
         tracemalloc.start()
         try:

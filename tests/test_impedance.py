@@ -473,8 +473,6 @@ def test_ibc_coefficients_invariants():
         imp.IbcCoefficients(order="IBC1", pol="TE", a0=0.0)
     with pytest.raises(UsageError):
         imp.IbcCoefficients(order="IBC5", pol="TE", a0=1.0)
-    with pytest.raises(UsageError):
-        imp.IbcCoefficients(order="IBC1", pol="TE", a0=1.0, convention="kx2")
 
 
 # -------------------------------------------------- property: collocation
