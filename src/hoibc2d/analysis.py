@@ -46,7 +46,6 @@ class FarFieldPattern:
     values: np.ndarray        # F at each angle
     k0: float
     pol: str
-    incident_amplitude: complex
     meta: dict = field(default_factory=dict)
 
 
@@ -154,7 +153,7 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
 
     Normalized so that the scattered scalar (H_z for TE, E_z for TM)
     behaves as F(phi) e^{-i k r} / sqrt(r); the echo width then is
-    2 pi |F|^2 / |amplitude|^2.  J and M are single (n,) currents.
+    2 pi |F|^2 for the unit incident wave.  J and M are single (n,) currents.
 
     By reciprocity (module notes) F at each angle is the right-hand side
     of the unit wave arriving from it, phi_inc = angle + 180 deg, dotted
@@ -177,8 +176,7 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
     meta = {"geometry": contour_hash(contour)}
     meta.update(currents.meta)
     return FarFieldPattern(angles=angles, values=values, k0=wave.k0,
-                           pol=wave.pol, incident_amplitude=wave.amplitude,
-                           meta=meta)
+                           pol=wave.pol, meta=meta)
 
 
 def _reciprocal_amplitude(contour, pol, k0, rhs, x):
@@ -223,19 +221,17 @@ def scattered_field(currents, contour, wave, points, n_gl=8):
     return out
 
 
-def _echo_width_db(values, amp=1.0):
-    """10 log10 of the echo width 2 pi |F|^2 / |u_inc|^2 of the far-field
-    values F under an incident amplitude ``amp``, floored at DB_FLOOR."""
-    lin = 2.0 * np.pi * np.abs(values) ** 2 / amp**2
+def _echo_width_db(values):
+    """10 log10 of the echo width 2 pi |F|^2 of the far-field values F of
+    a unit incident wave, floored at DB_FLOOR."""
+    lin = 2.0 * np.pi * np.abs(values) ** 2
     return 10.0 * np.log10(np.maximum(lin, DB_FLOOR))
 
 
 def echo_width(pattern):
-    """Echo width sigma(phi) = 2 pi |F|^2 / |u_inc|^2 in dB(m)."""
-    amp = abs(pattern.incident_amplitude)
-    if amp == 0.0:
-        raise UsageError("incident amplitude is zero; echo width undefined")
-    db = _echo_width_db(pattern.values, amp)
+    """Echo width sigma(phi) = 2 pi |F|^2 of a unit incident wave, in
+    dB(m)."""
+    db = _echo_width_db(pattern.values)
     meta = dict(pattern.meta)
     meta.setdefault("pol", pattern.pol)
     meta.setdefault("k0", pattern.k0)

@@ -43,9 +43,9 @@ One local formulation turns each pair's moments into its B, B - S and Q
 blocks, and one scatter adds block slot (a, b) of pair (e, f) to nodal
 entry (node(e, a), node(f, b)) of each kernel matrix.
 
-Taken in chain order (the order the elements link up, which need not be
-the node labelling) the local operators I1, D and K have at most three
-entries per row, so they are built and kept as (nodes, 3) chain bands,
+A node's index is its position along the chain, so the local operators
+I1, D and K have at most three entries per row, at the node and its two
+neighbours; they are built and kept as (nodes, 3) chain bands,
 LAPACK's banded storage (LAPACK Users' Guide, 3rd ed., SIAM 1999, 5.3.3)
 with cyclic corners on a closed contour; only the oracle
 build_full_system makes them dense.  The reduced system eliminates the
@@ -92,20 +92,18 @@ _N_AUX = {0: 0, 1: 2, 2: 4}
 
 @dataclass
 class IncidentWave:
-    """Plane wave of complex ``amplitude`` travelling along
+    """Plane wave of unit amplitude travelling along
     (cos phi_inc, sin phi_inc)."""
 
     pol: str
     k0: float
     phi_inc: float
-    amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if self.pol not in ("TE", "TM"):
             raise UsageError(f"polarization must be TE or TM, got {self.pol!r}")
         if not self.k0 > 0.0:
             raise UsageError("k0 must be positive")
-        self.amplitude = complex(self.amplitude)
 
 
 @dataclass
@@ -123,12 +121,11 @@ class AssembledSystem:
 
     ``blocks`` keeps the geometry-dependent matrices of
     :func:`assemble_blocks` (B, B - S, Q and the couplings G, G2 dense;
-    I1, D and K as chain bands, with the node labels of their rows in
-    ``chain``) so a single assembly can be reused across boundary-condition
-    orders and incidence angles; the J and M endpoint constraints are
-    applied to the composed systems, not to the stored blocks (only the
-    couplings G, G2 carry the pins of the auxiliary fields, which are the
-    same at every order).
+    I1, D and K as chain bands) so a single assembly can be reused across
+    boundary-condition orders and incidence angles; the J and M endpoint
+    constraints are applied to the composed systems, not to the stored
+    blocks (only the couplings G, G2 carry the pins of the auxiliary
+    fields, which are the same at every order).
     ``reduced_matrix`` is consumed by :func:`solve_currents`, which
     factors it in place and sets it to None; the residual it reports is
     computed from ``blocks`` and ``meta``.
@@ -439,27 +436,21 @@ def _helmholtz_blocks(contour, k0):
 # --------------------------------------------------------------------------
 
 # column offsets of a chain band: row r of a (nodes, 3) band holds the
-# entries of the r-th node along the chain at chain positions r - 1, r, r + 1
+# entries of node r at nodes r - 1, r, r + 1
 BAND = (-1, 0, 1)
 
 
-def _chain_nodes(contour):
-    """Node labels in chain order (elements are stored in chain order)."""
-    el = contour.elements
-    return el[:, 0] if contour.closed else np.append(el[:, 0], el[-1, 1])
-
-
 def _band_columns(n):
-    """(n, 3) chain positions of the entries of a chain band, wrapping mod
-    n; past the ends of an open chain the band holds zeros there."""
+    """(n, 3) nodes of the entries of a chain band, wrapping mod n; past
+    the ends of an open chain the band holds zeros there."""
     return (np.arange(n)[:, None] + BAND) % n
 
 
 def assemble_mass_and_d(contour):
     """The nodal P1 mass I1 = int phi_i phi_j, derivative coupling
     D = int phi_i d_l phi_j and stiffness K = int d_l phi_i d_l phi_j, as
-    (nodes, 3) chain bands (BAND).  Element r joins chain positions r and
-    r + 1, so with M_r its 2 x 2 element block row r holds M_{r-1}[1, 0],
+    (nodes, 3) chain bands (BAND).  Element r joins nodes r and r + 1, so
+    with M_r its 2 x 2 element block row r holds M_{r-1}[1, 0],
     M_{r-1}[1, 1] + M_r[0, 0] and M_r[0, 1], wrapping on a closed contour
     and zero past the ends of an open one.
 
@@ -482,14 +473,14 @@ def assemble_mass_and_d(contour):
     return out
 
 
-def _dense(contour, band):
-    """The n x n matrix, by node label, of a chain band: the layout of the
-    explicit auxiliary rows of :func:`build_full_system` alone.  Entries
-    are added, not assigned: on a one-element open chain a wrapped zero
-    shares its position with a band entry."""
-    chain = _chain_nodes(contour)
-    out = np.zeros((chain.size,) * 2)
-    np.add.at(out, (chain[:, None], chain[_band_columns(chain.size)]), band)
+def _dense(band):
+    """The n x n matrix of a chain band: the layout of the explicit
+    auxiliary rows of :func:`build_full_system` alone.  Entries are added,
+    not assigned: on a one-element open chain a wrapped zero shares its
+    position with a band entry."""
+    n = band.shape[0]
+    out = np.zeros((n, n))
+    np.add.at(out, (np.arange(n)[:, None], _band_columns(n)), band)
     return out
 
 
@@ -604,13 +595,12 @@ def _field_sizes(contour, order):
 
 
 def _constrained_indices(contour, sizes):
-    """Global DOF indices pinned to zero: in every field, the nodes at the
-    two ends of the chain of an open contour, whatever their labels."""
+    """Global DOF indices pinned to zero: in every field, the end nodes 0
+    and N - 1 of an open contour."""
+    n = contour.n_nodes
     if contour.closed:
         return ()
-    ends = (int(contour.elements[0, 0]), int(contour.elements[-1, 1]))
-    return tuple(off + i for off in range(0, sum(sizes), contour.n_nodes)
-                 for i in ends)
+    return tuple(off + i for off in range(0, sum(sizes), n) for i in (0, n - 1))
 
 
 def _apply_constraints(matrix, rhs, constrained):
@@ -639,16 +629,15 @@ def assemble_blocks(contour, k0) -> dict:
     One kernel pass and one elimination of the auxiliary fields serve
     every boundary-condition order, polarization, and incidence angle at
     this (contour, k0): B, BS, Q, the chain bands I1, D, K of
-    :func:`assemble_mass_and_d` with ``chain``, the node labels of their
-    rows, and the couplings G, G2 of :func:`_eliminated_blocks`.  G and G2
-    are column-major like the reduced matrix they are added into; B and
-    B - S are exactly symmetric, so they read column-major through their
-    transpose.  The n x n arrays are B, B - S, Q (complex) and G, G2
+    :func:`assemble_mass_and_d`, and the couplings G, G2 of
+    :func:`_eliminated_blocks`.  G and G2 are column-major like the
+    reduced matrix they are added into; B and B - S are exactly symmetric,
+    so they read column-major through their transpose.  The n x n arrays are B, B - S, Q (complex) and G, G2
     (real): 4 n^2 x 16 B.
     """
     t0 = time.perf_counter()
     blocks = _helmholtz_blocks(contour, k0)
-    blocks.update(assemble_mass_and_d(contour), chain=_chain_nodes(contour))
+    blocks.update(assemble_mass_and_d(contour))
     blocks["G"], blocks["G2"] = _eliminated_blocks(contour, blocks)
     log.info("assembled blocks: %d elements, k0 %g, %.2fs",
              contour.n_elements, k0, time.perf_counter() - t0)
@@ -706,8 +695,8 @@ def _compose(views, blocks, table):
     of a quadrant goes in through ``out=``, I1's on its 3n band entries
     only, and a real coupling in one real pass into each part.  The band
     entries past the ends of an open chain add zeros to pinned rows."""
-    chain = blocks["chain"]
-    r, c = chain[:, None], chain[_band_columns(chain.size)]
+    n = blocks["I1"].shape[0]
+    r, c = np.arange(n)[:, None], _band_columns(n)
     for v, ((key, tr, op, scalar), *added) in zip(views, table):
         m = blocks[key].T if tr else blocks[key]
         if scalar is None:
@@ -735,7 +724,7 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
     t0 = time.perf_counter()
-    i1, d, kst = (_dense(contour, blocks[key]) for key in ("I1", "D", "K"))
+    i1, d, kst = (_dense(blocks[key]) for key in ("I1", "D", "K"))
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
 
@@ -773,7 +762,7 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
 
     rhs = np.zeros(offs[-1], dtype=complex)
     rhs[: offs[2]] = assemble_rhs(contour, wave.pol, wave.k0,
-                                  wave.phi_inc)[:, 0] * wave.amplitude
+                                  wave.phi_inc)[:, 0]
     constrained = _constrained_indices(contour, sizes)
     _apply_constraints(A, rhs, constrained)
 
@@ -859,43 +848,33 @@ def _solve_tridiagonal(band, rhs, closed):
 
 def _eliminated_blocks(contour, blocks):
     """The couplings (G, G2) the eliminated auxiliary fields leave on the
-    J-J, J-M, M-J and M-M blocks alike, as real arrays in label order:
+    J-J, J-M, M-J and M-M blocks alike, as real arrays:
     G = D W with X = W J, Y = W M from the mass rows I1 X = D J,
     I1 Y = D M, and G2 = K I1^{-1} D W the order-2 coupling.  Both depend
     on the mesh alone, and both are column-major, as the banded solves
     leave them, so that the composition adds them into the column-major A
-    in memory order.  At the pinned node labels (the chain ends of an
+    in memory order.  At the pinned nodes (the ends 0 and N - 1 of an
     open contour, :func:`_constrained_indices`, in every field) an
     auxiliary mass row is the identity with a zero right-hand side, so
     those auxiliary values are exactly 0; the J and M pins are left to the
     composed matrix.
     """
-    chain = _chain_nodes(contour)
-
-    def label_rows(g):
-        out = np.empty_like(g)      # column-major, as g
-        out[chain] = g
-        return out
-
-    n = chain.size
+    n = contour.n_nodes
     pos = _band_columns(n)
     free = np.ones(n, dtype=bool)
     free[list(_constrained_indices(contour, (n,)))] = False
-    free = free[chain]
     mass = blocks["I1"] * (free[:, None] & free[pos])
     mass[~free, 1] = 1.0
-    # D with its pinned auxiliary rows zeroed, node-label columns, laid
-    # out column-major for the banded solve
+    # D with its pinned auxiliary rows zeroed, laid out column-major for
+    # the banded solve
     d = blocks["D"]
     w = np.zeros((n, n), order="F")
-    w[np.arange(n)[:, None], chain[pos]] = d * free[:, None]
+    w[np.arange(n)[:, None], pos] = d * free[:, None]
     g = _band_dot(d, _solve_tridiagonal(mass, w, contour.closed))
     del w           # not alive while G2 is formed
-    g_lab = label_rows(g)
-    g[~free] = 0.0
-    w2 = _solve_tridiagonal(mass, g, contour.closed)
-    g2 = _band_dot(blocks["K"], w2)
-    return g_lab, label_rows(g2)
+    # G2's solve takes G with its pinned auxiliary rows zeroed
+    w2 = _solve_tridiagonal(mass, g * free[:, None], contour.closed)
+    return g, _band_dot(blocks["K"], w2)
 
 
 def build_reduced_system(contour, coeffs, wave: IncidentWave,
@@ -916,8 +895,7 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     order = _checked_order(coeffs, wave)
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
-    rhs = assemble_rhs(contour, wave.pol, wave.k0,
-                       wave.phi_inc)[:, 0] * wave.amplitude
+    rhs = assemble_rhs(contour, wave.pol, wave.k0, wave.phi_inc)[:, 0]
     t0 = time.perf_counter()
     c = _scaled_coefficients(coeffs, wave.k0)
     n1 = contour.n_nodes
@@ -963,14 +941,12 @@ def _jm_matvec(system, x):
     xs = x.copy()
     xs[pins] = 0.0
     y = np.zeros_like(xs)
-    chain = system.blocks["chain"]
     for k, terms in enumerate(table):
         row, col = divmod(k, 2)
         part = xs[col * n1:(col + 1) * n1]
         for key, tr, op, scalar in terms:
-            if key == "I1":         # a chain band, in chain order
-                p = np.empty_like(part)
-                p[chain] = _band_dot(system.blocks[key], part[chain])
+            if key == "I1":         # a chain band
+                p = _band_dot(system.blocks[key], part)
             else:
                 p = _blas_mv(system.blocks[key], part, tr)
             y[row * n1:(row + 1) * n1] += (op(p) if scalar is None

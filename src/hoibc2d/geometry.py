@@ -1,7 +1,8 @@
 """Discretized 2D contours for the boundary-element solver.
 
 A contour is a polyline of straight segments with a local frame on each
-element: unit tangent tau, unit outward normal n, length h.  Two builders
+element: unit tangent tau, unit outward normal n, length h.  Its nodes are
+given in order along the contour, which fixes the elements.  Two builders
 cover the solver targets — a closed circle (coated-cylinder cross section)
 and an open plate on the x axis.
 """
@@ -28,9 +29,13 @@ def _frozen(a):
 class Contour:
     """Straight-segment polyline with per-element frames.
 
-    nodes      (N, 2) float [m]
-    elements   (E, 2) int, node indices; consecutive elements share a node
+    Node i is the i-th vertex along the contour and element e joins nodes
+    e and e + 1 (mod N on a loop), so an index along the chain and a node
+    label are one and the same.
+
+    nodes      (N, 2) float [m], in order along the contour
     closed     True for loops (E = N), False for open arcs (E = N - 1)
+    elements   (E, 2) int, derived: element e is [e, (e + 1) mod N]
     tangents   (E, 2) unit tau along the element
     normals    (E, 2) unit n pointing into the exterior domain
     lengths    (E,) element lengths h_e [m]
@@ -38,8 +43,8 @@ class Contour:
     """
 
     nodes: np.ndarray
-    elements: np.ndarray
     closed: bool
+    elements: np.ndarray = field(init=False)
     tangents: np.ndarray = field(init=False)
     normals: np.ndarray = field(init=False)
     lengths: np.ndarray = field(init=False)
@@ -47,29 +52,13 @@ class Contour:
 
     def __post_init__(self):
         nodes = _frozen(np.asarray(self.nodes, dtype=float))
-        elems = _frozen(np.asarray(self.elements, dtype=int))
         object.__setattr__(self, "nodes", nodes)
+        if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 2:
+            raise UsageError("nodes must be an (N, 2) array, N >= 2")
+        n_nodes = nodes.shape[0]
+        start = np.arange(n_nodes if self.closed else n_nodes - 1)
+        elems = _frozen(np.stack([start, (start + 1) % n_nodes], axis=1))
         object.__setattr__(self, "elements", elems)
-        if nodes.ndim != 2 or nodes.shape[1] != 2:
-            raise UsageError("nodes must be an (N, 2) array")
-        n_nodes, n_el = nodes.shape[0], elems.shape[0]
-        expect = n_nodes if self.closed else n_nodes - 1
-        if n_el != expect:
-            raise MeshError(
-                f"{'closed' if self.closed else 'open'} contour needs "
-                f"{expect} elements for {n_nodes} nodes, got {n_el}"
-            )
-        for e in range(n_el - 1):
-            if elems[e, 1] != elems[e + 1, 0]:
-                raise MeshError(f"elements {e} and {e + 1} do not chain")
-        if self.closed and elems[-1, 1] != elems[0, 0]:
-            raise MeshError("closed contour does not wrap around")
-        # a polyline through each node once: no node starts (or ends) two
-        # elements, which the assembly's scatter to nodes relies on
-        visits = elems[:, 0] if self.closed else np.append(elems[:, 0],
-                                                           elems[-1, 1])
-        if np.unique(visits).size != n_nodes:
-            raise MeshError("contour does not visit every node exactly once")
 
         vec = nodes[elems[:, 1]] - nodes[elems[:, 0]]
         h = np.hypot(vec[:, 0], vec[:, 1])
@@ -131,10 +120,7 @@ def mesh_circle(radius: float, n_elements: int) -> Contour:
         )
     ang = 2.0 * np.pi * np.arange(n_elements) / n_elements
     nodes = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    elems = np.stack(
-        [np.arange(n_elements), (np.arange(n_elements) + 1) % n_elements], axis=1
-    )
-    return Contour(nodes=nodes, elements=elems, closed=True)
+    return Contour(nodes=nodes, closed=True)
 
 
 def mesh_plate(length: float, n_elements: int) -> Contour:
@@ -151,8 +137,7 @@ def mesh_plate(length: float, n_elements: int) -> Contour:
         )
     x = np.linspace(-0.5 * length, 0.5 * length, n_elements + 1)
     nodes = np.stack([x, np.zeros_like(x)], axis=1)
-    elems = np.stack([np.arange(n_elements), np.arange(n_elements) + 1], axis=1)
-    return Contour(nodes=nodes, elements=elems, closed=False)
+    return Contour(nodes=nodes, closed=False)
 
 
 def contour_hash(contour: Contour) -> str:

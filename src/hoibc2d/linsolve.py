@@ -61,15 +61,11 @@ NORM_PANEL = 32     # columns per panel of the 1-norm (_norm1)
 
 @dataclass(frozen=True)
 class Factorization:
-    """``lu`` holds unit-lower L and upper U with ``A[perm] = L @ U``.
-
-    ``piv`` is LAPACK's record of row swaps (row i swapped with ``piv[i]``,
-    in order); ``perm`` is the same permutation applied once, so that
+    """``lu`` holds unit-lower L and upper U with ``A[perm] = L @ U``:
     ``perm[i]`` is the row of A that ends up in row i.
     """
 
     lu: np.ndarray
-    piv: np.ndarray
     perm: np.ndarray
     n: int
     rcond_estimate: float
@@ -143,7 +139,7 @@ def lu_factor(matrix, overwrite_a=False) -> Factorization:
     perm = np.arange(a.shape[0])
     for i, p in enumerate(piv):
         perm[i], perm[p] = perm[p], perm[i]
-    return Factorization(lu=lu, piv=piv, perm=perm, n=a.shape[0],
+    return Factorization(lu=lu, perm=perm, n=a.shape[0],
                          rcond_estimate=rcond)
 
 

@@ -449,7 +449,7 @@ def test_accept_11_numerical_kernels():
     corner = Contour(
         nodes=np.array([[0.0, 0.0], [0.3, 0.0],
                         [0.3 + 0.25 * np.cos(th), 0.25 * np.sin(th)]]),
-        elements=np.array([[0, 1], [1, 2]]), closed=False)
+        closed=False)
     kc = 3.7
     mats = _helmholtz_blocks(corner, kc)
     SB, SQ = _brute_pair(corner, kc, 0, 1)

@@ -236,13 +236,10 @@ def test_plane_wave_traces_range_edge(mesh):
             far_field(_random_currents(c), c, wave, [0.0, 90.0])
 
 
-def _relabelled_plate(seed=7):
-    """mesh_plate(2.0, 40) with its node labels a random permutation."""
-    c = mesh_plate(2.0, 40)
-    label = np.random.default_rng(seed).permutation(c.n_nodes)
-    nodes = np.empty_like(c.nodes)
-    nodes[label] = c.nodes
-    return Contour(nodes=nodes, elements=label[c.elements], closed=False)
+def _relabelled_plate():
+    """mesh_plate(2.0, 40) with its nodes numbered from the other end: the
+    plate turned by 180 degrees, its normals along -y."""
+    return Contour(nodes=mesh_plate(2.0, 40).nodes[::-1], closed=False)
 
 
 FF_MESHES = {"circle": lambda: mesh_circle(1.0, 32),
@@ -307,33 +304,13 @@ def test_sweep_memory_budget(te_ibc1):
 
 # --- echo width --------------------------------------------------------------
 
-def test_echo_width_amplitude_invariance(circle96, smooth_currents):
-    # physical linearity: scaling the drive scales the currents, and the
-    # ratio defining the echo width cancels the common factor
-    c = 2.0 - 2.0j
-    scaled = SurfaceCurrents(J=c * smooth_currents.J, M=c * smooth_currents.M)
-    w1 = IncidentWave(pol="TE", k0=K0, phi_inc=0.0)
-    w2 = IncidentWave(pol="TE", k0=K0, phi_inc=0.0, amplitude=c)
-    s1 = echo_width(far_field(smooth_currents, circle96, w1, DEG)).sigma
-    s2 = echo_width(far_field(scaled, circle96, w2, DEG)).sigma
-    assert np.max(np.abs(s1 - s2)) <= 1e-10
-
-
 def test_echo_width_db_conversion(circle96, smooth_currents):
-    wave = IncidentWave(pol="TM", k0=K0, phi_inc=0.0, amplitude=1.5)
+    wave = IncidentWave(pol="TM", k0=K0, phi_inc=0.0)
     ff = far_field(smooth_currents, circle96, wave, DEG)
     pat = echo_width(ff)
-    lin = 2.0 * np.pi * np.abs(ff.values) ** 2 / 1.5**2
+    lin = 2.0 * np.pi * np.abs(ff.values) ** 2
     assert np.allclose(10.0 ** (pat.sigma / 10.0), lin, rtol=1e-12)
     assert pat.meta["pol"] == "TM" and pat.meta["axis"] == "angle_deg"
-
-
-def test_echo_width_zero_amplitude(circle96, smooth_currents):
-    wave = IncidentWave(pol="TE", k0=K0, phi_inc=0.0)
-    ff = far_field(smooth_currents, circle96, wave, [0.0])
-    object.__setattr__(ff, "incident_amplitude", 0.0)
-    with pytest.raises(UsageError, match="amplitude"):
-        echo_width(ff)
 
 
 # --- result-container validation ---------------------------------------------

@@ -53,10 +53,7 @@ def test_circle_nested_refinement():
 def test_circle_clockwise_nodes_still_outward():
     # a hand-built clockwise loop: builder-independent orientation handling
     ccw = geo.mesh_circle(1.0, 16)
-    nodes = ccw.nodes[::-1].copy()
-    n = len(nodes)
-    elems = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    cw = geo.Contour(nodes=nodes, elements=elems, closed=True)
+    cw = geo.Contour(nodes=ccw.nodes[::-1], closed=True)
     mids = cw.midpoints()
     rad = mids / np.hypot(mids[:, 0], mids[:, 1])[:, None]
     assert np.all(np.einsum("ij,ij->i", cw.normals, rad) > 0.99)
@@ -85,18 +82,24 @@ def test_mesh_guards():
 
 
 def test_contour_chain_validation():
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(MeshError):
-        geo.Contour(nodes=nodes, elements=np.array([[0, 1], [2, 1]]), closed=False)
-    with pytest.raises(MeshError):
-        geo.Contour(nodes=nodes, elements=np.array([[0, 1]]), closed=False)
-    with pytest.raises(MeshError, match="every node exactly once"):
-        # element 2 retraces element 1 and node 3 is never visited
-        geo.Contour(nodes=np.vstack([nodes, [[5.0, 5.0]]]),
-                    elements=np.array([[0, 1], [1, 2], [2, 1]]), closed=False)
     with pytest.raises(MeshError):  # duplicate point makes a zero-length element
         geo.Contour(nodes=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
-                    elements=np.array([[0, 1], [1, 2]]), closed=False)
+                    closed=False)
+    with pytest.raises(UsageError):  # one node makes no element
+        geo.Contour(nodes=np.array([[0.0, 0.0]]), closed=False)
+
+
+def test_contour_is_its_node_order():
+    """Element e joins nodes e and e + 1, mod N on a loop, and the builders'
+    fingerprints (carried by the solver's CSV headers) stay pinned."""
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for closed, want in ((False, [[0, 1], [1, 2], [2, 3]]),
+                         (True, [[0, 1], [1, 2], [2, 3], [3, 0]])):
+        c = geo.Contour(nodes=nodes, closed=closed)
+        assert c.elements.tolist() == want
+        assert c.n_elements == len(want) and not c.elements.flags.writeable
+    assert geo.contour_hash(geo.mesh_circle(1.1, 512)) == "8ed126d365d9d411"
+    assert geo.contour_hash(geo.mesh_plate(2.0, 40)) == "df213b444b9fb36d"
 
 
 def test_contour_immutable():

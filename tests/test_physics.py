@@ -40,8 +40,6 @@ def _egg(n):
     t = 2.0 * np.pi * np.arange(n) / n
     r = 0.55 * (1.0 + 0.2 * np.cos(t) + 0.1 * np.sin(2.0 * t))
     return Contour(nodes=np.column_stack([r * np.cos(t), r * np.sin(t)]),
-                   elements=np.column_stack([np.arange(n),
-                                             (np.arange(n) + 1) % n]),
                    closed=True)
 
 
