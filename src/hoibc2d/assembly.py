@@ -32,11 +32,13 @@ Distant pairs are evaluated once per congruence class.  A pair's key is
 h_e and the two endpoints of f in e's frame (origin at e's start, x axis
 along tau_e); with its Gauss order, every moment of the pair is a function
 of its key.  Congruent pairs (e, f), (e + 1, f + 1), ... follow one another
-in the diagonal-major listing of the pairs (f - e, then e ascending), so a
-class is a run there of pairs whose keys lie within KEY_TOL times their
-own size of the run's first pair, which is evaluated for the whole run.
-The uniform meshes of mesh_circle and mesh_plate have O(n) runs; a mesh
-with no congruent pairs has one run per pair.  Self elements (one short
+in the diagonal-major listing of the pairs (f - e, then e ascending).  The
+listing is walked in slices, and a class is the pairs of one diagonal in
+one slice whose keys lie within KEY_TOL times their own size of that
+diagonal's first pair there, at its Gauss order; the first pair is
+evaluated for the class, and any other pair alone.  The uniform meshes of
+mesh_circle and mesh_plate have one class per diagonal and slice; a mesh
+with no congruent pairs has one per pair.  Self elements (one short
 1D rule each) and shared-vertex pairs (see _helmholtz_blocks) are
 evaluated one by one.
 One local formulation turns each pair's moments into its B, B - S and Q
@@ -184,7 +186,7 @@ def _split_kernels(k, r):
 # --------------------------------------------------------------------------
 
 # distant pairs keyed, evaluated and scattered per slice (bounds memory),
-# and the tolerance of a run's keys, relative to each pair's own key size
+# and the tolerance of a class's keys, relative to each pair's own key size
 PAIRS_PER_SLICE = 2**12
 KEY_TOL = 1e-12
 
@@ -376,10 +378,11 @@ def _helmholtz_blocks(contour, k0):
     """One pass over all element pairs; returns the nodal B, BS and Q.
 
     The distant pairs go in slices of PAIRS_PER_SLICE pairs of their
-    listing (:func:`_distant_pairs`).  A run of one diagonal and one Gauss
-    order lasts while its pairs' keys (:func:`_pair_keys`) lie within
-    KEY_TOL times their own size (max |key component|) of its first pair's;
-    that pair is evaluated for the whole run.  No run leaves its slice.
+    listing (:func:`_distant_pairs`).  Within a slice, each diagonal's
+    first pair is its head: a pair of that diagonal whose key
+    (:func:`_pair_keys`) lies within KEY_TOL times its own size (max |key
+    component|) of the head's, at the head's Gauss order, takes the head's
+    moments; every other pair is evaluated alone.
     """
     _check_resolution(contour, k0)
     mats = {key: np.zeros((contour.n_nodes,) * 2, dtype=complex)
@@ -390,27 +393,19 @@ def _helmholtz_blocks(contour, k0):
         if not e.size:
             break
         key = _pair_keys(contour, e, f)
-        tol = KEY_TOL * np.abs(key).max(axis=0)
-        # a pair further than both tolerances from the pair before it
-        # cannot share that pair's first
-        new = np.ones(e.size, dtype=bool)
-        new[1:] = ((np.abs(np.diff(key)).max(axis=0) > tol[1:] + tol[:-1])
-                   | (np.diff(f - e) != 0) | (np.diff(n_gl) != 0))
-        while True:
-            first = np.flatnonzero(new)
-            run = np.cumsum(new) - 1
-            far = np.flatnonzero(
-                np.abs(key - key[:, first[run]]).max(axis=0) > tol)
-            if not far.size:
-                break
-            # each run's first far pair starts a new run
-            new[far[np.diff(run[far], prepend=-1) != 0]] = True
+        k = np.arange(e.size)
+        head = np.maximum.accumulate(np.where(np.diff(f - e, prepend=0), k, 0))
+        alone = ((np.abs(key - key[:, head]).max(axis=0)
+                  > KEY_TOL * np.abs(key).max(axis=0)) | (n_gl != n_gl[head]))
+        rep = np.where(alone, k, head)
+        first = np.flatnonzero(rep == k)
+        row = np.searchsorted(first, rep)
         table = np.empty((3, first.size, 2, 2), dtype=complex)
         for order in np.unique(n_gl[first]):
             pick = np.flatnonzero(n_gl[first] == order)
             table[:, pick] = _pair_moments(contour, k0, e[first[pick]],
                                            f[first[pick]], order)
-        _add_pair_blocks(mats, contour, k0, e, f, *table[:, run])
+        _add_pair_blocks(mats, contour, k0, e, f, *table[:, row])
     # the shared-vertex pairs (e, e + 1 mod n) go in once, like the distant
     # pairs e < f, with Q's (f, e) blocks from the partner normal; they are
     # evaluated one by one: their SQ is about proportional to the turning

@@ -37,7 +37,7 @@ from .analysis import (
 )
 from .assembly import IncidentWave
 from .errors import HoibcError, UsageError, ValidationError
-from .geometry import contour_hash, mesh_circle, mesh_plate
+from .geometry import _MIN_ELEMENTS, contour_hash, mesh_circle, mesh_plate
 from .impedance import (
     CoatingSpec,
     eval_rational,
@@ -235,12 +235,13 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
                     f"geometry.{size_field} must be positive"))
     try:
         n_elements = _whole(geo.get("n_elements"))
-        if n_elements < 4:
-            bad.append(("geometry.n_elements", "n_elements must be at least 4"))
+        if n_elements < _MIN_ELEMENTS:
+            bad.append(("geometry.n_elements", "geometry.n_elements must be "
+                                               f"at least {_MIN_ELEMENTS}"))
     except (TypeError, ValueError, OverflowError):
         bad.append(("geometry.n_elements",
                     f"geometry.n_elements: {geo.get('n_elements')!r} is not an integer"))
-        n_elements = 4
+        n_elements = _MIN_ELEMENTS
 
     coat = _section(raw, "coating", bad)
     eps_r = _as_complex(coat.get("eps_r", 1.0), "coating.eps_r", bad)
@@ -306,6 +307,10 @@ def parse_config(raw, pol=None, ibc=None, fit=None):
         bad.append(("sweep.kind",
                     "sweep.kind must be bistatic, monostatic-angle, or "
                     f"monostatic-frequency, got {sweep.get('kind')!r}"))
+    for name, grid in (("sweep.angles_deg", angles),
+                       ("sweep.frequencies_hz", freqs)):
+        if grid is not None and np.any(np.diff(grid) <= 0.0):
+            bad.append((name, f"{name}: values must be strictly increasing"))
 
     table = _section(raw, "table", bad)
     theta = _as_grid(table.get("theta_deg",

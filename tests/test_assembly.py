@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import blas
 
 from hoibc2d.assembly import (
+    PAIRS_PER_SLICE,
     IncidentWave,
     _adjacent_moments,
     _dense,
@@ -455,12 +456,14 @@ def _max_rel_error(got, want, keys):
 
 @pytest.mark.parametrize("mesh", sorted(CLASS_MESHES))
 def test_classed_pass_equals_per_pair_reference(mesh, monkeypatch):
-    """One evaluation per run of congruent pairs (pairs whose keys lie
-    within KEY_TOL of the run's first pair) against every pair evaluated
-    on its own: within 1e-12 of the largest entry, and within 1e-15 on a
-    jittered circle, where no two pairs merge.  On the regular meshes the
-    pass evaluates at most 4 n distant pairs.  B and B - S are exactly
-    symmetric on every mesh."""
+    """One evaluation per class of congruent pairs (the pairs of a
+    diagonal in a slice whose keys lie within KEY_TOL of that diagonal's
+    first pair there) against every pair evaluated on its own: within
+    1e-12 of the largest entry, and within 1e-15 on a jittered circle,
+    where no two pairs merge.  On the regular meshes every diagonal of a
+    slice is one class, so the pass evaluates exactly one pair per (slice,
+    diagonal) cell: 540 on circle512, 399 on either plate384.  B and B - S
+    are exactly symmetric on every mesh."""
     build, k0, bound = CLASS_MESHES[mesh]
     c = build()
     got, evaluated = _counted_pass(c, k0, monkeypatch)
@@ -470,14 +473,16 @@ def test_classed_pass_equals_per_pair_reference(mesh, monkeypatch):
     for key in ("B", "BS"):
         assert np.array_equal(got[key], got[key].T), key
     if not mesh.startswith("jittered"):
-        assert evaluated <= 4 * c.n_elements, evaluated
+        e, f, _ = _distant_pairs(c, k0)
+        cells = np.unique([np.arange(e.size) // PAIRS_PER_SLICE, f - e],
+                          axis=1)
+        assert evaluated == cells.shape[1], evaluated
 
 
 def test_circle1024_evaluates_at_most_4n_distant_pairs(monkeypatch):
     """On a 1024-gon the rounding of the node coordinates stays far inside
-    KEY_TOL, so a run ends at a slice end, a diagonal's end or a change of
-    Gauss order: the pass evaluates at most 4 n of its 522,752 distant
-    pairs."""
+    KEY_TOL, so each diagonal of a slice is one class: the pass evaluates
+    at most 4 n of its 522,752 distant pairs."""
     c = mesh_circle(1.1, 1024)
     assert _counted_pass(c, K0, monkeypatch)[1] <= 4 * c.n_elements
 
@@ -493,9 +498,10 @@ def _graded_plate(n=400, length=3.0, growth=5e-13):
 
 def test_classed_pass_on_graded_plate():
     """Down a diagonal of a 3 m plate graded by 5e-13 per element the keys
-    drift by about that much per pair, so a run ends where its pairs leave
-    KEY_TOL of its first pair: B and B - S stay within 1e-11 of the
-    per-pair reference, and exactly symmetric."""
+    drift by about that much per pair, so the pairs that leave KEY_TOL of
+    their diagonal's first pair in the slice are evaluated alone: B and
+    B - S stay within 1e-11 of the per-pair reference, and exactly
+    symmetric."""
     c = _graded_plate()
     got = _helmholtz_blocks(c, K0)
     for key, err in _max_rel_error(got, _per_pair_blocks(c, K0),

@@ -137,11 +137,15 @@ def test_malformed_json_exits_2_without_output(tmp_path):
     ("geometry.n_elements", {"geometry.n_elements": float("inf")}),
     ("series.n_max", {"series.n_max": float("inf")}),
     ("geometry.n_elements", {"geometry.n_elements": 64.9}),
+    ("geometry.n_elements", {"geometry.n_elements": 6}),
     ("series.n_max", {"series.n_max": 40.7}),
     ("geometry.radius", {"geometry.radius": float("nan")}),
     ("sweep.phi_inc_deg", {"sweep.phi_inc_deg": float("nan")}),
     ("sweep.phi_inc_deg", {"sweep.phi_inc_deg": "inf"}),
     ("sweep.angles_deg", {"sweep.angles_deg": [0.0, float("nan"), 10.0]}),
+    ("sweep.angles_deg", {"sweep.angles_deg": [10.0, 5.0, 20.0]}),
+    ("sweep.frequencies_hz", {"sweep": {"kind": "monostatic-frequency",
+                                        "frequencies_hz": [2e8, 1e8, 3e8]}}),
     ("table.theta_deg", {"table.theta_deg": [float("nan")]}),
     ("table.theta_deg", {"table.theta_deg": [0.0, 45.0, 90.0]}),
     ("table.theta_deg", {"table.theta_deg": [-10.0, 45.0]}),
@@ -162,8 +166,9 @@ def test_malformed_json_exits_2_without_output(tmp_path):
         "coating-number", "ibc-list", "sweep-string", "table-number",
         "series-string", "eps-nan", "eps-nan-text", "thickness-nan",
         "frequency-inf", "lambda0-inf", "n-elements-inf", "n-max-inf",
-        "n-elements-fraction", "n-max-fraction",
+        "n-elements-fraction", "n-elements-below-mesh-floor", "n-max-fraction",
         "radius-nan", "phi-inc-nan", "phi-inc-inf-text", "angle-nan",
+        "angles-not-increasing", "frequencies-not-increasing",
         "theta-nan", "theta-90", "theta-negative", "lambda0-negative",
         "lambda0-negative-lengths",
         "frequency-negative", "colloc-count-ibc1", "colloc-count-ibc2",
