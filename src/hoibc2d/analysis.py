@@ -14,6 +14,7 @@ curves that never touch the boundary-element code paths.
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .assembly import IncidentWave, _plain_kernels, assemble_rhs, \
 from .errors import TruncationError, UsageError, ValidationError
 from .geometry import Contour, contour_hash
 from .impedance import IbcCoefficients
-from .linsolve import lu_factor, solve
+from .linsolve import (BlockCirculant, apply_modes, factor_modes, lu_factor,
+                       solve)
 from .specfun import C0, Z0, bessel_jy, gauss_legendre_unit
 
 log = logging.getLogger("hoibc2d.analysis")
@@ -476,11 +478,16 @@ def _sweep_angles(contour, coeffs, angles_deg, k0):
     # the matrix; its one rhs column goes unused, every chunk assembles its
     # own right-hand sides
     system = build_reduced_system(contour, coeffs, wave0)
-    fac = lu_factor(system.reduced_matrix, overwrite_a=True)
-    log.info("factored n=%d sweep matrix (rcond %.2e)", fac.n,
-             fac.rcond_estimate)
+    mat = system.reduced_matrix
+    if isinstance(mat, BlockCirculant):
+        inverse, rcond = factor_modes(mat)
+        solver = partial(apply_modes, inverse)
+    else:
+        fac = lu_factor(mat, overwrite_a=True)
+        solver, rcond = partial(solve, fac), fac.rcond_estimate
+    log.info("factored n=%d sweep matrix (rcond %.2e)", mat.shape[0], rcond)
     con = np.asarray(system.constrained, dtype=int)
-    pinned = con[con < fac.n]
+    pinned = con[con < mat.shape[0]]
     out = np.empty(len(angles_deg))
     # per chunk: one rhs block and one multi-column solve (column k bitwise
     # its own solve, see linsolve); backscatter by reciprocity from both
@@ -488,8 +495,7 @@ def _sweep_angles(contour, coeffs, angles_deg, k0):
         phis = angles_deg[lo:lo + SWEEP_CHUNK]
         rhs = assemble_rhs(contour, coeffs.pol, k0, np.deg2rad(phis))
         rhs[pinned] = 0.0
-        f = _reciprocal_amplitude(contour, coeffs.pol, k0, rhs,
-                                  solve(fac, rhs))
+        f = _reciprocal_amplitude(contour, coeffs.pol, k0, rhs, solver(rhs))
         del rhs         # not alive while the next chunk assembles its own
         out[lo:lo + len(phis)] = _echo_width_db(f)
     return out

@@ -58,6 +58,20 @@ auxiliary rows has unit rows at pinned nodes of an open contour; the
 cyclic corners are a rank-one update of a tridiagonal matrix, removed by
 Sherman-Morrison.  The solves are LAPACK tridiagonal ones, the products
 banded times dense, and I1's a0 terms take O(n) band entries.
+
+A closed contour whose nodes are one node turned about their centroid by
+2 pi k / n (mesh_circle, either way round, numbered from any node) is
+rotation-invariant: element k is element 0 turned k steps, so every
+nodal matrix is circulant, A_ij = row[(j - i) mod n], and the reduced 2N
+system is block-circulant (the body-of-revolution reduction of MoM, Mautz
+& Harrington, AEU 32 (1978) 157-164).  assemble_blocks then keeps only the
+first rows of B, B - S and Q, from the n pairs (0, f) through the same
+pair routines and local formulation, and the bands; build_reduced_system
+turns the terms of _jm_table into (n, 2, 2) per-mode symbols, the DFT of
+each block's first column, with G and G2 per mode from the band symbols;
+the solve is mode by mode (linsolve).  No n x n array is made, and no
+flag chooses this path: the contour does.  assemble_dense_blocks builds
+the dense blocks of any contour, the oracle of this path on a circle.
 """
 
 from __future__ import annotations
@@ -74,7 +88,8 @@ from scipy.linalg import blas, solve_banded
 
 from .errors import MeshError, UsageError
 from .geometry import Contour, contour_hash
-from .linsolve import lu_factor, solve
+from .linsolve import (BlockCirculant, apply_modes, factor_modes, lu_factor,
+                       solve)
 from .specfun import Z0, gauss_legendre_unit, hankel2_01_real, quad_rule
 
 log = logging.getLogger(__name__)
@@ -122,15 +137,16 @@ class AssembledSystem:
     """Raw blocks, the auxiliary-variable matrix, and the 2N reduction.
 
     ``blocks`` keeps the geometry-dependent matrices of
-    :func:`assemble_blocks` (B, B - S, Q and the couplings G, G2 dense;
-    I1, D and K as chain bands) so a single assembly can be reused across
+    :func:`assemble_blocks` (B, B - S, Q and the couplings G, G2 dense, or
+    on a rotation-invariant contour the first rows of B, B - S and Q; I1,
+    D and K as chain bands) so a single assembly can be reused across
     boundary-condition orders and incidence angles; the J and M endpoint
     constraints are applied to the composed systems, not to the stored
     blocks (only the couplings G, G2 carry the pins of the auxiliary
     fields, which are the same at every order).
-    ``reduced_matrix`` is consumed by :func:`solve_currents`, which
-    factors it in place and sets it to None; the residual it reports is
-    computed from ``blocks`` and ``meta``.
+    ``reduced_matrix`` (dense, or a BlockCirculant) is consumed by
+    :func:`solve_currents`, which factors it and sets it to None; the
+    residual it reports is computed from ``blocks`` and ``meta``.
     """
 
     blocks: dict
@@ -225,12 +241,12 @@ def _self_g_moments(k, h):
     return (mom * (h * h))[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
 
-def _adjacent_moments(contour, k0):
+def _adjacent_moments(contour, k0, e=None):
     """(P, 2, 2) blocks SB[e, :, f, :], SQ[e, :, f, :] and SQ[f, :, e, :] of
-    the shared-vertex pairs (e, f = e + 1 mod n), e = 0 .. P - 1 (P = n on a
-    closed contour, n - 1 on an open one); SB[f, :, e, :] is the transpose
-    of SB[e, :, f, :], and the SQ partner takes -(y - x).n_f in place of
-    (y - x).n_e at the same points.
+    the shared-vertex pairs (e, f = e + 1 mod n), by default e = 0 .. P - 1
+    (P = n on a closed contour, n - 1 on an open one); SB[f, :, e, :] is the
+    transpose of SB[e, :, f, :], and the SQ partner takes -(y - x).n_f in
+    place of (y - x).n_e at the same points.
 
     x = V + xi*we, y = V + eta*wf, V the end of e and the start of f; r
     vanishes only at V.  On the triangle eta < xi put eta = xi*v: r =
@@ -242,7 +258,8 @@ def _adjacent_moments(contour, k0):
     xg, wg = gauss_legendre_unit(N_GL_DUFFY)
     lg = quad_rule("gauss_log", N_LOG_DUFFY)
     n = contour.n_elements
-    e = np.arange(n if contour.closed else n - 1)
+    if e is None:
+        e = np.arange(n if contour.closed else n - 1)
     f = (e + 1) % n
     ends = contour.nodes[contour.elements]             # (n0, 2 local, 2)
     vertex = ends[e, 1]
@@ -303,7 +320,7 @@ def _distant_pairs(contour, k0, lo=0, hi=None):
     pairs e < f that share no node, diagonal by diagonal (f - e from 2 up,
     e ascending within a diagonal, so that (e + 1, f + 1) follows (e, f)),
     each with the Gauss-Legendre order that DISTANT_ORDERS gives it."""
-    n, h = contour.n_elements, contour.lengths
+    n = contour.n_elements
     # on a closed contour the one pair of diagonal n - 1, (0, n - 1), adjoins
     diag = np.arange(2, n - contour.closed)
     start = np.concatenate([[0], np.cumsum(n - diag)])
@@ -311,12 +328,18 @@ def _distant_pairs(contour, k0, lo=0, hi=None):
     j = np.searchsorted(start, k, side="right") - 1
     e = k - start[j]
     f = e + diag[j]
+    return e, f, _distant_orders(contour, k0, e, f)
+
+
+def _distant_orders(contour, k0, e, f):
+    """The Gauss-Legendre order DISTANT_ORDERS gives each distant pair
+    (e, f)."""
+    h = contour.lengths
     hmax = np.maximum(h[e], h[f])
     mid = contour.midpoints()
     gap = np.hypot(*(mid[f] - mid[e]).T) - 0.5 * (h[e] + h[f])
-    n_gl = DISTANT_ORDERS[np.searchsorted(_ORDER_KH, k0 * hmax),
+    return DISTANT_ORDERS[np.searchsorted(_ORDER_KH, k0 * hmax),
                           np.searchsorted(_ORDER_CLEARANCE, gap / hmax)]
-    return e, f, n_gl
 
 
 def _pair_keys(contour, e, f):
@@ -350,7 +373,7 @@ def _add_blocks(out, contour, e, f, blocks):
 
 def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None, sq_fe=None):
     """Adds the B, B - S and (given SQ) Q blocks of the pairs (e, f) from
-    their raw moments, and with SQ the Q blocks of (f, e) from their
+    their raw moments, and (given them) the Q blocks of (f, e) from their
     partner moments SQ[f, :, e, :]; the basis slopes are -+1/h per
     element."""
     h, tau = contour.lengths, contour.tangents
@@ -361,6 +384,7 @@ def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None, sq_fe=None):
     _add_blocks(mats["BS"], contour, e, f, 1j * (k0 * ttf * sb - deriv))
     if sq is not None:
         _add_blocks(mats["Q"], contour, e, f, sq)
+    if sq_fe is not None:
         _add_blocks(mats["Q"], contour, f, e, sq_fe)
 
 
@@ -424,6 +448,67 @@ def _helmholtz_blocks(contour, k0):
     _add_pair_blocks(mats, contour, k0, diag, diag,
                      _self_g_moments(k0, contour.lengths))
     return mats
+
+
+def _rotation_invariant(contour):
+    """True when ``contour`` is closed and node k is node 0 turned about
+    the centroid of the nodes by s 2 pi k / n, one sign s = +-1 for every
+    k, within KEY_TOL times the largest node distance from the centroid:
+    then element k is element 0 turned by k steps, and every nodal kernel
+    and band matrix is circulant.  O(n)."""
+    if not contour.closed:
+        return False
+    p = contour.nodes - contour.nodes.mean(axis=0)
+    ang = _TWO_PI * np.arange(p.shape[0]) / p.shape[0]
+    cos, sin = np.cos(ang), np.sin(ang)
+    tol = KEY_TOL * np.hypot(p[:, 0], p[:, 1]).max()
+    return any(
+        max(np.abs(cos * p[0, 0] - s * sin * p[0, 1] - p[:, 0]).max(),
+            np.abs(s * sin * p[0, 0] + cos * p[0, 1] - p[:, 1]).max()) <= tol
+        for s in (1.0, -1.0))
+
+
+def _circulant_rows(contour, k0):
+    """The first nodal rows of B, B - S and Q of a rotation-invariant
+    contour (:func:`_rotation_invariant`), from the pairs (0, f) of element
+    0 with every element f through the pair-class routines and the one
+    local formulation: the self pair, the shared-vertex pairs (0, 1) and
+    (n - 1, 0) (whose transposed SB and partner SQ are the (0, n - 1)
+    blocks), and the distant pairs (0, f), f = 2 .. n - 2, at their
+    DISTANT_ORDERS.  Those blocks land in rows 0 and 1, the two nodes of
+    element 0; element n - 1 is element 0 turned back by one step, so its
+    share of row 0 is row 1 shifted left by one column."""
+    _check_resolution(contour, k0)
+    n = contour.n_elements
+    mats = {key: np.zeros((2, n), dtype=complex) for key in ("B", "BS", "Q")}
+    zero = np.zeros(1, dtype=int)
+    _add_pair_blocks(mats, contour, k0, zero, zero,
+                     _self_g_moments(k0, contour.lengths[:1]))
+    sb, sq, sq_fe = _adjacent_moments(contour, k0, np.array([0, n - 1]))
+    _add_pair_blocks(mats, contour, k0, np.zeros(2, dtype=int),
+                     np.array([1, n - 1]), np.stack([sb[0], sb[1].T]),
+                     np.stack([sq[0], sq_fe[1]]))
+    f = np.arange(2, n - 1)
+    e = np.zeros_like(f)
+    n_gl = _distant_orders(contour, k0, e, f)
+    for order in np.unique(n_gl):
+        pick = n_gl == order
+        sb, sq, _ = _pair_moments(contour, k0, e[pick], f[pick], order)
+        _add_pair_blocks(mats, contour, k0, e[pick], f[pick], sb, sq)
+    return {key: m[0] + np.roll(m[1], -1) for key, m in mats.items()}
+
+
+def _circulant(blocks):
+    """True for the blocks of a rotation-invariant contour, whose B, B - S
+    and Q are first rows."""
+    return blocks["B"].ndim == 1
+
+
+def _circulant_dense(row):
+    """The n x n circulant matrix of the first row ``row``: entry (i, j) is
+    row[(j - i) mod n]."""
+    n = row.size
+    return row[(np.arange(n) - np.arange(n)[:, None]) % n]
 
 
 # --------------------------------------------------------------------------
@@ -619,15 +704,36 @@ def _checked_order(coeffs, wave):
 
 
 def assemble_blocks(contour, k0) -> dict:
-    """All geometry/frequency-dependent matrices for later composition.
+    """All geometry/frequency-dependent matrices for later composition;
+    they serve every boundary-condition order, polarization, and
+    incidence angle at this (contour, k0).
 
-    One kernel pass and one elimination of the auxiliary fields serve
-    every boundary-condition order, polarization, and incidence angle at
-    this (contour, k0): B, BS, Q, the chain bands I1, D, K of
-    :func:`assemble_mass_and_d`, and the couplings G, G2 of
-    :func:`_eliminated_blocks`.  G and G2 are column-major like the
-    reduced matrix they are added into; B and B - S are exactly symmetric,
-    so they read column-major through their transpose.  The n x n arrays are B, B - S, Q (complex) and G, G2
+    On a rotation-invariant contour (:func:`_rotation_invariant`) B, BS
+    and Q are their first nodal rows (:func:`_circulant_rows`), with the
+    chain bands I1, D, K of :func:`assemble_mass_and_d`: O(n) memory, and
+    the reduced system is solved mode by mode.  Every other contour gets
+    the dense blocks of :func:`assemble_dense_blocks`.
+    """
+    if not _rotation_invariant(contour):
+        return assemble_dense_blocks(contour, k0)
+    t0 = time.perf_counter()
+    blocks = _circulant_rows(contour, k0)
+    blocks.update(assemble_mass_and_d(contour))
+    log.info("assembled circulant rows: %d elements, k0 %g, %.2fs",
+             contour.n_elements, k0, time.perf_counter() - t0)
+    return blocks
+
+
+def assemble_dense_blocks(contour, k0) -> dict:
+    """The dense blocks of any contour, and the oracle of the mode path on
+    a rotation-invariant one.
+
+    One kernel pass and one elimination of the auxiliary fields: B, BS, Q,
+    the chain bands I1, D, K of :func:`assemble_mass_and_d`, and the
+    couplings G, G2 of :func:`_eliminated_blocks`.  G and G2 are
+    column-major like the reduced matrix they are added into; B and B - S
+    are exactly symmetric, so they read column-major through their
+    transpose.  The n x n arrays are B, B - S, Q (complex) and G, G2
     (real): 4 n^2 x 16 B.
     """
     t0 = time.perf_counter()
@@ -658,8 +764,9 @@ def _jm_table(te, c, order):
     """The (J, M) matrix as a table, per quadrant JJ, JM, MJ, MM (row-major)
     the terms ``(key, transposed, op, scalar)`` it sums, each
     ``op(block, scalar)`` (``op(block)`` when scalar is None) with block
-    ``blocks[key]`` or its transpose.  The composition (:func:`_compose`)
-    and the residual's matvec (:func:`_jm_matvec`) both read it.
+    ``blocks[key]`` or its transpose.  The composition (:func:`_compose`),
+    the per-mode symbols (:func:`_mode_symbols`) and the residual's matvec
+    (:func:`_jm_matvec`) all read it.
 
     Per quadrant: the order-0 kernel block (TM swaps the roles of B - S and
     B and transposes Q), I1's a0 term on the diagonal, then up to ``order``
@@ -707,18 +814,52 @@ def _compose(views, blocks, table):
                 im += scalar.imag * blocks[key]
 
 
+def _symbol(row):
+    """The eigenvalues of the circulant matrix of the first row ``row``,
+    in numpy's DFT order of modes m: the DFT of its first column,
+    sum_k row[k] exp(2 pi i m k / n)."""
+    return np.fft.fft(row[-np.arange(row.size)])
+
+
+def _mode_symbols(blocks, table):
+    """The (n, 2, 2) per-mode symbols of the block-circulant reduced
+    matrix that ``table`` (:func:`_jm_table`) composes from circulant
+    ``blocks``: each term is op(symbol, scalar) of its key, at mode -m
+    when it is listed transposed.  The couplings come from the band
+    symbols, G = D I1^{-1} D and G2 = K I1^{-1} G (circulants commute)."""
+    n = blocks["I1"].shape[0]
+    sym = {key: _symbol(blocks[key]) for key in ("B", "BS", "Q")}
+    for key in ("I1", "D", "K"):
+        row = np.zeros(n)
+        row[list(BAND)] += blocks[key][0]
+        sym[key] = _symbol(row)
+    sym["G"] = sym["D"] * sym["D"] / sym["I1"]
+    sym["G2"] = sym["K"] * sym["G"] / sym["I1"]
+    out = np.zeros((n, 4), dtype=complex)
+    for k, terms in enumerate(table):
+        for key, tr, op, scalar in terms:
+            s = sym[key][-np.arange(n)] if tr else sym[key]
+            out[:, k] += op(s) if scalar is None else op(s, scalar)
+    return out.reshape(n, 2, 2)
+
+
 def build_full_system(contour, coeffs, wave: IncidentWave,
                       blocks=None) -> AssembledSystem:
     """Assemble the block matrix with explicit auxiliary fields.
 
     Unknown layout: (J, M) for order 0, (J, M, X, Y) for order 1,
     (J, M, X, Y, X', Y') for order 2.  Pass a precomputed ``blocks`` dict
-    (from assemble_blocks or a previous system) to skip the kernel pass.
+    (from assemble_blocks or a previous system) to skip the kernel pass;
+    the first rows of circulant blocks are expanded to dense here.
     """
     order = _checked_order(coeffs, wave)
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
     t0 = time.perf_counter()
+    kernels = blocks
+    if _circulant(blocks):
+        kernels = dict(blocks, **{key: _circulant_dense(blocks[key])
+                                  for key in ("B", "BS", "Q")})
     i1, d, kst = (_dense(blocks[key]) for key in ("I1", "D", "K"))
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
@@ -733,7 +874,7 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
     te = wave.pol == "TE"
     n1, n2 = offs[1], offs[2]
     _compose((A[:n1, :n1], A[:n1, n1:n2], A[n1:n2, :n1], A[n1:n2, n1:n2]),
-             blocks, _jm_table(te, c, 0))
+             kernels, _jm_table(te, c, 0))
 
     if order >= 1:
         sy = 1.0 if te else -1.0        # sign carried by every b-coupling
@@ -794,21 +935,29 @@ def reduce_system(system: AssembledSystem) -> AssembledSystem:
 # banded elimination of the auxiliary fields
 # --------------------------------------------------------------------------
 
+# columns per panel of a banded product (_band_dot)
+BAND_PANEL = 32
+
+
 def _band_dot(vals, x):
     """A chain band times dense, O(rows x columns): row r of the product is
     sum_j vals[r, j] x[r + BAND[j]], positions wrapping mod the length of
     x.  x is a vector or a matrix; shifted slices keep its memory order,
-    and the product takes its dtype."""
+    and the product takes its dtype.  Each band column goes in by panels
+    of BAND_PANEL columns of x, so no temporary has more than rows x
+    BAND_PANEL entries."""
     rows, n = vals.shape[0], x.shape[0]
-    out = np.zeros((rows,) + x.shape[1:], dtype=np.result_type(vals, x),
+    xs = x.reshape(n, -1)
+    out = np.zeros((rows, xs.shape[1]), dtype=np.result_type(vals, x),
                    order="F" if x.flags.f_contiguous else "C")
-    cols = vals.reshape(vals.shape + (1,) * (x.ndim - 1))
     for j, o in enumerate(BAND):
         lo, hi = max(0, -o), min(rows, n - o)
-        out[lo:hi] += cols[lo:hi, j] * x[lo + o:hi + o]
+        for c in range(0, xs.shape[1], BAND_PANEL):
+            cols = slice(c, c + BAND_PANEL)
+            out[lo:hi, cols] += vals[lo:hi, j, None] * xs[lo + o:hi + o, cols]
         for r in (*range(lo), *range(hi, rows)):     # wrapped positions
-            out[r] += vals[r, j] * x[(r + o) % n]
-    return out
+            out[r] += vals[r, j] * xs[(r + o) % n]
+    return out.reshape((rows,) + x.shape[1:])
 
 
 def _solve_tridiagonal(band, rhs, closed):
@@ -886,6 +1035,9 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     one real product) and adds the right-hand side of ``wave``.  A is
     column-major (Fortran order), as LAPACK stores a matrix, so that
     :func:`solve_currents` factors it where it lies instead of copying it.
+    From circulant blocks (:func:`assemble_blocks`) the reduced matrix is
+    a :class:`~hoibc2d.linsolve.BlockCirculant` of the same terms
+    (:func:`_mode_symbols`) and no n x n array is made.
     """
     order = _checked_order(coeffs, wave)
     if blocks is None:
@@ -898,10 +1050,14 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     constrained = _constrained_indices(contour, sizes)
     n = sizes[0] + sizes[1]
 
-    A = np.empty((n, n), dtype=complex, order="F")
-    views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
-    _compose(views, blocks, _jm_table(wave.pol == "TE", c, order))
-    _apply_constraints(A, rhs, tuple(i for i in constrained if i < n))
+    table = _jm_table(wave.pol == "TE", c, order)
+    if _circulant(blocks):          # closed: nothing is pinned
+        A = BlockCirculant(_mode_symbols(blocks, table))
+    else:
+        A = np.empty((n, n), dtype=complex, order="F")
+        views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
+        _compose(views, blocks, table)
+        _apply_constraints(A, rhs, tuple(i for i in constrained if i < n))
 
     meta = _system_meta(contour, coeffs, wave, c, t0)
     log.info("assembled %s %s reduced system: n=%d, geometry %s, %.2fs",
@@ -928,10 +1084,13 @@ def _jm_matvec(system, x):
     """A x for the reduced matrix A of ``system``, from its stored blocks
     and the table that composed A (:func:`_jm_table`), so A itself need
     not exist: a pinned row of A is the identity's and a pinned column
-    zero."""
+    zero.  Circulant blocks apply the table's mode symbols."""
     meta, n1 = system.meta, system.sizes[0]
     table = _jm_table(meta["pol"] == "TE", meta["coefficients_scaled"],
                       _ORDER_INT[meta["order"]])
+    if _circulant(system.blocks):
+        return apply_modes(
+            BlockCirculant(_mode_symbols(system.blocks, table)), x)
     pins = [i for i in system.constrained if i < x.size]
     xs = x.copy()
     xs[pins] = 0.0
@@ -951,31 +1110,35 @@ def _jm_matvec(system, x):
 
 
 def solve_currents(system: AssembledSystem) -> SurfaceCurrents:
-    """LU-solve the reduced (J, M) system of :func:`build_reduced_system`
-    and unpack J and M.
+    """Solve the reduced (J, M) system of :func:`build_reduced_system`
+    and unpack J and M: a dense matrix by LU, a BlockCirculant mode by
+    mode (``linsolve.factor_modes``, whose rcond is exact).
 
-    The system's ``reduced_matrix`` is consumed: it is factored in place
-    (no copy of A) and set to None, so that A and its LU are freed on
-    return; a second solve of the same system raises ``UsageError``.  The
-    relative residual ||Ax - b|| / ||b|| in the meta takes A x from the
-    stored blocks (:func:`_jm_matvec`)."""
+    The system's ``reduced_matrix`` is consumed: a dense one is factored
+    in place (no copy of A), and it is set to None, so that A and its
+    factors are freed on return; a second solve of the same system raises
+    ``UsageError``.  The relative residual ||Ax - b|| / ||b|| in the meta
+    takes A x from the stored blocks (:func:`_jm_matvec`)."""
     mat, rhs = system.reduced_matrix, system.reduced_rhs
     if mat is None:
         raise UsageError("the reduced matrix was consumed by an earlier "
                          "solve; build the system again")
     system.reduced_matrix = None    # holds the LU, or a partial one
     t0 = time.perf_counter()
-    fac = lu_factor(mat, overwrite_a=True)
-    x = solve(fac, rhs)
+    if isinstance(mat, BlockCirculant):
+        inverse, rcond = factor_modes(mat)
+        x = apply_modes(inverse, rhs)
+    else:
+        fac = lu_factor(mat, overwrite_a=True)
+        x, rcond = solve(fac, rhs), fac.rcond_estimate
     dt = time.perf_counter() - t0
     # a zero b solves to x = 0 exactly
     residual = float(np.linalg.norm(_jm_matvec(system, x) - rhs)
                      / max(np.linalg.norm(rhs), np.finfo(float).tiny))
     log.info("solved n=%d system in %.3fs (rcond %.2e, residual %.1e)",
-             fac.n, dt, fac.rcond_estimate, residual)
+             x.size, dt, rcond, residual)
 
     n1 = system.sizes[0]
     meta = dict(system.meta)
-    meta.update(rcond=fac.rcond_estimate, residual=residual,
-                solve_seconds=dt)
+    meta.update(rcond=rcond, residual=residual, solve_seconds=dt)
     return SurfaceCurrents(J=x[:n1], M=x[n1:], meta=meta)

@@ -1,20 +1,35 @@
-"""Dense complex LU with pivoting, reusable multi-RHS solves, and a
-1-norm reciprocal-condition estimate.
+"""The solves of the reduced system: a dense complex LU with pivoting,
+reusable multi-RHS solves and a 1-norm reciprocal-condition estimate for
+every contour, and a mode-by-mode solve for a block-circulant one.
 
-The systems assembled upstream are dense; one dense LU is the whole
-strategy, and memory bounds the size.  Per n^2 x 16 B, n nodes
-(tracemalloc on circles, n = 512 and 1024): the kernel pass peaks at 4
-plus fixed buffers, up to ~11 MB for a slice of pairs (a jittered circle,
-with no congruent pairs); with the one elimination of the auxiliary fields
-(peak 5.0) the blocks keep 4.0 (B, B - S, Q and the real couplings G, G2;
-I1, D and K are (n, 3) bands).  Composing the reduced 2n system adds only
-A, 4 (and from IBC1 one real product, 0.5, while it composes).  A is
-column-major, so its LU takes its place (``overwrite_a``) and adds
-nothing, and the residual reads the blocks, not A: a solve peaks while it
-composes, at 8.5 (8.0 at IBC0), 143 MB at n = 1024.  Far fields and angle
-sweeps add a block of O(elements x SWEEP_CHUNK), independent of the angle
-count.  The factorization object is immutable and may be shared across
-threads; each solve runs independent substitution passes.
+A rotation-invariant closed contour (``assembly`` notes) gives a reduced
+matrix of four circulant n x n blocks.  The DFT turns it into n
+independent 2 x 2 systems, one per mode (P. J. Davis, *Circulant
+Matrices*, Wiley 1979): :class:`BlockCirculant` holds their (n, 2, 2)
+symbols, :func:`factor_modes` inverts each by Cramer's rule and
+:func:`apply_modes` applies symbols to a block of columns by ``numpy.fft``
+and elementwise products, O(n log n) per column and O(n) memory.  Its
+rcond is exact, not estimated: every column of a block column has the
+absolute sums of the first, which is the inverse DFT of the symbols.
+``numpy.fft`` transforms one column at a time, so column k of a block is
+bitwise the solve of that column alone, and it calls no BLAS.
+
+Every other contour takes the dense LU, and memory bounds its size.  Per
+n^2 x 16 B, n nodes (tracemalloc, n = 512 and 1024): the kernel pass peaks
+at 4 plus fixed buffers, up to ~11 MB for a slice of pairs (a jittered
+circle, with no congruent pairs); with the one elimination of the
+auxiliary fields (peak 4.6) the blocks keep 4.0 (B, B - S, Q and the real
+couplings G, G2; I1, D and K are (n, 3) bands).  Composing the reduced 2n
+system adds only A, 4 (and from IBC1 one real product, 0.5, while it
+composes).  A is column-major, so its LU takes its place
+(``overwrite_a``) and adds nothing, and the residual reads the blocks, not
+A: a solve peaks while it composes, at 8.5 (8.0 at IBC0), 143 MB at n =
+1024.  On the mode path no n x n array is made: blocks, symbols and a
+solve stay O(n) (0.17 n^2 x 16 B at n = 1024, fixed buffers of the
+kernel row included).  Far fields and angle sweeps add a block of
+O(elements x SWEEP_CHUNK), independent of the angle count.  The
+factorization objects are immutable and may be shared across threads;
+each solve runs independent substitution passes.
 
 Threaded BLAS goes through ``scipy.linalg`` alone.  numpy and scipy each
 bundle an OpenBLAS with its own thread pool (numpy's 0.3.31 and scipy's
@@ -31,10 +46,10 @@ operation now runs at 0.96 s with numpy's pool at 2 threads and 0.94 s
 at 1.  tests/test_numpy_blas.py keeps it so, with an allowlist of two
 oracles.
 
-Every right-hand side, one column or a block, goes through the same pair of
-level-3 triangular solves (``ztrsm``).  Column k of any multi-column solve is
-therefore bit-identical to the solve of that column alone, at any BLAS
-thread count.  LAPACK ``getrs`` gives no such promise: threaded OpenBLAS
+On the dense path every right-hand side, one column or a block, goes
+through the same pair of level-3 triangular solves (``ztrsm``).  Column k
+of any multi-column solve is therefore bit-identical to the solve of that
+column alone, at any BLAS thread count.  LAPACK ``getrs`` gives no such promise: threaded OpenBLAS
 solves a single column with different rounding from a block (about 3e-15
 apart).  The price is that a single column no longer takes BLAS's threaded
 single-column substitution: at n = 256 it costs 0.11 ms instead of 0.05 ms
@@ -160,3 +175,68 @@ def solve(f: Factorization, rhs) -> np.ndarray:
     x = blas.ztrsm(1.0, f.lu, x, overwrite_b=1)
     return x[:, 0] if b.ndim == 1 else x
 
+
+@dataclass(frozen=True)
+class BlockCirculant:
+    """The 2n x 2n matrix [[A00, A01], [A10, A11]] of four circulant
+    n x n blocks, held as its per-mode symbols: ``symbols[m, p, q]`` is
+    the DFT (numpy's order) of the first column of block (p, q), so that
+    block (p, q) times x is ifft(symbols[:, p, q] * fft(x))."""
+
+    symbols: np.ndarray
+
+    @property
+    def shape(self):
+        n2 = 2 * self.symbols.shape[0]
+        return (n2, n2)
+
+
+def apply_modes(a, x):
+    """A x for a :class:`BlockCirculant` A and x of shape (2n,) or (2n, K):
+    the DFT of each column's J and M halves, a 2 x 2 product per mode,
+    and the inverse DFT.  Column k is bitwise A times that column alone."""
+    n = a.symbols.shape[0]
+    xh = np.fft.fft(x.reshape((2, n) + x.shape[1:]), axis=1)
+    s = a.symbols.reshape((n, 2, 2) + (1,) * (x.ndim - 1))
+    yh = np.empty_like(xh)
+    for p in range(2):
+        yh[p] = s[:, p, 0] * xh[0] + s[:, p, 1] * xh[1]
+    return np.fft.ifft(yh, axis=1).reshape(x.shape)
+
+
+def _norm1_modes(symbols):
+    """The 1-norm of the BlockCirculant of ``symbols``: the largest
+    absolute sum of the two columns of its first block column, the
+    inverse DFTs of the symbols; every other column is a cyclic shift of
+    one of them within each block."""
+    return float(np.abs(np.fft.ifft(symbols, axis=0)).sum(axis=(0, 1)).max())
+
+
+def factor_modes(a):
+    """(A^-1, rcond) of a :class:`BlockCirculant` A: the inverse, inverted
+    mode by mode (Cramer's rule on each 2 x 2 symbol), and the exact
+    1-norm reciprocal condition of A.
+
+    A mode whose symbol or determinant is not finite or whose
+    determinant is exactly 0, or whose inverse overflows, raises
+    SingularMatrixError naming the mode; no NaN is returned and numpy
+    warns of nothing.  A small rcond only warns, as in :func:`lu_factor`.
+    """
+    s = a.symbols
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        ok = np.isfinite(s).all(axis=(1, 2)) & np.isfinite(det) & (det != 0)
+        inv = np.empty_like(s)
+        if ok.all():
+            inv[:, 0, 0], inv[:, 1, 1] = s[:, 1, 1] / det, s[:, 0, 0] / det
+            inv[:, 0, 1], inv[:, 1, 0] = -s[:, 0, 1] / det, -s[:, 1, 0] / det
+            ok = np.isfinite(inv).all(axis=(1, 2))
+        if not ok.all():
+            m = int(np.argmin(ok))
+            raise SingularMatrixError(
+                f"block-circulant matrix is singular at mode {m} (2 x 2 "
+                f"determinant {complex(det[m]):.3e})", column=None)
+        rcond = 1.0 / (_norm1_modes(s) * _norm1_modes(inv))
+    if rcond < RCOND_WARN:
+        log.warning("ill-conditioned system: rcond %.3e", rcond)
+    return BlockCirculant(inv), float(rcond)

@@ -15,20 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import blas
 
+from hoibc2d.analysis import solve_and_pattern
 from hoibc2d.assembly import (
     PAIRS_PER_SLICE,
     IncidentWave,
     _adjacent_moments,
+    _band_dot,
+    _circulant_dense,
     _dense,
     _distant_pairs,
     _eliminated_blocks,
     _helmholtz_blocks,
     _jm_matvec,
+    _mode_symbols,
     _pair_moments,
     _plain_kernels,
+    _rotation_invariant,
     _scaled_coefficients,
     _self_g_moments,
     assemble_blocks,
+    assemble_dense_blocks,
     assemble_mass_and_d,
     assemble_rhs,
     build_full_system,
@@ -36,9 +42,9 @@ from hoibc2d.assembly import (
     reduce_system,
     solve_currents,
 )
-from hoibc2d.errors import MeshError, UsageError
+from hoibc2d.errors import MeshError, SingularMatrixError, UsageError
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
-from hoibc2d.impedance import IbcCoefficients
+from hoibc2d.impedance import CoatingSpec, IbcCoefficients, fit_coefficients
 from hoibc2d.linsolve import lu_factor, solve
 from hoibc2d.specfun import C0, Z0, gauss_legendre_unit, hankel2_01_real
 
@@ -54,7 +60,9 @@ def circle32():
 
 @pytest.fixture(scope="module")
 def circle32_blocks(circle32):
-    return assemble_blocks(circle32, K0)
+    # the dense path by name: a circle takes the mode path through
+    # assemble_blocks, and these tests pin properties of the dense one
+    return assemble_dense_blocks(circle32, K0)
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +173,14 @@ def test_bs_and_b_complex_symmetric(circle32_blocks):
 
 def test_blocks_finite_and_symmetric_at_large_k0d():
     """k0*D ~ 308: one kernel call spans Hankel arguments up to ~300,
-    still under the resolution guard (k0*h = 1.94)."""
-    blocks = assemble_blocks(mesh_circle(1.1, 500), 140.0)
+    still under the resolution guard (k0*h = 1.94); the dense path by
+    name, and the mode path's first rows are finite too."""
+    c = mesh_circle(1.1, 500)
+    rows = assemble_blocks(c, 140.0)
+    for key in ("BS", "B", "Q"):
+        assert rows[key].shape == (c.n_nodes,) and \
+            np.all(np.isfinite(rows[key])), key
+    blocks = assemble_dense_blocks(c, 140.0)
     for key in ("BS", "B", "Q"):
         assert np.all(np.isfinite(blocks[key])), key
     for key in ("BS", "B"):
@@ -174,13 +188,20 @@ def test_blocks_finite_and_symmetric_at_large_k0d():
         assert np.array_equal(m, m.T), key
 
 
-def test_circulant_on_uniform_circle(circle32_blocks):
-    """Uniform circle: entries depend only on the index difference."""
-    for key in ("BS", "B", "Q"):
-        m = circle32_blocks[key]
-        scale = np.max(np.abs(m))
-        for i in range(1, m.shape[0]):
-            assert np.max(np.abs(np.roll(m[0], i) - m[i])) <= 1e-10 * scale
+def test_circulant_on_uniform_circle():
+    """The oracle of the mode path: on uniform circles of 32 and 512
+    elements the dense kernel pass equals the circulant expansion of the
+    first rows that assemble_blocks keeps, entry (i, j) = row[(j - i) mod
+    n], within 1e-11 of the largest entry."""
+    for n in (32, 512):
+        c = mesh_circle(1.1, n)
+        rows = assemble_blocks(c, K0)
+        dense = assemble_dense_blocks(c, K0)
+        for key in ("BS", "B", "Q"):
+            assert rows[key].shape == (n,), key
+            want = dense[key]
+            err = np.max(np.abs(_circulant_dense(rows[key]) - want))
+            assert err <= 1e-11 * np.max(np.abs(want)), (n, key, err)
 
 
 def test_self_entry_against_high_precision_quadrature(corner, corner_mats):
@@ -626,15 +647,16 @@ def test_bands_equal_chain_gather_of_dense_scatter(mesh):
 
 
 def test_stored_blocks_size():
-    """assemble_blocks holds n x n arrays for B, B - S, Q (complex) and
+    """The dense blocks hold n x n arrays for B, B - S, Q (complex) and
     G, G2 (real) only, 4 n^2 x 16 B, and I1, D and K as (n, 3) bands: within
     4.05 n^2 x 16 B at n = 512 nodes.  No dense I1, D or K is made on the
-    way either, so the elimination peaks within 5.1 (B, B - S, Q, G and
-    three real n^2 work arrays)."""
+    way either, and the banded products go by column panels, so the
+    elimination peaks within 4.6 (B, B - S, Q, and G, a solve and G2 as
+    three real n^2 arrays)."""
     c = mesh_circle(1.1, 512)
     tracemalloc.start()
     try:
-        blocks = assemble_blocks(c, K0)
+        blocks = assemble_dense_blocks(c, K0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -642,7 +664,7 @@ def test_stored_blocks_size():
     unit = c.n_nodes**2 * 16
     held = sum(v.nbytes for v in blocks.values())
     assert held <= 4.05 * unit, held / unit
-    assert peak <= 5.1 * unit, peak / unit
+    assert peak <= 4.6 * unit, peak / unit
     for key in ("I1", "D", "K"):
         assert blocks[key].shape == (c.n_nodes, 3), key
 
@@ -773,7 +795,7 @@ def test_reduced_equals_schur_complement(coeffs, pol, mesh):
     band shape: cyclic and pinned-end P1 mass, on loops turning either
     way."""
     c = SCHUR_MESHES[mesh]()
-    blocks = assemble_blocks(c, K0)
+    blocks = assemble_dense_blocks(c, K0)
     w = IncidentWave(pol=pol, k0=K0, phi_inc=0.7)
     full = reduce_system(build_full_system(c, coeffs, w, blocks))
     direct = build_reduced_system(c, coeffs, w, blocks)
@@ -833,7 +855,7 @@ def test_in_place_composition_equals_copies(coeffs, mesh):
     composition by copies to 1e-15 of its largest entry: the order-0 part
     is the same arithmetic, the real G passes round like a complex axpy."""
     c = COMPOSE_MESHES[mesh]()
-    blocks = assemble_blocks(c, K0)
+    blocks = assemble_dense_blocks(c, K0)
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
     system = build_reduced_system(c, coeffs, w, blocks)
     n = 2 * c.n_nodes
@@ -846,7 +868,7 @@ def test_in_place_composition_equals_copies(coeffs, mesh):
 @pytest.fixture(scope="module")
 def circle512():
     c = mesh_circle(1.1, 512)
-    return c, assemble_blocks(c, K0)
+    return c, assemble_dense_blocks(c, K0)
 
 
 @pytest.mark.parametrize("coeffs,budget", [(TM0, 4.5), (TM2, 4.75)],
@@ -920,7 +942,7 @@ def test_block_residual_equals_dense(coeffs, mesh):
     x nonzero at the pinned indices too, and the solve's residual equals
     the dense ||A x - b|| / ||b|| to 1e-14."""
     c = COMPOSE_MESHES[mesh]()
-    blocks = assemble_blocks(c, K0)
+    blocks = assemble_dense_blocks(c, K0)
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
     system = build_reduced_system(c, coeffs, w, blocks)
     A = system.reduced_matrix.copy()
@@ -939,9 +961,10 @@ def test_block_residual_equals_dense(coeffs, mesh):
 
 
 def test_elimination_once_per_mesh(monkeypatch):
-    """assemble_blocks eliminates the auxiliary fields once and stores the
+    """The dense blocks eliminate the auxiliary fields once and store the
     couplings G, G2; composing every order and polarization after it reads
-    them and eliminates nothing again."""
+    them and eliminates nothing again.  The mode path eliminates nothing:
+    its couplings are per-mode symbols."""
     calls = []
     eliminate = _eliminated_blocks
 
@@ -950,9 +973,12 @@ def test_elimination_once_per_mesh(monkeypatch):
         return eliminate(*args)
 
     monkeypatch.setattr("hoibc2d.assembly._eliminated_blocks", counted)
-    for c in (mesh_circle(1.0, 32), _relabelled(mesh_plate(2.0, 40))):
+    assemble_blocks(mesh_circle(1.0, 32), K0)
+    assert calls == []
+    for c, assemble in ((mesh_circle(1.0, 32), assemble_dense_blocks),
+                        (_relabelled(mesh_plate(2.0, 40)), assemble_blocks)):
         calls.clear()
-        blocks = assemble_blocks(c, K0)
+        blocks = assemble(c, K0)
         assert len(calls) == 1
         want = eliminate(c, blocks)
         for key, g in zip(("G", "G2"), want):
@@ -965,10 +991,11 @@ def test_elimination_once_per_mesh(monkeypatch):
 
 def test_reduced_system_needs_no_dense_factorization(monkeypatch):
     """The auxiliary fields are eliminated by banded solves only: with the
-    dense LU disabled, every order and band shape still builds."""
+    dense LU disabled, every order and band shape still builds (the
+    circle's dense blocks by name)."""
     cases = [(mesh_circle(1.0, 32), (TE1, TM2)),
              (mesh_plate(2.0, 40), (TM1, TE2))]
-    prepared = [(c, cf, assemble_blocks(c, K0)) for c, cfs in cases
+    prepared = [(c, cf, assemble_dense_blocks(c, K0)) for c, cfs in cases
                 for cf in cfs]
 
     def no_lu(*_):
@@ -1023,6 +1050,177 @@ def test_blocks_reuse_across_orders(circle32, circle32_blocks):
     s2 = build_reduced_system(circle32, TE2, w, blocks=circle32_blocks)
     assert s1.blocks is circle32_blocks and s2.blocks is circle32_blocks
     assert np.max(np.abs(s1.reduced_matrix - s2.reduced_matrix)) > 0.0
+
+
+# --- the mode path on rotation-invariant contours -----------------------------
+
+def _moved_node(c, shift):
+    """c with node 1 moved outwards by ``shift`` times its distance from
+    the centre."""
+    nodes = c.nodes.copy()
+    nodes[1] *= 1.0 + shift
+    return Contour(nodes=nodes, closed=c.closed)
+
+
+def _egg(n):
+    """The non-symmetric closed egg of test_physics."""
+    from test_physics import _egg as egg
+    return egg(n)
+
+
+DETECTOR_MESHES = {
+    "circle8": (lambda: mesh_circle(1.1, 8), True),
+    "circle128": (lambda: mesh_circle(1.1, 128), True),
+    "circle512": (lambda: mesh_circle(1.1, 512), True),
+    "circle1024": (lambda: mesh_circle(1.1, 1024), True),
+    "clockwise128": (lambda: _relabelled(mesh_circle(1.1, 128)), True),
+    "from-node-3": (lambda: Contour(nodes=np.roll(
+        mesh_circle(1.1, 128).nodes, -3, axis=0), closed=True), True),
+    "egg": (lambda: _egg(120), False),
+    "plate": (lambda: mesh_plate(2.0, 40), False),
+    "jittered128": (lambda: _jittered_circle(128), False),
+    "moved-1e-9": (lambda: _moved_node(mesh_circle(1.1, 128), 1e-9), False),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(DETECTOR_MESHES))
+def test_rotation_detector_picks_the_path(mesh):
+    """A closed contour whose node k is node 0 turned by +-2 pi k / n takes
+    the mode path (first rows, no couplings); anything else, a node moved
+    by 1e-9 of the radius included, the dense one.  A circle listed from
+    node 3 is still such a rotation of its node 0."""
+    build, modes = DETECTOR_MESHES[mesh]
+    c = build()
+    assert _rotation_invariant(c) is modes
+    if c.n_elements > 200:
+        return                  # the dense kernel pass is checked elsewhere
+    blocks = assemble_blocks(c, 1.0)
+    if modes:
+        assert set(blocks) == {"B", "BS", "Q", "I1", "D", "K"}
+        assert blocks["B"].shape == (c.n_nodes,)
+    else:
+        assert blocks["G"].shape == (c.n_nodes,) * 2
+
+
+ORACLE_MESHES = {
+    "circle128": lambda: mesh_circle(1.1, 128),
+    "circle512": lambda: mesh_circle(1.1, 512),
+    "circle1024": lambda: mesh_circle(1.1, 1024),
+    "clockwise128": lambda: _relabelled(mesh_circle(1.1, 128)),
+    "from-node-3": lambda: Contour(nodes=np.roll(
+        mesh_circle(1.1, 128).nodes, -3, axis=0), closed=True),
+}
+CYL_COAT = CoatingSpec(4.0 - 0.5j, 1.0, 0.1)
+SIX = [(pol, order) for pol in ("TE", "TM") for order in ("IBC0", "IBC1",
+                                                          "IBC2")]
+
+
+@pytest.mark.parametrize("mesh", sorted(ORACLE_MESHES))
+def test_mode_path_matches_dense_oracle(mesh, monkeypatch):
+    """The per-mode solve against the dense LU of the dense blocks (by
+    name), at all six (pol, order) of the coated cylinder: currents within
+    1e-10 relative and echo widths within 1e-9 dB on a 1 degree grid.  The
+    mode path calls no LU."""
+    c = ORACLE_MESHES[mesh]()
+    rows = assemble_blocks(c, K0)
+    dense = assemble_dense_blocks(c, K0)
+    angles = np.arange(0.0, 360.0, 1.0)
+    for pol, order in SIX:
+        cf = fit_coefficients(CYL_COAT, pol, K0, order, method="pade")
+        w = IncidentWave(pol=pol, k0=K0, phi_inc=0.3)
+        want, want_sol = solve_and_pattern(c, cf, w, angles, blocks=dense)
+        with monkeypatch.context() as m:
+            m.setattr("hoibc2d.assembly.lu_factor", None)
+            got, got_sol = solve_and_pattern(c, cf, w, angles, blocks=rows)
+        x, ref = (np.concatenate([s.J, s.M]) for s in (got_sol, want_sol))
+        err = np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-10, (pol, order, err)
+        assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-9, (pol, order)
+
+
+def test_mode_rcond_and_residual():
+    """On circle-128 at all six (pol, order) the exact 1-norm rcond of the
+    mode path is at most the dense LU's zgecon estimate (which bounds
+    ||A^-1|| from below) and within 10x of it, and the residual's symbol
+    matvec equals the dense reduced matrix (the Schur complement of the
+    expanded full system on the same rows) times x to 1e-12."""
+    c = mesh_circle(1.1, 128)
+    rows = assemble_blocks(c, K0)
+    dense = assemble_dense_blocks(c, K0)
+    x = [1.0, 1j] @ np.random.default_rng(31).standard_normal((2, 256))
+    for pol, order in SIX:
+        cf = fit_coefficients(CYL_COAT, pol, K0, order, method="pade")
+        w = IncidentWave(pol=pol, k0=K0, phi_inc=0.3)
+        sol = solve_currents(build_reduced_system(c, cf, w, blocks=rows))
+        est = lu_factor(build_reduced_system(c, cf, w, blocks=dense)
+                        .reduced_matrix).rcond_estimate
+        exact = sol.meta["rcond"]
+        assert exact <= est * (1.0 + 1e-9) and est <= 10.0 * exact, \
+            (pol, order, exact, est)
+        assert sol.meta["residual"] <= 1e-13
+        system = build_reduced_system(c, cf, w, blocks=rows)
+        a = reduce_system(build_full_system(c, cf, w, blocks=rows))
+        want = a.reduced_matrix @ x
+        assert np.max(np.abs(_jm_matvec(system, x) - want)) \
+            <= 1e-12 * np.max(np.abs(want)), (pol, order)
+
+
+def test_zero_mode_symbol_raises(monkeypatch):
+    """A mode whose 2 x 2 determinant is exactly 0, or not finite, is a
+    SingularMatrixError naming the mode (exit code 3), with no NaN and no
+    numpy warning on the way (warnings are errors in this suite)."""
+    c = mesh_circle(1.1, 32)
+    w = IncidentWave(pol="TE", k0=K0, phi_inc=0.3)
+    symbols = _mode_symbols
+    for bad in (0.0, np.nan, np.inf):
+        def broken(blocks, table):
+            out = symbols(blocks, table)
+            out[5, 0] = bad         # a zero row, or a non-finite one
+            return out
+
+        monkeypatch.setattr("hoibc2d.assembly._mode_symbols", broken)
+        system = build_reduced_system(c, TE1, w)
+        with pytest.raises(SingularMatrixError, match="mode 5") as err:
+            solve_currents(system)
+        assert err.value.exit_code == 3
+
+
+def test_mode_path_memory_budget():
+    """Kernel rows, symbols and a solve on circle-1024 stay under 0.5 n^2
+    x 16 B of traced memory: no n x n array is made."""
+    c = mesh_circle(1.1, 1024)
+    w = IncidentWave(pol="TM", k0=K0, phi_inc=0.7)
+    tracemalloc.start()
+    try:
+        blocks = assemble_blocks(c, K0)
+        solve_currents(build_reduced_system(c, TM2, w, blocks=blocks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
+
+
+def test_band_dot_by_panels_is_columnwise():
+    """Column k of a banded product of a matrix wider than BAND_PANEL is
+    bitwise the product of column k alone, in either memory order, and
+    the n x n product stays within 1.1 n^2 x 8 B of traced memory (the
+    product and panels of 32 columns) at n = 1024."""
+    rng = np.random.default_rng(5)
+    n = 1024
+    band = rng.standard_normal((n, 3))
+    x = rng.standard_normal((n, n))
+    fx = np.asfortranarray(x)
+    for mat in (x, fx):
+        got = _band_dot(band, mat)
+        for k in range(n):
+            assert np.array_equal(got[:, k], _band_dot(band, mat[:, k])), k
+    tracemalloc.start()
+    try:
+        _band_dot(band, fx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * n * 8, peak / (n * n * 8)
 
 
 # --- guards and metadata ------------------------------------------------------

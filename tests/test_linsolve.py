@@ -192,6 +192,40 @@ def _run_threaded(child):
     assert out.stdout.split()[:2] == ["mismatches", "0"], out.stdout
 
 
+_MODES_CHILD = textwrap.dedent("""
+    import numpy as np
+    from hoibc2d.analysis import SWEEP_CHUNK
+    from hoibc2d.assembly import (IncidentWave, assemble_rhs,
+                                  build_reduced_system)
+    from hoibc2d.geometry import mesh_circle
+    from hoibc2d.impedance import CoatingSpec, fit_coefficients
+    from hoibc2d.linsolve import BlockCirculant, apply_modes, factor_modes
+
+    c = mesh_circle(1.1, 128)
+    coat = CoatingSpec(4.0 - 0.5j, 1.0, 0.1)
+    rng = np.random.default_rng(37)
+    bad = []
+    for pol in ("TE", "TM"):
+        cf = fit_coefficients(coat, pol, 6.0, "IBC2")
+        system = build_reduced_system(
+            c, cf, IncidentWave(pol=pol, k0=6.0, phi_inc=0.0))
+        assert isinstance(system.reduced_matrix, BlockCirculant)
+        inverse, _ = factor_modes(system.reduced_matrix)
+        for width in (1, 7, SWEEP_CHUNK + 44):
+            rhs = assemble_rhs(c, pol, 6.0,
+                               rng.uniform(0.0, 2.0 * np.pi, width))
+            x = apply_modes(inverse, rhs)
+            for k in range(width):
+                one = apply_modes(inverse, rhs[:, k])
+                block = apply_modes(inverse, rhs[:, k:k + 1])[:, 0]
+                if not np.array_equal(x[:, k], one):
+                    bad.append((pol, width, k, "1-D"))
+                if not np.array_equal(x[:, k], block):
+                    bad.append((pol, width, k, "n x 1"))
+    print("mismatches", len(bad), bad[:4])
+""")
+
+
 def test_multi_rhs_bitwise_under_threaded_blas():
     # the promise of test_multi_rhs_matches_looped, at two BLAS threads
     _run_threaded(_THREADED_CHILD)
@@ -202,6 +236,53 @@ def test_rhs_columns_bitwise_under_threaded_blas():
     its angle alone, at widths 1, 7 and SWEEP_CHUNK + 44, on a circle and
     on a plate numbered from its other end."""
     _run_threaded(_RHS_CHILD)
+
+
+def test_mode_solve_columns_bitwise_under_threaded_blas():
+    """The mode path keeps the sweep's promise: column k of a block solve
+    on a circle is bitwise the solve of that column alone, as a vector and
+    as an n x 1 block, at two BLAS threads."""
+    _run_threaded(_MODES_CHILD)
+
+
+def _random_symbols(n, seed=41):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+
+
+def test_mode_factor_against_dense():
+    """factor_modes and apply_modes against the dense block-circulant
+    matrix they stand for: A x, the solve and the exact 1-norm rcond."""
+    n = 24
+    s = _random_symbols(n)
+    # block (p, q) is the circulant of the first column ifft(s[:, p, q])
+    col = np.fft.ifft(s, axis=0)
+    k = (np.arange(n)[:, None] - np.arange(n)) % n
+    a = np.block([[col[k, p, q] for q in range(2)] for p in range(2)])
+    x = _random_symbols(n, 43)[:, 0].T.ravel()
+    inverse, rcond = ls.factor_modes(ls.BlockCirculant(s))
+    assert ls.BlockCirculant(s).shape == (2 * n, 2 * n)
+    assert np.allclose(ls.apply_modes(ls.BlockCirculant(s), x), a @ x,
+                       rtol=0, atol=1e-13 * np.max(np.abs(a @ x)))
+    assert np.allclose(a @ ls.apply_modes(inverse, x), x,
+                       rtol=0, atol=1e-12 * np.max(np.abs(x)))
+    want = 1.0 / (np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1))
+    assert rcond == pytest.approx(want, rel=1e-12)
+
+
+def test_singular_mode_is_named():
+    """A zero, non-finite or overflowing mode raises SingularMatrixError
+    naming the mode, without a numpy warning (warnings are errors here)."""
+    for bad in ("zero", "nan", "inf", "tiny"):
+        s = _random_symbols(10)
+        if bad == "zero":
+            s[3, :, 1] = 0.0
+        elif bad == "tiny":           # det 1e-310: the inverse overflows
+            s[3] = [[1.0, 0.0], [0.0, 1e-310]]
+        else:
+            s[3, 1, 0] = getattr(np, bad)
+        with pytest.raises(SingularMatrixError, match="mode 3"):
+            ls.factor_modes(ls.BlockCirculant(s))
 
 
 def test_zero_rhs_and_linearity():
