@@ -5,7 +5,12 @@ far-field phase exp(i k0 x_hat.x) is the unit plane wave travelling along
 -x_hat, so the radiated amplitude is that wave's right-hand side (its
 tested incident traces, closed-form and exact for k0 h < MAX_KH) dotted
 with the currents.  Bistatic far fields assemble one such column per
-angle; monostatic sweeps reuse the block they solved.  Echo width follows
+angle, in blocks of SWEEP_CHUNK angles, O(elements x SWEEP_CHUNK)
+memory; monostatic sweeps reuse the block they solved.  On a
+rotation-invariant contour every node's column is node 0's turned, so a
+far field samples node 0's traces at L angles and sums M of their modes
+against the DFT of the currents (Mautz & Harrington, AEU 32 (1978)
+157-164), in O(L + M x SWEEP_CHUNK) memory.  Echo width follows
 the 2D convention sigma(phi) = lim 2*pi*r*|u_sc|^2/|u_inc|^2 and is
 reported in dB relative to one metre.  The modal series for coated,
 impedance, and bare conducting cylinders provide independent reference
@@ -13,13 +18,14 @@ curves that never touch the boundary-element code paths.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .assembly import IncidentWave, _plain_kernels, assemble_rhs, \
-    build_reduced_system, solve_currents
+from .assembly import IncidentWave, _node0_traces, _plain_kernels, \
+    _rotation_sense, assemble_rhs, build_reduced_system, solve_currents
 from .errors import TruncationError, UsageError, ValidationError
 from .geometry import Contour, contour_hash
 from .impedance import IbcCoefficients
@@ -30,6 +36,10 @@ from .specfun import C0, Z0, bessel_jy, gauss_legendre_unit
 log = logging.getLogger("hoibc2d.analysis")
 
 TAIL_TOL = 1e-10
+# the largest trace mode past those a far field keeps on the mode path,
+# relative to the largest trace sample (_trace_modes); rounding leaves
+# 5e-17 at k0 rho = 2.6, 4e-15 at 290 and 1e-14 at 1200
+FF_TAIL_TOL = 1e-12
 # angles per plane-wave block, in angle sweeps and far fields alike; it
 # bounds their memory at O(elements x SWEEP_CHUNK), whatever the angle count
 SWEEP_CHUNK = 256
@@ -159,42 +169,119 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
 
     By reciprocity (module notes) F at each angle is the right-hand side
     of the unit wave arriving from it, phi_inc = angle + 180 deg, dotted
-    with [J; M]; an element with k0 h >= MAX_KH raises MeshError.  The
-    waves go in blocks of SWEEP_CHUNK angles, so memory is
-    O(elements x SWEEP_CHUNK) at any angle count.
+    with [J; M]; an element with k0 h >= MAX_KH raises MeshError.  On a
+    rotation-invariant contour that product is a short sum over the modes
+    of node 0's traces (:func:`_trace_modes`), in O(L + M x SWEEP_CHUNK)
+    memory, and a tail past the kept modes above FF_TAIL_TOL raises
+    TruncationError; on any other contour the waves go in blocks of
+    SWEEP_CHUNK angles, in O(elements x SWEEP_CHUNK).  Either way memory
+    does not grow with the angle count, and F at an angle is the same
+    whatever other angles share the call.
     ``n_gl`` has no effect; the benchmark tracer (bench/tracing.py) reads
     it to count far-field points.
     """
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     j, m = _current_dofs(contour, currents)
     x = np.concatenate([j, m])
+    pol, k0 = wave.pol, wave.k0
+    sense = _rotation_sense(contour)
+    if sense:
+        amplitude = partial(_mode_amplitude, contour, pol, k0,
+                            *_trace_modes(contour, pol, k0, sense, x))
+    else:
+        def amplitude(phis):
+            return _reciprocal_amplitude(contour, pol, k0,
+                                         assemble_rhs(contour, pol, k0, phis),
+                                         x)
     phis = np.deg2rad(angles) + np.pi
     values = np.empty(angles.size, dtype=complex)
     for lo in range(0, angles.size, SWEEP_CHUNK):
         block = phis[lo:lo + SWEEP_CHUNK]
-        values[lo:lo + block.size] = _reciprocal_amplitude(
-            contour, wave.pol, wave.k0,
-            assemble_rhs(contour, wave.pol, wave.k0, block), x)
+        values[lo:lo + block.size] = amplitude(block)
     meta = {"geometry": contour_hash(contour)}
     meta.update(currents.meta)
-    return FarFieldPattern(angles=angles, values=values, k0=wave.k0,
-                           pol=wave.pol, meta=meta)
+    return FarFieldPattern(angles=angles, values=values, k0=k0, pol=pol,
+                           meta=meta)
 
 
-def _reciprocal_amplitude(contour, pol, k0, rhs, x):
-    """Far-field amplitude F of the currents x towards -d_k, for each unit
-    wave k of the (n, K) block rhs: the E and H rows dotted with J and M,
-    times the large-argument limit of the outgoing kernel.  x is one (n,)
-    pair [J; M], or an (n, K) block whose column k pairs with wave k.
-    """
-    n1 = contour.n_nodes
-    e_dot = np.einsum("i...,i...->...", rhs[:n1], x[:n1])
-    h_dot = np.einsum("i...,i...->...", rhs[n1:], x[n1:])
+def _amplitude(contour, pol, k0, e_dot, h_dot):
+    """Far-field amplitude F from the E rows dotted with J and the H rows
+    dotted with M, times the large-argument limit of the outgoing kernel."""
     sg = contour.sigma
     pref = 0.25 * k0 * np.sqrt(2.0 / (np.pi * k0)) * np.exp(0.25j * np.pi)
     if pol == "TE":
         return -pref * (sg * h_dot - e_dot) / Z0
     return pref * Z0 * (h_dot - sg * e_dot)
+
+
+def _reciprocal_amplitude(contour, pol, k0, rhs, x):
+    """Far-field amplitude F of the currents x towards -d_k, for each unit
+    wave k of the (n, K) block rhs (:func:`_amplitude`).  x is one (n,)
+    pair [J; M], or an (n, K) block whose column k pairs with wave k.
+    """
+    n1 = contour.n_nodes
+    e_dot = np.einsum("i...,i...->...", rhs[:n1], x[:n1])
+    h_dot = np.einsum("i...,i...->...", rhs[n1:], x[n1:])
+    return _amplitude(contour, pol, k0, e_dot, h_dot)
+
+
+def _mode_count(z):
+    """M, the largest |m| kept of the traces of node 0 of a contour of
+    electrical radius z = k0 rho: its modes fall off like J_m(z), fast
+    once m passes z by a few z^(1/3)."""
+    return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 10.0)
+
+
+def _trace_modes(contour, pol, k0, sense, x):
+    """(modes, coefs, centroid) of the far field of the currents x = [J; M]
+    on a rotation-invariant contour turning with ``sense``
+    (``assembly._rotation_sense``).
+
+    Node i is node 0 turned about the centroid c by s 2 pi i / n, so its
+    E and H rows in assemble_rhs for the wave along angle phi are
+    exp(-i k0 d.c) g(phi - s 2 pi i / n), g node 0's rows about c.  With
+    g = sum_m g_m exp(i m phi) and X_k the DFT of J (E) or M (H), the
+    product with the currents is exp(-i k0 d.c) sum_m g_m X_{s m mod n}
+    exp(i m phi).  g_m is the FFT of g sampled at L equispaced angles,
+    L a power of two >= 2M + 2, M = _mode_count(k0 rho), rho the largest
+    node distance from c.  The largest |g_m| over M < |m| <= L/2 of each
+    row, relative to that row's largest sample, must be at most
+    FF_TAIL_TOL, or TruncationError: it bounds both the dropped modes and
+    the aliases in the kept ones.  coefs is (2, 2M + 1), the E and H
+    rows' g_m X_{s m mod n} at the modes m = -M .. M.
+    """
+    n = contour.n_nodes
+    centroid = contour.nodes.mean(axis=0)
+    rho = np.hypot(*(contour.nodes - centroid).T).max()
+    m_max = _mode_count(k0 * rho)
+    size = 2 ** math.ceil(math.log2(2 * m_max + 2))
+    phi = (2.0 * np.pi / size) * np.arange(size)
+    rows = _node0_traces(contour, pol, k0,
+                         np.stack([np.cos(phi), np.sin(phi)]))
+    g = np.fft.fft(rows, axis=1) / size
+    tail = float((np.abs(g[:, m_max + 1:size - m_max]).max(axis=1)
+                  / np.abs(rows).max(axis=1)).max())
+    if not tail <= FF_TAIL_TOL:
+        raise TruncationError(
+            f"far-field mode tail {tail:.3e} not below {FF_TAIL_TOL:.0e} "
+            f"past |m| = {m_max} ({size} samples)",
+            n_max=m_max, samples=size, tail_ratio=tail)
+    modes = np.arange(-m_max, m_max + 1)
+    xh = np.fft.fft(x.reshape(2, n), axis=1)
+    return modes, g[:, modes % size] * xh[:, (sense * modes) % n], centroid
+
+
+def _mode_amplitude(contour, pol, k0, modes, coefs, centroid, phis):
+    """F at the incidence angles phis (radians) from :func:`_trace_modes`:
+    the mode sum of each row by np.einsum, one angle at a time in effect,
+    so an angle's value does not depend on the others of the call."""
+    wrapped = np.remainder(phis + np.pi, 2.0 * np.pi) - np.pi
+    harm = np.multiply.outer(wrapped, 1j * modes)              # (K, 2M + 1)
+    np.exp(harm, out=harm)
+    phase = np.exp(-1j * k0 * (np.cos(phis) * centroid[0]
+                               + np.sin(phis) * centroid[1]))
+    e_dot, h_dot = (phase * np.einsum("km,m->k", harm, c) for c in coefs)
+    return _amplitude(contour, pol, k0, e_dot, h_dot)
 
 
 def scattered_field(currents, contour, wave, points, n_gl=8):

@@ -69,8 +69,9 @@ first rows of B, B - S and Q, from the n pairs (0, f) through the same
 pair routines and local formulation, and the bands; build_reduced_system
 turns the terms of _jm_table into (n, 2, 2) per-mode symbols, the DFT of
 each block's first column, with G and G2 per mode from the band symbols;
-the solve is mode by mode (linsolve).  No n x n array is made, and no
-flag chooses this path: the contour does.  assemble_dense_blocks builds
+the solve is mode by mode (linsolve), and the far field sums modes of
+node 0's incident traces (_node0_traces, analysis.far_field).  No n x n
+array is made, and no flag chooses this path: the contour does.  assemble_dense_blocks builds
 the dense blocks of any contour, the oracle of this path on a circle.
 """
 
@@ -79,6 +80,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -88,8 +91,8 @@ from scipy.linalg import blas, solve_banded
 
 from .errors import MeshError, UsageError
 from .geometry import Contour, contour_hash
-from .linsolve import (BlockCirculant, apply_modes, factor_modes, lu_factor,
-                       solve)
+from .linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, BlockCirculant,
+                       apply_modes, factor_modes, lu_factor, solve)
 from .specfun import Z0, gauss_legendre_unit, hankel2_01_real, quad_rule
 
 log = logging.getLogger(__name__)
@@ -390,11 +393,15 @@ def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None, sq_fe=None):
 
 def _node_sum(contour, x):
     """S x, S the (n_nodes, 2 n0) node incidence: sums x's slots (element
-    index first, local node 0 start / 1 end second) into nodes."""
-    out = np.zeros((contour.n_nodes,) + x.shape[2:], dtype=x.dtype)
-    for a in range(2):
-        # exact: a contour visits each node once, so no index repeats
-        out[contour.elements[:, a]] += x[:, a]
+    index first, local node 0 start / 1 end second) into nodes.  Element
+    e starts at node e and ends at node e + 1 (mod n on a loop), so the
+    sums are slice adds, in the order of a scatter onto zeros."""
+    n, n0 = contour.n_nodes, contour.n_elements
+    out = np.zeros((n,) + x.shape[2:], dtype=x.dtype)
+    out[:n0] += x[:, 0]
+    out[1:] += x[:n - 1, 1]
+    if contour.closed:
+        out[0] += x[-1, 1]
     return out
 
 
@@ -450,22 +457,30 @@ def _helmholtz_blocks(contour, k0):
     return mats
 
 
-def _rotation_invariant(contour):
-    """True when ``contour`` is closed and node k is node 0 turned about
-    the centroid of the nodes by s 2 pi k / n, one sign s = +-1 for every
-    k, within KEY_TOL times the largest node distance from the centroid:
-    then element k is element 0 turned by k steps, and every nodal kernel
-    and band matrix is circulant.  O(n)."""
+def _rotation_sense(contour):
+    """The sign s = +-1 when ``contour`` is closed and node k is node 0
+    turned about the centroid of the nodes by s 2 pi k / n for every k,
+    within KEY_TOL times the largest node distance from the centroid;
+    0 otherwise.  O(n)."""
     if not contour.closed:
-        return False
+        return 0
     p = contour.nodes - contour.nodes.mean(axis=0)
     ang = _TWO_PI * np.arange(p.shape[0]) / p.shape[0]
     cos, sin = np.cos(ang), np.sin(ang)
     tol = KEY_TOL * np.hypot(p[:, 0], p[:, 1]).max()
-    return any(
-        max(np.abs(cos * p[0, 0] - s * sin * p[0, 1] - p[:, 0]).max(),
-            np.abs(s * sin * p[0, 0] + cos * p[0, 1] - p[:, 1]).max()) <= tol
-        for s in (1.0, -1.0))
+    for s in (1, -1):
+        if max(np.abs(cos * p[0, 0] - s * sin * p[0, 1] - p[:, 0]).max(),
+               np.abs(s * sin * p[0, 0] + cos * p[0, 1] - p[:, 1]).max()
+               ) <= tol:
+            return s
+    return 0
+
+
+def _rotation_invariant(contour):
+    """True when :func:`_rotation_sense` finds a sense: then element k is
+    element 0 turned by k steps, and every nodal kernel and band matrix is
+    circulant."""
+    return _rotation_sense(contour) != 0
 
 
 def _circulant_rows(contour, k0):
@@ -589,9 +604,21 @@ def _dot_dirs(vecs, dirs):
     return out
 
 
-def _plane_wave_moments(contour, k0, dirs):
+def _horner(coefs, x):
+    """np.polyval(coefs, x), highest power first, in place in one buffer
+    and in polyval's order of operations (x >= 0, so polyval's first step
+    0 x + coefs[0] is coefs[0])."""
+    y = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _plane_wave_moments(contour, k0, dirs, e=slice(None), origin=0.0):
     """(E, 2, K) moments <exp(-i k0 d.x), phi_a>_e of the start (a = 0) and
-    end (a = 1) basis on every element, for the (2, K) directions d.
+    end (a = 1) basis on the elements e (all by default), for the (2, K)
+    directions d, with x measured from ``origin``.
 
     With m_e the midpoint, x = m_e + u (p1 - p0) and b = k0 d.(p1 - p0),
     the moments are h_e exp(-i k0 d.m_e) (C(b)/2 +- i S(b)): one complex
@@ -599,18 +626,32 @@ def _plane_wave_moments(contour, k0, dirs):
     Horner in b^2, which hold while k0 h < MAX_KH (MeshError beyond).
     """
     _check_resolution(contour, k0)
-    b = _dot_dirs(k0 * contour.lengths[:, None] * contour.tangents, dirs)
+    h = contour.lengths[e, None]
+    b = _dot_dirs(k0 * h * contour.tangents[e], dirs)
+    bb = b * b
     w = np.empty(b.shape, dtype=complex)
-    w.real = 0.5 * np.polyval(_C_SERIES, b * b)
-    w.imag = b * np.polyval(_S_SERIES, b * b)
-    ph = k0 * _dot_dirs(contour.midpoints(), dirs)
-    h = contour.lengths[:, None]
-    em = np.empty(b.shape, dtype=complex)
+    w.real = 0.5 * _horner(_C_SERIES, bb)
+    w.imag = b * _horner(_S_SERIES, bb)
+    del b, bb       # not alive with the moments
+    ph = k0 * _dot_dirs(contour.midpoints()[e] - origin, dirs)
+    em = np.empty(w.shape, dtype=complex)
     em.real, em.imag = h * np.cos(ph), -h * np.sin(ph)
-    mom = np.empty((b.shape[0], 2, b.shape[1]), dtype=complex)
+    mom = np.empty((w.shape[0], 2, w.shape[1]), dtype=complex)
     np.multiply(em, w, out=mom[:, 0])
     np.multiply(em, np.conjugate(w, out=w), out=mom[:, 1])
     return mom
+
+
+def _rhs_terms(contour, pol, k0, dirs, e=slice(None), origin=0.0):
+    """(mom, e_fac, h_fac): the moments of :func:`_plane_wave_moments` and
+    the factors that make them the E- and H-row slots of
+    :func:`assemble_rhs`, each a scalar or (E, 1, K)."""
+    mom = _plane_wave_moments(contour, k0, dirs, e, origin)
+    dn = _dot_dirs(contour.normals[e], dirs)[:, None, :]
+    sig = contour.sigma
+    if pol == "TE":
+        return mom, sig * Z0 * dn, sig
+    return mom, sig, -(sig / Z0) * dn
 
 
 def assemble_rhs(contour, pol, k0, phi_inc) -> np.ndarray:
@@ -626,24 +667,31 @@ def assemble_rhs(contour, pol, k0, phi_inc) -> np.ndarray:
 
     The element moments <u, phi> are exact in closed form (see
     :func:`_plane_wave_moments`) for elements with k0 h < MAX_KH; a longer
-    element raises MeshError.  The far field uses the same block by
-    reciprocity (``analysis.far_field``).
+    element raises MeshError.  The far field of a contour that is not
+    rotation-invariant uses the same block by reciprocity
+    (``analysis.far_field``).
     """
     if pol not in ("TE", "TM") or not k0 > 0.0:
         raise UsageError(f"need pol TE or TM and k0 > 0, got {pol!r}, {k0!r}")
     phi = np.atleast_1d(np.asarray(phi_inc, dtype=float))
     dirs = np.stack([np.cos(phi), np.sin(phi)])             # (2, K)
-    mom = _plane_wave_moments(contour, k0, dirs)            # (n0, 2, K)
-    dn = _dot_dirs(contour.normals, dirs)[:, None, :]       # (n0, 1, K)
-    sig = contour.sigma
-    if pol == "TE":
-        e_fac, h_fac = sig * Z0 * dn, sig
-    else:
-        e_fac, h_fac = sig, -(sig / Z0) * dn
-
+    mom, e_fac, h_fac = _rhs_terms(contour, pol, k0, dirs)  # (n0, 2, K)
     e_row = _node_sum(contour, e_fac * mom)
     mom *= h_fac
     return np.concatenate([e_row, _node_sum(contour, mom)])
+
+
+def _node0_traces(contour, pol, k0, dirs):
+    """(2, K) E and H rows of node 0 in :func:`assemble_rhs` for the (2, K)
+    directions, with positions measured from the node centroid: node 0
+    ends element n - 1 and starts element 0.  On a rotation-invariant
+    contour node i's rows are these turned by its step, times the phase
+    of the centroid (``analysis.far_field``)."""
+    e = np.array([contour.n_elements - 1, 0])
+    mom, e_fac, h_fac = _rhs_terms(contour, pol, k0, dirs, e,
+                                   contour.nodes.mean(axis=0))
+    slots = np.stack([e_fac * mom, h_fac * mom])            # (2, 2, 2, K)
+    return slots[:, 0, 1] + slots[:, 1, 0]
 
 
 # --------------------------------------------------------------------------
@@ -703,6 +751,32 @@ def _checked_order(coeffs, wave):
     return _ORDER_INT[coeffs.order]
 
 
+def _available_memory():
+    """Bytes this process may use: its RLIMIT_AS soft limit when one is
+    set, else the machine's physical memory."""
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        return soft
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(contour, dense=None):
+    """Raise MeshError when a solve of ``contour`` is predicted to peak
+    above :func:`_available_memory`: DENSE_PEAK x n^2 x 16 B, n nodes, on
+    the dense path, MODE_PEAK_BYTES x n on the mode path (linsolve notes).
+    ``dense`` names the path; by default the contour picks it.  O(n)."""
+    n = contour.n_nodes
+    if dense is None:
+        dense = not _rotation_invariant(contour)
+    peak = DENSE_PEAK * 16.0 * n * n if dense else MODE_PEAK_BYTES * n
+    avail = _available_memory()
+    if peak > avail:
+        raise MeshError(
+            f"{contour.n_elements} elements: a solve on the "
+            f"{'dense' if dense else 'mode'} path needs ~{peak / 1e6:.3g} "
+            f"MB, the process may use {avail / 1e6:.3g} MB")
+
+
 def assemble_blocks(contour, k0) -> dict:
     """All geometry/frequency-dependent matrices for later composition;
     they serve every boundary-condition order, polarization, and
@@ -712,10 +786,12 @@ def assemble_blocks(contour, k0) -> dict:
     and Q are their first nodal rows (:func:`_circulant_rows`), with the
     chain bands I1, D, K of :func:`assemble_mass_and_d`: O(n) memory, and
     the reduced system is solved mode by mode.  Every other contour gets
-    the dense blocks of :func:`assemble_dense_blocks`.
+    the dense blocks of :func:`assemble_dense_blocks`.  Either path first
+    refuses a contour too large for memory (:func:`check_memory`).
     """
     if not _rotation_invariant(contour):
         return assemble_dense_blocks(contour, k0)
+    check_memory(contour, dense=False)
     t0 = time.perf_counter()
     blocks = _circulant_rows(contour, k0)
     blocks.update(assemble_mass_and_d(contour))
@@ -736,6 +812,7 @@ def assemble_dense_blocks(contour, k0) -> dict:
     transpose.  The n x n arrays are B, B - S, Q (complex) and G, G2
     (real): 4 n^2 x 16 B.
     """
+    check_memory(contour, dense=True)
     t0 = time.perf_counter()
     blocks = _helmholtz_blocks(contour, k0)
     blocks.update(assemble_mass_and_d(contour))

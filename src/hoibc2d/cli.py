@@ -35,8 +35,8 @@ from .analysis import (
     rcs_csv_text,
     solve_and_pattern,
 )
-from .assembly import IncidentWave
-from .errors import HoibcError, UsageError, ValidationError
+from .assembly import IncidentWave, check_memory
+from .errors import HoibcError, MeshError, UsageError, ValidationError
 from .geometry import _MIN_ELEMENTS, contour_hash, mesh_circle, mesh_plate
 from .impedance import (
     CoatingSpec,
@@ -518,6 +518,11 @@ def cmd_solve(cfg, out_dir):
     contour = _contour(cfg)
     log.info("geometry %s: %d elements, hash %s",
              cfg.kind, contour.n_elements, contour_hash(contour))
+    try:
+        check_memory(contour)
+    except MeshError as exc:
+        raise MeshError(f"geometry.n_elements = {cfg.n_elements} is too "
+                        f"large for memory: {exc}") from exc
     written = []
     t0 = time.perf_counter()
     if cfg.sweep_kind == "monostatic-frequency":

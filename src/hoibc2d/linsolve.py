@@ -23,11 +23,15 @@ couplings G, G2; I1, D and K are (n, 3) bands).  Composing the reduced 2n
 system adds only A, 4 (and from IBC1 one real product, 0.5, while it
 composes).  A is column-major, so its LU takes its place
 (``overwrite_a``) and adds nothing, and the residual reads the blocks, not
-A: a solve peaks while it composes, at 8.5 (8.0 at IBC0), 143 MB at n =
-1024.  On the mode path no n x n array is made: blocks, symbols and a
-solve stay O(n) (0.17 n^2 x 16 B at n = 1024, fixed buffers of the
-kernel row included).  Far fields and angle sweeps add a block of
-O(elements x SWEEP_CHUNK), independent of the angle count.  The
+A: a solve peaks while it composes, at DENSE_PEAK = 8.5 (8.0 at IBC0),
+143 MB at n = 1024.  On the mode path no n x n array is made: blocks,
+symbols, a solve and a far field stay O(n), at most 5.4 kB per node
+(tracemalloc, n = 1024 and 4096, k0 h up to 1.99; the kernel row's
+buffers peak, the far field's modes follow), budgeted at MODE_PEAK_BYTES
+per node.  Far fields and angle sweeps of other contours add a block of
+O(elements x SWEEP_CHUNK), independent of the angle count.
+``assembly.check_memory`` refuses, before the kernel pass, a contour
+whose predicted peak exceeds the memory the process may use.  The
 factorization objects are immutable and may be shared across threads;
 each solve runs independent substitution passes.
 
@@ -72,6 +76,10 @@ log = logging.getLogger(__name__)
 
 RCOND_WARN = 1e-12
 NORM_PANEL = 32     # columns per panel of the 1-norm (_norm1)
+# predicted peak of a solve (module notes): n^2 x 16 B units, n nodes, on
+# the dense path, and bytes per node on the mode path
+DENSE_PEAK = 8.5
+MODE_PEAK_BYTES = 8192
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,16 @@ def _relabelled_plate():
     return Contour(nodes=mesh_plate(2.0, 40).nodes[::-1], closed=False)
 
 
-FF_MESHES = {"circle": lambda: mesh_circle(1.0, 32),
+def _moved_node_circle():
+    """mesh_circle(1.0, 32) with node 1 moved out by 0.1%: no rotation
+    symmetry, so its far field takes the block path."""
+    nodes = mesh_circle(1.0, 32).nodes.copy()
+    nodes[1] *= 1.001
+    return Contour(nodes=nodes, closed=True)
+
+
+# block-path far fields ("circle" is a 32-gon with one node moved)
+FF_MESHES = {"circle": _moved_node_circle,
              "relabelled-plate": _relabelled_plate}
 
 
@@ -263,6 +272,104 @@ def test_far_field_blocks_equal_one_block(mesh, pol, chunk, monkeypatch):
     got = far_field(cur, c, IncidentWave(pol=pol, k0=K0, phi_inc=0.3),
                     angles).values
     assert np.array_equal(got, want)
+
+
+# --- far field of a rotation-invariant contour, by modes ----------------------
+#
+# The oracle is the block path: the unit-wave block of assemble_rhs dotted
+# with the currents (_reciprocal_amplitude).
+
+def _block_far_field(c, cur, pol, k0, angles):
+    rhs = assemble_rhs(c, pol, k0, np.deg2rad(angles) + np.pi)
+    return _reciprocal_amplitude(c, pol, k0, rhs,
+                                 np.concatenate([cur.J, cur.M]))
+
+
+def _circle128_nodes():
+    return mesh_circle(B, 128).nodes
+
+
+MODE_FF_MESHES = {
+    # (contour, k0): N = 8 at k0 h = 1.98, and k0 rho = 290 at N = 1024
+    "circle8": (lambda: mesh_circle(1.0, 8),
+                1.98 / (2.0 * np.sin(np.pi / 8))),
+    "circle128": (lambda: mesh_circle(B, 128), K0),
+    "circle512": (lambda: mesh_circle(B, 512), K0),
+    "circle1024": (lambda: mesh_circle(1.0, 1024), 290.0),
+    "clockwise": (lambda: Contour(nodes=_circle128_nodes()[::-1],
+                                  closed=True), K0),
+    "from-node-3": (lambda: Contour(nodes=np.roll(_circle128_nodes(), -3,
+                                                  axis=0), closed=True), K0),
+    "shifted": (lambda: Contour(nodes=_circle128_nodes() + [3.0, -1.7],
+                                closed=True), K0),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(MODE_FF_MESHES))
+def test_mode_far_field_matches_block_oracle(mesh, monkeypatch):
+    """On a rotation-invariant contour the far field is a mode sum, not
+    the unit-wave block, and it agrees with the block product to 1e-12 of
+    max |F| at TE and TM."""
+    build, k0 = MODE_FF_MESHES[mesh]
+    c = build()
+    cur = _random_currents(c)
+    angles = np.arange(360) * 1.0
+    want = {pol: _block_far_field(c, cur, pol, k0, angles)
+            for pol in TRACE_POLS}
+    monkeypatch.setattr("hoibc2d.analysis.assemble_rhs", None)
+    for pol in TRACE_POLS:
+        got = far_field(cur, c, IncidentWave(pol=pol, k0=k0, phi_inc=0.3),
+                        angles).values
+        err = np.max(np.abs(got - want[pol]))
+        assert err <= 1e-12 * np.max(np.abs(want[pol])), (pol, err)
+
+
+@pytest.mark.parametrize("pol", TRACE_POLS)
+def test_mode_far_field_angle_by_angle(pol, monkeypatch):
+    """An angle's far field on the mode path is bitwise the same whatever
+    other angles share the call: alone, in another order, in blocks of
+    7."""
+    c = mesh_circle(B, 128)
+    cur = _random_currents(c)
+    wave = IncidentWave(pol=pol, k0=K0, phi_inc=0.3)
+    angles = np.arange(SWEEP_CHUNK + 44) * (360.0 / (SWEEP_CHUNK + 44))
+    want = far_field(cur, c, wave, angles).values
+    order = np.random.default_rng(3).permutation(angles.size)
+    assert np.array_equal(far_field(cur, c, wave, angles[order]).values,
+                          want[order])
+    for k in (0, 17, angles.size - 1):
+        assert far_field(cur, c, wave, angles[k:k + 1]).values[0] == want[k]
+    monkeypatch.setattr("hoibc2d.analysis.SWEEP_CHUNK", 7)
+    assert np.array_equal(far_field(cur, c, wave, angles).values, want)
+
+
+def test_mode_far_field_refuses_a_failing_tail(monkeypatch):
+    """Too few modes leave a tail above FF_TAIL_TOL: TruncationError, not a
+    truncated answer."""
+    c = mesh_circle(B, 128)
+    wave = IncidentWave(pol="TE", k0=K0, phi_inc=0.0)
+    far_field(_random_currents(c), c, wave, [0.0, 90.0])
+    monkeypatch.setattr("hoibc2d.analysis._mode_count", lambda z: 3)
+    with pytest.raises(TruncationError, match="tail"):
+        far_field(_random_currents(c), c, wave, [0.0, 90.0])
+
+
+@pytest.mark.parametrize("mesh", ["plate", "circle"])
+def test_far_field_path_by_contour(mesh, monkeypatch):
+    """A plate's far field goes through assemble_rhs; a circle's does
+    not."""
+    c = TRACE_MESHES[mesh]()
+    calls = []
+    rhs = analysis.assemble_rhs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr("hoibc2d.analysis.assemble_rhs", counted)
+    far_field(_random_currents(c), c,
+              IncidentWave(pol="TM", k0=K0, phi_inc=0.0), DEG)
+    assert len(calls) == (2 if mesh == "plate" else 0)
 
 
 def test_far_field_memory_budget():

@@ -15,19 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import blas
 
+from hoibc2d import assembly
 from hoibc2d.analysis import solve_and_pattern
 from hoibc2d.assembly import (
+    _C_SERIES,
+    _S_SERIES,
+    MAX_KH,
     PAIRS_PER_SLICE,
     IncidentWave,
     _adjacent_moments,
+    _available_memory,
     _band_dot,
     _circulant_dense,
     _dense,
     _distant_pairs,
     _eliminated_blocks,
     _helmholtz_blocks,
+    _horner,
     _jm_matvec,
     _mode_symbols,
+    _node_sum,
     _pair_moments,
     _plain_kernels,
     _rotation_invariant,
@@ -45,7 +52,7 @@ from hoibc2d.assembly import (
 from hoibc2d.errors import MeshError, SingularMatrixError, UsageError
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, IbcCoefficients, fit_coefficients
-from hoibc2d.linsolve import lu_factor, solve
+from hoibc2d.linsolve import DENSE_PEAK, MODE_PEAK_BYTES, lu_factor, solve
 from hoibc2d.specfun import C0, Z0, gauss_legendre_unit, hankel2_01_real
 
 K0 = 2.0 * np.pi  # 1 m circle at ~300 MHz
@@ -704,6 +711,22 @@ def test_rhs_wave_block_columns(circle32):
             assemble_rhs(circle32, pol, k0, phis)
 
 
+@pytest.mark.parametrize("mesh", ["circle", "plate"])
+def test_rhs_sums_and_series_as_scatter_and_polyval(mesh):
+    """The node sum by slice adds is bitwise the scatter of each slot
+    onto zeros, and the in-place Horner is bitwise np.polyval."""
+    c = mesh_circle(1.1, 32) if mesh == "circle" else mesh_plate(2.0, 40)
+    x = np.random.default_rng(2).standard_normal((c.n_elements, 2, 5)) \
+        * (1.0 + 1.0j)
+    want = np.zeros((c.n_nodes, 5), dtype=complex)
+    for a in range(2):
+        want[c.elements[:, a]] += x[:, a]
+    assert np.array_equal(_node_sum(c, x), want)
+    bb = (np.linspace(0.0, MAX_KH, 97) ** 2).reshape(-1, 1)
+    for series in (_C_SERIES, _S_SERIES):
+        assert np.array_equal(_horner(series, bb), np.polyval(series, bb))
+
+
 # --- block systems and reduction ---------------------------------------------
 
 TE1 = IbcCoefficients(order="IBC1", pol="TE", a0=12.0 + 3.0j, a=2.0 - 1.0j,
@@ -1100,6 +1123,31 @@ def test_rotation_detector_picks_the_path(mesh):
         assert blocks["B"].shape == (c.n_nodes,)
     else:
         assert blocks["G"].shape == (c.n_nodes,) * 2
+
+
+@pytest.mark.parametrize("mesh", ["circle", "plate"])
+def test_element_ceiling_at_the_edge(mesh, monkeypatch):
+    """A contour whose solve is predicted to peak at exactly the memory
+    the process may use is assembled; one byte less is refused with
+    MeshError before the kernel pass.  The prediction is MODE_PEAK_BYTES
+    per node on the mode path and DENSE_PEAK x n^2 x 16 B on the dense
+    one; the memory reading is patched, nothing large is allocated."""
+    c = mesh_circle(1.1, 64) if mesh == "circle" else mesh_plate(2.0, 40)
+    n = c.n_nodes
+    peak = MODE_PEAK_BYTES * n if mesh == "circle" else DENSE_PEAK * 16 * n * n
+    assert _available_memory() > 0
+    passes = []
+    for name in ("_circulant_rows", "_helmholtz_blocks"):
+        real = getattr(assembly, name)
+        monkeypatch.setattr(assembly, name, lambda *a, real=real:
+                            passes.append(a) or real(*a))
+    monkeypatch.setattr(assembly, "_available_memory", lambda: peak - 1)
+    with pytest.raises(MeshError, match=f"{c.n_elements} elements"):
+        assemble_blocks(c, K0)
+    assert passes == []
+    monkeypatch.setattr(assembly, "_available_memory", lambda: peak)
+    assemble_blocks(c, K0)
+    assert len(passes) == 1
 
 
 ORACLE_MESHES = {

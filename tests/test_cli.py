@@ -358,6 +358,29 @@ def test_solve_resonant_coating_exits_3(tmp_path):
                "--quiet") == 3
 
 
+def test_solve_failing_far_field_tail_exits_3(tmp_path, monkeypatch):
+    # too few far-field modes for the circle: refused, no curve written
+    monkeypatch.setattr("hoibc2d.analysis._mode_count", lambda z: 3)
+    cfg = put(tmp_path, "c.json", CYLINDER)
+    assert run("solve", "--config", cfg, "--out", str(tmp_path),
+               "--quiet") == 3
+    assert not list(tmp_path.glob("rcs_*.csv"))
+
+
+@pytest.mark.parametrize("base", ["circle", "plate"])
+def test_solve_above_memory_exits_2_naming_n_elements(tmp_path, monkeypatch,
+                                                      caplog, base):
+    # a mesh whose solve would not fit in memory is refused before the
+    # kernel pass, with the config field to change
+    monkeypatch.setattr("hoibc2d.assembly._available_memory", lambda: 2**16)
+    cfg = put(tmp_path, "c.json", CYLINDER if base == "circle" else PLATE)
+    with caplog.at_level(logging.ERROR, logger="hoibc2d"):
+        assert run("solve", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet") == 2
+    assert "geometry.n_elements" in caplog.text
+    assert not list(tmp_path.glob("rcs_*.csv"))
+
+
 # --- impedance table ---------------------------------------------------------
 
 def test_impedance_table_structure(tmp_path):
