@@ -11,8 +11,8 @@ specfun    Bessel/Hankel functions, the kernel Hankel path, quadrature.
 impedance  Planar-layer impedance, rational coefficient fits, SUC checks.
 geometry   Discretized contours (circles, plates) with per-element frames.
 assembly   Galerkin block systems for TE/TM and their reduction to (J, M).
-linsolve   Dense complex LU with condition estimation.
-analysis   Far fields, echo widths, and the coated-cylinder series reference.
+linsolve   Dense complex LU with rcond estimate; mode-by-mode circulant solve.
+analysis   Reduced-system solves, far fields, echo widths, series references.
 cli        Command-line driver (impedance-table / check / solve / oracle /
            compare).
 """

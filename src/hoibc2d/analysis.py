@@ -1,4 +1,4 @@
-"""Far fields, echo widths, and the exact cylinder series references.
+"""Reduced-system solves, far fields, echo widths, cylinder series references.
 
 Every far field of the solver comes from reciprocity: towards x_hat the
 far-field phase exp(i k0 x_hat.x) is the unit plane wave travelling along
@@ -19,13 +19,15 @@ curves that never touch the boundary-element code paths.
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .assembly import IncidentWave, _node0_traces, _plain_kernels, \
-    _rotation_sense, assemble_rhs, build_reduced_system, solve_currents
+from .assembly import IncidentWave, SurfaceCurrents, _jm_matvec, \
+    _node0_traces, _plain_kernels, _rotation_sense, assemble_rhs, \
+    build_reduced_system
 from .errors import TruncationError, UsageError, ValidationError
 from .geometry import Contour, contour_hash
 from .impedance import IbcCoefficients
@@ -513,6 +515,46 @@ def optical_theorem_residual(modes):
 # solver-driven sweeps
 # --------------------------------------------------------------------------
 
+def _factor(system):
+    """(apply, matvec, rcond) of the reduced matrix A of ``system``, which
+    it consumes (a second call raises UsageError): apply(b) solves A x = b
+    for b (n,) or (n, K), matvec(x) is A x, rcond A's 1-norm reciprocal
+    condition.  A BlockCirculant is inverted mode by mode (exact rcond) and
+    applied by its symbols; a dense A is LU-factored where it lies and
+    applied from the stored blocks (``assembly._jm_matvec``)."""
+    mat = system.reduced_matrix
+    if mat is None:
+        raise UsageError("the reduced matrix was consumed by an earlier "
+                         "solve; build the system again")
+    system.reduced_matrix = None    # holds the LU, or a partial one
+    if isinstance(mat, BlockCirculant):
+        inverse, rcond = factor_modes(mat)
+        return partial(apply_modes, inverse), partial(apply_modes, mat), rcond
+    fac = lu_factor(mat, overwrite_a=True)
+    return (partial(solve, fac), partial(_jm_matvec, system),
+            fac.rcond_estimate)
+
+
+def solve_currents(system):
+    """Solve the reduced (J, M) system of ``assembly.build_reduced_system``
+    by :func:`_factor`, which consumes its matrix, and unpack J and M; the
+    meta's relative residual ||Ax - b|| / ||b|| takes A x from its matvec."""
+    rhs = system.reduced_rhs
+    t0 = time.perf_counter()
+    apply, matvec, rcond = _factor(system)
+    x = apply(rhs)
+    dt = time.perf_counter() - t0
+    # a zero b solves to x = 0 exactly
+    residual = float(np.linalg.norm(matvec(x) - rhs)
+                     / max(np.linalg.norm(rhs), np.finfo(float).tiny))
+    log.info("solved n=%d system in %.3fs (rcond %.2e, residual %.1e)",
+             x.size, dt, rcond, residual)
+    n1 = system.sizes[0]
+    meta = dict(system.meta, rcond=rcond, residual=residual,
+                solve_seconds=dt)
+    return SurfaceCurrents(J=x[:n1], M=x[n1:], meta=meta)
+
+
 def solve_and_pattern(contour, coeffs, wave, angles_deg, blocks=None):
     """One bistatic solve: reduced system, currents, echo width curve."""
     system = build_reduced_system(contour, coeffs, wave, blocks=blocks)
@@ -565,23 +607,16 @@ def _sweep_angles(contour, coeffs, angles_deg, k0):
     # the matrix; its one rhs column goes unused, every chunk assembles its
     # own right-hand sides
     system = build_reduced_system(contour, coeffs, wave0)
-    mat = system.reduced_matrix
-    if isinstance(mat, BlockCirculant):
-        inverse, rcond = factor_modes(mat)
-        solver = partial(apply_modes, inverse)
-    else:
-        fac = lu_factor(mat, overwrite_a=True)
-        solver, rcond = partial(solve, fac), fac.rcond_estimate
-    log.info("factored n=%d sweep matrix (rcond %.2e)", mat.shape[0], rcond)
-    con = np.asarray(system.constrained, dtype=int)
-    pinned = con[con < mat.shape[0]]
+    solver, _, rcond = _factor(system)
+    log.info("factored n=%d sweep matrix (rcond %.2e)",
+             system.reduced_rhs.size, rcond)
     out = np.empty(len(angles_deg))
     # per chunk: one rhs block and one multi-column solve (column k bitwise
     # its own solve, see linsolve); backscatter by reciprocity from both
     for lo in range(0, len(angles_deg), SWEEP_CHUNK):
         phis = angles_deg[lo:lo + SWEEP_CHUNK]
         rhs = assemble_rhs(contour, coeffs.pol, k0, np.deg2rad(phis))
-        rhs[pinned] = 0.0
+        rhs[list(system.constrained)] = 0.0
         f = _reciprocal_amplitude(contour, coeffs.pol, k0, rhs, solver(rhs))
         del rhs         # not alive while the next chunk assembles its own
         out[lo:lo + len(phis)] = _echo_width_db(f)

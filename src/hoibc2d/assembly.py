@@ -69,10 +69,10 @@ first rows of B, B - S and Q, from the n pairs (0, f) through the same
 pair routines and local formulation, and the bands; build_reduced_system
 turns the terms of _jm_table into (n, 2, 2) per-mode symbols, the DFT of
 each block's first column, with G and G2 per mode from the band symbols;
-the solve is mode by mode (linsolve), and the far field sums modes of
-node 0's incident traces (_node0_traces, analysis.far_field).  No n x n
-array is made, and no flag chooses this path: the contour does.  assemble_dense_blocks builds
-the dense blocks of any contour, the oracle of this path on a circle.
+analysis.solve_currents solves it mode by mode (linsolve) and the far
+field sums modes of node 0's traces (_node0_traces, analysis.far_field):
+no n x n array is made, and the contour, not a flag, picks this path.
+assemble_dense_blocks builds any contour's dense blocks, this path's oracle.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from scipy.linalg import blas, solve_banded
 from .errors import MeshError, UsageError
 from .geometry import Contour, contour_hash
 from .linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, BlockCirculant,
-                       apply_modes, factor_modes, lu_factor, solve)
+                       lu_factor, solve)
 from .specfun import Z0, gauss_legendre_unit, hankel2_01_real, quad_rule
 
 log = logging.getLogger(__name__)
@@ -148,8 +148,8 @@ class AssembledSystem:
     blocks (only the couplings G, G2 carry the pins of the auxiliary
     fields, which are the same at every order).
     ``reduced_matrix`` (dense, or a BlockCirculant) is consumed by
-    :func:`solve_currents`, which factors it and sets it to None; the
-    residual it reports is computed from ``blocks`` and ``meta``.
+    ``analysis.solve_currents``, which factors it and sets it to None; a
+    dense one's residual is computed from ``blocks`` and ``meta``.
     """
 
     blocks: dict
@@ -476,16 +476,9 @@ def _rotation_sense(contour):
     return 0
 
 
-def _rotation_invariant(contour):
-    """True when :func:`_rotation_sense` finds a sense: then element k is
-    element 0 turned by k steps, and every nodal kernel and band matrix is
-    circulant."""
-    return _rotation_sense(contour) != 0
-
-
 def _circulant_rows(contour, k0):
     """The first nodal rows of B, B - S and Q of a rotation-invariant
-    contour (:func:`_rotation_invariant`), from the pairs (0, f) of element
+    contour (:func:`_rotation_sense`), from the pairs (0, f) of element
     0 with every element f through the pair-class routines and the one
     local formulation: the self pair, the shared-vertex pairs (0, 1) and
     (n - 1, 0) (whose transposed SB and partner SQ are the (0, n - 1)
@@ -767,7 +760,7 @@ def check_memory(contour, dense=None):
     ``dense`` names the path; by default the contour picks it.  O(n)."""
     n = contour.n_nodes
     if dense is None:
-        dense = not _rotation_invariant(contour)
+        dense = not _rotation_sense(contour)
     peak = DENSE_PEAK * 16.0 * n * n if dense else MODE_PEAK_BYTES * n
     avail = _available_memory()
     if peak > avail:
@@ -782,14 +775,14 @@ def assemble_blocks(contour, k0) -> dict:
     they serve every boundary-condition order, polarization, and
     incidence angle at this (contour, k0).
 
-    On a rotation-invariant contour (:func:`_rotation_invariant`) B, BS
+    On a rotation-invariant contour (:func:`_rotation_sense`) B, BS
     and Q are their first nodal rows (:func:`_circulant_rows`), with the
     chain bands I1, D, K of :func:`assemble_mass_and_d`: O(n) memory, and
     the reduced system is solved mode by mode.  Every other contour gets
     the dense blocks of :func:`assemble_dense_blocks`.  Either path first
     refuses a contour too large for memory (:func:`check_memory`).
     """
-    if not _rotation_invariant(contour):
+    if not _rotation_sense(contour):
         return assemble_dense_blocks(contour, k0)
     check_memory(contour, dense=False)
     t0 = time.perf_counter()
@@ -1111,7 +1104,7 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     place into A's quadrants from the stored blocks (beyond A it allocates
     one real product) and adds the right-hand side of ``wave``.  A is
     column-major (Fortran order), as LAPACK stores a matrix, so that
-    :func:`solve_currents` factors it where it lies instead of copying it.
+    ``analysis.solve_currents`` factors it where it lies instead of copying it.
     From circulant blocks (:func:`assemble_blocks`) the reduced matrix is
     a :class:`~hoibc2d.linsolve.BlockCirculant` of the same terms
     (:func:`_mode_symbols`) and no n x n array is made.
@@ -1124,7 +1117,7 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     c = _scaled_coefficients(coeffs, wave.k0)
     n1 = contour.n_nodes
     sizes = _field_sizes(contour, order)
-    constrained = _constrained_indices(contour, sizes)
+    constrained = _constrained_indices(contour, sizes[:2])
     n = sizes[0] + sizes[1]
 
     table = _jm_table(wave.pol == "TE", c, order)
@@ -1134,7 +1127,7 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
         A = np.empty((n, n), dtype=complex, order="F")
         views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
         _compose(views, blocks, table)
-        _apply_constraints(A, rhs, tuple(i for i in constrained if i < n))
+        _apply_constraints(A, rhs, constrained)
 
     meta = _system_meta(contour, coeffs, wave, c, t0)
     log.info("assembled %s %s reduced system: n=%d, geometry %s, %.2fs",
@@ -1158,17 +1151,14 @@ def _blas_mv(m, v, transposed):
 
 
 def _jm_matvec(system, x):
-    """A x for the reduced matrix A of ``system``, from its stored blocks
-    and the table that composed A (:func:`_jm_table`), so A itself need
-    not exist: a pinned row of A is the identity's and a pinned column
-    zero.  Circulant blocks apply the table's mode symbols."""
+    """A x for the dense reduced matrix A of ``system``, from its stored
+    blocks and the table that composed A (:func:`_jm_table`), so A itself
+    need not exist: a pinned row of A is the identity's and a pinned
+    column zero."""
     meta, n1 = system.meta, system.sizes[0]
     table = _jm_table(meta["pol"] == "TE", meta["coefficients_scaled"],
                       _ORDER_INT[meta["order"]])
-    if _circulant(system.blocks):
-        return apply_modes(
-            BlockCirculant(_mode_symbols(system.blocks, table)), x)
-    pins = [i for i in system.constrained if i < x.size]
+    pins = list(system.constrained)
     xs = x.copy()
     xs[pins] = 0.0
     y = np.zeros_like(xs)
@@ -1184,38 +1174,3 @@ def _jm_matvec(system, x):
                                            else op(p, scalar))
     y[pins] = x[pins]
     return y
-
-
-def solve_currents(system: AssembledSystem) -> SurfaceCurrents:
-    """Solve the reduced (J, M) system of :func:`build_reduced_system`
-    and unpack J and M: a dense matrix by LU, a BlockCirculant mode by
-    mode (``linsolve.factor_modes``, whose rcond is exact).
-
-    The system's ``reduced_matrix`` is consumed: a dense one is factored
-    in place (no copy of A), and it is set to None, so that A and its
-    factors are freed on return; a second solve of the same system raises
-    ``UsageError``.  The relative residual ||Ax - b|| / ||b|| in the meta
-    takes A x from the stored blocks (:func:`_jm_matvec`)."""
-    mat, rhs = system.reduced_matrix, system.reduced_rhs
-    if mat is None:
-        raise UsageError("the reduced matrix was consumed by an earlier "
-                         "solve; build the system again")
-    system.reduced_matrix = None    # holds the LU, or a partial one
-    t0 = time.perf_counter()
-    if isinstance(mat, BlockCirculant):
-        inverse, rcond = factor_modes(mat)
-        x = apply_modes(inverse, rhs)
-    else:
-        fac = lu_factor(mat, overwrite_a=True)
-        x, rcond = solve(fac, rhs), fac.rcond_estimate
-    dt = time.perf_counter() - t0
-    # a zero b solves to x = 0 exactly
-    residual = float(np.linalg.norm(_jm_matvec(system, x) - rhs)
-                     / max(np.linalg.norm(rhs), np.finfo(float).tiny))
-    log.info("solved n=%d system in %.3fs (rcond %.2e, residual %.1e)",
-             x.size, dt, rcond, residual)
-
-    n1 = system.sizes[0]
-    meta = dict(system.meta)
-    meta.update(rcond=rcond, residual=residual, solve_seconds=dt)
-    return SurfaceCurrents(J=x[:n1], M=x[n1:], meta=meta)

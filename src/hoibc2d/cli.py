@@ -35,7 +35,7 @@ from .analysis import (
     rcs_csv_text,
     solve_and_pattern,
 )
-from .assembly import IncidentWave, check_memory
+from .assembly import IncidentWave, _check_resolution, check_memory
 from .errors import HoibcError, MeshError, UsageError, ValidationError
 from .geometry import _MIN_ELEMENTS, contour_hash, mesh_circle, mesh_plate
 from .impedance import (
@@ -518,11 +518,15 @@ def cmd_solve(cfg, out_dir):
     contour = _contour(cfg)
     log.info("geometry %s: %d elements, hash %s",
              cfg.kind, contour.n_elements, contour_hash(contour))
+    # before any fit: enough memory, and enough elements at the largest k0
+    k0 = cfg.k0 if cfg.sweep_kind != "monostatic-frequency" \
+        else 2.0 * np.pi * cfg.frequencies_hz.max() / C0
     try:
         check_memory(contour)
+        _check_resolution(contour, k0)
     except MeshError as exc:
-        raise MeshError(f"geometry.n_elements = {cfg.n_elements} is too "
-                        f"large for memory: {exc}") from exc
+        raise MeshError(f"geometry.n_elements = {cfg.n_elements} does not "
+                        f"suit this run: {exc}") from exc
     written = []
     t0 = time.perf_counter()
     if cfg.sweep_kind == "monostatic-frequency":

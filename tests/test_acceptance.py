@@ -33,6 +33,7 @@ from hoibc2d.analysis import (
     optical_theorem_residual,
     series_coated_cylinder,
     solve_and_pattern,
+    solve_currents,
 )
 from hoibc2d.assembly import (
     IncidentWave,
@@ -40,7 +41,6 @@ from hoibc2d.assembly import (
     assemble_blocks,
     build_full_system,
     build_reduced_system,
-    solve_currents,
 )
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, IbcCoefficients, fit_coefficients

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import blas
 
 from hoibc2d import assembly
-from hoibc2d.analysis import solve_and_pattern
+from hoibc2d.analysis import solve_and_pattern, solve_currents
 from hoibc2d.assembly import (
     _C_SERIES,
     _S_SERIES,
@@ -37,7 +37,7 @@ from hoibc2d.assembly import (
     _node_sum,
     _pair_moments,
     _plain_kernels,
-    _rotation_invariant,
+    _rotation_sense,
     _scaled_coefficients,
     _self_g_moments,
     assemble_blocks,
@@ -47,12 +47,12 @@ from hoibc2d.assembly import (
     build_full_system,
     build_reduced_system,
     reduce_system,
-    solve_currents,
 )
 from hoibc2d.errors import MeshError, SingularMatrixError, UsageError
 from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, IbcCoefficients, fit_coefficients
-from hoibc2d.linsolve import DENSE_PEAK, MODE_PEAK_BYTES, lu_factor, solve
+from hoibc2d.linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, apply_modes,
+                              lu_factor, solve)
 from hoibc2d.specfun import C0, Z0, gauss_legendre_unit, hankel2_01_real
 
 K0 = 2.0 * np.pi  # 1 m circle at ~300 MHz
@@ -881,9 +881,7 @@ def test_in_place_composition_equals_copies(coeffs, mesh):
     blocks = assemble_dense_blocks(c, K0)
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
     system = build_reduced_system(c, coeffs, w, blocks)
-    n = 2 * c.n_nodes
-    want = _composed_by_copies(c, coeffs, w, blocks,
-                               [i for i in system.constrained if i < n])
+    want = _composed_by_copies(c, coeffs, w, blocks, system.constrained)
     assert np.max(np.abs(system.reduced_matrix - want)) \
         <= 1e-15 * np.max(np.abs(want))
 
@@ -947,7 +945,7 @@ def test_solve_factors_in_place(circle32, circle32_blocks, monkeypatch):
         seen.append((matrix, lu_factor(matrix, overwrite_a=overwrite_a)))
         return seen[-1][1]
 
-    monkeypatch.setattr("hoibc2d.assembly.lu_factor", recorded)
+    monkeypatch.setattr("hoibc2d.analysis.lu_factor", recorded)
     solve_currents(system)
     [(matrix, fac)] = seen
     assert matrix is A and fac.lu is A
@@ -972,7 +970,7 @@ def test_block_residual_equals_dense(coeffs, mesh):
     n = A.shape[0]
     rng = np.random.default_rng(29)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    pins = [i for i in system.constrained if i < n]
+    pins = list(system.constrained)
     assert len(pins) == (0 if c.closed else 4) and np.all(x[pins] != 0.0)
     want = A @ x
     assert np.max(np.abs(_jm_matvec(system, x) - want)) \
@@ -1045,6 +1043,19 @@ def test_plate_endpoint_constraints_exact():
     assert np.max(np.abs(red.J - j)) <= 1e-8 * np.max(np.abs(j))
 
 
+@pytest.mark.parametrize("coeffs", [TM0, TE1, TM2],
+                         ids=lambda cf: cf.order)
+def test_reduced_system_pins_only_its_own_fields(coeffs):
+    """A reduced system lists the pins of its own unknowns, the end nodes
+    of J and of M, at every order: not those of the eliminated auxiliary
+    fields, which the full system has."""
+    plate = mesh_plate(2.0, 40)
+    n = plate.n_nodes
+    w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
+    system = build_reduced_system(plate, coeffs, w)
+    assert system.constrained == (0, n - 1, n, 2 * n - 1)
+
+
 @pytest.mark.parametrize("coeffs", [TE1, TM2],
                          ids=["coeffs0-p1", "coeffs1-p1"])
 def test_relabelled_plate_pins_chain_ends(coeffs):
@@ -1114,7 +1125,7 @@ def test_rotation_detector_picks_the_path(mesh):
     node 3 is still such a rotation of its node 0."""
     build, modes = DETECTOR_MESHES[mesh]
     c = build()
-    assert _rotation_invariant(c) is modes
+    assert (_rotation_sense(c) != 0) is modes
     if c.n_elements > 200:
         return                  # the dense kernel pass is checked elsewhere
     blocks = assemble_blocks(c, 1.0)
@@ -1178,7 +1189,7 @@ def test_mode_path_matches_dense_oracle(mesh, monkeypatch):
         w = IncidentWave(pol=pol, k0=K0, phi_inc=0.3)
         want, want_sol = solve_and_pattern(c, cf, w, angles, blocks=dense)
         with monkeypatch.context() as m:
-            m.setattr("hoibc2d.assembly.lu_factor", None)
+            m.setattr("hoibc2d.analysis.lu_factor", None)
             got, got_sol = solve_and_pattern(c, cf, w, angles, blocks=rows)
         x, ref = (np.concatenate([s.J, s.M]) for s in (got_sol, want_sol))
         err = np.max(np.abs(x - ref)) / np.max(np.abs(ref))
@@ -1209,7 +1220,7 @@ def test_mode_rcond_and_residual():
         system = build_reduced_system(c, cf, w, blocks=rows)
         a = reduce_system(build_full_system(c, cf, w, blocks=rows))
         want = a.reduced_matrix @ x
-        assert np.max(np.abs(_jm_matvec(system, x) - want)) \
+        assert np.max(np.abs(apply_modes(system.reduced_matrix, x) - want)) \
             <= 1e-12 * np.max(np.abs(want)), (pol, order)
 
 
@@ -1231,6 +1242,25 @@ def test_zero_mode_symbol_raises(monkeypatch):
         with pytest.raises(SingularMatrixError, match="mode 5") as err:
             solve_currents(system)
         assert err.value.exit_code == 3
+
+
+def test_mode_path_builds_its_symbols_once(monkeypatch):
+    """A mode-path solve builds the per-mode symbols once, with the reduced
+    system: the factor and the residual both read them from the
+    BlockCirculant."""
+    calls = []
+    symbols = _mode_symbols
+
+    def counted(*args):
+        calls.append(args)
+        return symbols(*args)
+
+    monkeypatch.setattr("hoibc2d.assembly._mode_symbols", counted)
+    c = mesh_circle(1.1, 64)
+    w = IncidentWave(pol="TE", k0=K0, phi_inc=0.3)
+    sol = solve_currents(build_reduced_system(c, TE2, w))
+    assert len(calls) == 1
+    assert sol.meta["residual"] <= 1e-13
 
 
 def test_mode_path_memory_budget():

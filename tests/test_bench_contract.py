@@ -64,3 +64,36 @@ def test_every_counted_argument_is_a_parameter(tracer):
         read |= keys
     # the counters read arguments at all, so the walk above found them
     assert read, "no counter reads a call argument"
+
+
+SELFTEST = TRACING.with_name("selftest.py")
+
+
+def _wrapped_call_sites():
+    """The (module, name) pairs that the selftest's traced run must find
+    wrapped: the literal set in
+    ``test_traced_run_wraps_every_call_site_and_restores_it``, read without
+    importing the selftest."""
+    tree = ast.parse(SELFTEST.read_text(encoding="utf-8"))
+    test = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name
+                == "test_traced_run_wraps_every_call_site_and_restores_it")
+    sites = set()
+    for node in ast.walk(test):
+        if isinstance(node, ast.Set):
+            sites |= ast.literal_eval(node)
+    return sites
+
+
+def test_selftest_call_sites_bind_the_traced_functions(tracer):
+    """Each call site the selftest expects wrapped holds, under its name,
+    the function that the tracer wraps in its defining module, so a
+    refactor that drops such an import fails here and not only in the
+    benchmark's own selftest."""
+    _, namespace = tracer
+    defining = {name: module for module, name, _ in namespace["TARGETS"]}
+    sites = _wrapped_call_sites()
+    assert ("hoibc2d.analysis", "lu_factor") in sites
+    for module, name in sorted(sites):
+        bound = getattr(importlib.import_module(module), name, None)
+        assert bound is _target(defining[name], name), (module, name)

@@ -381,6 +381,30 @@ def test_solve_above_memory_exits_2_naming_n_elements(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("rcs_*.csv"))
 
 
+@pytest.mark.parametrize("sweep", ["bistatic", "monostatic-frequency"])
+def test_solve_too_coarse_exits_2_before_fit(tmp_path, monkeypatch, caplog,
+                                             sweep):
+    # 16 elements on a 1 m circle at 3 GHz, k0 h ~ 27 (a frequency sweep
+    # is refused at its last frequency, not at the configured one):
+    # refused with the config field to change, before any coefficient fit
+    fits = []
+    monkeypatch.setattr("hoibc2d.cli.fit_coefficients",
+                        lambda *a, **k: fits.append(a))
+    override = {"geometry.n_elements": 16, "frequency": 3.0e9}
+    if sweep != "bistatic":
+        override = {"geometry.n_elements": 16, "frequency": 1.0e9,
+                    "sweep": {"kind": sweep,
+                              "frequencies_hz": [1.0e9, 2.0e9, 3.0e9]}}
+    cfg = put(tmp_path, "c.json", CYLINDER, **override)
+    with caplog.at_level(logging.ERROR, logger="hoibc2d"):
+        assert run("solve", "--config", cfg, "--out", str(tmp_path),
+                   "--quiet") == 2
+    assert "geometry.n_elements" in caplog.text
+    assert "k0*h = 26.986" in caplog.text
+    assert fits == []
+    assert not list(tmp_path.glob("rcs_*.csv"))
+
+
 # --- impedance table ---------------------------------------------------------
 
 def test_impedance_table_structure(tmp_path):
