@@ -72,7 +72,16 @@ each block's first column, with G and G2 per mode from the band symbols;
 analysis.solve_currents solves it mode by mode (linsolve) and the far
 field sums modes of node 0's traces (_node0_traces, analysis.far_field):
 no n x n array is made, and the contour, not a flag, picks this path.
-assemble_dense_blocks builds any contour's dense blocks, this path's oracle.
+
+An open contour whose node k is node 0 + k Delta (every mesh_plate,
+numbered from either end, at any position and tilt) is a uniform chain:
+pair (e, f) is pair (0, f - e) moved along it, so B, B - S and Q are
+Toeplitz at element level (Gray, Toeplitz and Circulant Matrices: A
+Review, 2006).  assemble_blocks then takes them from the same n pairs
+(0, f) and local formulation as the circulant rows (_row_pairs), each
+local slot added as one strided Toeplitz view (_toeplitz_blocks), and
+keeps the rest of the dense path.  assemble_dense_blocks builds any
+contour's dense blocks by the general pass: the oracle of both paths.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, solve_banded
 
 from .errors import MeshError, UsageError
@@ -374,17 +384,23 @@ def _add_blocks(out, contour, e, f, blocks):
         out[el[e, a], el[f, b]] += blocks[:, a, b]
 
 
-def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None, sq_fe=None):
-    """Adds the B, B - S and (given SQ) Q blocks of the pairs (e, f) from
-    their raw moments, and (given them) the Q blocks of (f, e) from their
-    partner moments SQ[f, :, e, :]; the basis slopes are -+1/h per
-    element."""
+def _local_blocks(contour, k0, e, f, sb):
+    """The (P, 2, 2) B and B - S blocks of the pairs (e, f) from their raw
+    moments SB; the basis slopes are -+1/h per element."""
     h, tau = contour.lengths, contour.tangents
     ttf = np.einsum("pd,pd->p", tau[e], tau[f])[:, None, None]
     deriv = np.multiply.outer(sb.sum(axis=(1, 2)) / (k0 * (h[e] * h[f])),
                               [[1.0, -1.0], [-1.0, 1.0]])
-    _add_blocks(mats["B"], contour, e, f, 1j * k0 * sb)
-    _add_blocks(mats["BS"], contour, e, f, 1j * (k0 * ttf * sb - deriv))
+    return 1j * k0 * sb, 1j * (k0 * ttf * sb - deriv)
+
+
+def _add_pair_blocks(mats, contour, k0, e, f, sb, sq=None, sq_fe=None):
+    """Adds the B, B - S (:func:`_local_blocks`) and (given SQ) Q blocks of
+    the pairs (e, f) from their raw moments, and (given them) the Q blocks
+    of (f, e) from their partner moments SQ[f, :, e, :]."""
+    b, bs = _local_blocks(contour, k0, e, f, sb)
+    _add_blocks(mats["B"], contour, e, f, b)
+    _add_blocks(mats["BS"], contour, e, f, bs)
     if sq is not None:
         _add_blocks(mats["Q"], contour, e, f, sq)
     if sq_fe is not None:
@@ -476,34 +492,98 @@ def _rotation_sense(contour):
     return 0
 
 
+def _uniform_chain(contour):
+    """True when ``contour`` is open, has two elements or more, and node k
+    is node 0 + k (node N - 1 - node 0) / (N - 1) for every k, within
+    KEY_TOL times that extent.  O(n)."""
+    if contour.closed or contour.n_elements < 2:
+        return False
+    p = contour.nodes
+    span = p[-1] - p[0]
+    step = np.arange(p.shape[0])[:, None] / (p.shape[0] - 1)
+    return bool(np.abs(p[0] + step * span - p).max()
+                <= KEY_TOL * np.hypot(*span))
+
+
+def _row_pairs(contour, k0):
+    """The pairs (0, f) of element 0 with every element f, in groups
+    (f, SB[0, :, f, :], SQ[0, :, f, :], SQ[f, :, 0, :]) of raw moments, one
+    per call of a pair-class routine: the self pair (f = 0, SQ None), the
+    shared-vertex pair (0, 1) with, on a closed contour, (n - 1, 0), whose
+    transposed SB and swapped SQ are the (0, n - 1) blocks, then the
+    distant pairs by their DISTANT_ORDERS.  Each group keeps the memory
+    layout its routine returns, which the block sums of the local
+    formulation round by."""
+    n = contour.n_elements
+    zero = np.zeros(1, dtype=int)
+    yield zero, _self_g_moments(k0, contour.lengths[:1]), None, None
+    e = np.array([0, n - 1][:1 + contour.closed])
+    sb, sq, sq_fe = _adjacent_moments(contour, k0, e)
+    if contour.closed:
+        sb, sq, sq_fe = (np.stack([sb[0], sb[1].T]),
+                         np.stack([sq[0], sq_fe[1]]),
+                         np.stack([sq_fe[0], sq[1]]))
+    yield np.array([1, n - 1])[:e.size], sb, sq, sq_fe
+    f = np.arange(2, n - contour.closed)
+    n_gl = _distant_orders(contour, k0, np.zeros_like(f), f)
+    for order in np.unique(n_gl):
+        pick = f[n_gl == order]
+        yield (pick, *_pair_moments(contour, k0, np.zeros_like(pick), pick,
+                                    order))
+
+
 def _circulant_rows(contour, k0):
     """The first nodal rows of B, B - S and Q of a rotation-invariant
-    contour (:func:`_rotation_sense`), from the pairs (0, f) of element
-    0 with every element f through the pair-class routines and the one
-    local formulation: the self pair, the shared-vertex pairs (0, 1) and
-    (n - 1, 0) (whose transposed SB and partner SQ are the (0, n - 1)
-    blocks), and the distant pairs (0, f), f = 2 .. n - 2, at their
-    DISTANT_ORDERS.  Those blocks land in rows 0 and 1, the two nodes of
-    element 0; element n - 1 is element 0 turned back by one step, so its
-    share of row 0 is row 1 shifted left by one column."""
+    contour (:func:`_rotation_sense`), from the pairs (0, f) of
+    :func:`_row_pairs` through the one local formulation.  Their blocks
+    land in rows 0 and 1, the two nodes of element 0; element n - 1 is
+    element 0 turned back by one step, so its share of row 0 is row 1
+    shifted left by one column."""
     _check_resolution(contour, k0)
     n = contour.n_elements
     mats = {key: np.zeros((2, n), dtype=complex) for key in ("B", "BS", "Q")}
-    zero = np.zeros(1, dtype=int)
-    _add_pair_blocks(mats, contour, k0, zero, zero,
-                     _self_g_moments(k0, contour.lengths[:1]))
-    sb, sq, sq_fe = _adjacent_moments(contour, k0, np.array([0, n - 1]))
-    _add_pair_blocks(mats, contour, k0, np.zeros(2, dtype=int),
-                     np.array([1, n - 1]), np.stack([sb[0], sb[1].T]),
-                     np.stack([sq[0], sq_fe[1]]))
-    f = np.arange(2, n - 1)
-    e = np.zeros_like(f)
-    n_gl = _distant_orders(contour, k0, e, f)
-    for order in np.unique(n_gl):
-        pick = n_gl == order
-        sb, sq, _ = _pair_moments(contour, k0, e[pick], f[pick], order)
-        _add_pair_blocks(mats, contour, k0, e[pick], f[pick], sb, sq)
+    for f, sb, sq, _ in _row_pairs(contour, k0):
+        _add_pair_blocks(mats, contour, k0, np.zeros_like(f), f, sb, sq)
     return {key: m[0] + np.roll(m[1], -1) for key, m in mats.items()}
+
+
+def _toeplitz_blocks(contour, k0):
+    """The nodal B, B - S and Q of a uniform chain (:func:`_uniform_chain`),
+    equal to :func:`_helmholtz_blocks` to rounding.
+
+    Pair (e, f) is pair (0, f - e) moved along the chain, so slot (a, b) of
+    every pair adds the block of its offset d = f - e at nodal entry
+    (e + a, f + b): one add of an n0 x n0 Toeplitz matrix, a zero-copy
+    strided view of its 2 n0 - 1 diagonals, per slot and matrix.  The
+    blocks are those of the pairs (0, f) (:func:`_row_pairs`) through the
+    one local formulation.  As in the general pass, B and B - S take the
+    pairs e < f, then their transpose, then the self blocks, which leaves
+    them exactly symmetric; Q takes the pairs e < f and their partners
+    (f, e) in one add per slot.
+    """
+    _check_resolution(contour, k0)
+    n = contour.n_elements
+    # the B, B - S, Q and partner Q blocks of the pairs (0, f), by f
+    rows = np.zeros((4, n, 2, 2), dtype=complex)
+    for f, sb, sq, sq_fe in _row_pairs(contour, k0):
+        rows[:2, f] = _local_blocks(contour, k0, np.zeros_like(f), f, sb)
+        if sq is not None:
+            rows[2:, f] = sq, sq_fe
+    # the diagonals of each slot's Toeplitz matrix, offset d at n - 1 + d
+    diags = np.zeros((3, 2, 2, 2 * n - 1), dtype=complex)
+    diags[..., n:] = rows[:3, 1:].transpose(0, 2, 3, 1)
+    diags[2, ..., n - 2::-1] = rows[3, 1:].transpose(1, 2, 0)
+    mats = {}
+    for key, slots in zip(("B", "BS", "Q"), diags):
+        out = mats[key] = np.zeros((contour.n_nodes,) * 2, dtype=complex)
+        for a, b in np.ndindex(2, 2):
+            out[a:a + n, b:b + n] += sliding_window_view(slots[a, b], n)[::-1]
+    diag = np.arange(n)
+    for key, blk in zip(("B", "BS"), rows[:2, 0]):
+        mats[key] += mats[key].T
+        _add_blocks(mats[key], contour, diag, diag,
+                    np.broadcast_to(blk, (n, 2, 2)))
+    return mats
 
 
 def _circulant(blocks):
@@ -779,9 +859,14 @@ def assemble_blocks(contour, k0) -> dict:
     and Q are their first nodal rows (:func:`_circulant_rows`), with the
     chain bands I1, D, K of :func:`assemble_mass_and_d`: O(n) memory, and
     the reduced system is solved mode by mode.  Every other contour gets
-    the dense blocks of :func:`assemble_dense_blocks`.  Either path first
-    refuses a contour too large for memory (:func:`check_memory`).
+    the dense blocks of :func:`assemble_dense_blocks`, whose kernel
+    matrices a uniform chain (:func:`_uniform_chain`, every mesh_plate)
+    fills as Toeplitz from n element pairs (:func:`_toeplitz_blocks`).
+    Either path first refuses a contour too large for memory
+    (:func:`check_memory`).
     """
+    if _uniform_chain(contour):
+        return _dense_blocks(contour, k0, _toeplitz_blocks)
     if not _rotation_sense(contour):
         return assemble_dense_blocks(contour, k0)
     check_memory(contour, dense=False)
@@ -794,8 +879,10 @@ def assemble_blocks(contour, k0) -> dict:
 
 
 def assemble_dense_blocks(contour, k0) -> dict:
-    """The dense blocks of any contour, and the oracle of the mode path on
-    a rotation-invariant one.
+    """The dense blocks of any contour by the general kernel pass
+    (:func:`_helmholtz_blocks`): the oracle of the mode path on a
+    rotation-invariant contour and of the Toeplitz fill on a uniform
+    chain.
 
     One kernel pass and one elimination of the auxiliary fields: B, BS, Q,
     the chain bands I1, D, K of :func:`assemble_mass_and_d`, and the
@@ -805,9 +892,15 @@ def assemble_dense_blocks(contour, k0) -> dict:
     transpose.  The n x n arrays are B, B - S, Q (complex) and G, G2
     (real): 4 n^2 x 16 B.
     """
+    return _dense_blocks(contour, k0, _helmholtz_blocks)
+
+
+def _dense_blocks(contour, k0, kernel_pass):
+    """The blocks of :func:`assemble_dense_blocks` with B, BS and Q from
+    ``kernel_pass``."""
     check_memory(contour, dense=True)
     t0 = time.perf_counter()
-    blocks = _helmholtz_blocks(contour, k0)
+    blocks = kernel_pass(contour, k0)
     blocks.update(assemble_mass_and_d(contour))
     blocks["G"], blocks["G2"] = _eliminated_blocks(contour, blocks)
     log.info("assembled blocks: %d elements, k0 %g, %.2fs",

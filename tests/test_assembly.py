@@ -40,6 +40,8 @@ from hoibc2d.assembly import (
     _rotation_sense,
     _scaled_coefficients,
     _self_g_moments,
+    _toeplitz_blocks,
+    _uniform_chain,
     assemble_blocks,
     assemble_dense_blocks,
     assemble_mass_and_d,
@@ -49,7 +51,7 @@ from hoibc2d.assembly import (
     reduce_system,
 )
 from hoibc2d.errors import MeshError, SingularMatrixError, UsageError
-from hoibc2d.geometry import Contour, mesh_circle, mesh_plate
+from hoibc2d.geometry import _MIN_ELEMENTS, Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, IbcCoefficients, fit_coefficients
 from hoibc2d.linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, apply_modes,
                               lu_factor, solve)
@@ -463,9 +465,9 @@ CLASS_MESHES = {
 }
 
 
-def _counted_pass(c, k0, monkeypatch):
-    """The kernel pass on ``c`` and the number of distant pairs it
-    evaluates with _pair_moments."""
+def _counted_pass(c, k0, monkeypatch, kernel_pass=_helmholtz_blocks):
+    """The kernel pass on ``c`` (by default the general one) and the
+    number of distant pairs it evaluates with _pair_moments."""
     evaluated = []
 
     def counted(contour, k, e, f, n_gl):
@@ -473,7 +475,7 @@ def _counted_pass(c, k0, monkeypatch):
         return _pair_moments(contour, k, e, f, n_gl)
 
     monkeypatch.setattr("hoibc2d.assembly._pair_moments", counted)
-    return _helmholtz_blocks(c, k0), sum(evaluated)
+    return kernel_pass(c, k0), sum(evaluated)
 
 
 def _max_rel_error(got, want, keys):
@@ -543,15 +545,114 @@ def test_kernel_pass_memory_budget():
     4 n^2 complex entries, plus fixed buffers for one slice of pairs.
     N = 1024 is large enough for the n^2 part to dominate; the jittered
     circle, where every pair is its own class, is the worst case of the
-    slices."""
-    for c in (mesh_circle(1.1, 1024), _jittered_circle(1024)):
+    slices.  The Toeplitz fill of a uniform plate adds its diagonals
+    through views, and stays within the same bound."""
+    for c, kernel_pass in ((mesh_circle(1.1, 1024), _helmholtz_blocks),
+                           (_jittered_circle(1024), _helmholtz_blocks),
+                           (mesh_plate(2.0, 1024), _toeplitz_blocks)):
         tracemalloc.start()
         try:
-            _helmholtz_blocks(c, 2.0 * np.pi)
+            kernel_pass(c, 2.0 * np.pi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 6 * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
+
+
+def _tilted(c, turn=0.3, shift=(0.7, -1.3)):
+    """The contour c turned by ``turn`` radians about the origin, then
+    moved by ``shift``."""
+    cos, sin = np.cos(turn), np.sin(turn)
+    nodes = c.nodes @ np.array([[cos, sin], [-sin, cos]]) + shift
+    return Contour(nodes=nodes, closed=c.closed)
+
+
+FILL_MESHES = {
+    "plate40": (lambda: mesh_plate(2.0, 40), K0),
+    "plate384": CLASS_MESHES["plate384"][:2],
+    "relabelled-plate384": CLASS_MESHES["relabelled-plate384"][:2],
+    "tilted-plate384": (lambda: _tilted(mesh_plate(30.0 * C0 / 6.8e9, 384)),
+                        _K_PLATE),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(FILL_MESHES))
+def test_toeplitz_fill_equals_per_pair_reference(mesh, monkeypatch):
+    """The Toeplitz fill of a uniform plate, from its n pairs (0, f),
+    against every pair evaluated on its own: B and B - S within 1e-12 of
+    their largest entry, and Q, zero on a straight chain up to rounding,
+    within 1e-12 of the largest entry of B - S.  B and B - S are exactly
+    symmetric.  The fill evaluates n - 2 distant pairs, where the general
+    pass evaluates 399 on plate384.  assemble_blocks keeps the fill's
+    matrices, and its couplings G, G2 are within 1e-12 of those of the
+    general pass (assemble_dense_blocks)."""
+    build, k0 = FILL_MESHES[mesh]
+    c = build()
+    assert _uniform_chain(c)
+    got, evaluated = _counted_pass(c, k0, monkeypatch, _toeplitz_blocks)
+    assert evaluated == c.n_elements - 2, evaluated
+    want = _per_pair_blocks(c, k0)
+    err = _max_rel_error(got, want, ("B", "BS"))
+    err["Q"] = np.max(np.abs(got["Q"] - want["Q"])) / np.max(np.abs(want["BS"]))
+    for key, e in err.items():
+        assert e <= 1e-12, (key, e)
+    for key in ("B", "BS"):
+        assert np.array_equal(got[key], got[key].T), key
+    if mesh == "plate384":
+        assert _counted_pass(c, k0, monkeypatch)[1] == 399
+    blocks = assemble_blocks(c, k0)
+    for key in ("B", "BS", "Q"):
+        assert np.array_equal(blocks[key], got[key]), key
+    dense = assemble_dense_blocks(c, k0)
+    for key, e in _max_rel_error(blocks, dense, ("G", "G2")).items():
+        assert e <= 1e-12, (key, e)
+
+
+def _moved_interior_node(c, shift):
+    """c with its middle node moved by ``shift`` times the distance
+    between its end nodes, diagonally."""
+    nodes = c.nodes.copy()
+    extent = np.hypot(*(nodes[-1] - nodes[0]))
+    nodes[c.n_nodes // 2] += shift * extent * np.sqrt(0.5)
+    return Contour(nodes=nodes, closed=c.closed)
+
+
+CHAIN_DETECTOR_MESHES = {
+    "plate-min": (lambda: mesh_plate(2.0, _MIN_ELEMENTS), True),
+    "plate40": (lambda: mesh_plate(2.0, 40), True),
+    "relabelled-plate40": (lambda: _relabelled(mesh_plate(2.0, 40)), True),
+    "tilted-plate40": (lambda: _tilted(mesh_plate(2.0, 40)), True),
+    "moved-1e-14": (lambda: _moved_interior_node(mesh_plate(2.0, 40), 1e-14),
+                    True),
+    "moved-1e-9": (lambda: _moved_interior_node(mesh_plate(2.0, 40), 1e-9),
+                   False),
+    "graded": (_graded_plate, False),
+    "bent-arc": (lambda: Contour(nodes=[[0.0, 0.0], [0.3, 0.0], [0.5, 0.2]],
+                                 closed=False), False),
+    "circle32": (lambda: mesh_circle(1.0, 32), False),
+    "egg": (lambda: _egg(120), False),
+    "jittered128": (lambda: _jittered_circle(128), False),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(CHAIN_DETECTOR_MESHES))
+def test_uniform_chain_detector_picks_the_fill(mesh, monkeypatch):
+    """An open contour whose node k is node 0 + k step, to 1e-12 of its
+    extent, takes the Toeplitz fill: every mesh_plate from _MIN_ELEMENTS
+    up, numbered either way, turned and moved, and one with a node moved
+    by 1e-14 of its extent.  A plate graded by 5e-13 per element, one with
+    a node moved by 1e-9 of its length, a bent arc and every closed
+    contour take another pass."""
+    build, fill = CHAIN_DETECTOR_MESHES[mesh]
+    c = build()
+    assert _uniform_chain(c) is fill
+    passes = []
+    for name in ("_circulant_rows", "_toeplitz_blocks", "_helmholtz_blocks"):
+        real = getattr(assembly, name)
+        monkeypatch.setattr(assembly, name, lambda *a, real=real, name=name:
+                            passes.append(name) or real(*a))
+    assemble_blocks(c, K0)
+    assert len(passes) == 1 and (passes[0] == "_toeplitz_blocks") is fill
 
 
 # --- mass and derivative matrices -------------------------------------------
@@ -1136,29 +1237,40 @@ def test_rotation_detector_picks_the_path(mesh):
         assert blocks["G"].shape == (c.n_nodes,) * 2
 
 
-@pytest.mark.parametrize("mesh", ["circle", "plate"])
+CEILING_MESHES = {
+    "circle": (lambda: mesh_circle(1.1, 64), "_circulant_rows"),
+    "plate": (lambda: mesh_plate(2.0, 40), "_toeplitz_blocks"),
+    "graded-plate": (lambda: _graded_plate(40, growth=1e-3),
+                     "_helmholtz_blocks"),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(CEILING_MESHES))
 def test_element_ceiling_at_the_edge(mesh, monkeypatch):
     """A contour whose solve is predicted to peak at exactly the memory
     the process may use is assembled; one byte less is refused with
-    MeshError before the kernel pass.  The prediction is MODE_PEAK_BYTES
-    per node on the mode path and DENSE_PEAK x n^2 x 16 B on the dense
-    one; the memory reading is patched, nothing large is allocated."""
-    c = mesh_circle(1.1, 64) if mesh == "circle" else mesh_plate(2.0, 40)
+    MeshError before any kernel pass: the mode path's rows, a uniform
+    plate's Toeplitz fill or the general pass.  The prediction is
+    MODE_PEAK_BYTES per node on the mode path and DENSE_PEAK x n^2 x 16 B
+    on the dense one; the memory reading is patched, nothing large is
+    allocated."""
+    build, kernel_pass = CEILING_MESHES[mesh]
+    c = build()
     n = c.n_nodes
     peak = MODE_PEAK_BYTES * n if mesh == "circle" else DENSE_PEAK * 16 * n * n
     assert _available_memory() > 0
     passes = []
-    for name in ("_circulant_rows", "_helmholtz_blocks"):
+    for name in ("_circulant_rows", "_toeplitz_blocks", "_helmholtz_blocks"):
         real = getattr(assembly, name)
-        monkeypatch.setattr(assembly, name, lambda *a, real=real:
-                            passes.append(a) or real(*a))
+        monkeypatch.setattr(assembly, name, lambda *a, real=real, name=name:
+                            passes.append(name) or real(*a))
     monkeypatch.setattr(assembly, "_available_memory", lambda: peak - 1)
     with pytest.raises(MeshError, match=f"{c.n_elements} elements"):
         assemble_blocks(c, K0)
     assert passes == []
     monkeypatch.setattr(assembly, "_available_memory", lambda: peak)
     assemble_blocks(c, K0)
-    assert len(passes) == 1
+    assert passes == [kernel_pass]
 
 
 ORACLE_MESHES = {
