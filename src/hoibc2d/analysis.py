@@ -10,7 +10,10 @@ memory; monostatic sweeps reuse the block they solved.  On a
 rotation-invariant contour every node's column is node 0's turned, so a
 far field samples node 0's traces at L angles and sums M of their modes
 against the DFT of the currents (Mautz & Harrington, AEU 32 (1978)
-157-164), in O(L + M x SWEEP_CHUNK) memory.  Echo width follows
+157-164), in O(L + M x SWEEP_CHUNK) memory.  On a uniform chain every
+element's moments are element 0's times a phase, so a far field is a
+polynomial in that phase with the currents as coefficients, in
+O(nodes + SWEEP_CHUNK) memory.  Echo width follows
 the 2D convention sigma(phi) = lim 2*pi*r*|u_sc|^2/|u_inc|^2 and is
 reported in dB relative to one metre.  The modal series for coated,
 impedance, and bare conducting cylinders provide independent reference
@@ -25,9 +28,9 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import IncidentWave, SurfaceCurrents, _jm_matvec, \
-    _node0_traces, _plain_kernels, _rotation_sense, assemble_rhs, \
-    build_reduced_system
+from .assembly import IncidentWave, SurfaceCurrents, _dot_dirs, \
+    _jm_matvec, _node0_traces, _plain_kernels, _rhs_terms, \
+    _rotation_sense, _uniform_chain, assemble_rhs, build_reduced_system
 from .errors import TruncationError, UsageError, ValidationError
 from .geometry import Contour, contour_hash
 from .impedance import IbcCoefficients
@@ -171,14 +174,22 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
 
     By reciprocity (module notes) F at each angle is the right-hand side
     of the unit wave arriving from it, phi_inc = angle + 180 deg, dotted
-    with [J; M]; an element with k0 h >= MAX_KH raises MeshError.  On a
-    rotation-invariant contour that product is a short sum over the modes
-    of node 0's traces (:func:`_trace_modes`), in O(L + M x SWEEP_CHUNK)
-    memory, and a tail past the kept modes above FF_TAIL_TOL raises
-    TruncationError; on any other contour the waves go in blocks of
-    SWEEP_CHUNK angles, in O(elements x SWEEP_CHUNK).  Either way memory
-    does not grow with the angle count, and F at an angle is the same
-    whatever other angles share the call.
+    with [J; M]; an element with k0 h >= MAX_KH raises MeshError.  The
+    contour picks one of three ways to form that product, SWEEP_CHUNK
+    angles at a time:
+
+    - rotation-invariant: a short sum over the modes of node 0's traces
+      (:func:`_trace_modes`), in O(L + M x SWEEP_CHUNK) memory; a tail
+      past the kept modes above FF_TAIL_TOL raises TruncationError;
+    - uniform chain (every ``mesh_plate``): element 0's moments and a
+      Horner sum over the nodes (:func:`_chain_amplitude`), in
+      O(nodes + SWEEP_CHUNK);
+    - any other: the unit-wave block of ``assemble_rhs``, in
+      O(elements x SWEEP_CHUNK).
+
+    Memory does not grow with the angle count beyond the O(angles) input
+    and output, and F at an angle is the same whatever other angles share
+    the call.
     ``n_gl`` has no effect; the benchmark tracer (bench/tracing.py) reads
     it to count far-field points.
     """
@@ -190,6 +201,8 @@ def far_field(currents, contour, wave, angles_deg, n_gl=8):
     if sense:
         amplitude = partial(_mode_amplitude, contour, pol, k0,
                             *_trace_modes(contour, pol, k0, sense, x))
+    elif _uniform_chain(contour):
+        amplitude = partial(_chain_amplitude, contour, pol, k0, x)
     else:
         def amplitude(phis):
             return _reciprocal_amplitude(contour, pol, k0,
@@ -283,6 +296,35 @@ def _mode_amplitude(contour, pol, k0, modes, coefs, centroid, phis):
     phase = np.exp(-1j * k0 * (np.cos(phis) * centroid[0]
                                + np.sin(phis) * centroid[1]))
     e_dot, h_dot = (phase * np.einsum("km,m->k", harm, c) for c in coefs)
+    return _amplitude(contour, pol, k0, e_dot, h_dot)
+
+
+def _chain_amplitude(contour, pol, k0, x, phis):
+    """F at the incidence angles phis (radians) of the currents x = [J; M]
+    on a uniform chain (``assembly._uniform_chain``).
+
+    Element e is element 0 moved by e D, D = (node N - 1 - node 0) / n, so
+    for the wave along d its start and end moments are element 0's
+    (``assembly._rhs_terms``) times z^e, z = exp(-i k0 d.D).  Slot a of
+    element e meets the current at node e + a, so each row's product with
+    the currents is element 0's two slots times the sums
+    S_a = sum_e x_{e+a} z^e over the elements: S_1 by Horner over the
+    nodes, and S_0 = x_0 + z S_1 - x_n z^n.  Every step is elementwise in
+    the angle, so an angle's value does not depend on the others of the
+    call."""
+    dirs = np.stack([np.cos(phis), np.sin(phis)])
+    mom, e_fac, h_fac = _rhs_terms(contour, pol, k0, dirs, e=[0])
+    slots = np.stack([e_fac * mom, h_fac * mom])[:, 0]     # (2, 2, K)
+    span = contour.nodes[-1] - contour.nodes[0]
+    ph = k0 * _dot_dirs(np.stack([span / contour.n_elements, span]), dirs)
+    z, zn = np.cos(ph) - 1j * np.sin(ph)                   # z, z^n
+    xs = x.reshape(2, -1)                                  # J and M
+    s1 = np.repeat(xs[:, -1:], z.size, axis=1)
+    for e in range(contour.n_elements - 1, 0, -1):
+        s1 *= z
+        s1 += xs[:, e, None]
+    s0 = s1 * z + xs[:, :1] - xs[:, -1:] * zn
+    e_dot, h_dot = slots[:, 0] * s0 + slots[:, 1] * s1
     return _amplitude(contour, pol, k0, e_dot, h_dot)
 
 

@@ -740,9 +740,9 @@ def assemble_rhs(contour, pol, k0, phi_inc) -> np.ndarray:
 
     The element moments <u, phi> are exact in closed form (see
     :func:`_plane_wave_moments`) for elements with k0 h < MAX_KH; a longer
-    element raises MeshError.  The far field of a contour that is not
-    rotation-invariant uses the same block by reciprocity
-    (``analysis.far_field``).
+    element raises MeshError.  The far field of a contour that is neither
+    rotation-invariant nor a uniform chain uses the same block by
+    reciprocity (``analysis.far_field``).
     """
     if pol not in ("TE", "TM") or not k0 > 0.0:
         raise UsageError(f"need pol TE or TM and k0 > 0, got {pol!r}, {k0!r}")

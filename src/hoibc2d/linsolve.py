@@ -28,8 +28,10 @@ A: a solve peaks while it composes, at DENSE_PEAK = 8.5 (8.0 at IBC0),
 symbols, a solve and a far field stay O(n), at most 5.4 kB per node
 (tracemalloc, n = 1024 and 4096, k0 h up to 1.99; the kernel row's
 buffers peak, the far field's modes follow), budgeted at MODE_PEAK_BYTES
-per node.  Far fields and angle sweeps of other contours add a block of
-O(elements x SWEEP_CHUNK), independent of the angle count.
+per node.  Angle sweeps of other contours add a block of
+O(elements x SWEEP_CHUNK), independent of the angle count, and so do
+their far fields, except on a uniform plate, whose far field is
+O(nodes + SWEEP_CHUNK) (``analysis.far_field``).
 ``assembly.check_memory`` refuses, before the kernel pass, a contour
 whose predicted peak exceeds the memory the process may use.  The
 factorization objects are immutable and may be shared across threads;

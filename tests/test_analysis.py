@@ -236,10 +236,20 @@ def test_plane_wave_traces_range_edge(mesh):
             far_field(_random_currents(c), c, wave, [0.0, 90.0])
 
 
+def _moved_node_plate(plate=None):
+    """``plate`` (mesh_plate(2.0, 40) by default) with interior node 7 moved
+    along it by 0.1%: no longer a uniform chain, so its far field takes the
+    block path."""
+    nodes = (mesh_plate(2.0, 40) if plate is None else plate).nodes.copy()
+    nodes[7] *= 1.001
+    return Contour(nodes=nodes, closed=False)
+
+
 def _relabelled_plate():
-    """mesh_plate(2.0, 40) with its nodes numbered from the other end: the
-    plate turned by 180 degrees, its normals along -y."""
-    return Contour(nodes=mesh_plate(2.0, 40).nodes[::-1], closed=False)
+    """mesh_plate(2.0, 40) with node 7 moved (:func:`_moved_node_plate`)
+    and its nodes numbered from the other end: the plate turned by 180
+    degrees, its normals along -y."""
+    return Contour(nodes=_moved_node_plate().nodes[::-1], closed=False)
 
 
 def _moved_node_circle():
@@ -250,7 +260,8 @@ def _moved_node_circle():
     return Contour(nodes=nodes, closed=True)
 
 
-# block-path far fields ("circle" is a 32-gon with one node moved)
+# block-path far fields ("circle" is a 32-gon with one node moved, the
+# plate has one node moved too)
 FF_MESHES = {"circle": _moved_node_circle,
              "relabelled-plate": _relabelled_plate}
 
@@ -305,13 +316,10 @@ MODE_FF_MESHES = {
 }
 
 
-@pytest.mark.parametrize("mesh", sorted(MODE_FF_MESHES))
-def test_mode_far_field_matches_block_oracle(mesh, monkeypatch):
-    """On a rotation-invariant contour the far field is a mode sum, not
-    the unit-wave block, and it agrees with the block product to 1e-12 of
+def _check_block_oracle(c, k0, monkeypatch):
+    """The far field of random currents on ``c`` at 360 angles, made with
+    assemble_rhs out of reach, agrees with the block product to 1e-12 of
     max |F| at TE and TM."""
-    build, k0 = MODE_FF_MESHES[mesh]
-    c = build()
     cur = _random_currents(c)
     angles = np.arange(360) * 1.0
     want = {pol: _block_far_field(c, cur, pol, k0, angles)
@@ -324,14 +332,11 @@ def test_mode_far_field_matches_block_oracle(mesh, monkeypatch):
         assert err <= 1e-12 * np.max(np.abs(want[pol])), (pol, err)
 
 
-@pytest.mark.parametrize("pol", TRACE_POLS)
-def test_mode_far_field_angle_by_angle(pol, monkeypatch):
-    """An angle's far field on the mode path is bitwise the same whatever
-    other angles share the call: alone, in another order, in blocks of
-    7."""
-    c = mesh_circle(B, 128)
+def _check_angle_by_angle(c, k0, pol, monkeypatch):
+    """An angle's far field on ``c`` is bitwise the same whatever other
+    angles share the call: alone, in another order, in blocks of 7."""
     cur = _random_currents(c)
-    wave = IncidentWave(pol=pol, k0=K0, phi_inc=0.3)
+    wave = IncidentWave(pol=pol, k0=k0, phi_inc=0.3)
     angles = np.arange(SWEEP_CHUNK + 44) * (360.0 / (SWEEP_CHUNK + 44))
     want = far_field(cur, c, wave, angles).values
     order = np.random.default_rng(3).permutation(angles.size)
@@ -341,6 +346,20 @@ def test_mode_far_field_angle_by_angle(pol, monkeypatch):
         assert far_field(cur, c, wave, angles[k:k + 1]).values[0] == want[k]
     monkeypatch.setattr("hoibc2d.analysis.SWEEP_CHUNK", 7)
     assert np.array_equal(far_field(cur, c, wave, angles).values, want)
+
+
+@pytest.mark.parametrize("mesh", sorted(MODE_FF_MESHES))
+def test_mode_far_field_matches_block_oracle(mesh, monkeypatch):
+    """On a rotation-invariant contour the far field is a mode sum, not
+    the unit-wave block, and it agrees with the block product."""
+    build, k0 = MODE_FF_MESHES[mesh]
+    _check_block_oracle(build(), k0, monkeypatch)
+
+
+@pytest.mark.parametrize("pol", TRACE_POLS)
+def test_mode_far_field_angle_by_angle(pol, monkeypatch):
+    """On the mode path an angle's far field is its own."""
+    _check_angle_by_angle(mesh_circle(B, 128), K0, pol, monkeypatch)
 
 
 def test_mode_far_field_refuses_a_failing_tail(monkeypatch):
@@ -354,11 +373,67 @@ def test_mode_far_field_refuses_a_failing_tail(monkeypatch):
         far_field(_random_currents(c), c, wave, [0.0, 90.0])
 
 
-@pytest.mark.parametrize("mesh", ["plate", "circle"])
+# --- far field of a uniform plate, by Horner over the nodes ------------------
+#
+# The oracle is the block path again (_block_far_field).
+
+_K_PLATE = 2.0 * np.pi * 6.8e9 / C0          # 30 wavelengths at 6.8 GHz
+
+
+def _plate_large():
+    return mesh_plate(30.0 * C0 / 6.8e9, 384)
+
+
+def _turned_plate():
+    """mesh_plate(2.0, 40) turned by 37 degrees and moved off the origin."""
+    t = np.deg2rad(37.0)
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return Contour(nodes=mesh_plate(2.0, 40).nodes @ rot.T + [3.0, -1.7],
+                   closed=False)
+
+
+CHAIN_FF_MESHES = {
+    # (contour, k0): mesh_plate(2.0, 8) and (2.0, 40) have h = 0.25 and
+    # 0.05; plate2048 bounds Horner's rounding at plate-large's k0 h
+    "plate8-kh0.085": (lambda: mesh_plate(2.0, 8), 0.085 / 0.25),
+    "plate8-kh1.99": (lambda: mesh_plate(2.0, 8), 1.99 / 0.25),
+    "plate40-kh0.085": (lambda: mesh_plate(2.0, 40), 0.085 / 0.05),
+    "plate40-kh1.99": (lambda: mesh_plate(2.0, 40), 1.99 / 0.05),
+    "plate-large": (_plate_large, _K_PLATE),
+    "plate2048": (lambda: mesh_plate(160.0, 2048), K0),
+    "relabelled": (lambda: Contour(nodes=mesh_plate(2.0, 40).nodes[::-1],
+                                   closed=False), 1.0 / 0.05),
+    "turned-moved": (_turned_plate, 1.0 / 0.05),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(CHAIN_FF_MESHES))
+def test_chain_far_field_matches_block_oracle(mesh, monkeypatch):
+    """On a uniform plate the far field is a Horner sum over the nodes, not
+    the unit-wave block, and it agrees with the block product."""
+    build, k0 = CHAIN_FF_MESHES[mesh]
+    _check_block_oracle(build(), k0, monkeypatch)
+
+
+@pytest.mark.parametrize("pol", TRACE_POLS)
+def test_chain_far_field_angle_by_angle(pol, monkeypatch):
+    """On a uniform plate an angle's far field is its own."""
+    _check_angle_by_angle(_plate_large(), _K_PLATE, pol, monkeypatch)
+
+
+# contour and its assemble_rhs calls for a far field at 360 angles
+PATH_MESHES = {"circle": (lambda: mesh_circle(1.0, 32), 0),
+               "plate": (lambda: mesh_plate(2.0, 40), 0),
+               "moved-node-plate": (_moved_node_plate, 2)}
+
+
+@pytest.mark.parametrize("mesh", sorted(PATH_MESHES))
 def test_far_field_path_by_contour(mesh, monkeypatch):
-    """A plate's far field goes through assemble_rhs; a circle's does
-    not."""
-    c = TRACE_MESHES[mesh]()
+    """Only a contour that is neither rotation-invariant nor a uniform
+    chain takes its far field through assemble_rhs, one block per
+    SWEEP_CHUNK angles."""
+    build, want = PATH_MESHES[mesh]
+    c = build()
     calls = []
     rhs = analysis.assemble_rhs
 
@@ -369,27 +444,40 @@ def test_far_field_path_by_contour(mesh, monkeypatch):
     monkeypatch.setattr("hoibc2d.analysis.assemble_rhs", counted)
     far_field(_random_currents(c), c,
               IncidentWave(pol="TM", k0=K0, phi_inc=0.0), DEG)
-    assert len(calls) == (2 if mesh == "plate" else 0)
+    assert len(calls) == want
+
+
+def _far_field_peak(c, count):
+    """tracemalloc peak of one TM far field of random currents on ``c`` at
+    ``count`` angles."""
+    cur = _random_currents(c)
+    wave = IncidentWave(pol="TM", k0=K0, phi_inc=0.5 * np.pi)
+    tracemalloc.start()
+    try:
+        far_field(cur, c, wave, np.arange(count) * (360.0 / count))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_far_field_memory_budget():
-    """One far field of a 30-wavelength plate at 1440 angles stays within
-    twelve complex (elements, angles) arrays of traced memory, and its
-    peak does not grow with the angle count: 8 x SWEEP_CHUNK angles peak
-    within 1.1 x the peak of SWEEP_CHUNK angles."""
-    c = mesh_plate(30.0, 384)
-    cur = _random_currents(c)
-    wave = IncidentWave(pol="TM", k0=K0, phi_inc=0.5 * np.pi)
-    peaks = {}
-    for count in (1440, SWEEP_CHUNK, 8 * SWEEP_CHUNK):
-        tracemalloc.start()
-        try:
-            far_field(cur, c, wave, np.arange(count) * (360.0 / count))
-            peaks[count] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    """One block-path far field of a 30-wavelength plate (one node moved)
+    at 1440 angles stays within twelve complex (elements, angles) arrays of
+    traced memory, and its peak does not grow with the angle count: 8 x
+    SWEEP_CHUNK angles peak within 1.1 x the peak of SWEEP_CHUNK angles.
+    On the uniform plate the Horner path holds eight complex values per
+    node, 32 per angle of a chunk and 64 B per angle of the call (the
+    angles, their phases and the output)."""
+    c = _moved_node_plate(mesh_plate(30.0, 384))
+    peaks = {count: _far_field_peak(c, count)
+             for count in (1440, SWEEP_CHUNK, 8 * SWEEP_CHUNK)}
     assert peaks[1440] <= 12 * c.n_elements * 1440 * 16
     assert peaks[8 * SWEEP_CHUNK] <= 1.1 * peaks[SWEEP_CHUNK], peaks
+    c = mesh_plate(30.0, 384)
+    for count in (SWEEP_CHUNK, 8 * SWEEP_CHUNK):
+        peak = _far_field_peak(c, count)
+        assert peak <= 16 * (8 * c.n_nodes + 32 * SWEEP_CHUNK) + 64 * count, \
+            (count, peak)
 
 
 def test_sweep_memory_budget(te_ibc1):
