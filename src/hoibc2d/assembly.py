@@ -80,8 +80,12 @@ Toeplitz at element level (Gray, Toeplitz and Circulant Matrices: A
 Review, 2006).  assemble_blocks then takes them from the same n pairs
 (0, f) and local formulation as the circulant rows (_row_pairs), each
 local slot added as one strided Toeplitz view (_toeplitz_blocks), and
-keeps the rest of the dense path.  assemble_dense_blocks builds any
-contour's dense blocks by the general pass: the oracle of both paths.
+keeps the rest of the dense path's blocks.  The chain is its own mirror
+image (node k onto node N - 1 - k), so build_reduced_system composes the
+even and odd halves of the reduced matrix from folded blocks in place of
+the 2N system, and analysis.solve_currents factors the two halves
+(linsolve.MirrorPair).  assemble_dense_blocks builds any contour's dense
+blocks by the general pass: the oracle of both paths.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ from scipy.linalg import blas, solve_banded
 from .errors import MeshError, UsageError
 from .geometry import Contour, contour_hash
 from .linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, BlockCirculant,
-                       lu_factor, solve)
+                       MirrorPair, lu_factor, solve)
 from .specfun import Z0, gauss_legendre_unit, hankel2_01_real, quad_rule
 
 log = logging.getLogger(__name__)
@@ -157,9 +161,11 @@ class AssembledSystem:
     constraints are applied to the composed systems, not to the stored
     blocks (only the couplings G, G2 carry the pins of the auxiliary
     fields, which are the same at every order).
-    ``reduced_matrix`` (dense, or a BlockCirculant) is consumed by
-    ``analysis.solve_currents``, which factors it and sets it to None; a
-    dense one's residual is computed from ``blocks`` and ``meta``.
+    ``reduced_matrix`` (dense, a BlockCirculant, or on a uniform chain a
+    MirrorPair of its two halves) is consumed by
+    ``analysis.solve_currents``, which factors it and sets it to None; the
+    residual of a dense one or a MirrorPair is computed from ``blocks``
+    and ``meta``.
     """
 
     blocks: dict
@@ -954,27 +960,72 @@ def _jm_table(te, c, order):
                  for k, term in enumerate(order0))
 
 
-def _compose(views, blocks, table):
+def _compose(views, blocks, table, mirror=0):
     """Write the terms of ``table`` (:func:`_jm_table`) into the four
     complex quadrant views, with no complex n^2 temporary: the first term
     of a quadrant goes in through ``out=``, I1's on its 3n band entries
     only, and a real coupling in one real pass into each part.  The band
-    entries past the ends of an open chain add zeros to pinned rows."""
-    n = blocks["I1"].shape[0]
+    entries past the ends of an open chain add zeros to pinned rows.
+    With ``mirror`` = +1 or -1 the views are those of the even or odd
+    half of a mirror-symmetric matrix (``linsolve.MirrorPair``), and every
+    block is read folded (:func:`_fold`); in a half of one or two nodes
+    the band's columns repeat mod n only in node 0's pinned row and
+    column."""
+    n = views[0].shape[0]
     r, c = np.arange(n)[:, None], _band_columns(n)
-    for v, ((key, tr, op, scalar), *added) in zip(views, table):
+
+    def read(key, tr):
         m = blocks[key].T if tr else blocks[key]
+        return _fold(m, n, mirror, key == "I1") if mirror else m
+
+    for v, ((key, tr, op, scalar), *added) in zip(views, table):
+        m = read(key, tr)
         if scalar is None:
             op(m, out=v)
         else:
             op(m, scalar, out=v)
-        for key, _, op, scalar in added:
+        for key, tr, op, scalar in added:
+            m = read(key, tr)
             if key == "I1":
-                v[r, c] += op(blocks[key], scalar)
+                v[r, c] += op(m, scalar)
             else:
                 re, im = v.real, v.imag
-                re += scalar.real * blocks[key]
-                im += scalar.imag * blocks[key]
+                re += scalar.real * m
+                im += scalar.imag * m
+
+
+def _fold(m, h, sign, band=False):
+    """The mirror half of sign +1 (even) or -1 (odd) of an n x n block
+    m = P m P, P reversing the nodes: rows k < h and, for k < n // 2,
+    column k plus ``sign`` times column n - 1 - k; the middle column of
+    an odd n, in the even half (h = n // 2 + 1), is not doubled.  A chain
+    band (``band``, (n, 3)) folds to (h, 3): of its rows k < h only row
+    h - 1 reaches a column past h - 1, column h, whose mirror n - 1 - h
+    lies in that row's band, or is the middle node, which the odd half
+    lacks."""
+    n, ho = m.shape[0], m.shape[0] // 2
+    if band:
+        f = m[:h].copy()
+        o = n - 2 * h               # column n - 1 - h, from row h - 1
+        if o <= 0:
+            f[-1, 1 + o] += sign * f[-1, 2]
+        f[-1, 2] = 0.0
+        return f
+    f = np.empty((h, h), dtype=m.dtype, order="F")
+    f[:, ho:] = m[:h, ho:h]
+    (np.add if sign > 0 else np.subtract)(m[:h, :ho], m[:h, ::-1][:, :ho],
+                                          out=f[:, :ho])
+    return f
+
+
+def _composed(blocks, table, n, pins, mirror=0):
+    """The column-major 2n x 2n matrix that ``table`` composes from
+    ``blocks`` (:func:`_compose`), pinned at ``pins``."""
+    a = np.empty((2 * n, 2 * n), dtype=complex, order="F")
+    _compose((a[:n, :n], a[:n, n:], a[n:, :n], a[n:, n:]), blocks, table,
+             mirror)
+    _apply_constraints(a, None, pins)
+    return a
 
 
 def _symbol(row):
@@ -1200,7 +1251,14 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     ``analysis.solve_currents`` factors it where it lies instead of copying it.
     From circulant blocks (:func:`assemble_blocks`) the reduced matrix is
     a :class:`~hoibc2d.linsolve.BlockCirculant` of the same terms
-    (:func:`_mode_symbols`) and no n x n array is made.
+    (:func:`_mode_symbols`) and no n x n array is made.  On a uniform
+    chain (:func:`_uniform_chain`) A = P A P, P reversing the nodes within
+    J and within M, and the reduced matrix is a
+    :class:`~hoibc2d.linsolve.MirrorPair`: its even and odd halves, each
+    composed in place from the same terms read folded (:func:`_fold`),
+    with node 0 of J and of M pinned (node N - 1 folds onto it), and no
+    2N x 2N array is made.  In every case the right-hand side is zero at
+    the pins.
     """
     order = _checked_order(coeffs, wave)
     if blocks is None:
@@ -1216,11 +1274,12 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     table = _jm_table(wave.pol == "TE", c, order)
     if _circulant(blocks):          # closed: nothing is pinned
         A = BlockCirculant(_mode_symbols(blocks, table))
+    elif _uniform_chain(contour):   # node n1 - 1 folds onto the pinned 0
+        A = MirrorPair(*(_composed(blocks, table, h, (0, h), sign)
+                         for h, sign in (((n1 + 1) // 2, 1), (n1 // 2, -1))))
     else:
-        A = np.empty((n, n), dtype=complex, order="F")
-        views = (A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:])
-        _compose(views, blocks, table)
-        _apply_constraints(A, rhs, constrained)
+        A = _composed(blocks, table, n1, constrained)
+    rhs[list(constrained)] = 0.0
 
     meta = _system_meta(contour, coeffs, wave, c, t0)
     log.info("assembled %s %s reduced system: n=%d, geometry %s, %.2fs",

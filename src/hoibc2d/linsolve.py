@@ -1,6 +1,7 @@
 """The solves of the reduced system: a dense complex LU with pivoting,
 reusable multi-RHS solves and a 1-norm reciprocal-condition estimate for
-every contour, and a mode-by-mode solve for a block-circulant one.
+every contour, a mode-by-mode solve for a block-circulant one, and a
+solve by two half-size LUs for a mirror-symmetric one.
 
 A rotation-invariant closed contour (``assembly`` notes) gives a reduced
 matrix of four circulant n x n blocks.  The DFT turns it into n
@@ -14,6 +15,15 @@ absolute sums of the first, which is the inverse DFT of the symbols.
 ``numpy.fft`` transforms one column at a time, so column k of a block is
 bitwise the solve of that column alone, and it calls no BLAS.
 
+A uniform chain (``assembly`` notes) gives a centrosymmetric reduced
+matrix, A = P A P with P reversing the nodes within J and within M.  The
+even/odd change of basis splits it into two half-size blocks (Cantoni &
+Butler, *Linear Algebra Appl.* 13 (1976) 275-288): :class:`MirrorPair`
+holds them, each is LU-factored in place, and :func:`solve_mirror` solves
+a block of right-hand sides by their even and odd parts, column by column
+bitwise as :func:`solve` does.  Two LUs of half the size take about a
+quarter of the flops of one LU of A.
+
 Every other contour takes the dense LU, and memory bounds its size.  Per
 n^2 x 16 B, n nodes (tracemalloc, n = 512 and 1024): the kernel pass peaks
 at 4 plus fixed buffers, up to ~11 MB for a slice of pairs (a jittered
@@ -24,11 +34,15 @@ system adds only A, 4 (and from IBC1 one real product, 0.5, while it
 composes).  A is column-major, so its LU takes its place
 (``overwrite_a``) and adds nothing, and the residual reads the blocks, not
 A: a solve peaks while it composes, at DENSE_PEAK = 8.5 (8.0 at IBC0),
-143 MB at n = 1024.  On the mode path no n x n array is made: blocks,
-symbols, a solve and a far field stay O(n), at most 5.4 kB per node
-(tracemalloc, n = 1024 and 4096, k0 h up to 1.99; the kernel row's
-buffers peak, the far field's modes follow), budgeted at MODE_PEAK_BYTES
-per node.  Angle sweeps of other contours add a block of
+143 MB at n = 1024.  A MirrorPair holds 2.0 where A held 4.0, and its
+halves are composed from folded blocks, one half-size temporary at a
+time: a uniform plate's solve peaks at 2.55 above its blocks, 6.6 in
+all (tracemalloc, n = 385, TM IBC2; the dense composition of the same
+plate peaked at 4.57 above its blocks).  On the mode path no n x n
+array is made: blocks, symbols, a solve and a far field stay O(n), at
+most 5.4 kB per node (tracemalloc, n = 1024 and 4096, k0 h up to 1.99;
+the kernel row's buffers peak, the far field's modes follow), budgeted
+at MODE_PEAK_BYTES per node.  Angle sweeps of other contours add a block of
 O(elements x SWEEP_CHUNK), independent of the angle count, and so do
 their far fields, except on a uniform plate, whose far field is
 O(nodes + SWEEP_CHUNK) (``analysis.far_field``).
@@ -199,6 +213,52 @@ class BlockCirculant:
     def shape(self):
         n2 = 2 * self.symbols.shape[0]
         return (n2, n2)
+
+
+@dataclass(frozen=True)
+class MirrorPair:
+    """The 2n x 2n matrix A = P A P, P reversing the n nodes within J and
+    within M, held as its even and odd halves: ``even`` (2 ceil(n/2)
+    square) is A on the vectors x = P x and ``odd`` (2 floor(n/2) square)
+    A on x = -P x, each read on the nodes k < ceil(n/2) (resp.
+    floor(n/2)) of J and of M, with node n - 1 - k folded onto node k
+    (Cantoni & Butler, *Linear Algebra Appl.* 13 (1976) 275-288).  A
+    middle node, of an odd n, is even."""
+
+    even: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def shape(self):
+        n2 = self.even.shape[0] + self.odd.shape[0]
+        return (n2, n2)
+
+
+def solve_mirror(even, odd, rhs):
+    """Solve A x = rhs for a :class:`MirrorPair` A whose halves are
+    factored as ``even`` and ``odd`` (:func:`lu_factor`), rhs (2n,) or
+    (2n, K): the even part (b + P b) / 2 of rhs on the nodes
+    k < ceil(n/2) and the odd part (b - P b) / 2 on k < floor(n/2), of J
+    and of M, are solved by their halves (:func:`solve`), then unfolded:
+    x_k = u_k + v_k and x_(n-1-k) = u_k - v_k.  Column k is bitwise the
+    solve of that column alone, as :func:`solve`'s are."""
+    b = np.asarray(rhs, dtype=complex)
+    h, ho = even.n // 2, odd.n // 2
+    n = h + ho
+    if b.ndim not in (1, 2) or b.shape[0] != 2 * n:
+        raise UsageError(
+            f"rhs shape {b.shape} incompatible with system of size {2 * n}")
+    tail = b.shape[1:]
+    b = b.reshape((2, n) + tail)
+    rev = b[:, ::-1]
+    u = solve(even, (0.5 * (b[:, :h] + rev[:, :h])).reshape((2 * h,) + tail))
+    v = solve(odd, (0.5 * (b[:, :ho] - rev[:, :ho])).reshape((2 * ho,) + tail))
+    u, v = u.reshape((2, h) + tail), v.reshape((2, ho) + tail)
+    x = np.empty_like(b)
+    x[:, :h] = u
+    x[:, :ho] += v
+    x[:, ::-1][:, :ho] = u[:, :ho] - v
+    return x.reshape((2 * n,) + tail)
 
 
 def apply_modes(a, x):

@@ -834,6 +834,31 @@ def test_angle_sweep_factors_in_place(te_ibc1, monkeypatch):
     assert fac.lu is a
 
 
+@pytest.mark.parametrize("plate", [mesh_plate(2.0, 40), mesh_plate(2.0, 41)],
+                         ids=["nodes41", "nodes42"])
+def test_uniform_plate_factors_two_halves_in_place(te_ibc1, plate,
+                                                   monkeypatch):
+    """A uniform plate's solve and its angle sweep each factor the two
+    mirror halves, 2 ceil(n/2) and 2 floor(n/2) square, where they lie,
+    through analysis.lu_factor (the name a tracer counts), and no
+    2n x 2n matrix."""
+    factors = []
+    factor = analysis.lu_factor
+
+    def factored(matrix, overwrite_a=False):
+        factors.append((matrix, factor(matrix, overwrite_a=overwrite_a)))
+        return factors[-1][1]
+
+    monkeypatch.setattr("hoibc2d.analysis.lu_factor", factored)
+    n = plate.n_nodes
+    wave = IncidentWave(pol="TE", k0=K0, phi_inc=0.5 * np.pi)
+    solve_and_pattern(plate, te_ibc1, wave, DEG)
+    monostatic_sweep(plate, te_ibc1, [0.0, 90.0], kind="angle", k0=K0)
+    assert [m.shape[0] for m, _ in factors] \
+        == [2 * ((n + 1) // 2), 2 * (n // 2)] * 2
+    assert all(fac.lu is m for m, fac in factors)
+
+
 def test_monostatic_rotational_invariance(te_ibc1):
     mesh = mesh_circle(B, 64)
     sweep = monostatic_sweep(mesh, te_ibc1, [0.0, 33.7, 90.0, 217.5],

@@ -53,8 +53,8 @@ from hoibc2d.assembly import (
 from hoibc2d.errors import MeshError, SingularMatrixError, UsageError
 from hoibc2d.geometry import _MIN_ELEMENTS, Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, IbcCoefficients, fit_coefficients
-from hoibc2d.linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, apply_modes,
-                              lu_factor, solve)
+from hoibc2d.linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, MirrorPair,
+                              apply_modes, lu_factor, solve)
 from hoibc2d.specfun import C0, Z0, gauss_legendre_unit, hankel2_01_real
 
 K0 = 2.0 * np.pi  # 1 m circle at ~300 MHz
@@ -903,8 +903,42 @@ def _relabelled(c):
     return Contour(nodes=c.nodes[::-1], closed=c.closed)
 
 
+def _moved_node_plate():
+    """mesh_plate(2.0, 40) with its middle node moved by 1e-3 of its
+    length: not a uniform chain, so its reduced matrix is dense."""
+    return _moved_interior_node(mesh_plate(2.0, 40), 1e-3)
+
+
+def _mirror_halves(a):
+    """The even and odd halves of a 2n x 2n matrix a = P a P, P reversing
+    the n nodes within J and within M, by explicit products: a times the
+    even basis vectors e_k + e_(n-1-k) (a middle node's e_m alone) and the
+    odd ones e_k - e_(n-1-k), read on the rows of the nodes k of J and of
+    M.  The oracle of a MirrorPair."""
+    n = a.shape[0] // 2
+    halves = []
+    for h, sign in (((n + 1) // 2, 1.0), (n // 2, -1.0)):
+        k = np.arange(h)
+        basis = np.zeros((n, h))
+        basis[k, k] = 1.0
+        basis[n - 1 - k[:n // 2], k[:n // 2]] = sign
+        rows = np.concatenate([k, n + k])
+        halves.append((a @ np.kron(np.eye(2), basis))[rows])
+    return halves
+
+
+def _reduced_pairs(mat, dense):
+    """(got, want) array pairs of a reduced matrix ``mat`` and the dense
+    2n x 2n matrix it stands for: the two, or on a uniform chain each half
+    of the MirrorPair and the same half of ``dense``."""
+    if isinstance(mat, MirrorPair):
+        return list(zip((mat.even, mat.odd), _mirror_halves(dense)))
+    return [(mat, dense)]
+
+
 SCHUR_MESHES = {"circle32": lambda: mesh_circle(1.0, 32),
                 "plate": lambda: mesh_plate(2.0, 40),
+                "moved-node-plate": _moved_node_plate,
                 "relabelled": lambda: _relabelled(mesh_circle(1.0, 32))}
 
 
@@ -912,20 +946,25 @@ SCHUR_MESHES = {"circle32": lambda: mesh_circle(1.0, 32),
     pytest.param(TE1, "TE", "circle32", id="coeffs0-TE"),
     pytest.param(TM2, "TM", "circle32", id="coeffs1-TM"),
     pytest.param(TM2, "TM", "plate", id="plate-p1-TM2"),
+    pytest.param(TM2, "TM", "moved-node-plate",
+                 id="moved-node-plate-p1-TM2"),
     pytest.param(TE2, "TE", "relabelled", id="relabelled-p1-TE2"),
 ])
 def test_reduced_equals_schur_complement(coeffs, pol, mesh):
     """The banded elimination against the dense Schur complement, on every
     band shape: cyclic and pinned-end P1 mass, on loops turning either
-    way."""
+    way.  A uniform plate's mirror halves are checked against the same
+    halves of the Schur complement."""
     c = SCHUR_MESHES[mesh]()
     blocks = assemble_dense_blocks(c, K0)
     w = IncidentWave(pol=pol, k0=K0, phi_inc=0.7)
     full = reduce_system(build_full_system(c, coeffs, w, blocks))
     direct = build_reduced_system(c, coeffs, w, blocks)
+    assert isinstance(direct.reduced_matrix, MirrorPair) is (mesh == "plate")
     scale = np.max(np.abs(full.reduced_matrix))
-    assert np.max(np.abs(full.reduced_matrix - direct.reduced_matrix)) \
-        <= 1e-12 * scale
+    for got, want in _reduced_pairs(direct.reduced_matrix,
+                                    full.reduced_matrix):
+        assert np.max(np.abs(want - got)) <= 1e-12 * scale
     assert np.allclose(full.reduced_rhs, direct.reduced_rhs, rtol=0,
                        atol=1e-12 * np.max(np.abs(direct.reduced_rhs)))
 
@@ -968,6 +1007,7 @@ def _composed_by_copies(c, coeffs, wave, blocks, pins):
 
 
 COMPOSE_MESHES = {"circle": lambda: mesh_circle(1.0, 32),
+                  "moved-node-plate": _moved_node_plate,
                   "relabelled-plate": lambda: _relabelled(mesh_plate(2.0, 40))}
 
 
@@ -977,14 +1017,18 @@ COMPOSE_MESHES = {"circle": lambda: mesh_circle(1.0, 32),
 def test_in_place_composition_equals_copies(coeffs, mesh):
     """The reduced matrix written in place into A's quadrants equals the
     composition by copies to 1e-15 of its largest entry: the order-0 part
-    is the same arithmetic, the real G passes round like a complex axpy."""
+    is the same arithmetic, the real G passes round like a complex axpy.
+    On the uniform plate each mirror half, composed from folded blocks,
+    equals the same half of that composition to 1e-15 of its largest
+    entry."""
     c = COMPOSE_MESHES[mesh]()
     blocks = assemble_dense_blocks(c, K0)
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
     system = build_reduced_system(c, coeffs, w, blocks)
     want = _composed_by_copies(c, coeffs, w, blocks, system.constrained)
-    assert np.max(np.abs(system.reduced_matrix - want)) \
-        <= 1e-15 * np.max(np.abs(want))
+    scale = np.max(np.abs(want))
+    for got, want in _reduced_pairs(system.reduced_matrix, want):
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
 @pytest.fixture(scope="module")
@@ -1062,12 +1106,17 @@ def test_block_residual_equals_dense(coeffs, mesh):
     """The residual's A x from the stored blocks equals the product with
     the composed A (taken before the factor) to 1e-14 of max |A x|, for an
     x nonzero at the pinned indices too, and the solve's residual equals
-    the dense ||A x - b|| / ||b|| to 1e-14."""
+    the dense ||A x - b|| / ||b|| to 1e-14.  The uniform plate's solve
+    goes by its mirror halves, and A is its composition by copies: the
+    residual checks the split solve against the unsplit operator."""
     c = COMPOSE_MESHES[mesh]()
     blocks = assemble_dense_blocks(c, K0)
     w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
     system = build_reduced_system(c, coeffs, w, blocks)
-    A = system.reduced_matrix.copy()
+    if isinstance(system.reduced_matrix, MirrorPair):
+        A = _composed_by_copies(c, coeffs, w, blocks, system.constrained)
+    else:
+        A = system.reduced_matrix.copy()
     n = A.shape[0]
     rng = np.random.default_rng(29)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -1114,8 +1163,10 @@ def test_elimination_once_per_mesh(monkeypatch):
 def test_reduced_system_needs_no_dense_factorization(monkeypatch):
     """The auxiliary fields are eliminated by banded solves only: with the
     dense LU disabled, every order and band shape still builds (the
-    circle's dense blocks by name)."""
+    circle's dense blocks by name), a uniform plate as its two mirror
+    halves."""
     cases = [(mesh_circle(1.0, 32), (TE1, TM2)),
+             (_moved_node_plate(), (TM1, TE2)),
              (mesh_plate(2.0, 40), (TM1, TE2))]
     prepared = [(c, cf, assemble_dense_blocks(c, K0)) for c, cfs in cases
                 for cf in cfs]
@@ -1127,9 +1178,14 @@ def test_reduced_system_needs_no_dense_factorization(monkeypatch):
     for c, cf, blocks in prepared:
         w = IncidentWave(pol=cf.pol, k0=K0, phi_inc=0.7)
         system = build_reduced_system(c, cf, w, blocks)
-        n = system.sizes[0] + system.sizes[1]
-        assert system.reduced_matrix.shape == (n, n)
-        assert np.all(np.isfinite(system.reduced_matrix))
+        mat, n1 = system.reduced_matrix, system.sizes[0]
+        if _uniform_chain(c):
+            parts = mat.even, mat.odd
+            shapes = [(2 * ((n1 + 1) // 2),) * 2, (2 * (n1 // 2),) * 2]
+        else:
+            parts, shapes = (mat,), [(2 * n1, 2 * n1)]
+        assert [a.shape for a in parts] == shapes
+        assert all(np.all(np.isfinite(a)) for a in parts)
 
 
 def test_plate_endpoint_constraints_exact():
@@ -1185,6 +1241,105 @@ def test_blocks_reuse_across_orders(circle32, circle32_blocks):
     s2 = build_reduced_system(circle32, TE2, w, blocks=circle32_blocks)
     assert s1.blocks is circle32_blocks and s2.blocks is circle32_blocks
     assert np.max(np.abs(s1.reduced_matrix - s2.reduced_matrix)) > 0.0
+
+
+# --- the mirror halves of a uniform plate -------------------------------------
+
+MIRROR_MESHES = {
+    "plate41": lambda: mesh_plate(2.0, 40),         # 41 nodes: a middle one
+    "plate42": lambda: mesh_plate(2.0, 41),         # 42 nodes
+    "relabelled": lambda: _relabelled(mesh_plate(2.0, 40)),
+    "turned-moved": lambda: _tilted(mesh_plate(2.0, 40), np.deg2rad(37.0),
+                                    (3.0, -1.7)),
+    # 4 nodes: halves of 2, whose wrapped band entries meet only the pins
+    "chain3": lambda: Contour(nodes=[[0.0, 0.0], [0.1, 0.0], [0.2, 0.0],
+                                     [0.3, 0.0]], closed=False),
+}
+SIX_TEST = [TE0, TM0, TE1, TM1, TE2, TM2]
+
+
+@pytest.fixture(scope="module", params=sorted(MIRROR_MESHES))
+def mirror_mesh(request):
+    c = MIRROR_MESHES[request.param]()
+    return c, assemble_blocks(c, K0)
+
+
+def _broadside(c):
+    """The incidence angle normal to the straight chain c."""
+    span = c.nodes[-1] - c.nodes[0]
+    return np.arctan2(span[1], span[0]) + 0.5 * np.pi
+
+
+@pytest.mark.parametrize("coeffs", SIX_TEST,
+                         ids=lambda cf: f"{cf.pol}-{cf.order}")
+def test_mirror_solve_matches_dense_oracle(mirror_mesh, coeffs):
+    """A uniform plate, with an odd and an even node count, numbered from
+    its other end, turned and moved, and as short as 3 elements, is
+    composed as two mirror halves equal to those of the dense oracle,
+    reduce_system(build_full_system), to 1e-12 of its largest entry, and
+    solves by them to the oracle's LU
+    currents within 1e-12 relative, with exact zeros at the end nodes of
+    J and M and a residual of at most 1e-13: at broadside, and at
+    0.7 rad, where the right-hand side has an odd part."""
+    c, blocks = mirror_mesh
+    n = c.n_nodes
+    for phi in (_broadside(c), 0.7):
+        w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=phi)
+        dense = reduce_system(build_full_system(c, coeffs, w, blocks))
+        want = solve(lu_factor(dense.reduced_matrix), dense.reduced_rhs)
+        system = build_reduced_system(c, coeffs, w, blocks)
+        assert isinstance(system.reduced_matrix, MirrorPair)
+        scale = np.max(np.abs(dense.reduced_matrix))
+        for got, half in _reduced_pairs(system.reduced_matrix,
+                                        dense.reduced_matrix):
+            assert np.max(np.abs(got - half)) <= 1e-12 * scale
+        if phi == 0.7:
+            b = dense.reduced_rhs.reshape(2, n)
+            assert np.linalg.norm(b - b[:, ::-1]) > 0.1 * np.linalg.norm(b)
+        sol = solve_currents(system)
+        got = np.concatenate([sol.J, sol.M])
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, (phi, err)
+        for u in (sol.J, sol.M):
+            assert u[0] == 0.0 and u[-1] == 0.0
+        assert sol.meta["residual"] <= 1e-13, sol.meta["residual"]
+
+
+def test_mirror_rcond_within_2x_of_zgecon(mirror_mesh):
+    """The logged rcond of a uniform plate, min(rcond_e, rcond_o) of its
+    mirror halves, lies within a factor 2 of zgecon's estimate on the
+    full composed A, at all six (pol, order)."""
+    c, blocks = mirror_mesh
+    for coeffs in SIX_TEST:
+        w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
+        system = build_reduced_system(c, coeffs, w, blocks)
+        full = _composed_by_copies(c, coeffs, w, blocks, system.constrained)
+        est = lu_factor(full).rcond_estimate
+        got = solve_currents(system).meta["rcond"]
+        assert 0.5 * est <= got <= 2.0 * est, (coeffs.pol, coeffs.order,
+                                               got, est)
+
+
+def test_mirror_solve_memory_budget():
+    """A uniform plate at N = 384 (TM IBC2) peaks within DENSE_PEAK x
+    n^2 x 16 B of traced memory, its blocks included, and composes and
+    solves within 4 n^2 x 16 B above its blocks: less than one 2n x 2n
+    complex array, so it makes none (the halves hold 2)."""
+    c = mesh_plate(30.0 * C0 / 6.8e9, 384)
+    w = IncidentWave(pol="TM", k0=_K_PLATE, phi_inc=0.5 * np.pi)
+    unit = c.n_nodes**2 * 16
+    tracemalloc.start()
+    try:
+        blocks = assemble_blocks(c, _K_PLATE)
+        base, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        solve_currents(build_reduced_system(c, TM2, w, blocks))
+        above = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert max(peak, base + above) <= DENSE_PEAK * unit, \
+        max(peak, base + above) / unit
+    assert above < 4.0 * unit, above / unit
 
 
 # --- the mode path on rotation-invariant contours -----------------------------

@@ -226,6 +226,38 @@ _MODES_CHILD = textwrap.dedent("""
 """)
 
 
+_MIRROR_CHILD = textwrap.dedent("""
+    import numpy as np
+    from hoibc2d.analysis import SWEEP_CHUNK, _factor
+    from hoibc2d.assembly import (IncidentWave, assemble_rhs,
+                                  build_reduced_system)
+    from hoibc2d.geometry import Contour, mesh_plate
+    from hoibc2d.impedance import CoatingSpec, fit_coefficients
+    from hoibc2d.linsolve import MirrorPair
+
+    c = Contour(nodes=mesh_plate(2.0, 40).nodes[::-1], closed=False)
+    coat = CoatingSpec(4.0 - 0.5j, 1.0, 0.1)
+    rng = np.random.default_rng(43)
+    bad = []
+    for pol in ("TE", "TM"):
+        cf = fit_coefficients(coat, pol, 6.0, "IBC2")
+        system = build_reduced_system(
+            c, cf, IncidentWave(pol=pol, k0=6.0, phi_inc=0.0))
+        assert isinstance(system.reduced_matrix, MirrorPair)
+        apply, _, _ = _factor(system)
+        for width in (1, 7, SWEEP_CHUNK + 44):
+            rhs = assemble_rhs(c, pol, 6.0,
+                               rng.uniform(0.0, 2.0 * np.pi, width))
+            x = apply(rhs)
+            for k in range(width):
+                if not np.array_equal(x[:, k], apply(rhs[:, k])):
+                    bad.append((pol, width, k, "1-D"))
+                if not np.array_equal(x[:, k], apply(rhs[:, k:k + 1])[:, 0]):
+                    bad.append((pol, width, k, "n x 1"))
+    print("mismatches", len(bad), bad[:4])
+""")
+
+
 def test_multi_rhs_bitwise_under_threaded_blas():
     # the promise of test_multi_rhs_matches_looped, at two BLAS threads
     _run_threaded(_THREADED_CHILD)
@@ -243,6 +275,14 @@ def test_mode_solve_columns_bitwise_under_threaded_blas():
     on a circle is bitwise the solve of that column alone, as a vector and
     as an n x 1 block, at two BLAS threads."""
     _run_threaded(_MODES_CHILD)
+
+
+def test_mirror_solve_columns_bitwise_under_threaded_blas():
+    """The mirror split keeps the sweep's promise: column k of a block
+    solve on a plate numbered from its other end, folded, solved by both
+    halves and unfolded, is bitwise the solve of that column alone, as a
+    vector and as an n x 1 block, at two BLAS threads."""
+    _run_threaded(_MIRROR_CHILD)
 
 
 def _random_symbols(n, seed=41):
