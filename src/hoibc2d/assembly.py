@@ -76,16 +76,18 @@ no n x n array is made, and the contour, not a flag, picks this path.
 An open contour whose node k is node 0 + k Delta (every mesh_plate,
 numbered from either end, at any position and tilt) is a uniform chain:
 pair (e, f) is pair (0, f - e) moved along it, so B, B - S and Q are
-Toeplitz at element level (Gray, Toeplitz and Circulant Matrices: A
-Review, 2006).  assemble_blocks then takes them from the same n pairs
-(0, f) and local formulation as the circulant rows (_row_pairs), each
-local slot added as one strided Toeplitz view (_toeplitz_blocks), and
-keeps the rest of the dense path's blocks.  The chain is its own mirror
-image (node k onto node N - 1 - k), so build_reduced_system composes the
-even and odd halves of the reduced matrix from folded blocks in place of
-the 2N system, and analysis.solve_currents factors the two halves
-(linsolve.MirrorPair).  assemble_dense_blocks builds any contour's dense
-blocks by the general pass: the oracle of both paths.
+Toeplitz (Gray, Toeplitz and Circulant Matrices: A Review, 2006) but in
+the rows and columns of the end nodes, which are J and M pins.
+assemble_blocks keeps each as its 2N - 1 nodal diagonals, from the same
+n pairs (0, f) and local formulation as the circulant rows (_row_pairs,
+_toeplitz_blocks), with the dense path's bands and couplings: no n x n
+complex array.  The chain is its own mirror image (node k onto node
+N - 1 - k), so build_reduced_system composes the even and odd halves of
+the reduced matrix from blocks read folded, the diagonals through a
+zero-copy Toeplitz view (_kernel_matrix), and analysis.solve_currents
+factors the two halves (linsolve.MirrorPair); the residual takes
+Toeplitz products by FFT.  assemble_dense_blocks builds any contour's
+dense blocks by the general pass: the oracle of both paths.
 """
 
 from __future__ import annotations
@@ -101,12 +103,12 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import blas, solve_banded
+from scipy.linalg import blas, matmul_toeplitz, solve_banded
 
 from .errors import MeshError, UsageError
 from .geometry import Contour, contour_hash
-from .linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, BlockCirculant,
-                       MirrorPair, lu_factor, solve)
+from .linsolve import (CHAIN_PEAK, DENSE_PEAK, MODE_PEAK_BYTES,
+                       BlockCirculant, MirrorPair, lu_factor, solve)
 from .specfun import Z0, gauss_legendre_unit, hankel2_01_real, quad_rule
 
 log = logging.getLogger(__name__)
@@ -154,9 +156,10 @@ class AssembledSystem:
     """Raw blocks, the auxiliary-variable matrix, and the 2N reduction.
 
     ``blocks`` keeps the geometry-dependent matrices of
-    :func:`assemble_blocks` (B, B - S, Q and the couplings G, G2 dense, or
-    on a rotation-invariant contour the first rows of B, B - S and Q; I1,
-    D and K as chain bands) so a single assembly can be reused across
+    :func:`assemble_blocks` (B, B - S, Q and the couplings G, G2 dense,
+    on a uniform chain B, B - S and Q as their nodal diagonals, or on a
+    rotation-invariant contour the first rows of B, B - S and Q; I1, D
+    and K as chain bands) so a single assembly can be reused across
     boundary-condition orders and incidence angles; the J and M endpoint
     constraints are applied to the composed systems, not to the stored
     blocks (only the couplings G, G2 carry the pins of the auxiliary
@@ -554,17 +557,19 @@ def _circulant_rows(contour, k0):
 
 
 def _toeplitz_blocks(contour, k0):
-    """The nodal B, B - S and Q of a uniform chain (:func:`_uniform_chain`),
-    equal to :func:`_helmholtz_blocks` to rounding.
+    """The nodal B, B - S and Q of a uniform chain (:func:`_uniform_chain`)
+    as their 2N - 1 nodal diagonals tau (:func:`_kernel_matrix`), equal
+    to :func:`_helmholtz_blocks` to rounding but in the rows and columns
+    of the end nodes, which the J and M pins overwrite.
 
     Pair (e, f) is pair (0, f - e) moved along the chain, so slot (a, b) of
-    every pair adds the block of its offset d = f - e at nodal entry
-    (e + a, f + b): one add of an n0 x n0 Toeplitz matrix, a zero-copy
-    strided view of its 2 n0 - 1 diagonals, per slot and matrix.  The
-    blocks are those of the pairs (0, f) (:func:`_row_pairs`) through the
-    one local formulation.  As in the general pass, B and B - S take the
-    pairs e < f, then their transpose, then the self blocks, which leaves
-    them exactly symmetric; Q takes the pairs e < f and their partners
+    every pair adds the block of its offset d = f - e at nodal offset
+    d + b - a: one add of the slot's 2 n0 - 1 element diagonals per slot
+    and matrix, from the pairs (0, f) (:func:`_row_pairs`) through the one
+    local formulation.  B and B - S then take their transpose (tau[::-1])
+    and the self blocks, in the dense fill's order of additions: every
+    entry an interior node reads is the general pass's arithmetic, and
+    tau(d) == tau(-d) exactly.  Q takes the pairs e < f and their partners
     (f, e) in one add per slot.
     """
     _check_resolution(contour, k0)
@@ -575,34 +580,41 @@ def _toeplitz_blocks(contour, k0):
         rows[:2, f] = _local_blocks(contour, k0, np.zeros_like(f), f, sb)
         if sq is not None:
             rows[2:, f] = sq, sq_fe
-    # the diagonals of each slot's Toeplitz matrix, offset d at n - 1 + d
+    # the element diagonals of each slot, offset d at n - 1 + d
     diags = np.zeros((3, 2, 2, 2 * n - 1), dtype=complex)
     diags[..., n:] = rows[:3, 1:].transpose(0, 2, 3, 1)
     diags[2, ..., n - 2::-1] = rows[3, 1:].transpose(1, 2, 0)
-    mats = {}
+    taus = {}
     for key, slots in zip(("B", "BS", "Q"), diags):
-        out = mats[key] = np.zeros((contour.n_nodes,) * 2, dtype=complex)
+        tau = taus[key] = np.zeros(2 * n + 1, dtype=complex)
         for a, b in np.ndindex(2, 2):
-            out[a:a + n, b:b + n] += sliding_window_view(slots[a, b], n)[::-1]
-    diag = np.arange(n)
+            tau[1 + b - a:2 * n + b - a] += slots[a, b]
     for key, blk in zip(("B", "BS"), rows[:2, 0]):
-        mats[key] += mats[key].T
-        _add_blocks(mats[key], contour, diag, diag,
-                    np.broadcast_to(blk, (n, 2, 2)))
-    return mats
+        tau = taus[key]
+        tau += tau[::-1]        # NumPy buffers the overlapping operand
+        for a, b in np.ndindex(2, 2):
+            tau[n + b - a] += blk[a, b]
+    return taus
 
 
 def _circulant(blocks):
     """True for the blocks of a rotation-invariant contour, whose B, B - S
-    and Q are first rows."""
-    return blocks["B"].ndim == 1
+    and Q are first rows (one entry per node; a uniform chain's diagonals
+    have 2N - 1)."""
+    return blocks["B"].shape == blocks["I1"].shape[:1]
 
 
-def _circulant_dense(row):
-    """The n x n circulant matrix of the first row ``row``: entry (i, j) is
-    row[(j - i) mod n]."""
-    n = row.size
-    return row[(np.arange(n) - np.arange(n)[:, None]) % n]
+def _kernel_matrix(m, n):
+    """The n x n matrix of a stored block ``m``: m itself when it is 2-D
+    (dense, or a chain band), the circulant of a first row (n entries),
+    entry (i, j) = m[(j - i) mod n], or the Toeplitz matrix of a uniform
+    chain's diagonals (2n - 1 entries, :func:`_toeplitz_blocks`), entry
+    (i, j) = m[n - 1 + j - i], as a zero-copy strided view."""
+    if m.ndim == 2:
+        return m
+    if m.size == n:
+        return m[(np.arange(n) - np.arange(n)[:, None]) % n]
+    return sliding_window_view(m, n)[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -839,21 +851,36 @@ def _available_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_memory(contour, dense=None):
+# the paths a contour's blocks take (assemble_blocks), by what they store
+_PATHS = {"mode": "mode rows", "chain": "Toeplitz diagonals",
+          "dense": "general pass"}
+
+
+def _path(contour):
+    """"mode" for a rotation-invariant contour (:func:`_rotation_sense`),
+    "chain" for a uniform chain (:func:`_uniform_chain`), "dense" for any
+    other.  O(n)."""
+    if _uniform_chain(contour):
+        return "chain"
+    return "mode" if _rotation_sense(contour) else "dense"
+
+
+def check_memory(contour, path=None):
     """Raise MeshError when a solve of ``contour`` is predicted to peak
-    above :func:`_available_memory`: DENSE_PEAK x n^2 x 16 B, n nodes, on
-    the dense path, MODE_PEAK_BYTES x n on the mode path (linsolve notes).
-    ``dense`` names the path; by default the contour picks it.  O(n)."""
+    above :func:`_available_memory`: MODE_PEAK_BYTES x n, n nodes, on the
+    mode path, CHAIN_PEAK or DENSE_PEAK x n^2 x 16 B on a uniform chain or
+    the general path (linsolve notes).  ``path`` (:func:`_path`) names the
+    path; by default the contour picks it.  O(n)."""
     n = contour.n_nodes
-    if dense is None:
-        dense = not _rotation_sense(contour)
-    peak = DENSE_PEAK * 16.0 * n * n if dense else MODE_PEAK_BYTES * n
+    path = path or _path(contour)
+    peak = {"mode": MODE_PEAK_BYTES * n, "chain": CHAIN_PEAK * 16.0 * n * n,
+            "dense": DENSE_PEAK * 16.0 * n * n}[path]
     avail = _available_memory()
     if peak > avail:
         raise MeshError(
-            f"{contour.n_elements} elements: a solve on the "
-            f"{'dense' if dense else 'mode'} path needs ~{peak / 1e6:.3g} "
-            f"MB, the process may use {avail / 1e6:.3g} MB")
+            f"{contour.n_elements} elements: a solve by the {_PATHS[path]} "
+            f"needs ~{peak / 1e6:.3g} MB, the process may use "
+            f"{avail / 1e6:.3g} MB")
 
 
 def assemble_blocks(contour, k0) -> dict:
@@ -861,33 +888,27 @@ def assemble_blocks(contour, k0) -> dict:
     they serve every boundary-condition order, polarization, and
     incidence angle at this (contour, k0).
 
-    On a rotation-invariant contour (:func:`_rotation_sense`) B, BS
-    and Q are their first nodal rows (:func:`_circulant_rows`), with the
-    chain bands I1, D, K of :func:`assemble_mass_and_d`: O(n) memory, and
-    the reduced system is solved mode by mode.  Every other contour gets
-    the dense blocks of :func:`assemble_dense_blocks`, whose kernel
-    matrices a uniform chain (:func:`_uniform_chain`, every mesh_plate)
-    fills as Toeplitz from n element pairs (:func:`_toeplitz_blocks`).
-    Either path first refuses a contour too large for memory
-    (:func:`check_memory`).
+    The contour picks the path (:func:`_path`).  On a rotation-invariant
+    contour B, BS and Q are their first nodal rows
+    (:func:`_circulant_rows`), with the chain bands I1, D, K of
+    :func:`assemble_mass_and_d`: O(n) memory, and the reduced system is
+    solved mode by mode.  On a uniform chain (every mesh_plate) they are
+    their nodal diagonals (:func:`_toeplitz_blocks`), with the bands and
+    couplings of :func:`assemble_dense_blocks`: the n x n arrays are G and
+    G2 (real), 1 n^2 x 16 B.  Every other contour gets the dense blocks.
+    Each path first refuses a contour too large for memory
+    (:func:`check_memory`); the log names the path and the bytes held.
     """
-    if _uniform_chain(contour):
-        return _dense_blocks(contour, k0, _toeplitz_blocks)
-    if not _rotation_sense(contour):
+    path = _path(contour)
+    if path == "dense":
         return assemble_dense_blocks(contour, k0)
-    check_memory(contour, dense=False)
-    t0 = time.perf_counter()
-    blocks = _circulant_rows(contour, k0)
-    blocks.update(assemble_mass_and_d(contour))
-    log.info("assembled circulant rows: %d elements, k0 %g, %.2fs",
-             contour.n_elements, k0, time.perf_counter() - t0)
-    return blocks
+    return _assembled(contour, k0, path)
 
 
 def assemble_dense_blocks(contour, k0) -> dict:
     """The dense blocks of any contour by the general kernel pass
     (:func:`_helmholtz_blocks`): the oracle of the mode path on a
-    rotation-invariant contour and of the Toeplitz fill on a uniform
+    rotation-invariant contour and of the Toeplitz diagonals on a uniform
     chain.
 
     One kernel pass and one elimination of the auxiliary fields: B, BS, Q,
@@ -898,19 +919,27 @@ def assemble_dense_blocks(contour, k0) -> dict:
     transpose.  The n x n arrays are B, B - S, Q (complex) and G, G2
     (real): 4 n^2 x 16 B.
     """
-    return _dense_blocks(contour, k0, _helmholtz_blocks)
+    return _assembled(contour, k0, "dense")
 
 
-def _dense_blocks(contour, k0, kernel_pass):
-    """The blocks of :func:`assemble_dense_blocks` with B, BS and Q from
-    ``kernel_pass``."""
-    check_memory(contour, dense=True)
+def _assembled(contour, k0, path):
+    """The blocks of ``path`` (:func:`_path`): B, BS and Q from its kernel
+    pass, the chain bands and, off the mode path, the couplings G, G2."""
+    check_memory(contour, path)
     t0 = time.perf_counter()
-    blocks = kernel_pass(contour, k0)
+    if path == "mode":
+        blocks = _circulant_rows(contour, k0)
+    elif path == "chain":
+        blocks = _toeplitz_blocks(contour, k0)
+    else:
+        blocks = _helmholtz_blocks(contour, k0)
     blocks.update(assemble_mass_and_d(contour))
-    blocks["G"], blocks["G2"] = _eliminated_blocks(contour, blocks)
-    log.info("assembled blocks: %d elements, k0 %g, %.2fs",
-             contour.n_elements, k0, time.perf_counter() - t0)
+    if path != "mode":
+        blocks["G"], blocks["G2"] = _eliminated_blocks(contour, blocks)
+    log.info("assembled blocks by %s: %d elements, k0 %g, %.3g MB held, "
+             "%.2fs", _PATHS[path], contour.n_elements, k0,
+             sum(m.nbytes for m in blocks.values()) / 1e6,
+             time.perf_counter() - t0)
     return blocks
 
 
@@ -970,12 +999,14 @@ def _compose(views, blocks, table, mirror=0):
     half of a mirror-symmetric matrix (``linsolve.MirrorPair``), and every
     block is read folded (:func:`_fold`); in a half of one or two nodes
     the band's columns repeat mod n only in node 0's pinned row and
-    column."""
-    n = views[0].shape[0]
+    column.  Circulant rows and a uniform chain's diagonals are read as
+    their n x n matrices (:func:`_kernel_matrix`)."""
+    n, nodes = views[0].shape[0], blocks["I1"].shape[0]
     r, c = np.arange(n)[:, None], _band_columns(n)
 
     def read(key, tr):
-        m = blocks[key].T if tr else blocks[key]
+        m = _kernel_matrix(blocks[key], nodes)
+        m = m.T if tr else m
         return _fold(m, n, mirror, key == "I1") if mirror else m
 
     for v, ((key, tr, op, scalar), *added) in zip(views, table):
@@ -992,6 +1023,7 @@ def _compose(views, blocks, table, mirror=0):
                 re, im = v.real, v.imag
                 re += scalar.real * m
                 im += scalar.imag * m
+        del m       # not alive while the next quadrant reads its block
 
 
 def _fold(m, h, sign, band=False):
@@ -1064,16 +1096,13 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
     Unknown layout: (J, M) for order 0, (J, M, X, Y) for order 1,
     (J, M, X, Y, X', Y') for order 2.  Pass a precomputed ``blocks`` dict
     (from assemble_blocks or a previous system) to skip the kernel pass;
-    the first rows of circulant blocks are expanded to dense here.
+    circulant first rows and a uniform chain's diagonals are expanded to
+    dense here (:func:`_kernel_matrix`).
     """
     order = _checked_order(coeffs, wave)
     if blocks is None:
         blocks = assemble_blocks(contour, wave.k0)
     t0 = time.perf_counter()
-    kernels = blocks
-    if _circulant(blocks):
-        kernels = dict(blocks, **{key: _circulant_dense(blocks[key])
-                                  for key in ("B", "BS", "Q")})
     i1, d, kst = (_dense(blocks[key]) for key in ("I1", "D", "K"))
     c = _scaled_coefficients(coeffs, wave.k0)
     a0 = c["a0"]
@@ -1088,7 +1117,7 @@ def build_full_system(contour, coeffs, wave: IncidentWave,
     te = wave.pol == "TE"
     n1, n2 = offs[1], offs[2]
     _compose((A[:n1, :n1], A[:n1, n1:n2], A[n1:n2, :n1], A[n1:n2, n1:n2]),
-             kernels, _jm_table(te, c, 0))
+             blocks, _jm_table(te, c, 0))
 
     if order >= 1:
         sy = 1.0 if te else -1.0        # sign carried by every b-coupling
@@ -1256,8 +1285,9 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
     J and within M, and the reduced matrix is a
     :class:`~hoibc2d.linsolve.MirrorPair`: its even and odd halves, each
     composed in place from the same terms read folded (:func:`_fold`),
-    with node 0 of J and of M pinned (node N - 1 folds onto it), and no
-    2N x 2N array is made.  In every case the right-hand side is zero at
+    the Toeplitz diagonals through a zero-copy view, with node 0 of J and
+    of M pinned (node N - 1 folds onto it), and no 2N x 2N array is
+    made.  In every case the right-hand side is zero at
     the pins.
     """
     order = _checked_order(coeffs, wave)
@@ -1290,9 +1320,15 @@ def build_reduced_system(contour, coeffs, wave: IncidentWave,
                            reduced_rhs=rhs)
 
 
-def _blas_mv(m, v, transposed):
+def _block_mv(m, v, transposed):
     """m v, or m^T v when ``transposed``, for a real or complex m and a
-    complex v, by scipy's BLAS on m as it lies (no copy)."""
+    complex v, by scipy's BLAS on m as it lies (no copy); for a uniform
+    chain's diagonals m (:func:`_toeplitz_blocks`), the product with
+    their Toeplitz matrix by scipy's FFT, which calls no BLAS."""
+    if m.ndim == 1:
+        n = v.shape[0]
+        col, row = m[n - 1::-1], m[n - 1:]
+        return matmul_toeplitz((row, col) if transposed else (col, row), v)
     if not m.flags.f_contiguous:    # a row-major m is m^T column-major
         m, transposed = m.T, not transposed
     trans = int(transposed)
@@ -1303,10 +1339,11 @@ def _blas_mv(m, v, transposed):
 
 
 def _jm_matvec(system, x):
-    """A x for the dense reduced matrix A of ``system``, from its stored
-    blocks and the table that composed A (:func:`_jm_table`), so A itself
-    need not exist: a pinned row of A is the identity's and a pinned
-    column zero."""
+    """A x for the dense reduced matrix A of ``system``, or the one its
+    mirror halves stand for, from its stored blocks and the table that
+    composed A (:func:`_jm_table`), so A itself need not exist: a pinned
+    row of A is the identity's and a pinned column zero, so the end rows
+    and columns of a uniform chain's Toeplitz blocks are never read."""
     meta, n1 = system.meta, system.sizes[0]
     table = _jm_table(meta["pol"] == "TE", meta["coefficients_scaled"],
                       _ORDER_INT[meta["order"]])
@@ -1321,7 +1358,7 @@ def _jm_matvec(system, x):
             if key == "I1":         # a chain band
                 p = _band_dot(system.blocks[key], part)
             else:
-                p = _blas_mv(system.blocks[key], part, tr)
+                p = _block_mv(system.blocks[key], part, tr)
             y[row * n1:(row + 1) * n1] += (op(p) if scalar is None
                                            else op(p, scalar))
     y[pins] = x[pins]

@@ -34,11 +34,15 @@ system adds only A, 4 (and from IBC1 one real product, 0.5, while it
 composes).  A is column-major, so its LU takes its place
 (``overwrite_a``) and adds nothing, and the residual reads the blocks, not
 A: a solve peaks while it composes, at DENSE_PEAK = 8.5 (8.0 at IBC0),
-143 MB at n = 1024.  A MirrorPair holds 2.0 where A held 4.0, and its
-halves are composed from folded blocks, one half-size temporary at a
-time: a uniform plate's solve peaks at 2.55 above its blocks, 6.6 in
-all (tracemalloc, n = 385, TM IBC2; the dense composition of the same
-plate peaked at 4.57 above its blocks).  On the mode path no n x n
+143 MB at n = 1024.  A uniform chain keeps B, B - S and Q as their
+2n - 1 nodal diagonals, so its blocks hold 1.03 (G and G2, 1.0) and
+their assembly peaks at 1.6.  A MirrorPair holds 2.0 where A held 4.0,
+and its halves are composed from folded blocks, one half-size
+temporary at a time: a uniform plate's solve peaks at 2.44 above its
+blocks, 3.47 in all (tracemalloc, n = 385, all six (pol, order); 2.39
+and 3.41 at n = 769), budgeted at CHAIN_PEAK = 3.5.  The dense
+composition of the same plate peaked at 4.57 above its dense blocks,
+8.59 in all.  On the mode path no n x n
 array is made: blocks, symbols, a solve and a far field stay O(n), at
 most 5.4 kB per node (tracemalloc, n = 1024 and 4096, k0 h up to 1.99;
 the kernel row's buffers peak, the far field's modes follow), budgeted
@@ -93,8 +97,9 @@ log = logging.getLogger(__name__)
 RCOND_WARN = 1e-12
 NORM_PANEL = 32     # columns per panel of the 1-norm (_norm1)
 # predicted peak of a solve (module notes): n^2 x 16 B units, n nodes, on
-# the dense path, and bytes per node on the mode path
+# the dense path and on a uniform chain, and bytes per node on the mode path
 DENSE_PEAK = 8.5
+CHAIN_PEAK = 3.5
 MODE_PEAK_BYTES = 8192
 
 

@@ -26,13 +26,13 @@ from hoibc2d.assembly import (
     _adjacent_moments,
     _available_memory,
     _band_dot,
-    _circulant_dense,
     _dense,
     _distant_pairs,
     _eliminated_blocks,
     _helmholtz_blocks,
     _horner,
     _jm_matvec,
+    _kernel_matrix,
     _mode_symbols,
     _node_sum,
     _pair_moments,
@@ -53,8 +53,8 @@ from hoibc2d.assembly import (
 from hoibc2d.errors import MeshError, SingularMatrixError, UsageError
 from hoibc2d.geometry import _MIN_ELEMENTS, Contour, mesh_circle, mesh_plate
 from hoibc2d.impedance import CoatingSpec, IbcCoefficients, fit_coefficients
-from hoibc2d.linsolve import (DENSE_PEAK, MODE_PEAK_BYTES, MirrorPair,
-                              apply_modes, lu_factor, solve)
+from hoibc2d.linsolve import (CHAIN_PEAK, DENSE_PEAK, MODE_PEAK_BYTES,
+                              MirrorPair, apply_modes, lu_factor, solve)
 from hoibc2d.specfun import C0, Z0, gauss_legendre_unit, hankel2_01_real
 
 K0 = 2.0 * np.pi  # 1 m circle at ~300 MHz
@@ -209,7 +209,7 @@ def test_circulant_on_uniform_circle():
         for key in ("BS", "B", "Q"):
             assert rows[key].shape == (n,), key
             want = dense[key]
-            err = np.max(np.abs(_circulant_dense(rows[key]) - want))
+            err = np.max(np.abs(_kernel_matrix(rows[key], n) - want))
             assert err <= 1e-11 * np.max(np.abs(want)), (n, key, err)
 
 
@@ -478,10 +478,17 @@ def _counted_pass(c, k0, monkeypatch, kernel_pass=_helmholtz_blocks):
     return kernel_pass(c, k0), sum(evaluated)
 
 
-def _max_rel_error(got, want, keys):
-    return {key: np.max(np.abs(got[key] - want[key]))
-            / max(np.max(np.abs(want[key])), np.finfo(float).tiny)
-            for key in keys}
+def _max_rel_error(got, want, keys, inner=slice(None)):
+    """Per key, max |got - want| / max |want| over the rows and columns
+    ``inner`` (all by default); a uniform chain's diagonals in ``got``
+    are read as their Toeplitz matrix (_kernel_matrix)."""
+    err = {}
+    for key in keys:
+        w = want[key][inner, inner]
+        g = _kernel_matrix(got[key], want[key].shape[0])[inner, inner]
+        err[key] = (np.max(np.abs(g - w))
+                    / max(np.max(np.abs(w)), np.finfo(float).tiny))
+    return err
 
 
 @pytest.mark.parametrize("mesh", sorted(CLASS_MESHES))
@@ -541,22 +548,25 @@ def test_classed_pass_on_graded_plate():
 
 
 def test_kernel_pass_memory_budget():
-    """The kernel pass holds B, B - S, Q and one transpose: about
-    4 n^2 complex entries, plus fixed buffers for one slice of pairs.
-    N = 1024 is large enough for the n^2 part to dominate; the jittered
-    circle, where every pair is its own class, is the worst case of the
-    slices.  The Toeplitz fill of a uniform plate adds its diagonals
-    through views, and stays within the same bound."""
-    for c, kernel_pass in ((mesh_circle(1.1, 1024), _helmholtz_blocks),
-                           (_jittered_circle(1024), _helmholtz_blocks),
-                           (mesh_plate(2.0, 1024), _toeplitz_blocks)):
+    """The general kernel pass holds B, B - S, Q and one transpose: about
+    4 n^2 complex entries, plus fixed buffers for one slice of pairs,
+    within 6 n^2 x 16 B.  N = 1024 is large enough for the n^2 part to
+    dominate; the jittered circle, where every pair is its own class, is
+    the worst case of the slices.  A uniform plate's blocks, its Toeplitz
+    diagonals and the real couplings G, G2 with their elimination, stay
+    within 2 n^2 x 16 B (assemble_blocks, ~1.5 at this size): one n x n
+    complex array more would exceed it."""
+    for c, kernel_pass, bound in (
+            (mesh_circle(1.1, 1024), _helmholtz_blocks, 6),
+            (_jittered_circle(1024), _helmholtz_blocks, 6),
+            (mesh_plate(2.0, 1024), assemble_blocks, 2)):
         tracemalloc.start()
         try:
             kernel_pass(c, 2.0 * np.pi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
+        assert peak <= bound * c.n_nodes**2 * 16, peak / (c.n_nodes**2 * 16)
 
 
 def _tilted(c, turn=0.3, shift=(0.7, -1.3)):
@@ -576,33 +586,57 @@ FILL_MESHES = {
 }
 
 
+def _pinned(a, i):
+    """True when row and column i of the square a are those of the
+    identity."""
+    e = np.zeros(a.shape[0])
+    e[i] = 1.0
+    return np.array_equal(a[i], e) and np.array_equal(a[:, i], e)
+
+
 @pytest.mark.parametrize("mesh", sorted(FILL_MESHES))
 def test_toeplitz_fill_equals_per_pair_reference(mesh, monkeypatch):
-    """The Toeplitz fill of a uniform plate, from its n pairs (0, f),
-    against every pair evaluated on its own: B and B - S within 1e-12 of
-    their largest entry, and Q, zero on a straight chain up to rounding,
-    within 1e-12 of the largest entry of B - S.  B and B - S are exactly
-    symmetric.  The fill evaluates n - 2 distant pairs, where the general
-    pass evaluates 399 on plate384.  assemble_blocks keeps the fill's
-    matrices, and its couplings G, G2 are within 1e-12 of those of the
-    general pass (assemble_dense_blocks)."""
+    """The Toeplitz diagonals of a uniform plate, from its n pairs (0, f),
+    read as their Toeplitz matrix against every pair evaluated on its
+    own, on every row and column the reduced system reads (nodes 1 ...
+    N - 2): B and B - S within 1e-12 of their largest entry there, and Q,
+    zero on a straight chain up to rounding, within 1e-12 of the largest
+    entry of B - S.  Rows and columns 0 and N - 1 are the J and M pins:
+    in both mirror halves of every (pol, order), their node 0 of J and
+    of M (node N - 1 folds onto it) is a row and column of the identity.
+    B and B - S are exactly symmetric, tau(d) == tau(-d).  The fill
+    evaluates n - 2 distant pairs, where the general pass evaluates 399
+    on plate384.  assemble_blocks keeps the fill's diagonals, and its
+    couplings G, G2 are within 1e-12 of those of the general pass
+    (assemble_dense_blocks)."""
     build, k0 = FILL_MESHES[mesh]
     c = build()
+    n = c.n_nodes
     assert _uniform_chain(c)
     got, evaluated = _counted_pass(c, k0, monkeypatch, _toeplitz_blocks)
     assert evaluated == c.n_elements - 2, evaluated
+    assert all(got[key].shape == (2 * n - 1,) for key in ("B", "BS", "Q"))
     want = _per_pair_blocks(c, k0)
-    err = _max_rel_error(got, want, ("B", "BS"))
-    err["Q"] = np.max(np.abs(got["Q"] - want["Q"])) / np.max(np.abs(want["BS"]))
+    inner = slice(1, n - 1)
+    err = _max_rel_error(got, want, ("B", "BS"), inner)
+    err["Q"] = (np.max(np.abs(_kernel_matrix(got["Q"], n)[inner, inner]
+                              - want["Q"][inner, inner]))
+                / np.max(np.abs(want["BS"][inner, inner])))
     for key, e in err.items():
         assert e <= 1e-12, (key, e)
     for key in ("B", "BS"):
-        assert np.array_equal(got[key], got[key].T), key
+        assert np.array_equal(got[key], got[key][::-1]), key
     if mesh == "plate384":
         assert _counted_pass(c, k0, monkeypatch)[1] == 399
     blocks = assemble_blocks(c, k0)
     for key in ("B", "BS", "Q"):
         assert np.array_equal(blocks[key], got[key]), key
+    for cf in SIX_TEST:
+        w = IncidentWave(pol=cf.pol, k0=k0, phi_inc=0.7)
+        mat = build_reduced_system(c, cf, w, blocks).reduced_matrix
+        for half in (mat.even, mat.odd):
+            h = half.shape[0] // 2
+            assert _pinned(half, 0) and _pinned(half, h), (cf.pol, cf.order)
     dense = assemble_dense_blocks(c, k0)
     for key, e in _max_rel_error(blocks, dense, ("G", "G2")).items():
         assert e <= 1e-12, (key, e)
@@ -972,12 +1006,15 @@ def test_reduced_equals_schur_complement(coeffs, pol, mesh):
 def _composed_by_copies(c, coeffs, wave, blocks, pins):
     """The reduced matrix as the composition before in-place writing built
     it: four new order-0 arrays, the couplings G and G2 made complex and
-    added by BLAS axpy, the blocks copied into A, then the J and M pins."""
+    added by BLAS axpy, the blocks copied into A, then the J and M pins.
+    A uniform chain's diagonals are read as their Toeplitz matrix
+    (_kernel_matrix)."""
     sc = _scaled_coefficients(coeffs, wave.k0)
     a0, n1 = sc["a0"], c.n_nodes
     te = wave.pol == "TE"
-    bs, b, i1 = blocks["BS"], blocks["B"], _dense(blocks["I1"])
-    q = blocks["Q"].astype(complex)
+    bs, b, q = (_kernel_matrix(blocks[key], n1) for key in ("BS", "B", "Q"))
+    i1 = _dense(blocks["I1"])
+    q = q.astype(complex)
     if te:
         parts = Z0 * bs + 0.5 * a0 * i1, q, -q.T, b / Z0 + i1 / (2.0 * a0)
     else:
@@ -1320,11 +1357,40 @@ def test_mirror_rcond_within_2x_of_zgecon(mirror_mesh):
                                                got, est)
 
 
+@pytest.mark.parametrize("mesh", ["relabelled", "turned-moved"])
+@pytest.mark.parametrize("coeffs", SIX_TEST,
+                         ids=lambda cf: f"{cf.pol}-{cf.order}")
+def test_toeplitz_residual_equals_dense(mesh, coeffs):
+    """The residual of a split solve takes A x from the Toeplitz
+    diagonals (a Toeplitz product by FFT): A x equals the product with
+    the composition by copies to 1e-14 of max |A x|, for an x nonzero at
+    the pins too, and the solve's residual equals the dense
+    ||A x - b|| / ||b|| of that composition to 1e-14."""
+    c = MIRROR_MESHES[mesh]()
+    blocks = assemble_blocks(c, K0)
+    assert blocks["B"].shape == (2 * c.n_nodes - 1,)
+    w = IncidentWave(pol=coeffs.pol, k0=K0, phi_inc=0.7)
+    system = build_reduced_system(c, coeffs, w, blocks)
+    A = _composed_by_copies(c, coeffs, w, blocks, system.constrained)
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    want = A @ x
+    assert np.max(np.abs(_jm_matvec(system, x) - want)) \
+        <= 1e-14 * np.max(np.abs(want))
+    sol = solve_currents(system)
+    u, b = np.concatenate([sol.J, sol.M]), system.reduced_rhs
+    dense = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
+    assert abs(sol.meta["residual"] - dense) <= 1e-14
+
+
 def test_mirror_solve_memory_budget():
-    """A uniform plate at N = 384 (TM IBC2) peaks within DENSE_PEAK x
-    n^2 x 16 B of traced memory, its blocks included, and composes and
-    solves within 4 n^2 x 16 B above its blocks: less than one 2n x 2n
-    complex array, so it makes none (the halves hold 2)."""
+    """A uniform plate at N = 384 (TM IBC2) holds blocks of at most
+    1.1 n^2 x 16 B (the real couplings G and G2, 1.0, and O(n)
+    diagonals and bands), peaks within CHAIN_PEAK x n^2 x 16 B of traced
+    memory, its blocks included, and composes and solves within
+    3 n^2 x 16 B above its blocks: the halves hold 2, so it makes no
+    n x n complex array beyond their fold temporaries, and no 2n x 2n
+    one."""
     c = mesh_plate(30.0 * C0 / 6.8e9, 384)
     w = IncidentWave(pol="TM", k0=_K_PLATE, phi_inc=0.5 * np.pi)
     unit = c.n_nodes**2 * 16
@@ -1337,9 +1403,11 @@ def test_mirror_solve_memory_budget():
         above = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert max(peak, base + above) <= DENSE_PEAK * unit, \
+    held = sum(m.nbytes for m in blocks.values())
+    assert held <= 1.1 * unit, held / unit
+    assert max(peak, base + above) <= CHAIN_PEAK * unit, \
         max(peak, base + above) / unit
-    assert above < 4.0 * unit, above / unit
+    assert above <= 3.0 * unit, above / unit
 
 
 # --- the mode path on rotation-invariant contours -----------------------------
@@ -1393,10 +1461,12 @@ def test_rotation_detector_picks_the_path(mesh):
 
 
 CEILING_MESHES = {
-    "circle": (lambda: mesh_circle(1.1, 64), "_circulant_rows"),
-    "plate": (lambda: mesh_plate(2.0, 40), "_toeplitz_blocks"),
+    "circle": (lambda: mesh_circle(1.1, 64), "_circulant_rows",
+               lambda n: MODE_PEAK_BYTES * n),
+    "plate": (lambda: mesh_plate(2.0, 40), "_toeplitz_blocks",
+              lambda n: CHAIN_PEAK * 16 * n * n),
     "graded-plate": (lambda: _graded_plate(40, growth=1e-3),
-                     "_helmholtz_blocks"),
+                     "_helmholtz_blocks", lambda n: DENSE_PEAK * 16 * n * n),
 }
 
 
@@ -1406,13 +1476,12 @@ def test_element_ceiling_at_the_edge(mesh, monkeypatch):
     the process may use is assembled; one byte less is refused with
     MeshError before any kernel pass: the mode path's rows, a uniform
     plate's Toeplitz fill or the general pass.  The prediction is
-    MODE_PEAK_BYTES per node on the mode path and DENSE_PEAK x n^2 x 16 B
-    on the dense one; the memory reading is patched, nothing large is
-    allocated."""
-    build, kernel_pass = CEILING_MESHES[mesh]
+    MODE_PEAK_BYTES per node on the mode path, CHAIN_PEAK x n^2 x 16 B on
+    a uniform plate and DENSE_PEAK x n^2 x 16 B on the general path; the
+    memory reading is patched, nothing large is allocated."""
+    build, kernel_pass, predicted = CEILING_MESHES[mesh]
     c = build()
-    n = c.n_nodes
-    peak = MODE_PEAK_BYTES * n if mesh == "circle" else DENSE_PEAK * 16 * n * n
+    peak = predicted(c.n_nodes)
     assert _available_memory() > 0
     passes = []
     for name in ("_circulant_rows", "_toeplitz_blocks", "_helmholtz_blocks"):
